@@ -1,19 +1,20 @@
 """Exact enumeration and counting of tandem-duplication evolutions.
 
 The package models a genome rearrangement process in which every event
-duplicates a contiguous stretch in place.  Four coordinated views of
+duplicates a contiguous stretch in place.  Five coordinated views of
 the process are provided, each checking the others:
 
 * :mod:`tdspace.words` — the duplication-word automaton: derivations,
   per-length counts (exact recursion) and full enumeration;
-* :mod:`tdspace.structure` — breakpoint two-trees, order diagrams and
-  major graphs built from a derivation, with structural validators;
+* :mod:`tdspace.structure` — the double-tree model: beta trees and the
+  breakpoint trees built from a derivation (a breakpoint tree is a beta
+  tree), order diagrams, major graphs and one shared validator core;
 * :mod:`tdspace.extensions` — closed-form extension counting with
   factor traces, plus a linear-extension oracle;
 * :mod:`tdspace.simulator` — direct genome-state simulation that
   reproduces the same distinct-object counts by brute force;
 * :mod:`tdspace.beta` — the deletion calculus on evolutions, rewrites
-  of two-trees by node subsets, the subtree kernel identity and the
+  of double trees by node subsets, the subtree kernel identity and the
   closed product formula for the number of evolutions.
 
 ``python -m tdspace.cli`` (installed as ``tdspace``) exposes tables,
@@ -24,7 +25,6 @@ from .beta import (
     BetaTree,
     KernelCheck,
     beta_from_td_tree,
-    beta_to_dot,
     beta_to_json,
     beta_tree_from_json,
     closed_form,
@@ -34,7 +34,6 @@ from .beta import (
     induced_evolutions,
     induced_major_graph,
     induced_tree,
-    kernel_check,
     kernel_profile,
     one_nodeset_of,
     random_beta_tree,

@@ -9,12 +9,13 @@ tree by that nodeset reproduces the longer evolution's major graph
 without ever replaying it, which turns the count of all evolutions into
 a recurrence and, from there, a closed product formula.
 
-The rewrite machinery generalizes from breakpoint trees to
-free-standing two-trees ("beta trees"), where the load-bearing step is
-a kernel identity: summed over admissible node subsets whose rewritten
-graph hangs a fixed number of nodes under the first root, the extension
-products all equal the count of the root-contracted rewrite of the
-empty subset.  That identity is checked here directly, by enumeration.
+The rewrite is one edge reselection, :func:`induced_tree`, on any
+double tree (:class:`~tdspace.structure.BetaTree`; every breakpoint
+tree is one).  Its load-bearing step is a kernel identity: summed over
+admissible node subsets whose rewritten graph hangs a fixed number of
+nodes under the first root, the extension products all equal the count
+of the root-contracted rewrite of the empty subset.  That identity is
+checked here directly, by enumeration.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from .errors import (
     BudgetExceededError,
@@ -36,16 +37,16 @@ from .structure import (
     B_SIDE,
     ROOT_A,
     ROOT_B,
+    BetaTree,
     BreakpointId,
-    CheckResult,
     MajorGraph,
-    StructureReport,
     TdTree,
-    _dot_nodes,
+    _recent_minor,
     build_2d_tree,
     major_graph,
     normalize_fence,
     parse_breakpoint,
+    validate_beta_tree,
 )
 from .words import (
     DEFAULT_MAX_N,
@@ -161,16 +162,25 @@ def one_nodeset_of(ev: WordEvolution, induced: WordEvolution) -> NodeSet:
     return frozenset(members)
 
 
+def _shift(bp: BreakpointId, by: int) -> BreakpointId:
+    """Move a label ``by`` TDs; the roots and TD 1 trade places, sides swapped."""
+    td = bp.td + by
+    if bp.td == 0 or td == 0:
+        return BreakpointId(td, B_SIDE if bp.side == A_SIDE else A_SIDE)
+    return BreakpointId(td, bp.side)
+
+
 def induced_major_graph(tree: TdTree, nodeset: Iterable[BreakpointId]) -> MajorGraph:
     """Rewrite a breakpoint tree's major graph for one inserted first TD.
 
     ``nodeset`` uses the shifted labels of :func:`one_nodeset_of`.  All
     TD numbers move up by one and the old roots become the new TD 1 with
     sides swapped and a fence between them.  Every other node re-selects
-    one parental edge: members take their same-type parent, non-members
-    with both parents in the set take the opposite-type parent, and the
-    rest keep their major edge.  An old fence survives unless both of
-    its breakpoints are members.
+    one parental edge by :func:`induced_tree` on the nodeset shifted back
+    down: members take their same-type parent, non-members with both
+    parents in the set take the opposite-type parent, and the rest keep
+    their major edge.  An old fence survives unless both of its
+    breakpoints are members.
     """
     members = frozenset(nodeset)
     if not members >= {_ONE_A, _ONE_B}:
@@ -178,192 +188,27 @@ def induced_major_graph(tree: TdTree, nodeset: Iterable[BreakpointId]) -> MajorG
     if any(bp.td < 1 or bp.td > tree.n + 1 for bp in members):
         raise ValidationError(f"nodeset labels outside 1..{tree.n + 1}")
 
-    def shift(bp: BreakpointId) -> BreakpointId:
-        if bp == ROOT_A:
-            return _ONE_B
-        if bp == ROOT_B:
-            return _ONE_A
-        return BreakpointId(bp.td + 1, bp.side)
-
+    graph = induced_tree(tree, (_shift(bp, -1) for bp in members))
     parent = {_ONE_A: ROOT_B, _ONE_B: ROOT_A}
-    for old in tree.major_side:
-        node = shift(old)
-        pa, pb = shift(tree.a_parent[old]), shift(tree.b_parent[old])
-        if node in members:
-            selected = pa if node.side == A_SIDE else pb
-        elif pa in members and pb in members:
-            selected = pb if node.side == A_SIDE else pa
-        else:
-            selected = shift(tree.major_parent(old))
-        parent[node] = selected
-
-    fences = {normalize_fence((_ONE_A, _ONE_B))}
-    for k in tree.fence_tds:
-        pair = (BreakpointId(k + 1, A_SIDE), BreakpointId(k + 1, B_SIDE))
-        if not (pair[0] in members and pair[1] in members):
-            fences.add(pair)
-
-    nodes = [ROOT_A, ROOT_B]
-    for k in range(1, tree.n + 2):
-        nodes.append(BreakpointId(k, A_SIDE))
-        nodes.append(BreakpointId(k, B_SIDE))
-    return MajorGraph(nodes=tuple(nodes), parent=parent, fences=frozenset(fences))
+    parent.update((_shift(v, 1), _shift(p, 1)) for v, p in graph.parent.items())
+    fences = {(_ONE_A, _ONE_B)} | {(_shift(x, 1), _shift(y, 1)) for x, y in graph.fences}
+    nodes = (ROOT_A, ROOT_B) + tuple(sorted(parent))
+    return MajorGraph(nodes=nodes, parent=parent, fences=frozenset(fences))
 
 
 # ---------------------------------------------------------------------------
-# Beta trees
-
-
-@dataclass
-class BetaTree:
-    """A free-standing double tree: two typed roots, two parental edges
-    per node with a major designation, and fences between opposite-type
-    nodes that share both parents.
-
-    Unlike breakpoint trees of evolutions, nodes need not come in a/b
-    pairs and the node count can be odd.  ``BreakpointId`` doubles as
-    the node handle; its ``td`` field is just an id here.
-
-    Validity requires the minor parent of each node to be the *nearest*
-    opposite-type node above the major parent, exactly as in breakpoint
-    trees.  Merely requiring the two parents to be comparable is not
-    enough: a five-node chain with one minor edge skipping past a nearer
-    ancestor already breaks the subtree counting identity.
-    """
-
-    a_parent: dict[BreakpointId, BreakpointId]
-    b_parent: dict[BreakpointId, BreakpointId]
-    major_side: dict[BreakpointId, str]
-    fences: frozenset[tuple[BreakpointId, BreakpointId]]
-
-    @property
-    def nodes(self) -> tuple[BreakpointId, ...]:
-        return (ROOT_A, ROOT_B) + tuple(sorted(self.major_side))
-
-    def major_parent(self, node: BreakpointId) -> BreakpointId:
-        side = self.major_side[node]
-        return self.a_parent[node] if side == A_SIDE else self.b_parent[node]
+# Beta trees, subtrees and the induced rewrite
 
 
 def beta_from_td_tree(tree: TdTree) -> BetaTree:
-    """Lossless view of a breakpoint tree as a beta tree."""
+    """Plain beta-tree copy of a breakpoint tree (drops ``n``, ``fence_tds``
+    and ``segments``)."""
     return BetaTree(
         a_parent=dict(tree.a_parent),
         b_parent=dict(tree.b_parent),
         major_side=dict(tree.major_side),
-        fences=frozenset(normalize_fence(pair) for pair in tree.fences),
+        fences=tree.fences,
     )
-
-
-def _major_ancestors(tree: BetaTree, node: BreakpointId) -> list[BreakpointId]:
-    chain = [node]
-    seen = {node}
-    while node in tree.major_side:
-        node = tree.major_parent(node)
-        if node in seen:
-            return chain  # cycle; validation reports it separately
-        seen.add(node)
-        chain.append(node)
-    return chain
-
-
-def _recent_minor(tree: BetaTree, major: BreakpointId) -> BreakpointId | None:
-    """First opposite-type node on the major chain above ``major``."""
-    for anc in _major_ancestors(tree, major)[1:]:
-        if anc.side != major.side:
-            return anc
-    return None
-
-
-def validate_beta_tree(tree: BetaTree) -> StructureReport:
-    """Check the double-tree axioms; returns a named pass/fail report."""
-    report = StructureReport()
-    nodes = set(tree.major_side)
-
-    ok, details = True, ""
-    for v in nodes:
-        pa, pb = tree.a_parent.get(v), tree.b_parent.get(v)
-        if pa is None or pb is None:
-            ok, details = False, f"{v} is missing a parental edge"
-            break
-        if pa.side != A_SIDE or pb.side != B_SIDE:
-            ok, details = False, f"{v} has mistyped parents {pa}, {pb}"
-            break
-        if (pa not in nodes and pa != ROOT_A) or (pb not in nodes and pb != ROOT_B):
-            ok, details = False, f"{v} has parents outside the tree"
-            break
-    report.add("parental-edges", ok, details)
-    if not ok:
-        return report
-
-    ok, details = True, ""
-    for v in nodes:
-        chain = _major_ancestors(tree, v)
-        if chain[-1] not in (ROOT_A, ROOT_B):
-            ok, details = False, f"major chain from {v} does not reach a root"
-            break
-    report.add("rooted-majors", ok, details)
-    if not ok:
-        return report
-
-    # Parent pairs must be the two roots or comparable along major edges.
-    ok, details = True, ""
-    for v in sorted(nodes):
-        pa, pb = tree.a_parent[v], tree.b_parent[v]
-        if (pa, pb) == (ROOT_A, ROOT_B):
-            continue
-        if pb not in _major_ancestors(tree, pa) and pa not in _major_ancestors(tree, pb):
-            ok, details = False, f"parents of {v} are incomparable"
-            break
-    report.add("comparable-parents", ok, details)
-    if not ok:
-        return report
-
-    # The declared major must be the deeper parent and the minor the
-    # nearest opposite-type node above it, as in breakpoint trees.
-    ok, details = True, ""
-    for v in sorted(nodes):
-        pa, pb = tree.a_parent[v], tree.b_parent[v]
-        if (pa, pb) == (ROOT_A, ROOT_B):
-            continue
-        major = tree.major_parent(v)
-        minor = pb if major is pa else pa
-        if _recent_minor(tree, major) != minor:
-            ok, details = False, f"minor parent of {v} is not the nearest ancestor"
-            break
-    report.add("minor-recency", ok, details)
-
-    ok, details = True, ""
-    fenced: set[BreakpointId] = set()
-    for x, y in sorted(tree.fences):
-        if x in fenced or y in fenced:
-            ok, details = False, f"{x} or {y} sits in two fences"
-            break
-        fenced.update((x, y))
-        if {x.side, y.side} != {A_SIDE, B_SIDE}:
-            ok, details = False, f"fence {x}|{y} joins same-type nodes"
-            break
-        if {x, y} == {ROOT_A, ROOT_B}:
-            continue
-        if x not in nodes or y not in nodes:
-            ok, details = False, f"fence {x}|{y} references missing nodes"
-            break
-        if (
-            tree.a_parent[x] != tree.a_parent[y]
-            or tree.b_parent[x] != tree.b_parent[y]
-        ):
-            ok, details = False, f"fence {x}|{y} does not share both parents"
-            break
-        root_pair = (tree.a_parent[x], tree.b_parent[x]) == (ROOT_A, ROOT_B)
-        if not root_pair and tree.major_side[x] != tree.major_side[y]:
-            ok, details = False, f"fence {x}|{y} mixes major sides"
-            break
-    report.add("fences", ok, details)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Beta subtrees and the induced rewrite
 
 
 def _closure_order(tree: BetaTree) -> list[BreakpointId]:
@@ -457,7 +302,7 @@ def enumerate_beta_subtrees(
 def induced_tree(tree: BetaTree, tau: Iterable[BreakpointId]) -> MajorGraph:
     """Edge reselection for a node subset, without the first-TD dressing.
 
-    Same rules as :func:`induced_major_graph` — members take same-type
+    The rules behind :func:`induced_major_graph` — members take same-type
     parents, non-members under two chosen parents flip to the opposite
     type, everyone else keeps the major edge, and a fence survives
     unless both its nodes are chosen — but labels stay put and no root
@@ -546,17 +391,6 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
     return tuple(KernelCheck(r=r, lhs=sums.get(r, 0), rhs=rhs) for r in range(1, total))
 
 
-def kernel_check(tree: BetaTree, r: int, budget: int = SUBTREE_NODE_BUDGET) -> KernelCheck:
-    """The kernel identity at one first-root size ``r``."""
-    total = len(tree.nodes)
-    if not 1 <= r <= total - 1:
-        raise ValidationError(f"r={r} outside 1..{total - 1}")
-    for check in kernel_profile(tree, budget=budget):
-        if check.r == r:
-            return check
-    raise AssertionError("unreachable: profile covers every r")
-
-
 # ---------------------------------------------------------------------------
 # Random beta trees (coverage generator for the kernel property test)
 
@@ -613,13 +447,18 @@ def random_beta_tree(seed: int, size: int, fence_rate: float = 0.35) -> BetaTree
 # Totals
 
 
+def _induction_factor(n: int) -> int:
+    """Number of ways one extra first TD lands in an n-TD evolution."""
+    return 4 ** (n + 1) - (2 * (n + 1) + 1)
+
+
 def closed_form(n: int) -> int:
     """Exact number of evolutions with ``n`` TDs: ∏ (4^k − (2k+1))."""
     if n < 0:
         raise ValidationError(f"need n >= 0, got {n}")
     value = 1
-    for k in range(1, n + 1):
-        value *= 4**k - (2 * k + 1)
+    for k in range(n):
+        value *= _induction_factor(k)
     return value
 
 
@@ -694,17 +533,3 @@ def beta_tree_from_json(text: str) -> BetaTree:
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed beta tree payload: {exc}") from exc
     return BetaTree(a_parent=a_parent, b_parent=b_parent, major_side=major_side, fences=fences)
-
-
-def beta_to_dot(tree: BetaTree, name: str = "beta_tree") -> str:
-    lines = [f"digraph {name} {{"]
-    lines += _dot_nodes(tree.nodes)
-    for v in sorted(tree.major_side):
-        for side, parent_of in ((A_SIDE, tree.a_parent), (B_SIDE, tree.b_parent)):
-            style = "solid" if tree.major_side[v] == side else "dashed"
-            color = "red" if side == A_SIDE else "blue"
-            lines.append(f'  "{parent_of[v]}" -> "{v}" [style={style}, color={color}];')
-    for x, y in sorted(tree.fences):
-        lines.append(f'  "{x}" -> "{y}" [style=bold, color=black, dir=none];')
-    lines.append("}")
-    return "\n".join(lines)

@@ -20,13 +20,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NoReturn, Sequence
 
 from .beta import (
     SUBTREE_NODE_BUDGET,
     BetaTree,
-    beta_from_td_tree,
+    _induction_factor,
     closed_form,
     induced_evolutions,
     kernel_profile,
@@ -80,32 +80,37 @@ EXIT_MISMATCH = 3
 
 @dataclass
 class RunConfig:
-    """Validated knobs of one invocation, shared across subcommands."""
+    """Validated knobs of one invocation, shared across subcommands.
+
+    Defaults live in the argument parser; a field a subcommand has no
+    option for stays ``None`` (``False`` for ``deep``).
+    """
 
     command: str
+    fmt: str
     n: int | None = None
-    workers: int = 1
-    fmt: str = "text"
+    workers: int | None = None
     output: str | None = None
     seed: int | None = None
-    trees: int = 200
-    size: int = 12
-    fence_rate: float = 0.35
-    node_budget: int = SUBTREE_NODE_BUDGET
+    trees: int | None = None
+    size: int | None = None
+    fence_rate: float | None = None
+    node_budget: int | None = None
     time_limit: float | None = None
     max_mem_bytes: int | None = None
     deep: bool = False
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
+        if self.workers is not None and self.workers < 1:
             raise ValidationError(f"need workers >= 1, got {self.workers}")
         if self.n is not None and self.n < 1:
             raise ValidationError(f"need n >= 1, got {self.n}")
-        if self.trees < 1:
+        if self.trees is not None and self.trees < 1:
             raise ValidationError(f"need trees >= 1, got {self.trees}")
-        if self.size < 2:
-            raise ValidationError(f"need size >= 2, got {self.size}")
-        if self.node_budget < 1:
+        # the random sweeps grow trees of 4..size nodes
+        if self.size is not None and self.size < 4:
+            raise ValidationError(f"need size >= 4, got {self.size}")
+        if self.node_budget is not None and self.node_budget < 1:
             raise ValidationError(f"need a positive node budget, got {self.node_budget}")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValidationError(f"need a positive time limit, got {self.time_limit}")
@@ -140,11 +145,15 @@ def _mem_budget_from_env() -> int | None:
 
 
 def _emit(text: str, output: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if output is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        raise TdSpaceError(f"cannot write {output!r}: {exc}") from exc
 
 
 def _load_evolution(source: str) -> WordEvolution:
@@ -173,7 +182,7 @@ def _csv_lines(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 def cmd_words(cfg: RunConfig, recursion: bool, enumerate_: bool) -> int:
-    n = cfg.n if cfg.n is not None else 6
+    n = cfg.n
     routes: dict[str, dict[int, int]] = {}
     if recursion or not enumerate_:
         routes["recursion"] = word_count_row(n)
@@ -265,8 +274,7 @@ def cmd_count(cfg: RunConfig, source: str, oracle: bool) -> int:
 
 
 def cmd_table(cfg: RunConfig) -> int:
-    n = cfg.n if cfg.n is not None else 4
-    row = tabulate(n, workers=cfg.workers, deep=cfg.deep, max_mem_bytes=cfg.max_mem_bytes)
+    row = tabulate(cfg.n, workers=cfg.workers, deep=cfg.deep, max_mem_bytes=cfg.max_mem_bytes)
     if cfg.fmt == "json":
         doc = {
             "command": "table",
@@ -364,30 +372,20 @@ def _suite_kernel(cfg: RunConfig, deadline: _Deadline) -> list[Check]:
         for ev in enumerate_word_evolutions(n, max_n=n_max):
             deadline.check()
             trees += 1
-            beta = beta_from_td_tree(build_2d_tree(ev))
-            if not all(c.equal for c in kernel_profile(beta, budget=cfg.node_budget)):
+            tree = build_2d_tree(ev)
+            if not all(c.equal for c in kernel_profile(tree, budget=cfg.node_budget)):
                 bad.append(str(ev))
     checks.append(
         ("evolution-trees", not bad, f"{trees} trees" if not bad else bad[0])
     )
 
-    seed = cfg.require_seed()
-    bad_random: list[int] = []
-    total_checks = 0
-    for i in range(cfg.trees):
-        deadline.check()
-        size = 4 + i % max(cfg.size - 3, 1)
-        tree = random_beta_tree(seed + i, size, fence_rate=cfg.fence_rate)
-        report = validate_beta_tree(tree)
-        profile = kernel_profile(tree, budget=cfg.node_budget)
-        total_checks += len(profile)
-        if not report.ok or not all(c.equal for c in profile):
-            bad_random.append(seed + i)
+    identities, failures = _random_sweep(cfg, deadline)
+    bad_random = list(dict.fromkeys(f["seed"] for f in failures))
     checks.append(
         (
             "random-trees",
             not bad_random,
-            f"{cfg.trees} trees, {total_checks} identities"
+            f"{cfg.trees} trees, {identities} identities"
             if not bad_random
             else f"seeds {bad_random[:5]}",
         )
@@ -395,9 +393,32 @@ def _suite_kernel(cfg: RunConfig, deadline: _Deadline) -> list[Check]:
     return checks
 
 
-def _induction_factor(n: int) -> int:
-    """Number of ways one extra first TD lands in an n-TD evolution."""
-    return 4 ** (n + 1) - (2 * (n + 1) + 1)
+def _random_sweep(cfg: RunConfig, deadline: _Deadline) -> tuple[int, list[dict[str, object]]]:
+    """Validate and kernel-check ``cfg.trees`` seeded random beta trees.
+
+    Tree ``i`` has seed ``seed + i`` and ``4 + i % (size - 3)`` nodes.
+    Returns the number of identities checked and one failure record per
+    invalid tree or unequal identity, in sweep order.
+    """
+    seed = cfg.require_seed()
+    failures: list[dict[str, object]] = []
+    identities = 0
+    for i in range(cfg.trees):
+        deadline.check()
+        size = 4 + i % (cfg.size - 3)
+        tree = random_beta_tree(seed + i, size, fence_rate=cfg.fence_rate)
+        report = validate_beta_tree(tree)
+        if not report.ok:
+            failures.append({"seed": seed + i, "reason": report.failures()[0].name})
+            continue
+        profile = kernel_profile(tree, budget=cfg.node_budget)
+        identities += len(profile)
+        for check in profile:
+            if not check.equal:
+                failures.append(
+                    {"seed": seed + i, "r": check.r, "lhs": check.lhs, "rhs": check.rhs}
+                )
+    return identities, failures
 
 
 def _suite_induction(cfg: RunConfig, deadline: _Deadline) -> list[Check]:
@@ -577,22 +598,7 @@ def cmd_induce(cfg: RunConfig, source: str) -> int:
 
 def cmd_beta(cfg: RunConfig) -> int:
     seed = cfg.require_seed()
-    failures: list[dict[str, object]] = []
-    identities = 0
-    for i in range(cfg.trees):
-        size = 4 + i % max(cfg.size - 3, 1)
-        tree = random_beta_tree(seed + i, size, fence_rate=cfg.fence_rate)
-        report = validate_beta_tree(tree)
-        if not report.ok:
-            failures.append({"seed": seed + i, "reason": report.failures()[0].name})
-            continue
-        profile = kernel_profile(tree, budget=cfg.node_budget)
-        identities += len(profile)
-        for check in profile:
-            if not check.equal:
-                failures.append(
-                    {"seed": seed + i, "r": check.r, "lhs": check.lhs, "rhs": check.rhs}
-                )
+    identities, failures = _random_sweep(cfg, _Deadline(cfg.time_limit))
 
     if cfg.fmt == "json":
         doc = {
@@ -696,20 +702,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
+    options = {f.name for f in fields(RunConfig)} & vars(args).keys()
     return RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        workers=getattr(args, "workers", 1),
-        fmt=getattr(args, "fmt", "text"),
-        output=getattr(args, "output", None),
-        seed=getattr(args, "seed", None),
-        trees=getattr(args, "trees", 200),
-        size=getattr(args, "size", 12),
-        fence_rate=getattr(args, "fence_rate", 0.35),
-        node_budget=getattr(args, "node_budget", SUBTREE_NODE_BUDGET),
-        time_limit=getattr(args, "time_limit", None),
         max_mem_bytes=_mem_budget_from_env(),
-        deep=getattr(args, "deep", False),
+        **{name: getattr(args, name) for name in options},
     )
 
 

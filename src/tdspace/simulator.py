@@ -14,12 +14,11 @@ words and linear extensions — by a completely different route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from hashlib import blake2b
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, ValidationError
 from .structure import A_SIDE, B_SIDE, BreakpointId
-from .words import Word, WordEvolution, _evolution_unchecked, td_step
+from .words import Word, WordEvolution
 
 DEFAULT_MAX_N = 4
 DEEP_MAX_N = 5
@@ -264,9 +263,6 @@ class TdEvolutionRecord:
             flat.extend(g)
             flat.append(0xFF)
         return bytes(flat)
-
-    def digest(self) -> bytes:
-        return blake2b(self.canonical_key(), digest_size=16).digest()
 
 
 def _direction(from_pos: int, to_pos: int) -> str:

@@ -1,4 +1,11 @@
-"""Breakpoint trees for TD evolutions: construction, order diagrams, validation.
+"""Double trees: beta trees, breakpoint trees of TD evolutions, validation.
+
+A *double tree* hangs every node below two typed roots ``0a`` and ``0b``
+by two parental edges, a type-a edge and a type-b edge, one of which is
+*major* and the other *minor*; *fences* tie opposite-type nodes that
+share both parents.  :class:`BetaTree` is the free-standing form, and
+:class:`TdTree` is the breakpoint tree of one word evolution: a beta
+tree whose nodes are the breakpoint pairs of TDs ``1..n``.
 
 Every tandem duplication ``n`` leaves two breakpoints on the reference
 genome: ``n_a`` (duplication start) and ``n_b`` (duplication end).  Each
@@ -22,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import CycleDetectedError, MalformedGraphError, ValidationError
+from .errors import CycleDetectedError, ValidationError
 from .words import Word, WordEvolution
 
 A_SIDE = "a"
@@ -51,46 +58,57 @@ def parse_breakpoint(text: str) -> BreakpointId:
 
 
 @dataclass
-class TdTree:
-    """Double tree of breakpoints for one word evolution.
+class BetaTree:
+    """A double tree: two typed roots, two parental edges per node with a
+    major designation, and fences between opposite-type nodes that share
+    both parents.
 
-    ``a_parent``/``b_parent`` give the two parental edges of every
-    non-root node; ``major_side`` says which of the two is major.
-    ``fence_tds`` lists the TDs whose breakpoint pair is fenced, and
-    ``segments`` records every segment ``(u_a, v_b)`` that arose while
-    replaying the evolution (used by the structural validators).
+    Unlike breakpoint trees of evolutions, nodes need not come in a/b
+    pairs and the node count can be odd.  ``BreakpointId`` doubles as
+    the node handle; its ``td`` field is just an id here.
+
+    Validity requires the minor parent of each node to be the *nearest*
+    opposite-type node above the major parent, exactly as in breakpoint
+    trees.  Merely requiring the two parents to be comparable is not
+    enough: a five-node chain with one minor edge skipping past a nearer
+    ancestor already breaks the subtree counting identity.
     """
 
-    n: int
     a_parent: dict[BreakpointId, BreakpointId]
     b_parent: dict[BreakpointId, BreakpointId]
     major_side: dict[BreakpointId, str]
-    fence_tds: frozenset[int]
-    segments: frozenset[tuple[BreakpointId, BreakpointId]]
+    fences: frozenset[tuple[BreakpointId, BreakpointId]]
 
     @property
     def nodes(self) -> tuple[BreakpointId, ...]:
-        out = [ROOT_A, ROOT_B]
-        for k in range(1, self.n + 1):
-            out.append(BreakpointId(k, A_SIDE))
-            out.append(BreakpointId(k, B_SIDE))
-        return tuple(out)
-
-    @property
-    def fences(self) -> frozenset[tuple[BreakpointId, BreakpointId]]:
-        return frozenset(
-            (BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)) for k in self.fence_tds
-        )
-
-    def parent(self, node: BreakpointId, side: str) -> BreakpointId:
-        return self.a_parent[node] if side == A_SIDE else self.b_parent[node]
+        return (ROOT_A, ROOT_B) + tuple(sorted(self.major_side))
 
     def major_parent(self, node: BreakpointId) -> BreakpointId:
-        return self.parent(node, self.major_side[node])
+        return self.a_parent[node] if self.major_side[node] == A_SIDE else self.b_parent[node]
 
     def minor_parent(self, node: BreakpointId) -> BreakpointId:
-        other = B_SIDE if self.major_side[node] == A_SIDE else A_SIDE
-        return self.parent(node, other)
+        return self.b_parent[node] if self.major_side[node] == A_SIDE else self.a_parent[node]
+
+
+@dataclass
+class TdTree(BetaTree):
+    """Breakpoint double tree of one word evolution with ``n`` TDs.
+
+    ``fence_tds`` lists the TDs whose breakpoint pair is fenced (the
+    inherited ``fences`` are derived from it), and ``segments`` records
+    every segment ``(u_a, v_b)`` that arose while replaying the
+    evolution (used by the structural validators).
+    """
+
+    n: int
+    fence_tds: frozenset[int]
+    segments: frozenset[tuple[BreakpointId, BreakpointId]]
+    fences: frozenset[tuple[BreakpointId, BreakpointId]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.fences = frozenset(
+            (BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)) for k in self.fence_tds
+        )
 
 
 def word_segments(word: Word) -> list[tuple[BreakpointId, BreakpointId]]:
@@ -289,43 +307,124 @@ class StructureReport:
         self.checks.append(CheckResult(name, passed, details))
 
 
-def _major_ancestry(tree: TdTree, node: BreakpointId) -> Iterator[BreakpointId]:
+def _major_ancestors(tree: BetaTree, node: BreakpointId) -> Iterator[BreakpointId]:
     """Major parent, grandparent, ... ending at a root (cycle-safe)."""
-    seen = set()
-    cur = node
-    while cur in tree.major_side:
-        cur = tree.major_parent(cur)
-        if cur in seen:  # corrupted trees can loop
+    seen = {node}
+    while node in tree.major_side:
+        node = tree.major_parent(node)
+        if node in seen:  # corrupted trees can loop; validation reports it
             return
-        seen.add(cur)
-        yield cur
+        seen.add(node)
+        yield node
 
 
-def validate_structure(tree: TdTree) -> StructureReport:
-    """Run every structural invariant check and aggregate a report.
+def _recent_minor(tree: BetaTree, major: BreakpointId) -> BreakpointId | None:
+    """First opposite-type node on the major chain above ``major``."""
+    for anc in _major_ancestors(tree, major):
+        if anc.side != major.side:
+            return anc
+    return None
 
-    Checks cover: parental-edge completeness and typing, acyclicity with a
-    unique source/sink, the two-tree shape of the major subgraph, the
-    recency rule for minor parents, the forced a-ascending/b-descending
-    order along major chains, and segment connectivity (each segment's
-    endpoints joined by a major edge, or by a minor edge plus a
-    single-type major chain).
+
+def _check_double_tree(tree: BetaTree, report: StructureReport) -> bool:
+    """Add the double-tree axiom checks to ``report``.
+
+    Returns False when parental edges are missing or mistyped, or a
+    major chain misses the roots; no further check can run on such a tree.
     """
-    report = StructureReport()
-    non_roots = [v for v in tree.nodes if v.td != 0]
+    nodes = set(tree.major_side)
 
-    # Parental edges: both present, correctly typed.
-    ok = True
-    details = ""
-    for v in non_roots:
-        if v not in tree.a_parent or v not in tree.b_parent or v not in tree.major_side:
+    ok, details = True, ""
+    for v in sorted(nodes | tree.a_parent.keys() | tree.b_parent.keys()):
+        pa, pb = tree.a_parent.get(v), tree.b_parent.get(v)
+        if pa is None or pb is None or v not in nodes:
             ok, details = False, f"{v} missing parental data"
             break
-        if tree.a_parent[v].side != A_SIDE or tree.b_parent[v].side != B_SIDE:
-            ok, details = False, f"{v} has mistyped parental edges"
+        if pa.side != A_SIDE or pb.side != B_SIDE:
+            ok, details = False, f"{v} has mistyped parents {pa}, {pb}"
+            break
+        if (pa not in nodes and pa != ROOT_A) or (pb not in nodes and pb != ROOT_B):
+            ok, details = False, f"{v} has parents outside the tree"
             break
     report.add("parental-edges", ok, details)
     if not ok:
+        return False
+
+    ok, details = True, ""
+    for v in sorted(nodes):
+        if not any(anc.td == 0 for anc in _major_ancestors(tree, v)):
+            ok, details = False, f"major chain from {v} does not reach a root"
+            break
+    report.add("rooted-majors", ok, details)
+    if not ok:
+        return False
+
+    # The minor parent is the nearest opposite-type node above the major
+    # parent; nodes hung on the two roots are fixed by convention.
+    ok, details = True, ""
+    for v in sorted(nodes):
+        if (tree.a_parent[v], tree.b_parent[v]) == (ROOT_A, ROOT_B):
+            continue
+        expected = _recent_minor(tree, tree.major_parent(v))
+        if tree.minor_parent(v) != expected:
+            ok = False
+            details = f"{v}: minor parent {tree.minor_parent(v)}, expected {expected}"
+            break
+    report.add("minor-recency", ok, details)
+
+    ok, details = True, ""
+    fenced: set[BreakpointId] = set()
+    for x, y in sorted(tree.fences):
+        if x in fenced or y in fenced:
+            ok, details = False, f"{x} or {y} sits in two fences"
+            break
+        fenced.update((x, y))
+        if {x.side, y.side} != {A_SIDE, B_SIDE}:
+            ok, details = False, f"fence {x}|{y} joins same-type nodes"
+            break
+        if {x, y} == {ROOT_A, ROOT_B}:
+            continue
+        if x not in nodes or y not in nodes:
+            ok, details = False, f"fence {x}|{y} references missing nodes"
+            break
+        if (
+            tree.a_parent[x] != tree.a_parent[y]
+            or tree.b_parent[x] != tree.b_parent[y]
+        ):
+            ok, details = False, f"fence {x}|{y} does not share both parents"
+            break
+        root_pair = (tree.a_parent[x], tree.b_parent[x]) == (ROOT_A, ROOT_B)
+        if not root_pair and tree.major_side[x] != tree.major_side[y]:
+            ok, details = False, f"fence {x}|{y} mixes major sides"
+            break
+    report.add("fences", ok, details)
+    return True
+
+
+def validate_beta_tree(tree: BetaTree) -> StructureReport:
+    """Check the double-tree axioms; returns a named pass/fail report.
+
+    Checks cover: parental-edge completeness and typing, major chains
+    that reach a root, the recency rule for minor parents, and fences
+    that join opposite-type nodes sharing both parents.
+    """
+    report = StructureReport()
+    _check_double_tree(tree, report)
+    return report
+
+
+def validate_structure(tree: TdTree) -> StructureReport:
+    """The double-tree axioms plus the invariants of breakpoint trees.
+
+    Beyond :func:`validate_beta_tree`, checks cover: the first-TD
+    convention, acyclicity of the order diagram with a unique
+    source/sink, the forced a-ascending/b-descending order along major
+    chains, segment connectivity (each segment's endpoints joined by a
+    major edge, or by a minor edge plus a single-type major chain), and
+    the forced reversal of fenced TDs.
+    """
+    report = StructureReport()
+    if not _check_double_tree(tree, report):
         return report
 
     # First-TD convention.
@@ -356,69 +455,28 @@ def validate_structure(tree: TdTree) -> StructureReport:
         "" if ok else f"sources={sources} sinks={sinks}",
     )
 
-    # Major subgraph: two trees rooted at the two roots.
-    ok, details = True, ""
-    comp: dict[BreakpointId, BreakpointId] = {ROOT_A: ROOT_A, ROOT_B: ROOT_B}
-    for v in non_roots:
-        chain = [v]
-        root = None
-        for anc in _major_ancestry(tree, v):
-            if anc.td == 0:
-                root = anc
-                break
-            chain.append(anc)
-        if root is None:
-            ok, details = False, f"major ancestry of {v} does not reach a root"
-            break
-        comp[v] = root
-    report.add("major-two-trees", ok, details)
-
-    # Minor parent = most recent major ancestor of the opposite type
-    # (first TD excepted: its ancestry is roots-only and fixed by convention).
-    ok, details = True, ""
-    for v in non_roots:
-        if v.td == 1:
-            continue
-        major = tree.major_parent(v)
-        want_side = B_SIDE if major.side == A_SIDE else A_SIDE
-        expected = None
-        for anc in _major_ancestry(tree, v):
-            if anc.side == want_side:
-                expected = anc
-                break
-        if expected is None or tree.minor_parent(v) != expected:
-            ok = False
-            details = f"{v}: minor parent {tree.minor_parent(v)}, expected {expected}"
-            break
-    report.add("minor-recency", ok, details)
-
     # Along any maximal major chain, a-nodes ascend and b-nodes descend:
     # the chain nodes admit exactly one relative order, which must not
     # contradict the order diagram.
     ok, details = True, ""
-    try:
-        above = reachability(diagram)
-    except CycleDetectedError as exc:
-        above = None
-        ok, details = False, str(exc)
-    if above is not None:
-        children: dict[BreakpointId, list[BreakpointId]] = {v: [] for v in tree.nodes}
-        for v in non_roots:
-            children[tree.major_parent(v)].append(v)
-        leaves = [v for v in tree.nodes if not children[v]]
-        for leaf in leaves:
-            chain = [leaf] + list(_major_ancestry(tree, leaf))
-            chain.reverse()  # root first
-            a_nodes = [v for v in chain if v.side == A_SIDE]
-            b_nodes = [v for v in chain if v.side == B_SIDE]
-            predicted = a_nodes + b_nodes[::-1]
-            for u, v in zip(predicted, predicted[1:]):
-                if u in above[v]:
-                    ok = False
-                    details = f"chain to {leaf}: {v} < {u} contradicts predicted order"
-                    break
-            if not ok:
+    above = reachability(diagram)
+    children: dict[BreakpointId, list[BreakpointId]] = {v: [] for v in tree.nodes}
+    for v in tree.major_side:
+        children[tree.major_parent(v)].append(v)
+    leaves = [v for v in tree.nodes if not children[v]]
+    for leaf in leaves:
+        chain = [leaf] + list(_major_ancestors(tree, leaf))
+        chain.reverse()  # root first
+        a_nodes = [v for v in chain if v.side == A_SIDE]
+        b_nodes = [v for v in chain if v.side == B_SIDE]
+        predicted = a_nodes + b_nodes[::-1]
+        for u, v in zip(predicted, predicted[1:]):
+            if u in above[v]:
+                ok = False
+                details = f"chain to {leaf}: {v} < {u} contradicts predicted order"
                 break
+        if not ok:
+            break
     report.add("chain-order", ok, details)
 
     # Segment connectivity.
@@ -429,7 +487,7 @@ def validate_structure(tree: TdTree) -> StructureReport:
         lo, hi = (left, right) if left.td < right.td else (right, left)
         walk = [hi]
         reached = False
-        for anc in _major_ancestry(tree, hi):
+        for anc in _major_ancestors(tree, hi):
             walk.append(anc)
             if anc == lo:
                 reached = True
@@ -450,29 +508,14 @@ def validate_structure(tree: TdTree) -> StructureReport:
             break
     report.add("segment-connectivity", ok, details)
 
-    # Fenced pairs share both parents (and the major side, beyond TD 1).
+    # Fenced TDs are forced reversed (start before end in every extension).
     ok, details = True, ""
     for k in sorted(tree.fence_tds):
         ka, kb = BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)
-        if tree.a_parent.get(ka) != tree.a_parent.get(kb) or tree.b_parent.get(
-            ka
-        ) != tree.b_parent.get(kb):
-            ok, details = False, f"fence {k}: breakpoints on different segments"
+        if kb not in above[ka]:
+            ok, details = False, f"fenced TD {k} not forced reversed"
             break
-        if k > 1 and tree.major_side.get(ka) != tree.major_side.get(kb):
-            ok, details = False, f"fence {k}: major sides differ"
-            break
-    report.add("fence-pairs", ok, details)
-
-    # Fenced TDs are forced reversed (start before end in every extension).
-    if above is not None:
-        ok, details = True, ""
-        for k in sorted(tree.fence_tds):
-            ka, kb = BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)
-            if kb not in above[ka]:
-                ok, details = False, f"fenced TD {k} not forced reversed"
-                break
-        report.add("fence-orientation", ok, details)
+    report.add("fence-orientation", ok, details)
 
     return report
 
@@ -511,9 +554,10 @@ def _dot_nodes(nodes: Iterable[BreakpointId]) -> list[str]:
     return [f'  "{v}" [{_NODE_STYLE[v.side]}];' for v in sorted(nodes)]
 
 
-def tree_to_dot(tree: TdTree, name: str = "td_tree") -> str:
-    """Graphviz form: boxes/red for a, ellipses/blue for b, solid major
-    edges, dashed minor edges, bold black fences."""
+def tree_to_dot(tree: BetaTree, name: str = "td_tree") -> str:
+    """Graphviz form of any double tree (breakpoint or beta tree):
+    boxes/red for a, ellipses/blue for b, solid major edges, dashed
+    minor edges, bold black fences."""
     lines = [f"digraph {name} {{"]
     lines += _dot_nodes(tree.nodes)
     for v in sorted(tree.major_side):

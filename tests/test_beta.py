@@ -16,7 +16,6 @@ from tdspace import (
     ValidationError,
     WordEvolution,
     beta_from_td_tree,
-    beta_to_dot,
     beta_to_json,
     beta_tree_from_json,
     build_2d_tree,
@@ -29,7 +28,6 @@ from tdspace import (
     induced_evolutions,
     induced_major_graph,
     induced_tree,
-    kernel_check,
     kernel_profile,
     major_graph,
     one_nodeset_of,
@@ -37,6 +35,7 @@ from tdspace import (
     random_beta_tree,
     root_component_size,
     total_evolutions_via_words,
+    tree_to_dot,
     two_tree_count,
     validate_beta_subtree,
     validate_beta_tree,
@@ -187,7 +186,6 @@ def test_subtree_budget(worked_beta_tree):
 def test_kernel_on_worked_tree(worked_beta_tree):
     profile = kernel_profile(worked_beta_tree)
     assert [(c.r, c.lhs, c.rhs) for c in profile] == [(r, 18, 18) for r in range(1, 7)]
-    assert kernel_check(worked_beta_tree, 5).equal
 
 
 def test_kernel_contributions_at_r5(worked_beta_tree):
@@ -328,7 +326,7 @@ def test_beta_json_rejects_malformed():
 
 
 def test_beta_dot(worked_beta_tree):
-    dot = beta_to_dot(worked_beta_tree)
+    dot = tree_to_dot(worked_beta_tree)
     assert dot.startswith("digraph")
     assert '"2a"' in dot
 

@@ -247,3 +247,23 @@ def test_usage_errors_exit_1_not_2(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 1
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["beta", "verify"])
+@pytest.mark.parametrize("size", ["2", "3"])
+def test_random_tree_size_below_four_is_rejected(capsys, command, size):
+    """Random trees have at least four nodes, so smaller sizes cannot be honoured."""
+    extra = ["--suite", "kernel", "-n", "1"] if command == "verify" else []
+    code, out, err = run(capsys, command, *extra, "--seed", "1", "--trees", "3", "--size", size)
+    assert code == 1
+    assert out == ""
+    assert "size >= 4" in err
+
+
+def test_unwritable_output_is_exit_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "words", "-n", "2", "-o", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write")
+    assert not target.exists()

@@ -119,4 +119,3 @@ def test_records_expose_every_step():
         assert len(rec.genomes) == 2  # after TD1, after TD2
         assert len(rec.graphs) == 2
         assert rec.word_evolution.n == 2
-        assert len(rec.digest()) == 16
