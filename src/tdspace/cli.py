@@ -9,8 +9,8 @@ yields identical results.  Exit codes are part of the interface:
 * 3 — a verification or oracle cross-check failed;
 * 1 — anything else (bad input, malformed files).
 
-The environment variable ``TD_MAX_MEM`` (bytes) caps the deduplication
-sets held by the simulator commands.
+The environment variable ``TD_MAX_MEM`` (bytes) caps the measured size
+of the deduplication sets held by the simulator commands.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass, fields
 from typing import Callable, NoReturn, Sequence
 
@@ -35,7 +34,7 @@ from .beta import (
     total_evolutions_via_words,
     validate_beta_tree,
 )
-from .errors import BudgetExceededError, ParseError, TdSpaceError, ValidationError
+from .errors import BudgetExceededError, Deadline, ParseError, TdSpaceError, ValidationError
 from .extensions import (
     BRUTEFORCE_NODE_BUDGET,
     count_extensions_bruteforce,
@@ -121,17 +120,6 @@ class RunConfig:
         if self.seed is None:
             raise ValidationError(f"{self.command} is randomized; pass an explicit --seed")
         return self.seed
-
-
-class _Deadline:
-    """Coarse wall-clock budget, checked between units of work."""
-
-    def __init__(self, limit: float | None):
-        self._expires = None if limit is None else time.monotonic() + limit
-
-    def check(self) -> None:
-        if self._expires is not None and time.monotonic() > self._expires:
-            raise BudgetExceededError("time limit exceeded")
 
 
 def _mem_budget_from_env() -> int | None:
@@ -315,7 +303,7 @@ def cmd_table(cfg: RunConfig) -> int:
 Check = tuple[str, bool, str]
 
 
-def _suite_structure(cfg: RunConfig, deadline: _Deadline) -> list[Check]:
+def _suite_structure(cfg: RunConfig, deadline: Deadline) -> list[Check]:
     n_max = cfg.n if cfg.n is not None else 4
     bad_valid: list[str] = []
     bad_count: list[str] = []
@@ -356,7 +344,7 @@ def _worked_kernel_tree() -> BetaTree:
     )
 
 
-def _suite_kernel(cfg: RunConfig, deadline: _Deadline) -> list[Check]:
+def _suite_kernel(cfg: RunConfig, deadline: Deadline) -> list[Check]:
     checks: list[Check] = []
 
     worked = kernel_profile(_worked_kernel_tree(), budget=cfg.node_budget)
@@ -393,7 +381,7 @@ def _suite_kernel(cfg: RunConfig, deadline: _Deadline) -> list[Check]:
     return checks
 
 
-def _random_sweep(cfg: RunConfig, deadline: _Deadline) -> tuple[int, list[dict[str, object]]]:
+def _random_sweep(cfg: RunConfig, deadline: Deadline) -> tuple[int, list[dict[str, object]]]:
     """Validate and kernel-check ``cfg.trees`` seeded random beta trees.
 
     Tree ``i`` has seed ``seed + i`` and ``4 + i % (size - 3)`` nodes.
@@ -421,7 +409,7 @@ def _random_sweep(cfg: RunConfig, deadline: _Deadline) -> tuple[int, list[dict[s
     return identities, failures
 
 
-def _suite_induction(cfg: RunConfig, deadline: _Deadline) -> list[Check]:
+def _suite_induction(cfg: RunConfig, deadline: Deadline) -> list[Check]:
     n_max = cfg.n if cfg.n is not None else 4
     checks: list[Check] = []
     for n in range(1, n_max):
@@ -453,12 +441,18 @@ def _suite_induction(cfg: RunConfig, deadline: _Deadline) -> list[Check]:
     return checks
 
 
-def _suite_grand_total(cfg: RunConfig, deadline: _Deadline) -> list[Check]:
+def _suite_grand_total(cfg: RunConfig, deadline: Deadline) -> list[Check]:
     n = cfg.n if cfg.n is not None else 4
     if cfg.deep:
         print(f"grand total sweep for n={n}; this can take minutes", file=sys.stderr)
     deadline.check()
-    row = tabulate(n, workers=cfg.workers, deep=cfg.deep, max_mem_bytes=cfg.max_mem_bytes)
+    row = tabulate(
+        n,
+        workers=cfg.workers,
+        deep=cfg.deep,
+        max_mem_bytes=cfg.max_mem_bytes,
+        deadline=deadline,
+    )
     deadline.check()
     sigma = total_evolutions_via_words(n, workers=cfg.workers)
     deadline.check()
@@ -473,7 +467,7 @@ def _suite_grand_total(cfg: RunConfig, deadline: _Deadline) -> list[Check]:
     ]
 
 
-_SUITES: dict[str, Callable[[RunConfig, _Deadline], list[Check]]] = {
+_SUITES: dict[str, Callable[[RunConfig, Deadline], list[Check]]] = {
     "structure": _suite_structure,
     "kernel": _suite_kernel,
     "induction": _suite_induction,
@@ -482,7 +476,7 @@ _SUITES: dict[str, Callable[[RunConfig, _Deadline], list[Check]]] = {
 
 
 def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    deadline = _Deadline(cfg.time_limit)
+    deadline = Deadline(cfg.time_limit)
     checks = _SUITES[suite](cfg, deadline)
     passed = all(ok for _, ok, _ in checks)
 
@@ -598,7 +592,7 @@ def cmd_induce(cfg: RunConfig, source: str) -> int:
 
 def cmd_beta(cfg: RunConfig) -> int:
     seed = cfg.require_seed()
-    identities, failures = _random_sweep(cfg, _Deadline(cfg.time_limit))
+    identities, failures = _random_sweep(cfg, Deadline(cfg.time_limit))
 
     if cfg.fmt == "json":
         doc = {

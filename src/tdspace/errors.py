@@ -1,4 +1,6 @@
-"""Exception types shared across tdspace modules."""
+"""Exception types shared across tdspace modules, and the wall-clock budget."""
+
+import time
 
 
 class TdSpaceError(Exception):
@@ -26,6 +28,22 @@ class ParseError(TdSpaceError, ValueError):
 
 class BudgetExceededError(TdSpaceError, RuntimeError):
     """An enumeration or memory budget was exceeded."""
+
+
+class Deadline:
+    """Wall-clock budget of ``limit`` seconds from creation (``None``: none).
+
+    Long sweeps call :meth:`check` between units of work.  The expiry is a
+    ``time.monotonic`` instant, which worker processes on the same machine
+    share, so a deadline can be sent to them.
+    """
+
+    def __init__(self, limit: float | None):
+        self._expires = None if limit is None else time.monotonic() + limit
+
+    def check(self) -> None:
+        if self._expires is not None and time.monotonic() > self._expires:
+            raise BudgetExceededError("time limit exceeded")
 
 
 class CycleDetectedError(TdSpaceError):

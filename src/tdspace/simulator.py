@@ -9,22 +9,34 @@ extra choice.  Enumerating all choice sequences and deduplicating the
 resulting records (every intermediate genome, re-expressed at the final
 reference resolution) reproduces the evolution counts obtained from
 words and linear extensions — by a completely different route.
+
+The record key is carried down the walk instead of being rebuilt at
+each leaf.  A node holds the bytes of its genomes so far, each written in
+the node's own reference intervals and followed by ``0xff``.  A child
+splits at most two intervals, so it replaces each split interval by its
+two or three pieces with one ``bytes.replace`` and appends its own
+genome; the parent's prefix is never re-expanded.  The carried bytes
+name intervals by id, which never changes; at depth ``n`` one
+``bytes.translate`` turns ids into reference indices, and the result is
+exactly :meth:`TdEvolutionRecord.canonical_key`.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, Deadline, ValidationError
 from .structure import A_SIDE, B_SIDE, BreakpointId
-from .words import Word, WordEvolution
+from .words import FIRST_WORD, Word, WordEvolution, td_step
 
 DEFAULT_MAX_N = 4
 DEEP_MAX_N = 5
 
-#: rough per-element accounting for the dedup-memory budget
-_BYTES_PER_ENTRY = 120
+#: paths between two checks of the deadline and the memory budget
+_CHECK_EVERY = 4096
 
 
 class TdChoice(NamedTuple):
@@ -64,6 +76,17 @@ class GenomeState:
     def n(self) -> int:
         return len(self.conns)
 
+    @cached_property
+    def _somatic_before(self) -> tuple[int, ...]:
+        """Running count of somatic junctions: entry ``k`` counts those
+        left of genome position ``k``.  Computed once per state, on first
+        use; every TD applied to the state reads its ``(a, b)`` here."""
+        bounds = self.bounds
+        counts = [0]
+        for left, right in zip(self.genome, self.genome[1:]):
+            counts.append(counts[-1] + (bounds[left][1] is not bounds[right][0]))
+        return tuple(counts)
+
 
 def initial_state() -> GenomeState:
     return GenomeState(
@@ -90,14 +113,6 @@ def enumerate_choices(state: GenomeState) -> list[TdChoice]:
             else:
                 out.append(TdChoice(g1, g2, None))
     return out
-
-
-def _is_somatic(
-    bounds: dict[int, tuple[BreakpointId | None, BreakpointId | None]],
-    left_id: int,
-    right_id: int,
-) -> bool:
-    return bounds[left_id][1] is not bounds[right_id][0]
 
 
 def apply_td(state: GenomeState, choice: TdChoice) -> GenomeState:
@@ -183,14 +198,11 @@ def apply_td(state: GenomeState, choice: TdChoice) -> GenomeState:
             expanded.extend(hit)
 
     # Word-level duplication bounds: connections strictly before each cut.
-    a = 1
-    for j in range(start_idx - 1):
-        if _is_somatic(bounds, expanded[j], expanded[j + 1]):
-            a += 1
-    b = a - 1
-    for j in range(max(start_idx - 1, 0), end_idx):
-        if _is_somatic(bounds, expanded[j], expanded[j + 1]):
-            b += 1
+    # Both cuts lie past the first piece of their host copy, and splitting
+    # an interval adds only reference junctions, so these are the somatic
+    # junctions left of g1 (plus one) and left of g2 in the old genome.
+    somatic = state._somatic_before
+    a, b = somatic[g1] + 1, somatic[g2]
 
     new_genome = (
         tuple(expanded[: end_idx + 1])
@@ -269,40 +281,87 @@ def _direction(from_pos: int, to_pos: int) -> str:
     return "reversed" if to_pos < from_pos else "forward"
 
 
-def _record_from_path(states: Sequence[GenomeState]) -> TdEvolutionRecord:
-    final = states[-1]
-    ref_index = {rid: i for i, rid in enumerate(final.ref)}
-    bp_pos = {bp: i for i, bp in enumerate(final.ref_bps)}
-    expansion: dict[int, tuple[int, ...]] = {}
+_IDENTITY = bytes(range(256))
 
-    def expand(rid: int) -> tuple[int, ...]:
-        got = expansion.get(rid)
-        if got is None:
-            pieces = final.splits.get(rid)
-            if pieces is None:
-                got = (ref_index[rid],)
+
+def _extend_key(parent: GenomeState, choice: TdChoice, child: GenomeState, key: bytes) -> bytes:
+    """``key`` (the genomes up to ``parent``, as interval ids) at
+    ``child``'s resolution, followed by ``child``'s genome and ``0xff``.
+
+    Ids stay below ``4n + 1``, so under the depth budget each one fits in
+    a byte and never reaches the ``0xff`` separator.
+    """
+    r1, r2 = parent.genome[choice.g1], parent.genome[choice.g2]
+    key = key.replace(bytes((r1,)), bytes(child.splits[r1]))
+    if r2 != r1:
+        key = key.replace(bytes((r2,)), bytes(child.splits[r2]))
+    return key + bytes(child.genome) + b"\xff"
+
+
+def _index_key(state: GenomeState, key: bytes) -> bytes:
+    """An id key with every interval id replaced by its reference index."""
+    table = bytearray(_IDENTITY)
+    for i, rid in enumerate(state.ref):
+        table[rid] = i
+    return key.translate(table)
+
+
+def _descend(
+    state: GenomeState, key: bytes, word: Word, choice: TdChoice
+) -> tuple[GenomeState, bytes, Word]:
+    """Apply ``choice`` to a node of the walk: the child state, its id key
+    and its terminal word."""
+    child = apply_td(state, choice)
+    word = td_step(word, child.steps[-1], child.n) if child.n > 1 else FIRST_WORD
+    return child, _extend_key(state, choice, child, key), word
+
+
+def _walk(
+    n: int,
+    prefix: Sequence[TdChoice],
+    deep: bool,
+) -> Iterator[tuple[GenomeState, bytes, Word]]:
+    """Every choice path of ``n`` TDs, in choice order: the final state,
+    its record key and its terminal word."""
+    limit = DEEP_MAX_N if deep else DEFAULT_MAX_N
+    if n < 1:
+        raise ValidationError(f"need n >= 1, got {n}")
+    if n > limit:
+        raise BudgetExceededError(f"simulating {n} TDs exceeds the budget of {limit}")
+    if len(prefix) >= n:
+        raise ValidationError(f"prefix of {len(prefix)} choices too long for n={n}")
+    state, key, word = initial_state(), b"", ()
+    for c in (TdChoice(0, 0, None), *prefix):
+        state, key, word = _descend(state, key, word, TdChoice(*c))
+
+    def walk(state: GenomeState, key: bytes, word: Word):
+        for c in enumerate_choices(state):
+            child, child_key, child_word = _descend(state, key, word, c)
+            if child.n == n:
+                yield child, _index_key(child, child_key), child_word
             else:
-                got = tuple(x for p in pieces for x in expand(p))
-            expansion[rid] = got
-        return got
+                yield from walk(child, child_key, child_word)
 
-    width = len(final.ref)
+    if state.n == n:
+        yield state, _index_key(state, key), word
+    else:
+        yield from walk(state, key, word)
+
+
+def _record(state: GenomeState, key: bytes) -> TdEvolutionRecord:
+    genomes = tuple(tuple(g) for g in key[:-1].split(b"\xff"))
+    bp_pos = {bp: i for i, bp in enumerate(state.ref_bps)}
+    width = len(state.ref)
     conns: list[Connection] = []
     graphs: list[TdGraph] = []
-    genomes: list[tuple[int, ...]] = []
-    for s in states:
-        flat = tuple(x for rid in s.genome for x in expand(rid))
-        genomes.append(flat)
-        cnv = [0] * width
-        for x in flat:
-            cnv[x] += 1
-        end_bp, start_bp = s.conns[-1]
+    for genome, (end_bp, start_bp) in zip(genomes, state.conns):
         f, t = bp_pos[end_bp], bp_pos[start_bp]
         conns.append(Connection(f, t, _direction(f, t)))
-        graphs.append(TdGraph(cnv=tuple(cnv), connections=tuple(conns)))
-
-    ev = WordEvolution(steps=final.steps)
-    return TdEvolutionRecord(genomes=tuple(genomes), graphs=tuple(graphs), word_evolution=ev)
+        graphs.append(
+            TdGraph(cnv=tuple(map(genome.count, range(width))), connections=tuple(conns))
+        )
+    ev = WordEvolution(steps=state.steps)
+    return TdEvolutionRecord(genomes=genomes, graphs=tuple(graphs), word_evolution=ev)
 
 
 def enumerate_process(
@@ -315,29 +374,8 @@ def enumerate_process(
     ``prefix`` fixes the leading choices (from the second TD on; the
     first TD admits a single choice) so sweeps can be partitioned.
     """
-    limit = DEEP_MAX_N if deep else DEFAULT_MAX_N
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    if n > limit:
-        raise BudgetExceededError(f"simulating {n} TDs exceeds the budget of {limit}")
-    first = apply_td(initial_state(), TdChoice(0, 0, None))
-    states = [first]
-    for c in prefix:
-        states.append(apply_td(states[-1], TdChoice(*c)))
-    if len(states) > n:
-        raise ValidationError(f"prefix of {len(prefix)} choices too long for n={n}")
-
-    def walk() -> Iterator[TdEvolutionRecord]:
-        if len(states) == n:
-            yield _record_from_path(states)
-            return
-        cur = states[-1]
-        for c in enumerate_choices(cur):
-            states.append(apply_td(cur, c))
-            yield from walk()
-            states.pop()
-
-    yield from walk()
+    for state, key, _word in _walk(n, prefix, deep):
+        yield _record(state, key)
 
 
 @dataclass
@@ -352,8 +390,51 @@ class TableRow:
     paths: int = 0  # raw choice paths; equals evolutions when records never collide
 
 
-def _graph_key(graph: TdGraph) -> tuple:
-    return (graph.cnv, tuple(sorted((c.from_pos, c.to_pos) for c in graph.connections)))
+def _deep_size(obj: object) -> int:
+    size = sys.getsizeof(obj)
+    if isinstance(obj, tuple):
+        size += sum(map(_deep_size, obj))
+    return size
+
+
+class _DedupSets:
+    """Words, copy-number profiles, graph keys and record keys seen so far.
+
+    With a memory budget, each entry's deep ``sys.getsizeof`` is counted
+    once, when it first enters its set; :meth:`check` adds the sets' own
+    tables and compares the total with the budget.
+    """
+
+    def __init__(self, max_mem_bytes: int | None):
+        self.sets: tuple[set, set, set, set] = (set(), set(), set(), set())
+        self.max_mem_bytes = max_mem_bytes
+        self.entry_bytes = 0
+
+    def add_measured(self, *entries: object) -> None:
+        for held, entry in zip(self.sets, entries):
+            before = len(held)
+            held.add(entry)
+            if len(held) != before:
+                self.entry_bytes += _deep_size(entry)
+
+    def merge(self, parts: Sequence[frozenset]) -> None:
+        for held, part in zip(self.sets, parts):
+            if self.max_mem_bytes is None:
+                held |= part
+            else:
+                new = part - held
+                held |= new
+                self.entry_bytes += sum(map(_deep_size, new))
+
+    def check(self) -> None:
+        if self.max_mem_bytes is None:
+            return
+        held = self.entry_bytes + sum(map(sys.getsizeof, self.sets))
+        if held > self.max_mem_bytes:
+            raise BudgetExceededError(
+                f"dedup sets hold {held} bytes, over the memory budget of "
+                f"{self.max_mem_bytes} bytes"
+            )
 
 
 def _collect(
@@ -361,39 +442,34 @@ def _collect(
     prefix: Sequence[TdChoice],
     deep: bool,
     max_mem_bytes: int | None,
-) -> tuple[set, set, set, set, int]:
-    words: set[Word] = set()
-    cnvs: set[tuple[int, ...]] = set()
-    graphs: set[tuple] = set()
-    records: set[bytes] = set()
+    deadline: Deadline,
+) -> tuple[_DedupSets, int]:
+    dedup = _DedupSets(max_mem_bytes)
+    words, cnvs, graphs, records = dedup.sets
     paths = 0
-    check_every = 4096
-    for rec in enumerate_process(n, prefix=prefix, deep=deep):
+    deadline.check()
+    for state, key, word in _walk(n, prefix, deep):
         paths += 1
-        final = rec.graphs[-1]
-        words.add(rec.word_evolution.terminal_word)
-        cnvs.add(final.cnv)
-        graphs.add(_graph_key(final))
-        records.add(rec.canonical_key())
-        if max_mem_bytes is not None and paths % check_every == 0:
-            _check_mem(words, cnvs, graphs, records, max_mem_bytes)
-    if max_mem_bytes is not None:
-        _check_mem(words, cnvs, graphs, records, max_mem_bytes)
-    return words, cnvs, graphs, records, paths
+        cnv = tuple(map(state.genome.count, state.ref))
+        bp_pos = {bp: i for i, bp in enumerate(state.ref_bps)}
+        graph = (cnv, tuple(sorted((bp_pos[e], bp_pos[s]) for e, s in state.conns)))
+        if max_mem_bytes is None:
+            words.add(word)
+            cnvs.add(cnv)
+            graphs.add(graph)
+            records.add(key)
+        else:
+            dedup.add_measured(word, cnv, graph, key)
+        if paths % _CHECK_EVERY == 0:
+            deadline.check()
+            dedup.check()
+    dedup.check()
+    return dedup, paths
 
 
-def _check_mem(words, cnvs, graphs, records, max_mem_bytes: int) -> None:
-    held = len(words) + len(cnvs) + len(graphs) + len(records)
-    if held * _BYTES_PER_ENTRY > max_mem_bytes:
-        raise BudgetExceededError(
-            f"dedup sets exceed the memory budget of {max_mem_bytes} bytes"
-        )
-
-
-def _collect_worker(args) -> tuple[frozenset, frozenset, frozenset, frozenset, int]:
-    n, prefix, deep, max_mem = args
-    words, cnvs, graphs, records, paths = _collect(n, prefix, deep, max_mem)
-    return frozenset(words), frozenset(cnvs), frozenset(graphs), frozenset(records), paths
+def _collect_worker(args) -> tuple[tuple[frozenset, ...], int]:
+    dedup, paths = _collect(*args)
+    return tuple(map(frozenset, dedup.sets)), paths
 
 
 def tabulate(
@@ -401,30 +477,33 @@ def tabulate(
     workers: int = 1,
     deep: bool = False,
     max_mem_bytes: int | None = None,
+    deadline: Deadline | None = None,
 ) -> TableRow:
     """Count distinct words, copy-number profiles, graphs and evolutions.
 
     With ``workers > 1`` the sweep is partitioned by the first TD choice
     after the forced one; results are identical for any worker count.
+    ``max_mem_bytes`` caps the measured size of the dedup sets and
+    ``deadline`` the wall-clock time; both are checked every 4096 paths,
+    in every worker, and raise :class:`BudgetExceededError`.
     """
+    deadline = deadline if deadline is not None else Deadline(None)
     if workers <= 1 or n == 1:
-        words, cnvs, graphs, records, paths = _collect(n, (), deep, max_mem_bytes)
+        dedup, paths = _collect(n, (), deep, max_mem_bytes, deadline)
     else:
         first = apply_td(initial_state(), TdChoice(0, 0, None))
-        parts = [(n, (c,), deep, max_mem_bytes) for c in enumerate_choices(first)]
+        parts = [(n, (c,), deep, max_mem_bytes, deadline) for c in enumerate_choices(first)]
         from concurrent.futures import ProcessPoolExecutor
 
-        words, cnvs, graphs, records = set(), set(), set(), set()
+        dedup = _DedupSets(max_mem_bytes)
         paths = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for w, c, g, r, p in pool.map(_collect_worker, parts):
-                words |= w
-                cnvs |= c
-                graphs |= g
-                records |= r
+            for sets, p in pool.map(_collect_worker, parts):
+                dedup.merge(sets)
                 paths += p
-                if max_mem_bytes is not None:
-                    _check_mem(words, cnvs, graphs, records, max_mem_bytes)
+                deadline.check()
+                dedup.check()
+    words, cnvs, graphs, records = dedup.sets
     return TableRow(
         n=n,
         words=len(words),

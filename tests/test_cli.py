@@ -1,6 +1,7 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -118,6 +119,15 @@ def test_table_memory_budget(capsys, monkeypatch):
     monkeypatch.setenv("TD_MAX_MEM", "1000")
     code, _, err = run(capsys, "table", "-n", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("limit,code", [("300000", 2), ("500000", 0)])
+def test_table_memory_budget_is_measured(capsys, monkeypatch, limit, code):
+    # the n=3 dedup sets measure about 388,000 bytes
+    monkeypatch.setenv("TD_MAX_MEM", limit)
+    got, _, err = run(capsys, "table", "-n", "3")
+    assert got == code
+    assert ("memory budget" in err) == (code == 2)
 
 
 def test_table_bad_mem_env(capsys, monkeypatch):
@@ -267,3 +277,15 @@ def test_unwritable_output_is_exit_1(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: cannot write")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_time_limit_stops_the_simulator_sweep(capsys, workers):
+    start = time.monotonic()
+    code, _, err = run(
+        capsys,
+        "verify", "--suite", "grand-total", "-n", "4", "--time-limit", "1", "--workers", workers,
+    )
+    assert code == 2
+    assert "time limit" in err
+    assert time.monotonic() - start < 5

@@ -1,10 +1,15 @@
 """Genome-state simulation: choices, records, and the distinct-object table."""
 
+import hashlib
+
 import pytest
 
 from tdspace import (
     BudgetExceededError,
+    Connection,
     TdChoice,
+    TdGraph,
+    WordEvolution,
     apply_td,
     enumerate_choices,
     enumerate_process,
@@ -114,8 +119,89 @@ def test_memory_budget():
     assert row_tuple(tabulate(3, max_mem_bytes=50_000_000)) == TABLE[3]
 
 
+def test_memory_budget_is_measured_in_every_worker_count():
+    # the deep size of the n=3 dedup sets is about 388,000 bytes
+    for workers in (1, 3):
+        with pytest.raises(BudgetExceededError):
+            tabulate(3, workers=workers, max_mem_bytes=300_000)
+        assert tabulate(3, workers=workers, max_mem_bytes=500_000) == tabulate(3)
+
+
 def test_records_expose_every_step():
     for rec in enumerate_process(2):
         assert len(rec.genomes) == 2  # after TD1, after TD2
         assert len(rec.graphs) == 2
         assert rec.word_evolution.n == 2
+
+
+#: sha256 of the sorted ``canonical_key()``s of ``enumerate_process(3)``,
+#: each followed by a newline
+N3_KEY_DIGEST = "748c3d6f66c532b5bf6b7e5a16ba55c39e3755b861b66f630a5b789b0de86540"
+
+
+def test_record_keys_are_pinned():
+    keys = sorted(rec.canonical_key() for rec in enumerate_process(3))
+    assert len(keys) == 627
+    digest = hashlib.sha256(b"".join(k + b"\n" for k in keys)).hexdigest()
+    assert digest == N3_KEY_DIGEST
+
+
+def reference_record(states):
+    """A record rebuilt from its whole path of states, by re-expanding
+    every genome recursively through the final state's interval splits."""
+    final = states[-1]
+    ref_index = {rid: i for i, rid in enumerate(final.ref)}
+    bp_pos = {bp: i for i, bp in enumerate(final.ref_bps)}
+
+    def expand(rid):
+        pieces = final.splits.get(rid)
+        if pieces is None:
+            return (ref_index[rid],)
+        return tuple(x for p in pieces for x in expand(p))
+
+    genomes, graphs, conns = [], [], []
+    for s in states:
+        flat = tuple(x for rid in s.genome for x in expand(rid))
+        genomes.append(flat)
+        cnv = [0] * len(final.ref)
+        for x in flat:
+            cnv[x] += 1
+        end_bp, start_bp = s.conns[-1]
+        f, t = bp_pos[end_bp], bp_pos[start_bp]
+        conns.append(Connection(f, t, "reversed" if t < f else "forward"))
+        graphs.append(TdGraph(cnv=tuple(cnv), connections=tuple(conns)))
+    return tuple(genomes), tuple(graphs), WordEvolution(steps=final.steps)
+
+
+def reference_records(n):
+    out = []
+
+    def walk(states):
+        if len(states) == n:
+            out.append(reference_record(states))
+            return
+        for choice in enumerate_choices(states[-1]):
+            walk(states + [apply_td(states[-1], choice)])
+
+    walk([after_first_td()])
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_records_match_the_recursive_expansion(n):
+    records = list(enumerate_process(n))
+    expected = reference_records(n)
+    assert len(records) == len(expected)
+    for rec, (genomes, graphs, ev) in zip(records, expected):
+        assert rec.genomes == genomes
+        assert rec.graphs == graphs
+        assert rec.word_evolution == ev
+
+
+def test_prefixes_partition_the_walk():
+    sharded = [
+        rec
+        for choice in enumerate_choices(after_first_td())
+        for rec in enumerate_process(3, prefix=(choice,))
+    ]
+    assert sharded == list(enumerate_process(3))
