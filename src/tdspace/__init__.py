@@ -25,8 +25,6 @@ from .beta import (
     BetaTree,
     KernelCheck,
     beta_from_td_tree,
-    beta_to_json,
-    beta_tree_from_json,
     closed_form,
     contracted_count,
     delete_first_td,
@@ -58,7 +56,6 @@ from .extensions import (
     ExtensionCount,
     count_extensions_bruteforce,
     count_extensions_formula,
-    enumerate_extensions,
     multinomial,
 )
 from .simulator import (
@@ -94,7 +91,6 @@ from .structure import (
     major_to_json,
     parse_breakpoint,
     reachability,
-    td_orientations,
     tree_to_dot,
     tree_to_json,
     validate_structure,
@@ -115,7 +111,6 @@ from .words import (
     word_count_recursion,
     word_count_row,
     word_count_total,
-    word_from_text,
     word_to_text,
 )
 

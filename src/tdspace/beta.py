@@ -20,7 +20,6 @@ checked here directly, by enumeration.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Iterable
@@ -28,7 +27,6 @@ from typing import Iterable
 from .errors import (
     BudgetExceededError,
     NotInducedError,
-    ParseError,
     ValidationError,
 )
 from .extensions import ExtensionCount, _forest_count, count_extensions_formula
@@ -45,7 +43,6 @@ from .structure import (
     build_2d_tree,
     major_graph,
     normalize_fence,
-    parse_breakpoint,
     validate_beta_tree,
 )
 from .words import (
@@ -489,47 +486,3 @@ def total_evolutions_via_words(n: int, workers: int = 1, max_n: int = DEFAULT_MA
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(_sum_partition, parts))
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def beta_to_json(tree: BetaTree) -> str:
-    payload = {
-        "nodes": [
-            {
-                "id": str(v),
-                "a_parent": str(tree.a_parent[v]),
-                "b_parent": str(tree.b_parent[v]),
-                "major": tree.major_side[v],
-            }
-            for v in sorted(tree.major_side)
-        ],
-        "fences": [[str(x), str(y)] for x, y in sorted(tree.fences)],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def beta_tree_from_json(text: str) -> BetaTree:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(exc), position=exc.pos) from exc
-    if not isinstance(payload, dict) or "nodes" not in payload:
-        raise ParseError("expected an object with a 'nodes' list")
-    a_parent, b_parent, major_side = {}, {}, {}
-    try:
-        for entry in payload["nodes"]:
-            v = parse_breakpoint(entry["id"])
-            a_parent[v] = parse_breakpoint(entry["a_parent"])
-            b_parent[v] = parse_breakpoint(entry["b_parent"])
-            if entry["major"] not in (A_SIDE, B_SIDE):
-                raise ValidationError(f"bad major side {entry['major']!r}")
-            major_side[v] = entry["major"]
-        fences = frozenset(
-            normalize_fence((parse_breakpoint(x), parse_breakpoint(y)))
-            for x, y in payload.get("fences", [])
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed beta tree payload: {exc}") from exc
-    return BetaTree(a_parent=a_parent, b_parent=b_parent, major_side=major_side, fences=fences)

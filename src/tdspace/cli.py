@@ -1,8 +1,9 @@
 """Command-line surface: tables, counts, verification sweeps, exports.
 
-Every subcommand is a thin, reproducible wrapper over the library; all
-randomized runs take an explicit ``--seed`` and any ``--workers`` value
-yields identical results.  Exit codes are part of the interface:
+Every subcommand is a thin, reproducible wrapper over the library that
+returns one :class:`Result`; ``main`` renders the chosen format of it.
+All randomized runs take an explicit ``--seed`` and any ``--workers``
+value yields identical results.  Exit codes are part of the interface:
 
 * 0 — requested work done, all requested checks passed;
 * 2 — a budget was exceeded (depth, node count, memory, time);
@@ -19,8 +20,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
-from typing import Callable, NoReturn, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from .beta import (
     SUBTREE_NODE_BUDGET,
@@ -77,51 +78,6 @@ EXIT_BUDGET = 2
 EXIT_MISMATCH = 3
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs of one invocation, shared across subcommands.
-
-    Defaults live in the argument parser; a field a subcommand has no
-    option for stays ``None`` (``False`` for ``deep``).
-    """
-
-    command: str
-    fmt: str
-    n: int | None = None
-    workers: int | None = None
-    output: str | None = None
-    seed: int | None = None
-    trees: int | None = None
-    size: int | None = None
-    fence_rate: float | None = None
-    node_budget: int | None = None
-    time_limit: float | None = None
-    max_mem_bytes: int | None = None
-    deep: bool = False
-
-    def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ValidationError(f"need workers >= 1, got {self.workers}")
-        if self.n is not None and self.n < 1:
-            raise ValidationError(f"need n >= 1, got {self.n}")
-        if self.trees is not None and self.trees < 1:
-            raise ValidationError(f"need trees >= 1, got {self.trees}")
-        # the random sweeps grow trees of 4..size nodes
-        if self.size is not None and self.size < 4:
-            raise ValidationError(f"need size >= 4, got {self.size}")
-        if self.node_budget is not None and self.node_budget < 1:
-            raise ValidationError(f"need a positive node budget, got {self.node_budget}")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValidationError(f"need a positive time limit, got {self.time_limit}")
-        if self.max_mem_bytes is not None and self.max_mem_bytes <= 0:
-            raise ValidationError(f"TD_MAX_MEM must be positive, got {self.max_mem_bytes}")
-
-    def require_seed(self) -> int:
-        if self.seed is None:
-            raise ValidationError(f"{self.command} is randomized; pass an explicit --seed")
-        return self.seed
-
-
 def _mem_budget_from_env() -> int | None:
     raw = os.environ.get("TD_MAX_MEM")
     if raw is None:
@@ -130,6 +86,27 @@ def _mem_budget_from_env() -> int | None:
         return int(raw)
     except ValueError as exc:
         raise ValidationError(f"TD_MAX_MEM must be an integer byte count, got {raw!r}") from exc
+
+
+def _validate(cfg: argparse.Namespace) -> None:
+    """Check the options of one invocation and add ``max_mem_bytes`` to them.
+
+    The parser is the only source of options and defaults; one that a
+    subcommand does not offer is absent from its namespace.
+    """
+    cfg.max_mem_bytes = _mem_budget_from_env()
+    options = vars(cfg)
+    # the random sweeps grow trees of 4..size nodes
+    for name, least in (("workers", 1), ("n", 1), ("trees", 1), ("size", 4)):
+        value = options.get(name)
+        if value is not None and value < least:
+            raise ValidationError(f"need {name} >= {least}, got {value}")
+    if options.get("node_budget") is not None and cfg.node_budget < 1:
+        raise ValidationError(f"need a positive node budget, got {cfg.node_budget}")
+    if options.get("time_limit") is not None and cfg.time_limit <= 0:
+        raise ValidationError(f"need a positive time limit, got {cfg.time_limit}")
+    if cfg.max_mem_bytes is not None and cfg.max_mem_bytes <= 0:
+        raise ValidationError(f"TD_MAX_MEM must be positive, got {cfg.max_mem_bytes}")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -158,142 +135,132 @@ def _load_evolution(source: str) -> WordEvolution:
     return parse_evolution(text)
 
 
-def _csv_lines(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(x) for x in row))
-    return "\n".join(lines)
+@dataclass
+class Result:
+    """What one subcommand produced, in every format it offers.
+
+    ``json`` is the JSON document (an export passes its JSON text as
+    is), ``text`` the lines of the text or DOT form and ``csv`` the
+    header and rows where the command offers CSV.  A failed cross-check
+    exits 3 and prints ``error``, if any, on stderr after the output.
+    """
+
+    json: object
+    text: list[str]
+    csv: tuple[Sequence[str], list[Sequence[object]]] | None = None
+    passed: bool = True
+    error: str = ""
+
+    @property
+    def code(self) -> int:
+        return EXIT_OK if self.passed else EXIT_MISMATCH
+
+
+def _render(result: Result, fmt: str) -> str:
+    if fmt == "json":
+        doc = result.json
+        return doc if isinstance(doc, str) else json.dumps(doc, indent=2)
+    if fmt == "csv":
+        header, rows = result.csv
+        return "\n".join(",".join(str(x) for x in row) for row in (header, *rows))
+    return "\n".join(result.text)
 
 
 # ---------------------------------------------------------------------------
 # words
 
 
-def cmd_words(cfg: RunConfig, recursion: bool, enumerate_: bool) -> int:
+def cmd_words(cfg: argparse.Namespace) -> Result:
     n = cfg.n
     routes: dict[str, dict[int, int]] = {}
-    if recursion or not enumerate_:
+    if cfg.recursion or not cfg.enumerate_:
         routes["recursion"] = word_count_row(n)
-    if enumerate_:
+    if cfg.enumerate_:
         budget = max(n, ENUMERATION_MAX_N) if cfg.deep else ENUMERATION_MAX_N
         counts: dict[int, int] = {}
         for w in distinct_words(n, max_n=budget):
             counts[len(w)] = counts.get(len(w), 0) + 1
         routes["enumeration"] = counts
+    agree = all(row == next(iter(routes.values())) for row in routes.values())
+    by_length = {route: sorted(row.items()) for route, row in routes.items()}
     totals = {route: sum(row.values()) for route, row in routes.items()}
-    agree = len(set(totals.values())) == 1 and all(
-        row == next(iter(routes.values())) for row in routes.values()
-    )
 
-    if cfg.fmt == "json":
-        doc = {
+    text = []
+    for route, pairs in by_length.items():
+        text.append(f"words after {n} TDs ({route})")
+        text += (f"  length {m:2d}: {c}" for m, c in pairs)
+        text.append(f"  total {totals[route]}")
+    if len(routes) > 1:
+        text.append("routes agree" if agree else "ROUTES DISAGREE")
+    return Result(
+        json={
             "command": "words",
             "n": n,
             "routes": {
-                route: {"counts": {str(m): c for m, c in sorted(row.items())}, "total": totals[route]}
-                for route, row in routes.items()
+                route: {"counts": {str(m): c for m, c in pairs}, "total": totals[route]}
+                for route, pairs in by_length.items()
             },
             "agree": agree,
-        }
-        _emit(json.dumps(doc, indent=2), cfg.output)
-    elif cfg.fmt == "csv":
-        rows = [
-            (n, route, m, c)
-            for route, row in routes.items()
-            for m, c in sorted(row.items())
-        ]
-        _emit(_csv_lines(("n", "route", "length", "count"), rows), cfg.output)
-    else:
-        lines = []
-        for route, row in routes.items():
-            lines.append(f"words after {n} TDs ({route})")
-            for m, c in sorted(row.items()):
-                lines.append(f"  length {m:2d}: {c}")
-            lines.append(f"  total {totals[route]}")
-        if len(routes) > 1:
-            lines.append("routes agree" if agree else "ROUTES DISAGREE")
-        _emit("\n".join(lines), cfg.output)
-
-    if not agree:
-        print("word-count routes disagree", file=sys.stderr)
-        return EXIT_MISMATCH
-    return EXIT_OK
+        },
+        text=text,
+        csv=(
+            ("n", "route", "length", "count"),
+            [(n, route, m, c) for route, pairs in by_length.items() for m, c in pairs],
+        ),
+        passed=agree,
+        error="word-count routes disagree",
+    )
 
 
 # ---------------------------------------------------------------------------
 # count
 
 
-def cmd_count(cfg: RunConfig, source: str, oracle: bool) -> int:
-    ev = _load_evolution(source)
+def cmd_count(cfg: argparse.Namespace) -> Result:
+    ev = _load_evolution(cfg.evolution)
     tree = build_2d_tree(ev)
     result = count_extensions_formula(major_graph(tree))
     oracle_value = None
-    if oracle:
+    if cfg.oracle:
         oracle_value = count_extensions_bruteforce(hasse_diagram(tree), budget=cfg.node_budget)
 
-    if cfg.fmt == "json":
-        doc = {
+    text = [f"evolution {ev}"]
+    text += (f"site={site} factor={factor}" for site, factor in result.factor_trace)
+    text.append(result.trace_text())
+    if oracle_value is not None:
+        verdict = "agrees" if oracle_value == result.value else "DISAGREES"
+        text.append(f"oracle {oracle_value} {verdict}")
+    return Result(
+        json={
             "command": "count",
             "steps": [[c.a, c.b] for c in ev.steps],
             "value": result.value,
             "factors": [{"site": site, "factor": f} for site, f in result.factor_trace],
             "oracle": oracle_value,
-        }
-        _emit(json.dumps(doc, indent=2), cfg.output)
-    else:
-        lines = [f"evolution {ev}"]
-        for site, factor in result.factor_trace:
-            lines.append(f"site={site} factor={factor}")
-        lines.append(result.trace_text())
-        if oracle_value is not None:
-            verdict = "agrees" if oracle_value == result.value else "DISAGREES"
-            lines.append(f"oracle {oracle_value} {verdict}")
-        _emit("\n".join(lines), cfg.output)
-
-    if oracle_value is not None and oracle_value != result.value:
-        print("oracle disagrees with the closed-form count", file=sys.stderr)
-        return EXIT_MISMATCH
-    return EXIT_OK
+        },
+        text=text,
+        passed=oracle_value in (None, result.value),
+        error="oracle disagrees with the closed-form count",
+    )
 
 
 # ---------------------------------------------------------------------------
 # table
 
 
-def cmd_table(cfg: RunConfig) -> int:
+def cmd_table(cfg: argparse.Namespace) -> Result:
     row = tabulate(cfg.n, workers=cfg.workers, deep=cfg.deep, max_mem_bytes=cfg.max_mem_bytes)
-    if cfg.fmt == "json":
-        doc = {
-            "command": "table",
-            "n": row.n,
-            "words": row.words,
-            "cnvs": row.cnvs,
-            "td_graphs": row.td_graphs,
-            "evolutions": row.evolutions,
-            "paths": row.paths,
-        }
-        _emit(json.dumps(doc, indent=2), cfg.output)
-    elif cfg.fmt == "csv":
-        _emit(
-            _csv_lines(
-                ("n", "words", "cnvs", "td_graphs", "evolutions", "paths"),
-                [(row.n, row.words, row.cnvs, row.td_graphs, row.evolutions, row.paths)],
-            ),
-            cfg.output,
-        )
-    else:
-        _emit(
-            "\n".join(
-                [
-                    "n      words      cnvs  td_graphs  evolutions       paths",
-                    f"{row.n}  {row.words:9d}  {row.cnvs:8d}  {row.td_graphs:9d}  "
-                    f"{row.evolutions:10d}  {row.paths:10d}",
-                ]
-            ),
-            cfg.output,
-        )
-    return EXIT_OK
+    columns = ("n", "words", "cnvs", "td_graphs", "evolutions", "paths")
+    values = (row.n, row.words, row.cnvs, row.td_graphs, row.evolutions, row.paths)
+    return Result(
+        json={"command": "table", **dict(zip(columns, values))},
+        text=[
+            "n      words      cnvs  td_graphs  evolutions       paths",
+            f"{row.n}  {row.words:9d}  {row.cnvs:8d}  {row.td_graphs:9d}  "
+            f"{row.evolutions:10d}  {row.paths:10d}",
+        ],
+        csv=(columns, [values]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,33 +270,38 @@ def cmd_table(cfg: RunConfig) -> int:
 Check = tuple[str, bool, str]
 
 
-def _suite_structure(cfg: RunConfig, deadline: Deadline) -> list[Check]:
-    n_max = cfg.n if cfg.n is not None else 4
-    bad_valid: list[str] = []
-    bad_count: list[str] = []
-    trees = 0
+def _check(name: str, bad: list[str], summary: str) -> Check:
+    """A check that passes with ``summary`` unless ``bad`` names a failure."""
+    return (name, not bad, bad[0] if bad else summary)
+
+
+def _evolutions(n_max: int, deadline: Deadline) -> Iterator[WordEvolution]:
+    """Every evolution of 1..n_max TDs, checking the deadline before each."""
     for n in range(1, n_max + 1):
         for ev in enumerate_word_evolutions(n, max_n=n_max):
             deadline.check()
-            trees += 1
-            tree = build_2d_tree(ev)
-            report = validate_structure(tree)
-            if not report.ok:
-                bad_valid.append(str(ev))
-                continue
-            formula = count_extensions_formula(major_graph(tree)).value
-            brute = count_extensions_bruteforce(hasse_diagram(tree), budget=cfg.node_budget)
-            if formula != brute:
-                bad_count.append(f"{ev}: formula {formula} vs oracle {brute}")
-    checks = [
-        ("trees-validate", not bad_valid, f"{trees} trees" if not bad_valid else bad_valid[0]),
-        (
-            "formula-vs-oracle",
-            not bad_count,
-            f"{trees} trees" if not bad_count else bad_count[0],
-        ),
+            yield ev
+
+
+def _suite_structure(cfg: argparse.Namespace, deadline: Deadline) -> list[Check]:
+    bad_valid: list[str] = []
+    bad_count: list[str] = []
+    trees = 0
+    for ev in _evolutions(cfg.n, deadline):
+        trees += 1
+        tree = build_2d_tree(ev)
+        report = validate_structure(tree)
+        if not report.ok:
+            bad_valid.append(str(ev))
+            continue
+        formula = count_extensions_formula(major_graph(tree)).value
+        brute = count_extensions_bruteforce(hasse_diagram(tree), budget=cfg.node_budget)
+        if formula != brute:
+            bad_count.append(f"{ev}: formula {formula} vs oracle {brute}")
+    return [
+        _check("trees-validate", bad_valid, f"{trees} trees"),
+        _check("formula-vs-oracle", bad_count, f"{trees} trees"),
     ]
-    return checks
 
 
 def _worked_kernel_tree() -> BetaTree:
@@ -344,51 +316,38 @@ def _worked_kernel_tree() -> BetaTree:
     )
 
 
-def _suite_kernel(cfg: RunConfig, deadline: Deadline) -> list[Check]:
-    checks: list[Check] = []
-
+def _suite_kernel(cfg: argparse.Namespace, deadline: Deadline) -> list[Check]:
     worked = kernel_profile(_worked_kernel_tree(), budget=cfg.node_budget)
-    ok = all(c.equal for c in worked)
-    checks.append(
-        ("worked-example", ok, f"all r give {worked[0].rhs}" if ok else "kernel broken")
-    )
+    broken = [] if all(c.equal for c in worked) else ["kernel broken"]
+    checks = [_check("worked-example", broken, f"all r give {worked[0].rhs}")]
 
-    n_max = cfg.n if cfg.n is not None else 4
     bad: list[str] = []
     trees = 0
-    for n in range(1, n_max + 1):
-        for ev in enumerate_word_evolutions(n, max_n=n_max):
-            deadline.check()
-            trees += 1
-            tree = build_2d_tree(ev)
-            if not all(c.equal for c in kernel_profile(tree, budget=cfg.node_budget)):
-                bad.append(str(ev))
-    checks.append(
-        ("evolution-trees", not bad, f"{trees} trees" if not bad else bad[0])
-    )
+    for ev in _evolutions(cfg.n, deadline):
+        trees += 1
+        if not all(c.equal for c in kernel_profile(build_2d_tree(ev), budget=cfg.node_budget)):
+            bad.append(str(ev))
+    checks.append(_check("evolution-trees", bad, f"{trees} trees"))
 
     identities, failures = _random_sweep(cfg, deadline)
-    bad_random = list(dict.fromkeys(f["seed"] for f in failures))
-    checks.append(
-        (
-            "random-trees",
-            not bad_random,
-            f"{cfg.trees} trees, {identities} identities"
-            if not bad_random
-            else f"seeds {bad_random[:5]}",
-        )
-    )
+    seeds = list(dict.fromkeys(f["seed"] for f in failures))
+    bad_random = [f"seeds {seeds[:5]}"] if seeds else []
+    checks.append(_check("random-trees", bad_random, f"{cfg.trees} trees, {identities} identities"))
     return checks
 
 
-def _random_sweep(cfg: RunConfig, deadline: Deadline) -> tuple[int, list[dict[str, object]]]:
+def _random_sweep(
+    cfg: argparse.Namespace, deadline: Deadline
+) -> tuple[int, list[dict[str, object]]]:
     """Validate and kernel-check ``cfg.trees`` seeded random beta trees.
 
     Tree ``i`` has seed ``seed + i`` and ``4 + i % (size - 3)`` nodes.
     Returns the number of identities checked and one failure record per
     invalid tree or unequal identity, in sweep order.
     """
-    seed = cfg.require_seed()
+    if cfg.seed is None:
+        raise ValidationError(f"{cfg.command} is randomized; pass an explicit --seed")
+    seed = cfg.seed
     failures: list[dict[str, object]] = []
     identities = 0
     for i in range(cfg.trees):
@@ -409,54 +368,53 @@ def _random_sweep(cfg: RunConfig, deadline: Deadline) -> tuple[int, list[dict[st
     return identities, failures
 
 
-def _suite_induction(cfg: RunConfig, deadline: Deadline) -> list[Check]:
-    n_max = cfg.n if cfg.n is not None else 4
+def _fiber(ev: WordEvolution, max_n: int) -> tuple[list[tuple[WordEvolution, int]], int, int]:
+    """The one-step fiber over ``ev`` with each member's extension count,
+    then ``ev``'s own count and the fiber sum the recurrence predicts."""
+
+    def count(e: WordEvolution) -> int:
+        return count_extensions_formula(major_graph(build_2d_tree(e))).value
+
+    members = [(e2, count(e2)) for e2 in induced_evolutions(ev, max_n=max_n)]
+    base_count = count(ev)
+    return members, base_count, base_count * _induction_factor(ev.n)
+
+
+def _suite_induction(cfg: argparse.Namespace, deadline: Deadline) -> list[Check]:
     checks: list[Check] = []
-    for n in range(1, n_max):
+    for n in range(1, cfg.n):
         bases = 0
         fiber_total = 0
         bad: list[str] = []
-        for ev in enumerate_word_evolutions(n, max_n=n_max):
+        for ev in enumerate_word_evolutions(n, max_n=cfg.n):
             deadline.check()
             bases += 1
-            fiber = induced_evolutions(ev, max_n=n_max)
-            fiber_total += len(fiber)
-            base_count = count_extensions_formula(major_graph(build_2d_tree(ev))).value
-            fiber_sum = sum(
-                count_extensions_formula(major_graph(build_2d_tree(e2))).value
-                for e2 in fiber
-            )
-            if fiber_sum != base_count * _induction_factor(n):
+            members, _, predicted = _fiber(ev, cfg.n)
+            fiber_total += len(members)
+            if sum(value for _, value in members) != predicted:
                 bad.append(str(ev))
-        level_size = sum(1 for _ in enumerate_word_evolutions(n + 1, max_n=n_max))
+        level_size = sum(1 for _ in enumerate_word_evolutions(n + 1, max_n=cfg.n))
         if fiber_total != level_size:
             bad.append(f"fibers cover {fiber_total} of {level_size} evolutions")
-        checks.append(
-            (
-                f"fibers-base-{n}",
-                not bad,
-                f"{bases} bases, {fiber_total} induced" if not bad else bad[0],
-            )
-        )
+        checks.append(_check(f"fibers-base-{n}", bad, f"{bases} bases, {fiber_total} induced"))
     return checks
 
 
-def _suite_grand_total(cfg: RunConfig, deadline: Deadline) -> list[Check]:
-    n = cfg.n if cfg.n is not None else 4
+def _suite_grand_total(cfg: argparse.Namespace, deadline: Deadline) -> list[Check]:
     if cfg.deep:
-        print(f"grand total sweep for n={n}; this can take minutes", file=sys.stderr)
+        print(f"grand total sweep for n={cfg.n}; this can take minutes", file=sys.stderr)
     deadline.check()
     row = tabulate(
-        n,
+        cfg.n,
         workers=cfg.workers,
         deep=cfg.deep,
         max_mem_bytes=cfg.max_mem_bytes,
         deadline=deadline,
     )
     deadline.check()
-    sigma = total_evolutions_via_words(n, workers=cfg.workers)
+    sigma = total_evolutions_via_words(cfg.n, workers=cfg.workers)
     deadline.check()
-    expected = closed_form(n)
+    expected = closed_form(cfg.n)
     return [
         (
             "simulator-vs-formula",
@@ -467,7 +425,7 @@ def _suite_grand_total(cfg: RunConfig, deadline: Deadline) -> list[Check]:
     ]
 
 
-_SUITES: dict[str, Callable[[RunConfig, Deadline], list[Check]]] = {
+_SUITES: dict[str, Callable[[argparse.Namespace, Deadline], list[Check]]] = {
     "structure": _suite_structure,
     "kernel": _suite_kernel,
     "induction": _suite_induction,
@@ -475,145 +433,120 @@ _SUITES: dict[str, Callable[[RunConfig, Deadline], list[Check]]] = {
 }
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    deadline = Deadline(cfg.time_limit)
-    checks = _SUITES[suite](cfg, deadline)
+def cmd_verify(cfg: argparse.Namespace) -> Result:
+    checks = _SUITES[cfg.suite](cfg, Deadline(cfg.time_limit))
     passed = all(ok for _, ok, _ in checks)
-
-    if cfg.fmt == "json":
-        doc = {
+    text = [f"suite={cfg.suite}"]
+    for name, ok, details in checks:
+        status = "pass" if ok else "FAIL"
+        text.append(f"{status} {name} ({details})" if details else f"{status} {name}")
+    text.append("suite passed" if passed else "suite FAILED")
+    return Result(
+        json={
             "command": "verify",
-            "suite": suite,
+            "suite": cfg.suite,
             "checks": [
                 {"name": name, "passed": ok, "details": details}
                 for name, ok, details in checks
             ],
             "passed": passed,
-        }
-        _emit(json.dumps(doc, indent=2), cfg.output)
-    else:
-        lines = [f"suite={suite}"]
-        for name, ok, details in checks:
-            status = "pass" if ok else "FAIL"
-            lines.append(f"{status} {name} ({details})" if details else f"{status} {name}")
-        lines.append("suite passed" if passed else "suite FAILED")
-        _emit("\n".join(lines), cfg.output)
-    return EXIT_OK if passed else EXIT_MISMATCH
+        },
+        text=text,
+        passed=passed,
+    )
 
 
 # ---------------------------------------------------------------------------
 # export
 
 
-def cmd_export(cfg: RunConfig, source: str, what: str) -> int:
-    ev = _load_evolution(source)
-    tree = build_2d_tree(ev)
-    if what == "tree":
-        doc = tree_to_dot(tree) if cfg.fmt == "dot" else tree_to_json(tree)
-    elif what == "hasse":
+def cmd_export(cfg: argparse.Namespace) -> Result:
+    tree = build_2d_tree(_load_evolution(cfg.evolution))
+    if cfg.what == "tree":
+        dot, doc = tree_to_dot(tree), tree_to_json(tree)
+    elif cfg.what == "hasse":
         diagram = hasse_diagram(tree)
-        doc = hasse_to_dot(diagram) if cfg.fmt == "dot" else hasse_to_json(diagram)
+        dot, doc = hasse_to_dot(diagram), hasse_to_json(diagram)
     else:
         graph = major_graph(tree)
-        doc = major_to_dot(graph) if cfg.fmt == "dot" else major_to_json(graph)
-    _emit(doc, cfg.output)
-    return EXIT_OK
+        dot, doc = major_to_dot(graph), major_to_json(graph)
+    return Result(json=doc, text=dot.split("\n"))
 
 
 # ---------------------------------------------------------------------------
 # induce
 
 
-def cmd_induce(cfg: RunConfig, source: str) -> int:
-    ev = _load_evolution(source)
+def cmd_induce(cfg: argparse.Namespace) -> Result:
+    ev = _load_evolution(cfg.evolution)
     budget = max(ev.n + 1, DEFAULT_MAX_N) if cfg.deep else DEFAULT_MAX_N
-    fiber = induced_evolutions(ev, max_n=budget)
+    members, base_count, predicted = _fiber(ev, budget)
     entries = []
-    fiber_sum = 0
-    for e2 in fiber:
-        nodeset = sorted(one_nodeset_of(ev, e2))
-        value = count_extensions_formula(major_graph(build_2d_tree(e2))).value
-        fiber_sum += value
-        entries.append((e2, nodeset, value))
-    base_count = count_extensions_formula(major_graph(build_2d_tree(ev))).value
-    predicted = base_count * _induction_factor(ev.n)
+    for e2, value in members:
+        labels = [str(v) for v in sorted(one_nodeset_of(ev, e2))]
+        entries.append((e2, word_to_text(e2.terminal_word), labels, value))
+    fiber_sum = sum(value for _, value in members)
 
-    if cfg.fmt == "json":
-        doc = {
+    text = [f"base {ev} (count {base_count})", f"fiber size {len(entries)}"]
+    text += (
+        f"  {format_evolution(e2)}  word {word}  nodeset {','.join(labels)}  count {value}"
+        for e2, word, labels, value in entries
+    )
+    verdict = "matches" if fiber_sum == predicted else "MISMATCH"
+    text.append(f"fiber sum {fiber_sum} = {base_count} * {_induction_factor(ev.n)} [{verdict}]")
+    return Result(
+        json={
             "command": "induce",
             "base": [[c.a, c.b] for c in ev.steps],
             "fiber": [
                 {
                     "steps": [[c.a, c.b] for c in e2.steps],
-                    "word": word_to_text(e2.terminal_word),
-                    "nodeset": [str(v) for v in nodeset],
+                    "word": word,
+                    "nodeset": labels,
                     "count": value,
                 }
-                for e2, nodeset, value in entries
+                for e2, word, labels, value in entries
             ],
             "fiber_sum": fiber_sum,
             "predicted": predicted,
-        }
-        _emit(json.dumps(doc, indent=2), cfg.output)
-    elif cfg.fmt == "csv":
-        rows = [
-            (
-                format_evolution(e2).replace(",", ";"),
-                word_to_text(e2.terminal_word),
-                " ".join(str(v) for v in nodeset),
-                value,
-            )
-            for e2, nodeset, value in entries
-        ]
-        _emit(_csv_lines(("steps", "word", "nodeset", "count"), rows), cfg.output)
-    else:
-        lines = [f"base {ev} (count {base_count})", f"fiber size {len(fiber)}"]
-        for e2, nodeset, value in entries:
-            labels = ",".join(str(v) for v in nodeset)
-            lines.append(
-                f"  {format_evolution(e2)}  word {word_to_text(e2.terminal_word)}"
-                f"  nodeset {labels}  count {value}"
-            )
-        verdict = "matches" if fiber_sum == predicted else "MISMATCH"
-        lines.append(
-            f"fiber sum {fiber_sum} = {base_count} * {_induction_factor(ev.n)} [{verdict}]"
-        )
-        _emit("\n".join(lines), cfg.output)
-
-    if fiber_sum != predicted:
-        print("fiber sum disagrees with the one-step recurrence", file=sys.stderr)
-        return EXIT_MISMATCH
-    return EXIT_OK
+        },
+        text=text,
+        csv=(
+            ("steps", "word", "nodeset", "count"),
+            [
+                (format_evolution(e2).replace(",", ";"), word, " ".join(labels), value)
+                for e2, word, labels, value in entries
+            ],
+        ),
+        passed=fiber_sum == predicted,
+        error="fiber sum disagrees with the one-step recurrence",
+    )
 
 
 # ---------------------------------------------------------------------------
 # beta
 
 
-def cmd_beta(cfg: RunConfig) -> int:
-    seed = cfg.require_seed()
-    identities, failures = _random_sweep(cfg, Deadline(cfg.time_limit))
-
-    if cfg.fmt == "json":
-        doc = {
+def cmd_beta(cfg: argparse.Namespace) -> Result:
+    identities, failures = _random_sweep(cfg, Deadline(None))
+    passing = cfg.trees - len({f["seed"] for f in failures})
+    text = [
+        f"seed={cfg.seed} trees={cfg.trees} max-size={cfg.size}",
+        f"kernel identity: {passing}/{cfg.trees} trees pass ({identities} identities)",
+    ]
+    text += (f"  FAIL {f}" for f in failures[:10])
+    return Result(
+        json={
             "command": "beta",
-            "seed": seed,
+            "seed": cfg.seed,
             "trees": cfg.trees,
             "max_size": cfg.size,
             "identities": identities,
             "failures": failures,
-        }
-        _emit(json.dumps(doc, indent=2), cfg.output)
-    else:
-        lines = [f"seed={seed} trees={cfg.trees} max-size={cfg.size}"]
-        passed = cfg.trees - len({f["seed"] for f in failures})
-        lines.append(
-            f"kernel identity: {passed}/{cfg.trees} trees pass ({identities} identities)"
-        )
-        for f in failures[:10]:
-            lines.append(f"  FAIL {f}")
-        _emit("\n".join(lines), cfg.output)
-    return EXIT_MISMATCH if failures else EXIT_OK
+        },
+        text=text,
+        passed=not failures,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +568,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, formats: Sequence[str]) -> None:
+    def common(p: argparse.ArgumentParser, run: Callable, formats: Sequence[str]) -> None:
         p.add_argument("--format", choices=formats, default=formats[0], dest="fmt")
         p.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("words", help="word counts per length, by recursion and/or enumeration")
     p.add_argument("-n", type=int, default=6, help="number of TDs (default 6)")
@@ -645,24 +579,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", action="store_true", dest="enumerate_",
                    help="enumerate distinct words (n <= 5 is fast)")
     p.add_argument("--deep", action="store_true", help="lift the enumeration depth budget")
-    common(p, ("text", "csv", "json"))
+    common(p, cmd_words, ("text", "csv", "json"))
 
     p = sub.add_parser("count", help="extension count of one evolution, with factor trace")
     p.add_argument("evolution", help='file path, "-" for stdin, or inline {"steps": [[a,b], ...]}')
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the linear-extension oracle")
     p.add_argument("--node-budget", type=int, default=BRUTEFORCE_NODE_BUDGET, dest="node_budget")
-    common(p, ("text", "json"))
+    common(p, cmd_count, ("text", "json"))
 
     p = sub.add_parser("table", help="distinct words/CNVs/graphs/evolutions after n TDs")
     p.add_argument("-n", type=int, default=4)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--deep", action="store_true", help="allow n=5 (long; consider TD_MAX_MEM)")
-    common(p, ("text", "csv", "json"))
+    common(p, cmd_table, ("text", "csv", "json"))
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    p.add_argument("-n", type=int, default=None, help="depth bound (suite-specific default)")
+    p.add_argument("-n", type=int, default=4, help="depth bound (default 4)")
     p.add_argument("--seed", type=int, default=None, help="seed for the random portions")
     p.add_argument("--trees", type=int, default=200, help="random trees in the kernel suite")
     p.add_argument("--size", type=int, default=12, help="max random-tree size")
@@ -672,17 +606,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", type=float, default=None, dest="time_limit",
                    help="seconds; exceeded sweeps exit with code 2")
     p.add_argument("--deep", action="store_true")
-    common(p, ("text", "json"))
+    common(p, cmd_verify, ("text", "json"))
 
     p = sub.add_parser("export", help="evolution structures as DOT or JSON")
     p.add_argument("evolution")
     p.add_argument("--what", choices=("tree", "hasse", "major"), default="tree")
-    common(p, ("dot", "json"))
+    common(p, cmd_export, ("dot", "json"))
 
     p = sub.add_parser("induce", help="list the one-step fiber over an evolution")
     p.add_argument("evolution")
     p.add_argument("--deep", action="store_true", help="lift the default depth budget")
-    common(p, ("text", "csv", "json"))
+    common(p, cmd_induce, ("text", "csv", "json"))
 
     p = sub.add_parser("beta", help="kernel-identity sweep over random two-trees")
     p.add_argument("--seed", type=int, required=True)
@@ -690,42 +624,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=12)
     p.add_argument("--fence-rate", type=float, default=0.35, dest="fence_rate")
     p.add_argument("--node-budget", type=int, default=SUBTREE_NODE_BUDGET, dest="node_budget")
-    common(p, ("text", "json"))
+    common(p, cmd_beta, ("text", "json"))
 
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    options = {f.name for f in fields(RunConfig)} & vars(args).keys()
-    return RunConfig(
-        max_mem_bytes=_mem_budget_from_env(),
-        **{name: getattr(args, name) for name in options},
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    cfg = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
-        if args.command == "words":
-            return cmd_words(cfg, args.recursion, args.enumerate_)
-        if args.command == "count":
-            return cmd_count(cfg, args.evolution, args.oracle)
-        if args.command == "table":
-            return cmd_table(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite)
-        if args.command == "export":
-            return cmd_export(cfg, args.evolution, args.what)
-        if args.command == "induce":
-            return cmd_induce(cfg, args.evolution)
-        return cmd_beta(cfg)
+        _validate(cfg)
+        result = cfg.run(cfg)
+        _emit(_render(result, cfg.fmt), cfg.output)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except TdSpaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if not result.passed and result.error:
+        print(result.error, file=sys.stderr)
+    return result.code
 
 
 if __name__ == "__main__":

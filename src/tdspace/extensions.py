@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import BudgetExceededError, MalformedGraphError
 from .structure import BreakpointId, HasseDiagram, MajorGraph
@@ -184,30 +184,3 @@ def count_extensions_bruteforce(
 
     return count(full)
 
-
-def enumerate_extensions(
-    diagram: HasseDiagram, budget: int = 20
-) -> Iterator[tuple[BreakpointId, ...]]:
-    """Yield every linear extension, lexicographic by breakpoint sequence."""
-    nodes = sorted(diagram.nodes)
-    if len(nodes) > budget:
-        raise BudgetExceededError(
-            f"{len(nodes)} nodes exceed the enumeration budget of {budget}"
-        )
-    preds = diagram.predecessors()
-    placed: set[BreakpointId] = set()
-    prefix: list[BreakpointId] = []
-
-    def walk() -> Iterator[tuple[BreakpointId, ...]]:
-        if len(prefix) == len(nodes):
-            yield tuple(prefix)
-            return
-        for v in nodes:
-            if v not in placed and all(p in placed for p in preds[v]):
-                placed.add(v)
-                prefix.append(v)
-                yield from walk()
-                prefix.pop()
-                placed.remove(v)
-
-    yield from walk()

@@ -178,11 +178,17 @@ class HasseDiagram:
             out[u].append(v)
         return out
 
-    def predecessors(self) -> dict[BreakpointId, list[BreakpointId]]:
-        out: dict[BreakpointId, list[BreakpointId]] = {v: [] for v in self.nodes}
-        for u, v in self.edges:
-            out[v].append(u)
-        return out
+
+def _order_diagram(tree: TdTree) -> HasseDiagram:
+    """:func:`hasse_diagram` without its acyclicity check."""
+    edges: set[tuple[BreakpointId, BreakpointId]] = set()
+    for node, parent in tree.a_parent.items():
+        edges.add((parent, node))
+    for node, parent in tree.b_parent.items():
+        edges.add((node, parent))
+    for k in tree.fence_tds:
+        edges.add((BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)))
+    return HasseDiagram(nodes=tree.nodes, edges=frozenset(edges))
 
 
 def hasse_diagram(tree: TdTree) -> HasseDiagram:
@@ -192,24 +198,17 @@ def hasse_diagram(tree: TdTree) -> HasseDiagram:
     (impossible for trees built by :func:`build_2d_tree`, but the check
     guards hand-made or corrupted inputs).
     """
-    edges: set[tuple[BreakpointId, BreakpointId]] = set()
-    for node, parent in tree.a_parent.items():
-        edges.add((parent, node))
-    for node, parent in tree.b_parent.items():
-        edges.add((node, parent))
-    for k in tree.fence_tds:
-        edges.add((BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)))
-    diagram = HasseDiagram(nodes=tree.nodes, edges=frozenset(edges))
-    if _topological_order(diagram) is None:
+    diagram = _order_diagram(tree)
+    if _topological_order(diagram.successors()) is None:
         raise CycleDetectedError("order diagram contains a directed cycle")
     return diagram
 
 
-def _topological_order(diagram: HasseDiagram) -> list[BreakpointId] | None:
-    indeg = {v: 0 for v in diagram.nodes}
-    succ = diagram.successors()
-    for u, v in diagram.edges:
-        indeg[v] += 1
+def _topological_order(succ: dict[BreakpointId, list[BreakpointId]]) -> list[BreakpointId] | None:
+    indeg = {v: 0 for v in succ}
+    for targets in succ.values():
+        for w in targets:
+            indeg[w] += 1
     frontier = sorted(v for v, d in indeg.items() if d == 0)
     order = []
     while frontier:
@@ -219,15 +218,15 @@ def _topological_order(diagram: HasseDiagram) -> list[BreakpointId] | None:
             indeg[w] -= 1
             if indeg[w] == 0:
                 frontier.append(w)
-    return order if len(order) == len(diagram.nodes) else None
+    return order if len(order) == len(succ) else None
 
 
 def reachability(diagram: HasseDiagram) -> dict[BreakpointId, set[BreakpointId]]:
     """Transitive closure: node -> set of nodes strictly above it."""
-    order = _topological_order(diagram)
+    succ = diagram.successors()
+    order = _topological_order(succ)
     if order is None:
         raise CycleDetectedError("order diagram contains a directed cycle")
-    succ = diagram.successors()
     above: dict[BreakpointId, set[BreakpointId]] = {v: set() for v in diagram.nodes}
     for v in reversed(order):
         for w in succ[v]:
@@ -438,16 +437,17 @@ def validate_structure(tree: TdTree) -> StructureReport:
     )
     report.add("first-td-convention", ok, "" if ok else "TD 1 breaks the root convention")
 
-    # Order diagram: acyclic, source 0a, sink 0b.
+    # Order diagram: acyclic, source 0a, sink 0b.  The closure sorts the
+    # diagram once and doubles as the acyclicity check.
+    diagram = _order_diagram(tree)
     try:
-        diagram = hasse_diagram(tree)
+        above = reachability(diagram)
     except CycleDetectedError as exc:
         report.add("order-diagram", False, str(exc))
         return report
-    preds = diagram.predecessors()
-    succs = diagram.successors()
-    sources = [v for v in diagram.nodes if not preds[v]]
-    sinks = [v for v in diagram.nodes if not succs[v]]
+    targets = {v for _, v in diagram.edges}
+    sources = [v for v in diagram.nodes if v not in targets]
+    sinks = [v for v in diagram.nodes if not above[v]]
     ok = sources == [ROOT_A] and sinks == [ROOT_B]
     report.add(
         "order-diagram",
@@ -459,7 +459,6 @@ def validate_structure(tree: TdTree) -> StructureReport:
     # the chain nodes admit exactly one relative order, which must not
     # contradict the order diagram.
     ok, details = True, ""
-    above = reachability(diagram)
     children: dict[BreakpointId, list[BreakpointId]] = {v: [] for v in tree.nodes}
     for v in tree.major_side:
         children[tree.major_parent(v)].append(v)
@@ -518,27 +517,6 @@ def validate_structure(tree: TdTree) -> StructureReport:
     report.add("fence-orientation", ok, details)
 
     return report
-
-
-def td_orientations(tree: TdTree) -> dict[int, str]:
-    """Classify each TD from the order diagram alone.
-
-    ``reversed`` / ``forward`` when the diagram forces the breakpoint
-    order (it always does for fences); ``ambiguous`` when both reference
-    layouts are realizable, in which case the orientation is a property
-    of the individual realization, not of the evolution.
-    """
-    above = reachability(hasse_diagram(tree))
-    out = {}
-    for k in range(1, tree.n + 1):
-        ka, kb = BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)
-        if kb in above[ka]:
-            out[k] = "reversed"
-        elif ka in above[kb]:
-            out[k] = "forward"
-        else:
-            out[k] = "ambiguous"
-    return out
 
 
 # ---------------------------------------------------------------------------

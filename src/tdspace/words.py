@@ -220,19 +220,6 @@ def word_to_text(word: Sequence[int]) -> str:
     return "".join(str(x) for x in word)
 
 
-def word_from_text(text: str) -> Word:
-    """Inverse of :func:`word_to_text`."""
-    text = text.strip()
-    if not text:
-        raise ParseError("empty word")
-    try:
-        if "," in text:
-            return tuple(int(part) for part in text.split(","))
-        return tuple(int(ch) for ch in text)
-    except ValueError as exc:
-        raise ParseError(f"bad word text {text!r}") from exc
-
-
 def parse_evolution(text: str) -> WordEvolution:
     """Parse the canonical JSON form ``{"steps": [[a, b], ...]}``."""
     try:

@@ -12,12 +12,9 @@ from tdspace import (
     BetaTree,
     BreakpointId,
     NotInducedError,
-    ParseError,
     ValidationError,
     WordEvolution,
     beta_from_td_tree,
-    beta_to_json,
-    beta_tree_from_json,
     build_2d_tree,
     closed_form,
     contracted_count,
@@ -306,23 +303,6 @@ def test_fiber_sums_follow_the_recurrence():
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def test_beta_json_roundtrip(worked_beta_tree):
-    text = beta_to_json(worked_beta_tree)
-    assert beta_tree_from_json(text) == worked_beta_tree
-    for seed in (3, 77):
-        tree = random_beta_tree(seed, 10)
-        assert beta_tree_from_json(beta_to_json(tree)) == tree
-
-
-def test_beta_json_rejects_malformed():
-    with pytest.raises(ParseError):
-        beta_tree_from_json("{nope")
-    with pytest.raises(ParseError):
-        beta_tree_from_json('{"fences": []}')
-    with pytest.raises(ParseError):
-        beta_tree_from_json('{"nodes": [{"id": "1a"}]}')
 
 
 def test_beta_dot(worked_beta_tree):

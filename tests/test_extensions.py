@@ -10,7 +10,6 @@ from tdspace import (
     build_2d_tree,
     count_extensions_bruteforce,
     count_extensions_formula,
-    enumerate_extensions,
     enumerate_word_evolutions,
     hasse_diagram,
     major_graph,
@@ -74,18 +73,6 @@ def test_formula_matches_oracle_sampled_level_four():
         assert count_extensions_formula(major_graph(tree)).value == (
             count_extensions_bruteforce(hasse_diagram(tree))
         )
-
-
-def test_enumerate_extensions_agrees_with_count(ev_121):
-    diagram = hasse_diagram(build_2d_tree(ev_121))
-    orders = list(enumerate_extensions(diagram))
-    assert len(orders) == 5
-    assert len({tuple(o) for o in orders}) == 5
-    # every listed order is a linear extension of the diagram
-    for order in orders:
-        position = {v: i for i, v in enumerate(order)}
-        for u, v in diagram.edges:
-            assert position[u] < position[v]
 
 
 def test_bruteforce_budget(ev_540):

@@ -22,7 +22,6 @@ from tdspace import (
     major_to_json,
     parse_breakpoint,
     reachability,
-    td_orientations,
     tree_to_dot,
     tree_to_json,
     validate_structure,
@@ -146,23 +145,14 @@ def test_negative_control_major_cycle(ev_540):
     assert not validate_structure(broken).ok
 
 
-def test_orientations(ev_121, ev_540):
-    assert td_orientations(build_2d_tree(ev_121)) == {1: "reversed", 2: "ambiguous"}
-    assert td_orientations(build_2d_tree(ev_540)) == {
-        1: "reversed",
-        2: "ambiguous",
-        3: "reversed",
-        4: "ambiguous",
-    }
-
-
 def test_fenced_tds_are_always_reversed():
     for n in range(1, 4):
         for ev in enumerate_word_evolutions(n):
             tree = build_2d_tree(ev)
-            orientations = td_orientations(tree)
+            above = reachability(hasse_diagram(tree))
             for k in tree.fence_tds:
-                assert orientations[k] == "reversed"
+                ka, kb = BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)
+                assert kb in above[ka]
 
 
 def test_dot_exports(ev_540):
