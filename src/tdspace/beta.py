@@ -26,6 +26,7 @@ from typing import Iterable
 
 from .errors import (
     BudgetExceededError,
+    Deadline,
     NotInducedError,
     ValidationError,
 )
@@ -460,29 +461,36 @@ def closed_form(n: int) -> int:
 
 
 def _sum_partition(args: tuple) -> int:
-    n, prefix, max_n = args
-    return sum(
-        count_extensions_formula(major_graph(build_2d_tree(ev))).value
-        for ev in enumerate_word_evolutions(n, prefix=prefix, max_n=max_n)
-    )
+    n, prefix, max_n, deadline = args
+    total = 0
+    for ev in enumerate_word_evolutions(n, prefix=prefix, max_n=max_n):
+        deadline.check()
+        total += count_extensions_formula(major_graph(build_2d_tree(ev))).value
+    return total
 
 
-def total_evolutions_via_words(n: int, workers: int = 1, max_n: int = DEFAULT_MAX_N) -> int:
+def total_evolutions_via_words(
+    n: int,
+    workers: int = 1,
+    max_n: int = DEFAULT_MAX_N,
+    deadline: Deadline | None = None,
+) -> int:
     """Evolution total summed word by word: Σ extensions of each tree.
 
     This is the enumeration route the closed form is checked against.
     With ``workers > 1`` the word-evolution stream is partitioned by its
     first two steps; partial sums are independent, so worker count never
-    changes the result.
+    changes the result.  ``deadline`` is checked before each evolution,
+    in every worker, and raises :class:`BudgetExceededError`.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
+    deadline = deadline if deadline is not None else Deadline(None)
     if workers <= 1 or n < 3:
-        return _sum_partition((n, (), max_n))
+        return _sum_partition((n, (), max_n, deadline))
     prefixes = [tuple(ev.steps) for ev in enumerate_word_evolutions(3, max_n=max_n)]
     from concurrent.futures import ProcessPoolExecutor
 
-    parts = [(n, p, max_n) for p in prefixes]
+    parts = [(n, p, max_n, deadline) for p in prefixes]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(_sum_partition, parts))
-

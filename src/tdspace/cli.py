@@ -292,12 +292,12 @@ def _suite_structure(cfg: argparse.Namespace, deadline: Deadline) -> list[Check]
         tree = build_2d_tree(ev)
         report = validate_structure(tree)
         if not report.ok:
-            bad_valid.append(str(ev))
+            bad_valid.append(format_evolution(ev))
             continue
         formula = count_extensions_formula(major_graph(tree)).value
         brute = count_extensions_bruteforce(hasse_diagram(tree), budget=cfg.node_budget)
         if formula != brute:
-            bad_count.append(f"{ev}: formula {formula} vs oracle {brute}")
+            bad_count.append(f"{format_evolution(ev)}: formula {formula} vs oracle {brute}")
     return [
         _check("trees-validate", bad_valid, f"{trees} trees"),
         _check("formula-vs-oracle", bad_count, f"{trees} trees"),
@@ -326,7 +326,7 @@ def _suite_kernel(cfg: argparse.Namespace, deadline: Deadline) -> list[Check]:
     for ev in _evolutions(cfg.n, deadline):
         trees += 1
         if not all(c.equal for c in kernel_profile(build_2d_tree(ev), budget=cfg.node_budget)):
-            bad.append(str(ev))
+            bad.append(format_evolution(ev))
     checks.append(_check("evolution-trees", bad, f"{trees} trees"))
 
     identities, failures = _random_sweep(cfg, deadline)
@@ -392,7 +392,7 @@ def _suite_induction(cfg: argparse.Namespace, deadline: Deadline) -> list[Check]
             members, _, predicted = _fiber(ev, cfg.n)
             fiber_total += len(members)
             if sum(value for _, value in members) != predicted:
-                bad.append(str(ev))
+                bad.append(format_evolution(ev))
         level_size = sum(1 for _ in enumerate_word_evolutions(n + 1, max_n=cfg.n))
         if fiber_total != level_size:
             bad.append(f"fibers cover {fiber_total} of {level_size} evolutions")
@@ -412,7 +412,7 @@ def _suite_grand_total(cfg: argparse.Namespace, deadline: Deadline) -> list[Chec
         deadline=deadline,
     )
     deadline.check()
-    sigma = total_evolutions_via_words(cfg.n, workers=cfg.workers)
+    sigma = total_evolutions_via_words(cfg.n, workers=cfg.workers, deadline=deadline)
     deadline.check()
     expected = closed_form(cfg.n)
     return [

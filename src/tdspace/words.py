@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -32,6 +33,9 @@ Word = tuple[int, ...]
 FIRST_WORD: Word = (1,)
 
 DEFAULT_MAX_N = 6
+
+#: Deepest word count by default; n = 20 takes seconds and about 200 MB.
+WORD_COUNT_MAX_N = 20
 
 
 class DupChoice(NamedTuple):
@@ -175,37 +179,53 @@ def distinct_words(n: int, max_n: int = DEFAULT_MAX_N) -> set[Word]:
     return level
 
 
-@lru_cache(maxsize=None)
+def _count_level(n: int, max_len: int) -> list[int]:
+    """``w(m, n)`` for ``m = 0 .. min(max_len, 2**n - 1)``, level by level.
+
+    The coefficient ``2k - m + 2`` is linear in ``k``, so with prefix sums
+    ``S0`` of ``w(k, n-1)`` and ``S1`` of ``k * w(k, n-1)`` each entry is
+    ``2 * (S1[hi] - S1[lo]) - (m - 2) * (S0[hi] - S0[lo])`` over
+    ``lo = m // 2``, ``hi = min(m, len(previous row))``.  Lengths past
+    ``max_len`` are never needed below it, since a predecessor is shorter.
+    Nothing is cached between calls.
+    """
+    row = [1]
+    for level in range(1, n + 1):
+        s0 = list(accumulate(row, initial=0))
+        s1 = list(accumulate(map(mul, range(len(row)), row), initial=0))
+        top = len(row)
+        row = [
+            2 * (s1[min(m, top)] - s1[m // 2]) - (m - 2) * (s0[min(m, top)] - s0[m // 2])
+            for m in range(min(2**level, max_len + 1))
+        ]
+    return row
+
+
 def word_count_recursion(m: int, n: int) -> int:
     """Number of distinct words of length ``m`` after ``n`` TDs, by recursion.
 
     A word of length ``m`` arises from a length-``k`` predecessor in
     ``2k - m + 2`` ways (the duplicated subword has length ``m - k - 1``),
     so ``w(m, n) = sum_k (2k - m + 2) * w(k, n-1)`` over
-    ``k = floor((m-1)/2) .. m-1``, anchored at ``w(0, 0) = 1``.
+    ``k = m // 2 .. m - 1``, anchored at ``w(0, 0) = 1``.  Costs
+    ``O(n * min(m, 2**n))``.
     """
-    if m < 0 or n < 0:
+    if m < 0 or n < 0 or m.bit_length() > n:
         return 0
-    if n == 0:
-        return 1 if m == 0 else 0
-    total = 0
-    for k in range((m - 1) // 2 if m > 0 else 0, m):
-        coeff = 2 * k - m + 2
-        if coeff > 0:
-            total += coeff * word_count_recursion(k, n - 1)
-    return total
+    return _count_level(n, m)[m]
 
 
-def word_count_row(n: int) -> dict[int, int]:
-    """Nonzero word counts by length for ``n`` TDs (keys ``n .. 2**n - 1``)."""
+def word_count_row(n: int, max_n: int = WORD_COUNT_MAX_N) -> dict[int, int]:
+    """Nonzero word counts by length for ``n`` TDs (keys ``n .. 2**n - 1``).
+
+    One level-by-level pass, ``O(n * 2**n)``; past ``max_n`` it raises
+    :class:`BudgetExceededError` before any work (rows double per level).
+    """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    row = {}
-    for m in range(n, 2**n):
-        c = word_count_recursion(m, n)
-        if c:
-            row[m] = c
-    return row
+    if n > max_n:
+        raise BudgetExceededError(f"word count of {n} TDs exceeds the budget of {max_n}")
+    return {m: c for m, c in enumerate(_count_level(n, 2**n - 1)) if c}
 
 
 def word_count_total(n: int) -> int:

@@ -1,16 +1,16 @@
 """Deletion calculus, two-tree rewrites, the kernel identity, totals."""
 
 import random
+import time
 
 import pytest
 
 from tdspace import (
-    A_SIDE,
-    B_SIDE,
     ROOT_A,
     ROOT_B,
     BetaTree,
     BreakpointId,
+    BudgetExceededError,
     NotInducedError,
     ValidationError,
     WordEvolution,
@@ -37,6 +37,7 @@ from tdspace import (
     validate_beta_subtree,
     validate_beta_tree,
 )
+from tdspace.errors import Deadline
 
 FIRST = WordEvolution(steps=())
 EV_PRIME = WordEvolution(steps=((2, 1), (1, 2), (1, 1), (4, 5)))
@@ -287,6 +288,15 @@ def test_totals_match_closed_form(n):
 
 def test_totals_worker_partition_is_exact():
     assert total_evolutions_via_words(4, workers=2) == closed_form(4)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_totals_stop_at_the_deadline(workers):
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="time limit"):
+        total_evolutions_via_words(5, workers=workers, deadline=Deadline(0.05))
+    assert time.monotonic() - start < 1
+    assert total_evolutions_via_words(3, workers=workers, deadline=Deadline(None)) == 627
 
 
 def test_fiber_sums_follow_the_recurrence():

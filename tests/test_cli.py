@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from tdspace import cli
+from tdspace import cli, format_evolution, parse_evolution
 
 
 def run(capsys, *argv):
@@ -47,6 +47,16 @@ def test_words_enumeration_budget(capsys):
     code, _, err = run(capsys, "words", "-n", "6", "--enumerate")
     assert code == 2
     assert "budget" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--deep"], ["--recursion", "--enumerate", "--deep"]])
+def test_words_count_budget(capsys, extra):
+    start = time.monotonic()
+    code, out, err = run(capsys, "words", "-n", "21", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("budget exceeded: word count of 21 TDs")
+    assert time.monotonic() - start < 1
 
 
 def test_count_worked_example(capsys):
@@ -179,6 +189,18 @@ def test_verify_failure_is_exit_3(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "grand-total", "-n", "2")
     assert code == 3
     assert "FAIL formula-vs-closed-form" in out
+
+
+def test_verify_mismatch_is_replayable(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "count_extensions_bruteforce", lambda *a, **k: 7)
+    code, out, _ = run(capsys, "verify", "--suite", "structure", "-n", "2")
+    assert code == 3
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("FAIL formula-vs-oracle")]
+    detail = line[len("FAIL formula-vs-oracle ("):]
+    literal, rest = detail.split(": ", 1)
+    assert literal.startswith('{"steps":')
+    assert format_evolution(parse_evolution(literal)) == literal
+    assert rest == "formula 1 vs oracle 7)"
 
 
 def test_export_major_dot(capsys):

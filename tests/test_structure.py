@@ -3,8 +3,6 @@
 import json
 from dataclasses import replace
 
-import pytest
-
 from tdspace import (
     A_SIDE,
     B_SIDE,

@@ -6,7 +6,6 @@ import pytest
 
 from tdspace import (
     BudgetExceededError,
-    DupChoice,
     IndexOutOfRangeError,
     ParseError,
     ValidationError,
@@ -23,8 +22,22 @@ from tdspace import (
     word_count_total,
     word_to_text,
 )
+from tdspace.words import WORD_COUNT_MAX_N
 
-WORD_TOTALS = {1: 1, 2: 3, 3: 22, 4: 377, 5: 15315, 6: 1539281}
+#: ``word_count_total(n)`` for n = 1..11, frozen from the O(4^n) recursion.
+WORD_TOTALS = {
+    1: 1,
+    2: 3,
+    3: 22,
+    4: 377,
+    5: 15315,
+    6: 1539281,
+    7: 404159937,
+    8: 292844271366,
+    9: 614842963688234,
+    10: 3894850463895877919,
+    11: 76893607589061562737682,
+}
 
 
 def test_td_step_worked_examples():
@@ -122,6 +135,52 @@ def test_word_count_row_frozen_n3():
 def test_word_count_totals():
     for n, total in WORD_TOTALS.items():
         assert word_count_total(n) == total
+
+
+def _reference_recursion(m, n, memo):
+    """The former O(4^n) recursion, one sum of predecessors per length."""
+    if m < 0 or n < 0:
+        return 0
+    if n == 0:
+        return 1 if m == 0 else 0
+    if (m, n) not in memo:
+        memo[m, n] = sum(
+            (2 * k - m + 2) * _reference_recursion(k, n - 1, memo)
+            for k in range((m - 1) // 2 if m > 0 else 0, m)
+            if 2 * k - m + 2 > 0
+        )
+    return memo[m, n]
+
+
+def test_word_counts_match_the_reference():
+    memo = {}
+    for n in range(9):
+        reference = {m: _reference_recursion(m, n, memo) for m in range(-1, 2**n + 1)}
+        assert {m: word_count_recursion(m, n) for m in reference} == reference
+        if n:
+            assert word_count_row(n) == {m: c for m, c in reference.items() if c}
+    assert word_count_recursion(0, -1) == 0
+    assert word_count_recursion(3, 40) == 0
+
+
+def test_word_total_counts_choices_on_the_level_below():
+    """Each word of length m at level n - 1 has choice_count(m) successors."""
+    for n in range(2, 17):
+        below = word_count_row(n - 1)
+        assert word_count_total(n) == sum(choice_count(m) * c for m, c in below.items())
+
+
+def test_word_count_budget():
+    assert WORD_COUNT_MAX_N == 20
+    with pytest.raises(BudgetExceededError):
+        word_count_row(WORD_COUNT_MAX_N + 1)
+    with pytest.raises(BudgetExceededError):
+        word_count_row(6, max_n=5)
+    with pytest.raises(BudgetExceededError):
+        word_count_total(30)
+    assert word_count_row(5, max_n=5) == word_count_row(5)
+    with pytest.raises(ValidationError):
+        word_count_row(0)
 
 
 def test_length_five_words_at_level_three():
