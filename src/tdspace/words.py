@@ -215,16 +215,18 @@ def word_count_recursion(m: int, n: int) -> int:
     return _count_level(n, m)[m]
 
 
-def word_count_row(n: int, max_n: int = WORD_COUNT_MAX_N) -> dict[int, int]:
+def word_count_row(n: int) -> dict[int, int]:
     """Nonzero word counts by length for ``n`` TDs (keys ``n .. 2**n - 1``).
 
-    One level-by-level pass, ``O(n * 2**n)``; past ``max_n`` it raises
-    :class:`BudgetExceededError` before any work (rows double per level).
+    One level-by-level pass, ``O(n * 2**n)``; past ``WORD_COUNT_MAX_N`` it
+    raises :class:`BudgetExceededError` before any work (rows double per level).
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    if n > max_n:
-        raise BudgetExceededError(f"word count of {n} TDs exceeds the budget of {max_n}")
+    if n > WORD_COUNT_MAX_N:
+        raise BudgetExceededError(
+            f"word count of {n} TDs exceeds the budget of {WORD_COUNT_MAX_N}"
+        )
     return {m: c for m, c in enumerate(_count_level(n, 2**n - 1)) if c}
 
 
