@@ -38,7 +38,6 @@ from .beta import (
     root_component_size,
     total_evolutions_via_words,
     two_tree_count,
-    validate_beta_subtree,
     validate_beta_tree,
 )
 from .errors import (

@@ -15,18 +15,25 @@ tree is one).  Its load-bearing step is a kernel identity: summed over
 admissible node subsets whose rewritten graph hangs a fixed number of
 nodes under the first root, the extension products all equal the count
 of the root-contracted rewrite of the empty subset.  That identity is
-checked here directly, by enumeration.
+checked here directly: :func:`kernel_profile` walks every admissible
+subset once, fixing each node's rewritten parent as it decides the
+node, and values each subset by the hook-length form of its extension
+product (factorials over the induced subtree sizes, with one correction
+per surviving fence).  The right-hand side still comes from the
+dict-based forest count, so the two sides are computed independently.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb, factorial, prod
 from typing import Iterable
 
 from .errors import (
     BudgetExceededError,
     Deadline,
+    MalformedGraphError,
     NotInducedError,
     ValidationError,
 )
@@ -229,30 +236,6 @@ def _closure_order(tree: BetaTree) -> list[BreakpointId]:
     return order
 
 
-def validate_beta_subtree(tree: BetaTree, tau: Iterable[BreakpointId]) -> None:
-    """Raise unless ``tau`` satisfies the subtree closure rules."""
-    chosen = frozenset(tau)
-    if not chosen >= {ROOT_A, ROOT_B}:
-        raise ValidationError("both roots belong to every beta subtree")
-    for v in chosen:
-        if v.td == 0:
-            continue
-        if v not in tree.major_side:
-            raise ValidationError(f"{v} is not a node of the tree")
-        if tree.a_parent[v] not in chosen or tree.b_parent[v] not in chosen:
-            raise ValidationError(f"{v} is in the subtree but a parent is not")
-    for x, y in tree.fences:
-        if {x, y} == {ROOT_A, ROOT_B}:
-            continue
-        if (
-            tree.a_parent[x] in chosen
-            and tree.b_parent[x] in chosen
-            and x not in chosen
-            and y not in chosen
-        ):
-            raise ValidationError(f"fence {x}|{y} has both parents chosen but no member")
-
-
 def enumerate_beta_subtrees(
     tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET
 ) -> list[NodeSet]:
@@ -378,15 +361,90 @@ class KernelCheck:
 
 
 def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[KernelCheck, ...]:
-    """Kernel sums for every feasible first-root size, one subtree sweep."""
+    """Kernel sums for every feasible first-root size, in one subtree walk.
+
+    The walk makes the include/exclude decisions of
+    :func:`enumerate_beta_subtrees` over integer arrays and fixes each
+    node's :func:`induced_tree` parent as it decides the node, so no
+    subtree is ever materialised.  A fence whose rule is broken prunes
+    the branch at its later node.  At each admissible subtree one
+    reverse pass gives the induced subtree sizes ``s``, and the
+    :func:`two_tree_count` of the rewrite is the hook-length value
+    ``(s_A - 1)! (s_B - 1)! / ∏ s_v`` over the non-root nodes, times
+    ``(C - 1) / C`` with ``C = C(s_x + s_y, s_x)`` for each surviving
+    fence; it is added to the sum for ``r = s_A``.  ``rhs`` still comes
+    from :func:`contracted_count`, so the two sides of each identity
+    are computed by different code.
+    """
     rhs = contracted_count(induced_tree(tree, (ROOT_A, ROOT_B))).value
-    sums: dict[int, int] = {}
-    for tau in enumerate_beta_subtrees(tree, budget=budget):
-        graph = induced_tree(tree, tau)
-        r = root_component_size(graph)
-        sums[r] = sums.get(r, 0) + two_tree_count(graph).value
     total = len(tree.nodes)
-    return tuple(KernelCheck(r=r, lhs=sums.get(r, 0), rhs=rhs) for r in range(1, total))
+    if total > budget:
+        raise BudgetExceededError(f"{total} nodes exceed the subtree budget of {budget}")
+    order = _closure_order(tree)
+    index = {ROOT_A: 0, ROOT_B: 1}
+    index.update((v, i) for i, v in enumerate(order, start=2))
+    # per node: its two parents, and its induced parent when it is in the
+    # subtree, when it is out under two chosen parents, and otherwise
+    pa, pb, same, flip, major = ([0, 0] for _ in range(5))
+    for v in order:
+        a, b = index[tree.a_parent[v]], index[tree.b_parent[v]]
+        pa.append(a)
+        pb.append(b)
+        same.append(a if v.side == A_SIDE else b)
+        flip.append(b if v.side == A_SIDE else a)
+        major.append(index[tree.major_parent(v)])
+
+    # a fence's rule is known once its later node is decided
+    rules: list[list[tuple[int, int, int, int]]] = [[] for _ in range(total)]
+    inner = set()
+    for x, y in tree.fences:
+        if {x, y} == {ROOT_A, ROOT_B}:
+            continue
+        i, j = index[x], index[y]
+        rules[max(i, j)].append((i, j, pa[i], pb[i]))
+        inner.add(normalize_fence((x, y)))
+    fences = [(index[x], index[y], f"{x}|{y}") for x, y in sorted(inner)]
+
+    facts = [factorial(k) for k in range(total)]
+    chosen = [True, True] + [False] * (total - 2)
+    parent = [-1] * total
+    sums = [0] * total
+
+    def leaf() -> None:
+        size = [1] * total
+        for v in range(total - 1, 1, -1):
+            size[parent[v]] += size[v]
+        num = facts[size[0] - 1] * facts[size[1] - 1]
+        den = prod(size[2:])
+        for x, y, label in fences:
+            if chosen[x] and chosen[y]:
+                continue
+            if parent[x] != parent[y]:
+                raise MalformedGraphError(f"fence {label} does not bridge siblings or roots")
+            c = comb(size[x] + size[y], size[x])
+            num *= c - 1
+            den *= c
+        sums[size[0]] += num // den
+
+    def walk(v: int) -> None:
+        if v == total:
+            leaf()
+            return
+        both = chosen[pa[v]] and chosen[pb[v]]
+        parent[v] = flip[v] if both else major[v]
+        if not rules[v] or not any(
+            not chosen[x] and not chosen[y] and chosen[a] and chosen[b]
+            for x, y, a, b in rules[v]
+        ):
+            walk(v + 1)
+        if both:
+            chosen[v] = True
+            parent[v] = same[v]
+            walk(v + 1)
+            chosen[v] = False
+
+    walk(2)
+    return tuple(KernelCheck(r=r, lhs=sums[r], rhs=rhs) for r in range(1, total))
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,9 @@ def _validate(cfg: argparse.Namespace) -> None:
         value = options.get(name)
         if value is not None and value < least:
             raise ValidationError(f"need {name} >= {least}, got {value}")
+    rate = options.get("fence_rate")
+    if rate is not None and not 0 <= rate <= 1:
+        raise ValidationError(f"need 0 <= fence_rate <= 1, got {rate}")
     if options.get("node_budget") is not None and cfg.node_budget < 1:
         raise ValidationError(f"need a positive node budget, got {cfg.node_budget}")
     if options.get("time_limit") is not None and cfg.time_limit <= 0:

@@ -6,11 +6,14 @@ import time
 import pytest
 
 from tdspace import (
+    A_SIDE,
     ROOT_A,
     ROOT_B,
     BetaTree,
     BreakpointId,
     BudgetExceededError,
+    KernelCheck,
+    MalformedGraphError,
     NotInducedError,
     ValidationError,
     WordEvolution,
@@ -18,10 +21,12 @@ from tdspace import (
     build_2d_tree,
     closed_form,
     contracted_count,
+    count_extensions_bruteforce,
     count_extensions_formula,
     delete_first_td,
     enumerate_beta_subtrees,
     enumerate_word_evolutions,
+    hasse_diagram,
     induced_evolutions,
     induced_major_graph,
     induced_tree,
@@ -34,10 +39,12 @@ from tdspace import (
     total_evolutions_via_words,
     tree_to_dot,
     two_tree_count,
-    validate_beta_subtree,
     validate_beta_tree,
+    validate_structure,
 )
+from tdspace.beta import SUBTREE_NODE_BUDGET
 from tdspace.errors import Deadline
+from tdspace.words import choices_for, td_step
 
 FIRST = WordEvolution(steps=())
 EV_PRIME = WordEvolution(steps=((2, 1), (1, 2), (1, 1), (4, 5)))
@@ -45,6 +52,30 @@ EV_PRIME = WordEvolution(steps=((2, 1), (1, 2), (1, 1), (4, 5)))
 
 def bp(text):
     return parse_breakpoint(text)
+
+
+def validate_beta_subtree(tree, tau):
+    """Raise unless ``tau`` satisfies the subtree closure and fence rules."""
+    chosen = frozenset(tau)
+    if not chosen >= {ROOT_A, ROOT_B}:
+        raise ValidationError("both roots belong to every beta subtree")
+    for v in chosen:
+        if v.td == 0:
+            continue
+        if v not in tree.major_side:
+            raise ValidationError(f"{v} is not a node of the tree")
+        if tree.a_parent[v] not in chosen or tree.b_parent[v] not in chosen:
+            raise ValidationError(f"{v} is in the subtree but a parent is not")
+    for x, y in tree.fences:
+        if {x, y} == {ROOT_A, ROOT_B}:
+            continue
+        if (
+            tree.a_parent[x] in chosen
+            and tree.b_parent[x] in chosen
+            and x not in chosen
+            and y not in chosen
+        ):
+            raise ValidationError(f"fence {x}|{y} has both parents chosen but no member")
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +245,63 @@ def test_kernel_on_evolution_trees():
             assert all(c.equal for c in kernel_profile(beta)), str(ev)
 
 
+def reference_kernel_profile(tree, budget=SUBTREE_NODE_BUDGET):
+    """The kernel sums one materialised subtree at a time: enumerate,
+    rewrite, measure root A's component and count the rewrite."""
+    rhs = contracted_count(induced_tree(tree, (ROOT_A, ROOT_B))).value
+    sums = {}
+    for tau in enumerate_beta_subtrees(tree, budget=budget):
+        graph = induced_tree(tree, tau)
+        r = root_component_size(graph)
+        sums[r] = sums.get(r, 0) + two_tree_count(graph).value
+    return tuple(KernelCheck(r=r, lhs=sums.get(r, 0), rhs=rhs) for r in range(1, len(tree.nodes)))
+
+
+def test_kernel_walk_matches_reference_on_evolution_trees():
+    trees = [build_2d_tree(ev) for n in range(1, 5) for ev in enumerate_word_evolutions(n)]
+    assert len(trees) == 403
+    for tree in trees:
+        assert kernel_profile(tree) == reference_kernel_profile(tree), tree.n
+
+
+def test_kernel_walk_matches_reference_on_fixtures(worked_beta_tree, skewed_minor_tree):
+    for tree in (worked_beta_tree, skewed_minor_tree):
+        assert kernel_profile(tree) == reference_kernel_profile(tree)
+
+
+def test_kernel_walk_matches_reference_on_random_trees():
+    for seed in range(1000, 1100):
+        tree = random_beta_tree(seed, 4 + seed % 9)
+        assert kernel_profile(tree) == reference_kernel_profile(tree), seed
+
+
+def test_kernel_walk_keeps_the_budget_error(worked_beta_tree):
+    errors = []
+    for profile in (kernel_profile, reference_kernel_profile):
+        with pytest.raises(BudgetExceededError) as exc:
+            profile(worked_beta_tree, budget=5)
+        errors.append(str(exc.value))
+    assert errors == ["7 nodes exceed the subtree budget of 5"] * 2
+
+
+def test_kernel_walk_keeps_the_malformed_fence_error(worked_beta_tree):
+    """A fence between 1b and 2b holds under the contracted rewrite of the
+    bare roots, but once 1b is chosen the two hang from different roots."""
+    corrupt = BetaTree(
+        a_parent=dict(worked_beta_tree.a_parent),
+        b_parent=dict(worked_beta_tree.b_parent),
+        major_side={**worked_beta_tree.major_side, bp("2b"): A_SIDE},
+        fences=frozenset({(bp("1b"), bp("2b"))}),
+    )
+    contracted_count(induced_tree(corrupt, (ROOT_A, ROOT_B)))
+    errors = []
+    for profile in (kernel_profile, reference_kernel_profile):
+        with pytest.raises(MalformedGraphError) as exc:
+            profile(corrupt)
+        errors.append(str(exc.value))
+    assert errors == ["fence 1b|2b does not bridge siblings or roots"] * 2
+
+
 def test_contracted_count_of_empty_subtree(worked_beta_tree):
     graph = induced_tree(worked_beta_tree, (ROOT_A, ROOT_B))
     assert contracted_count(graph).value == 18
@@ -323,6 +411,36 @@ def test_beta_dot(worked_beta_tree):
 
 # ---------------------------------------------------------------------------
 # seeded end-to-end property
+
+
+def random_evolution(n, seed):
+    """An evolution of ``n`` TDs with a uniform choice at every step."""
+    rng = random.Random(seed)
+    word, steps = (1,), []
+    for symbol in range(2, n + 1):
+        choice = rng.choice(list(choices_for(word)))
+        steps.append(choice)
+        word = td_step(word, choice, symbol)
+    return WordEvolution(steps=tuple(steps))
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_seeded_evolutions_past_the_exhaustive_range(n):
+    """Structure, formula against oracle and the rewrite route on two
+    seeded evolutions per n; the kernel identity while the tree fits
+    the subtree budget (n <= 9)."""
+    for seed in (100 * n, 100 * n + 1):
+        ev = random_evolution(n, seed)
+        assert ev.n == n
+        tree = build_2d_tree(ev)
+        assert validate_structure(tree).ok, seed
+        formula = count_extensions_formula(major_graph(tree)).value
+        assert formula == count_extensions_bruteforce(hasse_diagram(tree)), seed
+        base = delete_first_td(ev)
+        rewritten = induced_major_graph(build_2d_tree(base), one_nodeset_of(base, ev))
+        assert rewritten == major_graph(tree), seed
+        if len(tree.nodes) <= SUBTREE_NODE_BUDGET:
+            assert all(c.equal for c in kernel_profile(tree)), seed
 
 
 def test_random_fiber_members_roundtrip():

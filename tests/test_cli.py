@@ -292,6 +292,18 @@ def test_random_tree_size_below_four_is_rejected(capsys, command, size):
     assert "size >= 4" in err
 
 
+@pytest.mark.parametrize("command", ["beta", "verify"])
+@pytest.mark.parametrize("rate", ["1.5", "-1", "nan"])
+def test_fence_rate_outside_unit_interval_is_rejected(capsys, command, rate):
+    """A fence rate is a probability; anything else must not run silently."""
+    extra = ["--suite", "kernel", "-n", "1"] if command == "verify" else []
+    code, out, err = run(capsys, command, *extra, "--seed", "1", "--trees", "3",
+                         f"--fence-rate={rate}")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: need 0 <= fence_rate <= 1, got {float(rate)}\n"
+
+
 def test_unwritable_output_is_exit_1(tmp_path, capsys):
     target = tmp_path / "missing" / "x"
     code, out, err = run(capsys, "words", "-n", "2", "-o", str(target))
