@@ -537,9 +537,10 @@ def total_evolutions_via_words(
 
     This is the enumeration route the closed form is checked against.
     With ``workers > 1`` the word-evolution stream is partitioned by its
-    first two steps; partial sums are independent, so worker count never
-    changes the result.  ``deadline`` is checked before each evolution,
-    in every worker, and raises :class:`BudgetExceededError`.
+    first two steps, with at most one process per partition; partial sums
+    are independent, so worker count never changes the result.
+    ``deadline`` is checked before each evolution, in every worker, and
+    raises :class:`BudgetExceededError`.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
@@ -550,5 +551,5 @@ def total_evolutions_via_words(
     from concurrent.futures import ProcessPoolExecutor
 
     parts = [(n, p, max_n, deadline) for p in prefixes]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(parts))) as pool:
         return sum(pool.map(_sum_partition, parts))

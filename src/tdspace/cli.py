@@ -17,11 +17,12 @@ of the deduplication sets held by the simulator commands.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .beta import (
     SUBTREE_NODE_BUDGET,
@@ -144,13 +145,15 @@ class Result:
 
     ``json`` is the JSON document (an export passes its JSON text as
     is), ``text`` the lines of the text or DOT form and ``csv`` the
-    header and rows where the command offers CSV.  A failed cross-check
-    exits 3 and prints ``error``, if any, on stderr after the output.
+    header and rows where the command offers CSV.  ``words``, whose rows
+    grow as 2^n, fills only the format that was asked for.  A failed
+    cross-check exits 3 and prints ``error``, if any, on stderr after the
+    output.
     """
 
     json: object
     text: list[str]
-    csv: tuple[Sequence[str], list[Sequence[object]]] | None = None
+    csv: tuple[Sequence[str], Iterable[Sequence[object]]] | None = None
     passed: bool = True
     error: str = ""
 
@@ -165,7 +168,7 @@ def _render(result: Result, fmt: str) -> str:
         return doc if isinstance(doc, str) else json.dumps(doc, indent=2)
     if fmt == "csv":
         header, rows = result.csv
-        return "\n".join(",".join(str(x) for x in row) for row in (header, *rows))
+        return "\n".join(",".join(map(str, row)) for row in itertools.chain((header,), rows))
     return "\n".join(result.text)
 
 
@@ -185,34 +188,32 @@ def cmd_words(cfg: argparse.Namespace) -> Result:
             counts[len(w)] = counts.get(len(w), 0) + 1
         routes["enumeration"] = counts
     agree = all(row == next(iter(routes.values())) for row in routes.values())
-    by_length = {route: sorted(row.items()) for route, row in routes.items()}
     totals = {route: sum(row.values()) for route, row in routes.items()}
-
-    text = []
-    for route, pairs in by_length.items():
-        text.append(f"words after {n} TDs ({route})")
-        text += (f"  length {m:2d}: {c}" for m, c in pairs)
-        text.append(f"  total {totals[route]}")
-    if len(routes) > 1:
-        text.append("routes agree" if agree else "ROUTES DISAGREE")
-    return Result(
-        json={
+    # A row at n = 20 has about a million lengths: build only the asked format.
+    result = Result(json=None, text=[], passed=agree, error="word-count routes disagree")
+    if cfg.fmt == "json":
+        result.json = {
             "command": "words",
             "n": n,
             "routes": {
-                route: {"counts": {str(m): c for m, c in pairs}, "total": totals[route]}
-                for route, pairs in by_length.items()
+                route: {"counts": {str(m): row[m] for m in sorted(row)}, "total": totals[route]}
+                for route, row in routes.items()
             },
             "agree": agree,
-        },
-        text=text,
-        csv=(
+        }
+    elif cfg.fmt == "csv":
+        result.csv = (
             ("n", "route", "length", "count"),
-            [(n, route, m, c) for route, pairs in by_length.items() for m, c in pairs],
-        ),
-        passed=agree,
-        error="word-count routes disagree",
-    )
+            ((n, route, m, row[m]) for route, row in routes.items() for m in sorted(row)),
+        )
+    else:
+        for route, row in routes.items():
+            result.text.append(f"words after {n} TDs ({route})")
+            result.text += (f"  length {m:2d}: {row[m]}" for m in sorted(row))
+            result.text.append(f"  total {totals[route]}")
+        if len(routes) > 1:
+            result.text.append("routes agree" if agree else "ROUTES DISAGREE")
+    return result
 
 
 # ---------------------------------------------------------------------------

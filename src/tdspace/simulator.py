@@ -19,6 +19,19 @@ genome; the parent's prefix is never re-expanded.  The carried bytes
 name intervals by id, which never changes; at depth ``n`` one
 ``bytes.translate`` turns ids into reference indices, and the result is
 exactly :meth:`TdEvolutionRecord.canonical_key`.
+
+The last TD of a path builds no state.  From a node at depth ``n - 1``,
+:func:`_leaves` reads each leaf's record key, word, steps, copy numbers
+and connection positions straight off the node.  The node's choices fall
+into a few classes: the host intervals, plus the order of the two
+breakpoints when both cuts share a host.  Once per class it splits the
+hosts, puts the pieces into the key and the genome, translates both to
+reference indices, and works out the width and the connection
+positions.  Each choice then costs two ``bytes.count`` calls per host
+for its cut offsets, two slices of the expanded genome and its copy
+numbers.  :func:`apply_td` builds the inner nodes, and both consumers,
+:func:`tabulate` and :func:`enumerate_process`, read the leaves of this
+one walk.
 """
 
 from __future__ import annotations
@@ -115,18 +128,24 @@ def enumerate_choices(state: GenomeState) -> list[TdChoice]:
     return out
 
 
-def apply_td(state: GenomeState, choice: TdChoice) -> GenomeState:
-    """Apply one tandem duplication and return the successor state."""
+def _hosts(genome: tuple[int, ...], choice: TdChoice) -> tuple[int, int]:
+    """The intervals that hold the two cuts of ``choice``; raises
+    :class:`ValidationError` for a choice ``genome`` does not offer."""
     g1, g2, order_flag = choice
-    genome = state.genome
     if not (0 <= g1 <= g2 < len(genome)):
         raise ValidationError(f"segment indices {g1},{g2} outside genome of {len(genome)}")
     r1, r2 = genome[g1], genome[g2]
-    flagged = g1 != g2 and r1 == r2
-    if flagged != (order_flag is not None):
+    if (g1 != g2 and r1 == r2) != (order_flag is not None):
         raise ValidationError(
             f"order_flag={order_flag} inconsistent with segments {g1},{g2}"
         )
+    return r1, r2
+
+
+def apply_td(state: GenomeState, choice: TdChoice) -> GenomeState:
+    """Apply one tandem duplication and return the successor state."""
+    g1, g2, order_flag = choice
+    r1, r2 = _hosts(state.genome, choice)
 
     td = state.n + 1
     bp_a = BreakpointId(td, A_SIDE)
@@ -298,14 +317,6 @@ def _extend_key(parent: GenomeState, choice: TdChoice, child: GenomeState, key: 
     return key + bytes(child.genome) + b"\xff"
 
 
-def _index_key(state: GenomeState, key: bytes) -> bytes:
-    """An id key with every interval id replaced by its reference index."""
-    table = bytearray(_IDENTITY)
-    for i, rid in enumerate(state.ref):
-        table[rid] = i
-    return key.translate(table)
-
-
 def _descend(
     state: GenomeState, key: bytes, word: Word, choice: TdChoice
 ) -> tuple[GenomeState, bytes, Word]:
@@ -316,13 +327,101 @@ def _descend(
     return child, _extend_key(state, choice, child, key), word
 
 
+#: connection positions ``(end, start)`` or word steps ``(a, b)``
+_Pairs = tuple[tuple[int, int], ...]
+#: record key, terminal word, steps, graph key ``(cnv, sorted positions)``,
+#: positions in TD order
+_Leaf = tuple[bytes, Word, _Pairs, tuple[tuple[int, ...], _Pairs], _Pairs]
+
+
+def _leaf_class(
+    parent: GenomeState,
+    key: bytes,
+    genome: bytes,
+    conns: tuple[tuple[BreakpointId, BreakpointId], ...],
+    r1: int,
+    r2: int,
+    reverse: bool,
+) -> tuple[bytes, bytes, _Pairs, _Pairs, int]:
+    """What every leaf below ``parent`` whose cuts land in ``r1`` and ``r2``
+    (end breakpoint first on the reference when ``reverse``) shares: the
+    key and the genome at leaf resolution, both as reference indices, the
+    connection positions in TD order and sorted, and the width.  ``conns``
+    are the leaf's connections; the last one is the new TD's."""
+    bp_b, bp_a = conns[-1]
+    nid = parent.next_id
+    if r1 != r2:
+        pieces = {r1: (nid, nid + 1), r2: (nid + 2, nid + 3)}
+        inner = {r1: [bp_a], r2: [bp_b]}
+    else:
+        pieces = {r1: (nid, nid + 1, nid + 2)}
+        inner = {r1: [bp_b, bp_a] if reverse else [bp_a, bp_b]}
+    ref, bps = list(parent.ref), list(parent.ref_bps)
+    # Later host first, so the earlier host's index still holds.
+    for p in sorted(map(parent.ref.index, pieces), reverse=True):
+        rid = ref[p]
+        ref[p : p + 1] = pieces[rid]
+        bps[p:p] = inner[rid]
+        key = key.replace(bytes((rid,)), bytes(pieces[rid]))
+        genome = genome.replace(bytes((rid,)), bytes(pieces[rid]))
+    table = bytes.maketrans(bytes(ref), _IDENTITY[: len(ref)])
+    positions = tuple((bps.index(e), bps.index(s)) for e, s in conns)
+    key, genome = key.translate(table), genome.translate(table)
+    return key, genome, positions, tuple(sorted(positions)), len(ref)
+
+
+def _leaves(
+    parent: GenomeState, key: bytes, word: Word, choices: Sequence[TdChoice]
+) -> Iterator[_Leaf]:
+    """The leaf one TD below ``parent`` for each of ``choices``, in order:
+    its record key, terminal word, steps, graph key ``(cnv, sorted
+    connection positions)`` and connection positions in TD order.
+
+    No successor state is built.  The choices are not checked: they come
+    from :func:`enumerate_choices` or have been checked by the caller.
+    """
+    genome = parent.genome
+    gbytes = bytes(genome)
+    somatic = parent._somatic_before
+    td = parent.n + 1
+    conns = parent.conns + ((BreakpointId(td, B_SIDE), BreakpointId(td, A_SIDE)),)
+    classes: dict[tuple[int, int, bool], tuple] = {}
+    for g1, g2, flag in choices:
+        r1, r2, reverse = genome[g1], genome[g2], flag is False
+        cls = classes.get((r1, r2, reverse))
+        if cls is None:
+            cls = _leaf_class(parent, key, gbytes, conns, r1, r2, reverse)
+            classes[r1, r2, reverse] = cls
+        prefix, expanded, positions, graph_conns, width = cls
+        # The cuts in the expanded genome, as in apply_td: each earlier copy
+        # of a host has grown by its extra pieces, and the cut lies after
+        # the piece that ends in the new breakpoint.
+        if r1 != r2:
+            start = g1 + gbytes.count(r1, 0, g1) + gbytes.count(r2, 0, g1) + 1
+            end = g2 + gbytes.count(r1, 0, g2) + gbytes.count(r2, 0, g2)
+        elif reverse:
+            start = g1 + 2 * gbytes.count(r1, 0, g1) + 2
+            end = g2 + 2 * gbytes.count(r1, 0, g2)
+        else:
+            start = g1 + 2 * gbytes.count(r1, 0, g1) + 1
+            end = g2 + 2 * gbytes.count(r1, 0, g2) + 1
+        last = expanded[: end + 1] + expanded[start:]
+        if td > 1:
+            step = (somatic[g1] + 1, somatic[g2])
+            leaf_word, steps = td_step(word, step, td), parent.steps + (step,)
+        else:
+            leaf_word, steps = FIRST_WORD, parent.steps
+        cnv = tuple(map(last.count, range(width)))
+        yield prefix + last + b"\xff", leaf_word, steps, (cnv, graph_conns), positions
+
+
 def _walk(
     n: int,
     prefix: Sequence[TdChoice],
     deep: bool,
-) -> Iterator[tuple[GenomeState, bytes, Word]]:
-    """Every choice path of ``n`` TDs, in choice order: the final state,
-    its record key and its terminal word."""
+) -> Iterator[_Leaf]:
+    """Every choice path of ``n`` TDs, in choice order, as a leaf of
+    :func:`_leaves`."""
     limit = DEEP_MAX_N if deep else DEFAULT_MAX_N
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
@@ -330,38 +429,36 @@ def _walk(
         raise BudgetExceededError(f"simulating {n} TDs exceeds the budget of {limit}")
     if len(prefix) >= n:
         raise ValidationError(f"prefix of {len(prefix)} choices too long for n={n}")
-    state, key, word = initial_state(), b"", ()
-    for c in (TdChoice(0, 0, None), *prefix):
-        state, key, word = _descend(state, key, word, TdChoice(*c))
 
-    def walk(state: GenomeState, key: bytes, word: Word):
-        for c in enumerate_choices(state):
-            child, child_key, child_word = _descend(state, key, word, c)
-            if child.n == n:
-                yield child, _index_key(child, child_key), child_word
-            else:
-                yield from walk(child, child_key, child_word)
+    def parents(state: GenomeState, key: bytes, word: Word, fixed: tuple[TdChoice, ...]):
+        """The nodes at depth ``n - 1``, each with the choices to take below it."""
+        if state.n < n - 1:
+            for c in fixed[:1] or enumerate_choices(state):
+                yield from parents(*_descend(state, key, word, c), fixed[1:])
+        elif fixed:
+            _hosts(state.genome, fixed[0])
+            yield state, key, word, fixed
+        else:
+            yield state, key, word, enumerate_choices(state)
 
-    if state.n == n:
-        yield state, _index_key(state, key), word
-    else:
-        yield from walk(state, key, word)
+    fixed = tuple(TdChoice(*c) for c in (TdChoice(0, 0, None), *prefix))
+    for parent in parents(initial_state(), b"", (), fixed):
+        yield from _leaves(*parent)
 
 
-def _record(state: GenomeState, key: bytes) -> TdEvolutionRecord:
-    genomes = tuple(tuple(g) for g in key[:-1].split(b"\xff"))
-    bp_pos = {bp: i for i, bp in enumerate(state.ref_bps)}
-    width = len(state.ref)
-    conns: list[Connection] = []
-    graphs: list[TdGraph] = []
-    for genome, (end_bp, start_bp) in zip(genomes, state.conns):
-        f, t = bp_pos[end_bp], bp_pos[start_bp]
-        conns.append(Connection(f, t, _direction(f, t)))
-        graphs.append(
-            TdGraph(cnv=tuple(map(genome.count, range(width))), connections=tuple(conns))
-        )
-    ev = WordEvolution(steps=state.steps)
-    return TdEvolutionRecord(genomes=genomes, graphs=tuple(graphs), word_evolution=ev)
+def _record(key: bytes, steps: _Pairs, positions: _Pairs) -> TdEvolutionRecord:
+    genomes = key[:-1].split(b"\xff")
+    width = 2 * len(positions) + 1
+    conns = tuple(Connection(f, t, _direction(f, t)) for f, t in positions)
+    graphs = tuple(
+        TdGraph(cnv=tuple(map(genome.count, range(width))), connections=conns[: k + 1])
+        for k, genome in enumerate(genomes)
+    )
+    return TdEvolutionRecord(
+        genomes=tuple(map(tuple, genomes)),
+        graphs=graphs,
+        word_evolution=WordEvolution(steps=steps),
+    )
 
 
 def enumerate_process(
@@ -374,8 +471,8 @@ def enumerate_process(
     ``prefix`` fixes the leading choices (from the second TD on; the
     first TD admits a single choice) so sweeps can be partitioned.
     """
-    for state, key, _word in _walk(n, prefix, deep):
-        yield _record(state, key)
+    for key, _word, steps, _graph, positions in _walk(n, prefix, deep):
+        yield _record(key, steps, positions)
 
 
 @dataclass
@@ -448,18 +545,15 @@ def _collect(
     words, cnvs, graphs, records = dedup.sets
     paths = 0
     deadline.check()
-    for state, key, word in _walk(n, prefix, deep):
+    for key, word, _steps, graph, _positions in _walk(n, prefix, deep):
         paths += 1
-        cnv = tuple(map(state.genome.count, state.ref))
-        bp_pos = {bp: i for i, bp in enumerate(state.ref_bps)}
-        graph = (cnv, tuple(sorted((bp_pos[e], bp_pos[s]) for e, s in state.conns)))
         if max_mem_bytes is None:
             words.add(word)
-            cnvs.add(cnv)
+            cnvs.add(graph[0])
             graphs.add(graph)
             records.add(key)
         else:
-            dedup.add_measured(word, cnv, graph, key)
+            dedup.add_measured(word, graph[0], graph, key)
         if paths % _CHECK_EVERY == 0:
             deadline.check()
             dedup.check()
@@ -482,7 +576,8 @@ def tabulate(
     """Count distinct words, copy-number profiles, graphs and evolutions.
 
     With ``workers > 1`` the sweep is partitioned by the first TD choice
-    after the forced one; results are identical for any worker count.
+    after the forced one, with at most one process per partition; results
+    are identical for any worker count.
     ``max_mem_bytes`` caps the measured size of the dedup sets and
     ``deadline`` the wall-clock time; both are checked every 4096 paths,
     in every worker, and raise :class:`BudgetExceededError`.
@@ -497,7 +592,7 @@ def tabulate(
 
         dedup = _DedupSets(max_mem_bytes)
         paths = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(parts))) as pool:
             for sets, p in pool.map(_collect_worker, parts):
                 dedup.merge(sets)
                 paths += p

@@ -9,14 +9,20 @@ from tdspace import (
     Connection,
     TdChoice,
     TdGraph,
+    ValidationError,
     WordEvolution,
     apply_td,
     enumerate_choices,
     enumerate_process,
+    enumerate_word_evolutions,
     initial_state,
     tabulate,
+    total_evolutions_via_words,
     word_of,
 )
+from tdspace.errors import Deadline
+from tdspace.simulator import _collect, _DedupSets, _walk
+from tdspace.words import FIRST_WORD, td_step
 
 TABLE = {
     1: (1, 1, 1, 1),
@@ -205,3 +211,132 @@ def test_prefixes_partition_the_walk():
         for rec in enumerate_process(3, prefix=(choice,))
     ]
     assert sharded == list(enumerate_process(3))
+
+
+def test_prefixes_partition_the_walk_at_the_leaf():
+    # n = 2: each prefix fixes the leaf's own choice
+    sharded = [
+        rec
+        for choice in enumerate_choices(after_first_td())
+        for rec in enumerate_process(2, prefix=(choice,))
+    ]
+    assert sharded == list(enumerate_process(2))
+
+
+def test_a_prefix_choice_at_the_leaf_is_checked():
+    with pytest.raises(ValidationError):
+        list(enumerate_process(2, prefix=(TdChoice(0, 0, True),)))
+    with pytest.raises(ValidationError):
+        list(enumerate_process(2, prefix=(TdChoice(0, 4, None),)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_workers_do_not_change_the_shallow_rows(n):
+    # at n = 2 each worker's prefix already reaches the leaf
+    assert tabulate(n, workers=2) == tabulate(n)
+
+
+# Reference leaves, built independently of the leaf step: a full successor
+# state from ``apply_td``, its id key re-indexed through the state's
+# reference intervals, and the copy numbers and connection positions read
+# off the state.
+
+
+def reference_extend_key(parent, choice, child, key):
+    r1, r2 = parent.genome[choice.g1], parent.genome[choice.g2]
+    key = key.replace(bytes((r1,)), bytes(child.splits[r1]))
+    if r2 != r1:
+        key = key.replace(bytes((r2,)), bytes(child.splits[r2]))
+    return key + bytes(child.genome) + b"\xff"
+
+
+def reference_index_key(state, key):
+    table = bytearray(range(256))
+    for i, rid in enumerate(state.ref):
+        table[rid] = i
+    return key.translate(table)
+
+
+def reference_leaves(n):
+    """Every leaf of ``n`` TDs in choice order, as the walk yields it."""
+    out = []
+
+    def walk(state, key, word):
+        for choice in enumerate_choices(state):
+            child = apply_td(state, choice)
+            child_key = reference_extend_key(state, choice, child, key)
+            child_word = td_step(word, child.steps[-1], child.n) if child.n > 1 else FIRST_WORD
+            if child.n < n:
+                walk(child, child_key, child_word)
+                continue
+            cnv = tuple(map(child.genome.count, child.ref))
+            bp_pos = {bp: i for i, bp in enumerate(child.ref_bps)}
+            positions = tuple((bp_pos[e], bp_pos[s]) for e, s in child.conns)
+            key_at_leaf = reference_index_key(child, child_key)
+            graph = (cnv, tuple(sorted(positions)))
+            out.append((key_at_leaf, child_word, child.steps, graph, positions))
+
+    walk(initial_state(), b"", ())
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_leaf_step_matches_apply_td(n):
+    leaves = list(_walk(n, (), False))
+    assert len(leaves) == (1, 11, 627)[n - 1]
+    assert leaves == reference_leaves(n)
+
+
+#: sha256 of the sorted record keys of every n=4 path, each followed by a
+#: newline; the walk's keys are the records' ``canonical_key()``s
+N4_KEY_DIGEST = "409748c579552838179bb406e895310ac04070ccdd9b98349e0f3e42460b2510"
+
+
+def test_record_keys_are_pinned_at_n4():
+    keys = sorted(key for key, *_ in _walk(4, (), False))
+    assert len(keys) == 154869
+    digest = hashlib.sha256(b"".join(k + b"\n" for k in keys)).hexdigest()
+    assert digest == N4_KEY_DIGEST
+
+
+def test_memory_budget_measures_what_the_old_leaves_measured():
+    dedup, paths = _collect(3, (), False, 10**9, Deadline(None))
+    reference = _DedupSets(10**9)
+    for key, word, _steps, graph, _positions in reference_leaves(3):
+        reference.add_measured(word, graph[0], graph, key)
+    assert paths == 627
+    assert dedup.sets == reference.sets
+    assert dedup.entry_bytes == reference.entry_bytes
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: maps in process and records the
+    pool size it was asked for."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_pools_are_capped_at_the_partitions(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    assert tabulate(3, workers=500) == tabulate(3)
+    assert RecordingExecutor.sizes == [11]
+    assert tabulate(3, workers=4) == tabulate(3)
+    assert RecordingExecutor.sizes == [11, 4]
+    prefixes = len(list(enumerate_word_evolutions(3)))
+    assert total_evolutions_via_words(4, workers=500) == 154869
+    assert RecordingExecutor.sizes == [11, 4, prefixes]
