@@ -93,7 +93,6 @@ from .structure import (
     tree_to_dot,
     tree_to_json,
     validate_structure,
-    word_segments,
 )
 from .words import (
     FIRST_WORD,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, factorial, prod
 from typing import Iterable
 
@@ -59,7 +60,6 @@ from .words import (
     Word,
     WordEvolution,
     _evolution_unchecked,
-    choices_for,
     enumerate_word_evolutions,
     td_step,
 )
@@ -111,16 +111,21 @@ def delete_first_td(ev: WordEvolution) -> WordEvolution:
 def induced_evolutions(ev: WordEvolution, max_n: int = DEFAULT_MAX_N) -> list[WordEvolution]:
     """All one-TD-longer evolutions whose first-TD deletion gives ``ev``.
 
-    Search runs over the duplication automaton directly: a candidate
-    step is kept whenever the word it produces strips back to the
-    corresponding word of ``ev``.  Results come in lexicographic step
-    order; the fibers of :func:`delete_first_td` partition the next
-    level, so every longer evolution shows up for exactly one ``ev``.
+    The fiber is built step by step, without trying every choice.  Let
+    ``(a', b')`` be the step of ``ev`` that makes its word ``d`` (TD 1
+    counts as ``(1, 0)`` on the empty word).  On the longer evolution's
+    word ``d``, step ``(a, b)`` strips back to that word exactly when
+    ``a - 1`` is a position whose prefix holds ``a' - 1`` non-1 symbols,
+    ``b`` is one whose prefix holds ``b'``, and ``b >= a - 1``.  Taking
+    ``a`` and then ``b`` in ascending order gives the members in
+    lexicographic step order; the fibers of :func:`delete_first_td`
+    partition the next level, so every longer evolution shows up for
+    exactly one ``ev``.
     """
     target_n = ev.n + 1
     if target_n > max_n:
         raise BudgetExceededError(f"inducing {target_n} TDs exceeds the budget of {max_n}")
-    targets = ev.words
+    base_steps = (DupChoice(1, 0),) + ev.steps
     results: list[WordEvolution] = []
     steps: list[DupChoice] = []
     words: list[Word] = [(1,)]
@@ -129,16 +134,19 @@ def induced_evolutions(ev: WordEvolution, max_n: int = DEFAULT_MAX_N) -> list[Wo
         if depth == target_n:
             results.append(_evolution_unchecked(tuple(steps), tuple(words)))
             return
-        target = targets[depth - 1]
+        a_base, b_base = base_steps[depth - 1]
         current = words[-1]
-        for choice in choices_for(current):
-            grown = td_step(current, choice, depth + 1)
-            if _strip_first_symbol(grown) == target:
-                steps.append(choice)
-                words.append(grown)
-                walk(depth + 1)
-                words.pop()
-                steps.pop()
+        kept = list(accumulate((c != 1 for c in current), initial=0))
+        starts = [p for p, k in enumerate(kept) if k == a_base - 1]
+        ends = [p for p, k in enumerate(kept) if k == b_base]
+        for start in starts:
+            for b in ends:
+                if b >= start:
+                    steps.append(DupChoice(start + 1, b))
+                    words.append(td_step(current, steps[-1], depth + 1))
+                    walk(depth + 1)
+                    words.pop()
+                    steps.pop()
 
     walk(1)
     return results
@@ -153,7 +161,7 @@ def one_nodeset_of(ev: WordEvolution, induced: WordEvolution) -> NodeSet:
     symbol ``m`` directly after a 1 contributes ``m_b`` and one directly
     before a 1 contributes ``m_a``.
     """
-    if ev.n + 1 != induced.n or delete_first_td(induced).words != ev.words:
+    if ev.n + 1 != induced.n or tuple(map(_strip_first_symbol, induced.words[1:])) != ev.words:
         raise NotInducedError("the second evolution does not reduce to the first")
     members = {_ONE_A, _ONE_B}
     for word in induced.words[1:]:

@@ -153,34 +153,46 @@ def count_extensions_formula(graph: MajorGraph) -> ExtensionCount:
 def count_extensions_bruteforce(
     diagram: HasseDiagram, budget: int = BRUTEFORCE_NODE_BUDGET
 ) -> int:
-    """Linear-extension count by dynamic programming over down-sets."""
+    """Linear-extension count by dynamic programming over down-sets.
+
+    Down-sets grow one element at a time, level by level from the empty
+    set, each carrying its number of orderings and the mask of elements
+    it can take next.  Placing ``e`` removes it from that mask and adds
+    each successor of ``e`` whose predecessors are then all placed, so a
+    step only visits addable elements.  Exponential in the width of the
+    order in general, hence the node budget.
+    """
     nodes = sorted(diagram.nodes)
     if len(nodes) > budget:
         raise BudgetExceededError(
             f"{len(nodes)} nodes exceed the brute-force budget of {budget}"
         )
     index = {v: i for i, v in enumerate(nodes)}
-    succ_mask = [0] * len(nodes)
+    succ: list[list[int]] = [[] for _ in nodes]
+    pred_mask = [0] * len(nodes)
     for u, v in diagram.edges:
-        succ_mask[index[u]] |= 1 << index[v]
+        succ[index[u]].append(index[v])
+        pred_mask[index[v]] |= 1 << index[u]
 
-    full = (1 << len(nodes)) - 1
-    memo: dict[int, int] = {0: 1}
-
-    def count(placed: int) -> int:
-        # placed is always a down-set; peel off each maximal element.
-        cached = memo.get(placed)
-        if cached is not None:
-            return cached
-        total = 0
-        rest = placed
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if succ_mask[bit.bit_length() - 1] & placed == 0:
-                total += count(placed ^ bit)
-        memo[placed] = total
-        return total
-
-    return count(full)
-
+    minimal = sum(1 << i for i, mask in enumerate(pred_mask) if not mask)
+    level = {0: [1, minimal]}  # down-set -> [orderings, addable mask]
+    for _ in nodes:
+        grown_level: dict[int, list[int]] = {}
+        for placed, (count, addable) in level.items():
+            rest = addable
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                grown = placed | bit
+                entry = grown_level.get(grown)
+                if entry is not None:
+                    entry[0] += count
+                    continue
+                reach = addable ^ bit
+                for j in succ[bit.bit_length() - 1]:
+                    if pred_mask[j] & grown == pred_mask[j]:
+                        reach |= 1 << j
+                grown_level[grown] = [count, reach]
+        level = grown_level
+    # the full set, or nothing when a cycle keeps some element unaddable
+    return sum(count for count, _ in level.values())

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CycleDetectedError, ValidationError
-from .words import Word, WordEvolution
+from .words import WordEvolution
 
 A_SIDE = "a"
 B_SIDE = "b"
@@ -111,49 +111,40 @@ class TdTree(BetaTree):
         )
 
 
-def word_segments(word: Word) -> list[tuple[BreakpointId, BreakpointId]]:
-    """Genome segments of a word: ``s_i = [(c_i)_a, (c_{i+1})_b]`` with 0 flanks."""
-    bounded = (0,) + tuple(word) + (0,)
-    return [
-        (BreakpointId(bounded[i], A_SIDE), BreakpointId(bounded[i + 1], B_SIDE))
-        for i in range(len(bounded) - 1)
-    ]
-
-
 def build_2d_tree(ev: WordEvolution) -> TdTree:
-    """Construct the breakpoint double tree of a word evolution."""
-    a_parent: dict[BreakpointId, BreakpointId] = {}
-    b_parent: dict[BreakpointId, BreakpointId] = {}
-    major_side: dict[BreakpointId, str] = {}
-    fence_tds = {1}
-    segments: set[tuple[BreakpointId, BreakpointId]] = {(ROOT_A, ROOT_B)}
+    """Construct the breakpoint double tree of a word evolution.
 
+    Step ``(a, b)`` on a word ``c_1 .. c_m`` (``c_0 = c_{m+1} = 0``) hangs
+    ``k_a`` on segment ``[(c_{a-1})_a, (c_a)_b]`` and ``k_b`` on
+    ``[(c_b)_a, (c_{b+1})_b]``, and adds exactly two segments,
+    ``[(c_b)_a, k_b]`` and ``[k_a, (c_a)_b]``; no segment ever leaves.
+    """
+    ida = [BreakpointId(k, A_SIDE) for k in range(ev.n + 1)]
+    idb = [BreakpointId(k, B_SIDE) for k in range(ev.n + 1)]
     # First TD: both breakpoints on the initial interval; fixed convention.
-    one_a, one_b = BreakpointId(1, A_SIDE), BreakpointId(1, B_SIDE)
-    a_parent[one_a] = ROOT_A
-    b_parent[one_a] = ROOT_B
-    major_side[one_a] = B_SIDE
-    a_parent[one_b] = ROOT_A
-    b_parent[one_b] = ROOT_B
-    major_side[one_b] = A_SIDE
+    a_parent = {ida[1]: ROOT_A, idb[1]: ROOT_A}
+    b_parent = {ida[1]: ROOT_B, idb[1]: ROOT_B}
+    major_side = {ida[1]: B_SIDE, idb[1]: A_SIDE}
+    fence_tds = {1}
+    segments = {(ROOT_A, ROOT_B), (ROOT_A, idb[1]), (ida[1], ROOT_B)}
 
-    def attach(node: BreakpointId, seg: tuple[BreakpointId, BreakpointId]) -> None:
-        left, right = seg
-        if left.td == right.td:
-            raise ValidationError(f"segment {left}..{right} has equal endpoint TDs")
-        a_parent[node] = left
-        b_parent[node] = right
-        major_side[node] = A_SIDE if left.td > right.td else B_SIDE
+    def attach(node: BreakpointId, left: int, right: int) -> None:
+        if left == right:
+            raise ValidationError(f"segment {ida[left]}..{idb[right]} has equal endpoint TDs")
+        a_parent[node] = ida[left]
+        b_parent[node] = idb[right]
+        major_side[node] = A_SIDE if left > right else B_SIDE
 
-    for i, (a, b) in enumerate(ev.steps):
-        td = i + 2
-        segs = word_segments(ev.words[i])
-        segments.update(segs)
-        attach(BreakpointId(td, A_SIDE), segs[a - 1])
-        attach(BreakpointId(td, B_SIDE), segs[b])
+    for k, ((a, b), word) in enumerate(zip(ev.steps, ev.words), start=2):
+        m = len(word)
+        ca = word[a - 1] if a <= m else 0
+        cb = word[b - 1] if b else 0
+        attach(ida[k], word[a - 2] if a > 1 else 0, ca)
+        attach(idb[k], cb, word[b] if b < m else 0)
+        segments.add((ida[cb], idb[k]))
+        segments.add((ida[k], idb[ca]))
         if b == a - 1:
-            fence_tds.add(td)
-    segments.update(word_segments(ev.words[-1]))
+            fence_tds.add(k)
 
     return TdTree(
         n=ev.n,
@@ -171,12 +162,6 @@ class HasseDiagram:
 
     nodes: tuple[BreakpointId, ...]
     edges: frozenset[tuple[BreakpointId, BreakpointId]]
-
-    def successors(self) -> dict[BreakpointId, list[BreakpointId]]:
-        out: dict[BreakpointId, list[BreakpointId]] = {v: [] for v in self.nodes}
-        for u, v in self.edges:
-            out[u].append(v)
-        return out
 
 
 def _order_diagram(tree: TdTree) -> HasseDiagram:
@@ -199,40 +184,42 @@ def hasse_diagram(tree: TdTree) -> HasseDiagram:
     guards hand-made or corrupted inputs).
     """
     diagram = _order_diagram(tree)
-    if _topological_order(diagram.successors()) is None:
+    if _up_sets(diagram) is None:
         raise CycleDetectedError("order diagram contains a directed cycle")
     return diagram
 
 
-def _topological_order(succ: dict[BreakpointId, list[BreakpointId]]) -> list[BreakpointId] | None:
-    indeg = {v: 0 for v in succ}
-    for targets in succ.values():
-        for w in targets:
-            indeg[w] += 1
-    frontier = sorted(v for v, d in indeg.items() if d == 0)
-    order = []
-    while frontier:
-        v = frontier.pop()
-        order.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                frontier.append(w)
-    return order if len(order) == len(succ) else None
+def _up_sets(diagram: HasseDiagram) -> list[int] | None:
+    """Bit masks of the nodes strictly above each node (bit ``i`` is
+    ``diagram.nodes[i]``), in one topological pass; None on a cycle."""
+    index = {v: i for i, v in enumerate(diagram.nodes)}
+    succ: list[list[int]] = [[] for _ in index]
+    indeg = [0] * len(index)
+    for u, v in diagram.edges:
+        succ[index[u]].append(index[v])
+        indeg[index[v]] += 1
+    order = [i for i, d in enumerate(indeg) if d == 0]
+    for i in order:  # grows while nodes lose their last predecessor
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                order.append(j)
+    if len(order) < len(index):
+        return None
+    above = [0] * len(index)
+    for i in reversed(order):
+        for j in succ[i]:
+            above[i] |= above[j] | 1 << j
+    return above
 
 
 def reachability(diagram: HasseDiagram) -> dict[BreakpointId, set[BreakpointId]]:
     """Transitive closure: node -> set of nodes strictly above it."""
-    succ = diagram.successors()
-    order = _topological_order(succ)
-    if order is None:
+    above = _up_sets(diagram)
+    if above is None:
         raise CycleDetectedError("order diagram contains a directed cycle")
-    above: dict[BreakpointId, set[BreakpointId]] = {v: set() for v in diagram.nodes}
-    for v in reversed(order):
-        for w in succ[v]:
-            above[v].add(w)
-            above[v] |= above[w]
-    return above
+    nodes = diagram.nodes
+    return {v: {w for j, w in enumerate(nodes) if mask >> j & 1} for v, mask in zip(nodes, above)}
 
 
 @dataclass
@@ -325,16 +312,21 @@ def _recent_minor(tree: BetaTree, major: BreakpointId) -> BreakpointId | None:
     return None
 
 
-def _check_double_tree(tree: BetaTree, report: StructureReport) -> bool:
+def _check_double_tree(
+    tree: BetaTree, report: StructureReport
+) -> dict[BreakpointId, tuple[BreakpointId, ...]] | None:
     """Add the double-tree axiom checks to ``report``.
 
-    Returns False when parental edges are missing or mistyped, or a
-    major chain misses the roots; no further check can run on such a tree.
+    Returns every node's :func:`_major_ancestors`, walked once per node,
+    or None when parental edges are missing or mistyped, or a major
+    chain misses the roots; no further check can run on such a tree.
     """
     nodes = set(tree.major_side)
+    # once parental edges pass, this holds exactly the nodes
+    ordered = sorted(nodes | tree.a_parent.keys() | tree.b_parent.keys())
 
     ok, details = True, ""
-    for v in sorted(nodes | tree.a_parent.keys() | tree.b_parent.keys()):
+    for v in ordered:
         pa, pb = tree.a_parent.get(v), tree.b_parent.get(v)
         if pa is None or pb is None or v not in nodes:
             ok, details = False, f"{v} missing parental data"
@@ -347,27 +339,30 @@ def _check_double_tree(tree: BetaTree, report: StructureReport) -> bool:
             break
     report.add("parental-edges", ok, details)
     if not ok:
-        return False
+        return None
 
+    # every chain holds parents only, so its roots are exactly its td-0 nodes
+    chains = {v: tuple(_major_ancestors(tree, v)) for v in nodes}
     ok, details = True, ""
-    for v in sorted(nodes):
-        if not any(anc.td == 0 for anc in _major_ancestors(tree, v)):
+    for v in ordered:
+        if ROOT_A not in chains[v] and ROOT_B not in chains[v]:
             ok, details = False, f"major chain from {v} does not reach a root"
             break
     report.add("rooted-majors", ok, details)
     if not ok:
-        return False
+        return None
 
     # The minor parent is the nearest opposite-type node above the major
     # parent; nodes hung on the two roots are fixed by convention.
     ok, details = True, ""
-    for v in sorted(nodes):
-        if (tree.a_parent[v], tree.b_parent[v]) == (ROOT_A, ROOT_B):
+    for v in ordered:
+        pa, pb = tree.a_parent[v], tree.b_parent[v]
+        if (pa, pb) == (ROOT_A, ROOT_B):
             continue
-        expected = _recent_minor(tree, tree.major_parent(v))
-        if tree.minor_parent(v) != expected:
-            ok = False
-            details = f"{v}: minor parent {tree.minor_parent(v)}, expected {expected}"
+        major, minor = (pa, pb) if tree.major_side[v] == A_SIDE else (pb, pa)
+        expected = next((u for u in chains.get(major, ()) if u.side != major.side), None)
+        if minor != expected:
+            ok, details = False, f"{v}: minor parent {minor}, expected {expected}"
             break
     report.add("minor-recency", ok, details)
 
@@ -397,7 +392,7 @@ def _check_double_tree(tree: BetaTree, report: StructureReport) -> bool:
             ok, details = False, f"fence {x}|{y} mixes major sides"
             break
     report.add("fences", ok, details)
-    return True
+    return chains
 
 
 def validate_beta_tree(tree: BetaTree) -> StructureReport:
@@ -423,7 +418,8 @@ def validate_structure(tree: TdTree) -> StructureReport:
     the forced reversal of fenced TDs.
     """
     report = StructureReport()
-    if not _check_double_tree(tree, report):
+    chains = _check_double_tree(tree, report)
+    if chains is None:
         return report
 
     # First-TD convention.
@@ -440,14 +436,15 @@ def validate_structure(tree: TdTree) -> StructureReport:
     # Order diagram: acyclic, source 0a, sink 0b.  The closure sorts the
     # diagram once and doubles as the acyclicity check.
     diagram = _order_diagram(tree)
-    try:
-        above = reachability(diagram)
-    except CycleDetectedError as exc:
-        report.add("order-diagram", False, str(exc))
+    up_sets = _up_sets(diagram)
+    if up_sets is None:
+        report.add("order-diagram", False, "order diagram contains a directed cycle")
         return report
+    index = {v: i for i, v in enumerate(diagram.nodes)}
+    up_set = dict(zip(diagram.nodes, up_sets))
     targets = {v for _, v in diagram.edges}
     sources = [v for v in diagram.nodes if v not in targets]
-    sinks = [v for v in diagram.nodes if not above[v]]
+    sinks = [v for v in diagram.nodes if not up_set[v]]
     ok = sources == [ROOT_A] and sinks == [ROOT_B]
     report.add(
         "order-diagram",
@@ -459,18 +456,16 @@ def validate_structure(tree: TdTree) -> StructureReport:
     # the chain nodes admit exactly one relative order, which must not
     # contradict the order diagram.
     ok, details = True, ""
-    children: dict[BreakpointId, list[BreakpointId]] = {v: [] for v in tree.nodes}
-    for v in tree.major_side:
-        children[tree.major_parent(v)].append(v)
-    leaves = [v for v in tree.nodes if not children[v]]
+    majors = {tree.major_parent(v) for v in tree.major_side}
+    leaves = [v for v in tree.nodes if v not in majors]
     for leaf in leaves:
-        chain = [leaf] + list(_major_ancestors(tree, leaf))
+        chain = [leaf, *chains.get(leaf, ())]
         chain.reverse()  # root first
         a_nodes = [v for v in chain if v.side == A_SIDE]
         b_nodes = [v for v in chain if v.side == B_SIDE]
         predicted = a_nodes + b_nodes[::-1]
         for u, v in zip(predicted, predicted[1:]):
-            if u in above[v]:
+            if up_set[v] >> index[u] & 1:
                 ok = False
                 details = f"chain to {leaf}: {v} < {u} contradicts predicted order"
                 break
@@ -484,16 +479,11 @@ def validate_structure(tree: TdTree) -> StructureReport:
         if left == ROOT_A and right == ROOT_B:
             continue
         lo, hi = (left, right) if left.td < right.td else (right, left)
-        walk = [hi]
-        reached = False
-        for anc in _major_ancestors(tree, hi):
-            walk.append(anc)
-            if anc == lo:
-                reached = True
-                break
-        if not reached:
+        chain = chains.get(hi, ())
+        if lo not in chain:
             ok, details = False, f"segment {left}..{right}: no major chain {lo} to {hi}"
             break
+        walk = [hi, *chain[: chain.index(lo) + 1]]
         internal = walk[1:-1]
         if any(v.side != hi.side for v in internal):
             ok, details = False, f"segment {left}..{right}: mixed-type chain"
@@ -511,7 +501,7 @@ def validate_structure(tree: TdTree) -> StructureReport:
     ok, details = True, ""
     for k in sorted(tree.fence_tds):
         ka, kb = BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)
-        if kb not in above[ka]:
+        if not up_set[ka] >> index[kb] & 1:
             ok, details = False, f"fenced TD {k} not forced reversed"
             break
     report.add("fence-orientation", ok, details)

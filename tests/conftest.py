@@ -1,4 +1,6 @@
-"""Shared fixtures: worked evolutions and hand-built trees."""
+"""Shared fixtures: worked evolutions, hand-built trees and seeded evolutions."""
+
+import random
 
 import pytest
 
@@ -11,6 +13,7 @@ from tdspace import (
     BreakpointId,
     WordEvolution,
 )
+from tdspace.words import choices_for, td_step
 
 
 @pytest.fixture
@@ -65,3 +68,20 @@ def skewed_minor_tree():
         },
         fences=frozenset(),
     )
+
+
+def _random_evolution(n, seed):
+    rng = random.Random(seed)
+    word, steps = (1,), []
+    for symbol in range(2, n + 1):
+        choice = rng.choice(list(choices_for(word)))
+        steps.append(choice)
+        word = td_step(word, choice, symbol)
+    return WordEvolution(steps=tuple(steps))
+
+
+@pytest.fixture
+def random_evolution():
+    """``random_evolution(n, seed)``: an evolution of ``n`` TDs with a
+    uniform choice at every step."""
+    return _random_evolution

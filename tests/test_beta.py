@@ -44,7 +44,7 @@ from tdspace import (
 )
 from tdspace.beta import SUBTREE_NODE_BUDGET
 from tdspace.errors import Deadline
-from tdspace.words import choices_for, td_step
+from tdspace.words import DEFAULT_MAX_N, _evolution_unchecked, choices_for, td_step
 
 FIRST = WordEvolution(steps=())
 EV_PRIME = WordEvolution(steps=((2, 1), (1, 2), (1, 1), (4, 5)))
@@ -110,6 +110,50 @@ def test_fibers_partition_the_next_level(n):
     assert seen == set(level)
 
 
+def reference_induced_evolutions(ev, max_n=DEFAULT_MAX_N):
+    """The filter-based fiber search: try every choice at every depth and
+    keep those whose new word strips back to the base word."""
+    target_n = ev.n + 1
+    if target_n > max_n:
+        raise BudgetExceededError(f"inducing {target_n} TDs exceeds the budget of {max_n}")
+    results, steps, words = [], [], [(1,)]
+
+    def walk(depth):
+        if depth == target_n:
+            results.append(_evolution_unchecked(tuple(steps), tuple(words)))
+            return
+        current = words[-1]
+        for choice in choices_for(current):
+            grown = td_step(current, choice, depth + 1)
+            if tuple(c - 1 for c in grown if c != 1) == ev.words[depth - 1]:
+                steps.append(choice)
+                words.append(grown)
+                walk(depth + 1)
+                words.pop()
+                steps.pop()
+
+    walk(1)
+    return results
+
+
+def test_fibers_match_reference():
+    """Same members in the same order over every base with n <= 3 and
+    every fourth base at n = 4."""
+    bases = [ev for n in range(1, 4) for ev in enumerate_word_evolutions(n)]
+    bases += list(enumerate_word_evolutions(4))[::4]
+    for base in bases:
+        assert induced_evolutions(base) == reference_induced_evolutions(base), str(base)
+
+
+def test_fiber_keeps_the_budget_error(ev_540):
+    errors = []
+    for search in (induced_evolutions, reference_induced_evolutions):
+        with pytest.raises(BudgetExceededError) as exc:
+            search(ev_540, max_n=4)
+        errors.append(str(exc.value))
+    assert errors == ["inducing 5 TDs exceeds the budget of 4"] * 2
+
+
 def test_one_nodeset_worked_pair(ev_540):
     nodeset = one_nodeset_of(ev_540, EV_PRIME)
     assert {str(v) for v in nodeset} == {"1a", "1b", "2b", "3a", "4a", "4b"}
@@ -119,6 +163,25 @@ def test_one_nodeset_rejects_non_members(ev_540):
     stranger = WordEvolution(steps=((1, 1), (1, 1), (1, 1), (1, 1)))
     with pytest.raises(NotInducedError):
         one_nodeset_of(ev_540, stranger)
+
+
+def test_one_nodeset_rejects_exactly_the_non_members():
+    """Rejection by stripped words agrees with full deletion on every
+    pair of an n = 3 base and an n = 4 evolution, and on lengths."""
+    level = list(enumerate_word_evolutions(4))
+    reduced = {ev.steps: delete_first_td(ev).words for ev in level}
+    accepted = 0
+    for base in enumerate_word_evolutions(3):
+        for ev in level:
+            if reduced[ev.steps] == base.words:
+                one_nodeset_of(base, ev)
+                accepted += 1
+                continue
+            with pytest.raises(NotInducedError, match="does not reduce to the first"):
+                one_nodeset_of(base, ev)
+        with pytest.raises(NotInducedError, match="does not reduce to the first"):
+            one_nodeset_of(base, base)
+    assert accepted == 377
 
 
 # ---------------------------------------------------------------------------
@@ -413,22 +476,11 @@ def test_beta_dot(worked_beta_tree):
 # seeded end-to-end property
 
 
-def random_evolution(n, seed):
-    """An evolution of ``n`` TDs with a uniform choice at every step."""
-    rng = random.Random(seed)
-    word, steps = (1,), []
-    for symbol in range(2, n + 1):
-        choice = rng.choice(list(choices_for(word)))
-        steps.append(choice)
-        word = td_step(word, choice, symbol)
-    return WordEvolution(steps=tuple(steps))
-
-
 @pytest.mark.parametrize("n", range(5, 13))
-def test_seeded_evolutions_past_the_exhaustive_range(n):
+def test_seeded_evolutions_past_the_exhaustive_range(n, random_evolution):
     """Structure, formula against oracle and the rewrite route on two
     seeded evolutions per n; the kernel identity while the tree fits
-    the subtree budget (n <= 9)."""
+    the subtree budget (n <= 9), and the fiber round trip for n <= 10."""
     for seed in (100 * n, 100 * n + 1):
         ev = random_evolution(n, seed)
         assert ev.n == n
@@ -441,6 +493,8 @@ def test_seeded_evolutions_past_the_exhaustive_range(n):
         assert rewritten == major_graph(tree), seed
         if len(tree.nodes) <= SUBTREE_NODE_BUDGET:
             assert all(c.equal for c in kernel_profile(tree)), seed
+        if n <= 10:
+            assert ev in induced_evolutions(base, max_n=n), seed
 
 
 def test_random_fiber_members_roundtrip():

@@ -6,6 +6,7 @@ import pytest
 
 from tdspace import (
     BudgetExceededError,
+    HasseDiagram,
     WordEvolution,
     build_2d_tree,
     count_extensions_bruteforce,
@@ -16,6 +17,7 @@ from tdspace import (
     multinomial,
     word_to_text,
 )
+from tdspace.extensions import BRUTEFORCE_NODE_BUDGET
 
 
 def count_of(ev: WordEvolution):
@@ -79,3 +81,59 @@ def test_bruteforce_budget(ev_540):
     diagram = hasse_diagram(build_2d_tree(ev_540))
     with pytest.raises(BudgetExceededError):
         count_extensions_bruteforce(diagram, budget=3)
+
+
+def reference_count_extensions_bruteforce(diagram, budget=BRUTEFORCE_NODE_BUDGET):
+    """The memoised recursion: peel each maximal element off a down-set."""
+    nodes = sorted(diagram.nodes)
+    if len(nodes) > budget:
+        raise BudgetExceededError(
+            f"{len(nodes)} nodes exceed the brute-force budget of {budget}"
+        )
+    index = {v: i for i, v in enumerate(nodes)}
+    succ_mask = [0] * len(nodes)
+    for u, v in diagram.edges:
+        succ_mask[index[u]] |= 1 << index[v]
+    memo = {0: 1}
+
+    def count(placed):
+        cached = memo.get(placed)
+        if cached is not None:
+            return cached
+        total = 0
+        rest = placed
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if succ_mask[bit.bit_length() - 1] & placed == 0:
+                total += count(placed ^ bit)
+        memo[placed] = total
+        return total
+
+    return count((1 << len(nodes)) - 1)
+
+
+def test_oracle_matches_reference_on_every_diagram_up_to_4():
+    for n in range(1, 5):
+        for ev in enumerate_word_evolutions(n):
+            diagram = hasse_diagram(build_2d_tree(ev))
+            assert count_extensions_bruteforce(diagram) == (
+                reference_count_extensions_bruteforce(diagram)
+            ), str(ev)
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_oracle_matches_reference_on_seeded_evolutions(n, random_evolution):
+    for seed in (300 * n, 300 * n + 1):
+        diagram = hasse_diagram(build_2d_tree(random_evolution(n, seed)))
+        assert count_extensions_bruteforce(diagram) == (
+            reference_count_extensions_bruteforce(diagram)
+        ), seed
+
+
+def test_oracle_counts_zero_on_a_cycle(ev_540):
+    diagram = hasse_diagram(build_2d_tree(ev_540))
+    top, bottom = diagram.nodes[:2]
+    looped = HasseDiagram(nodes=diagram.nodes, edges=diagram.edges | {(bottom, top)})
+    assert count_extensions_bruteforce(looped) == 0
+    assert reference_count_extensions_bruteforce(looped) == 0

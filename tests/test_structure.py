@@ -1,6 +1,7 @@
 """Breakpoint trees, order diagrams, major graphs and their validators."""
 
 import json
+import random
 from dataclasses import replace
 
 from tdspace import (
@@ -9,6 +10,8 @@ from tdspace import (
     ROOT_A,
     ROOT_B,
     BreakpointId,
+    CycleDetectedError,
+    ValidationError,
     WordEvolution,
     build_2d_tree,
     enumerate_word_evolutions,
@@ -19,12 +22,14 @@ from tdspace import (
     major_to_dot,
     major_to_json,
     parse_breakpoint,
+    random_beta_tree,
     reachability,
     tree_to_dot,
     tree_to_json,
+    validate_beta_tree,
     validate_structure,
-    word_segments,
 )
+from tdspace.structure import StructureReport, TdTree, _order_diagram
 
 
 def bp(text):
@@ -36,6 +41,15 @@ def test_breakpoint_parsing_and_rendering():
     assert str(BreakpointId(12, B_SIDE)) == "12b"
     assert bp("12b") == BreakpointId(12, B_SIDE)
     assert ROOT_A == BreakpointId(0, A_SIDE)
+
+
+def word_segments(word):
+    """Genome segments of a word: ``s_i = [(c_i)_a, (c_{i+1})_b]`` with 0 flanks."""
+    bounded = (0,) + tuple(word) + (0,)
+    return [
+        (BreakpointId(bounded[i], A_SIDE), BreakpointId(bounded[i + 1], B_SIDE))
+        for i in range(len(bounded) - 1)
+    ]
 
 
 def test_word_segments_of_single_connection():
@@ -171,3 +185,301 @@ def test_json_exports(ev_121):
     assert graph_doc["fences"] == [["1a", "1b"]]
     hasse_doc = json.loads(hasse_to_json(hasse_diagram(tree)))
     assert len(hasse_doc["edges"]) == 9
+
+
+# ---------------------------------------------------------------------------
+# The replay-based tree builder and the walk-per-check validator, kept as
+# references for the incremental builder and the chain/bit-mask validator
+
+
+def reference_build_2d_tree(ev):
+    """Replay every word and hang each breakpoint on its host segment."""
+    a_parent, b_parent, major_side = {}, {}, {}
+    fence_tds = {1}
+    segments = {(ROOT_A, ROOT_B)}
+    one_a, one_b = BreakpointId(1, A_SIDE), BreakpointId(1, B_SIDE)
+    a_parent[one_a] = ROOT_A
+    b_parent[one_a] = ROOT_B
+    major_side[one_a] = B_SIDE
+    a_parent[one_b] = ROOT_A
+    b_parent[one_b] = ROOT_B
+    major_side[one_b] = A_SIDE
+
+    def attach(node, seg):
+        left, right = seg
+        if left.td == right.td:
+            raise ValidationError(f"segment {left}..{right} has equal endpoint TDs")
+        a_parent[node] = left
+        b_parent[node] = right
+        major_side[node] = A_SIDE if left.td > right.td else B_SIDE
+
+    for i, (a, b) in enumerate(ev.steps):
+        td = i + 2
+        segs = word_segments(ev.words[i])
+        segments.update(segs)
+        attach(BreakpointId(td, A_SIDE), segs[a - 1])
+        attach(BreakpointId(td, B_SIDE), segs[b])
+        if b == a - 1:
+            fence_tds.add(td)
+    segments.update(word_segments(ev.words[-1]))
+    return TdTree(
+        n=ev.n,
+        a_parent=a_parent,
+        b_parent=b_parent,
+        major_side=major_side,
+        fence_tds=frozenset(fence_tds),
+        segments=frozenset(segments),
+    )
+
+
+def reference_reachability(diagram):
+    """Set-based closure over a sorted-frontier topological order."""
+    succ = {v: [] for v in diagram.nodes}
+    for u, v in diagram.edges:
+        succ[u].append(v)
+    indeg = {v: 0 for v in succ}
+    for targets in succ.values():
+        for w in targets:
+            indeg[w] += 1
+    frontier = sorted(v for v, d in indeg.items() if d == 0)
+    order = []
+    while frontier:
+        v = frontier.pop()
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                frontier.append(w)
+    if len(order) != len(succ):
+        raise CycleDetectedError("order diagram contains a directed cycle")
+    above = {v: set() for v in diagram.nodes}
+    for v in reversed(order):
+        for w in succ[v]:
+            above[v].add(w)
+            above[v] |= above[w]
+    return above
+
+
+def reference_major_ancestors(tree, node):
+    seen = {node}
+    while node in tree.major_side:
+        node = tree.major_parent(node)
+        if node in seen:
+            return
+        seen.add(node)
+        yield node
+
+
+def reference_check_double_tree(tree, report):
+    nodes = set(tree.major_side)
+    ok, details = True, ""
+    for v in sorted(nodes | tree.a_parent.keys() | tree.b_parent.keys()):
+        pa, pb = tree.a_parent.get(v), tree.b_parent.get(v)
+        if pa is None or pb is None or v not in nodes:
+            ok, details = False, f"{v} missing parental data"
+            break
+        if pa.side != A_SIDE or pb.side != B_SIDE:
+            ok, details = False, f"{v} has mistyped parents {pa}, {pb}"
+            break
+        if (pa not in nodes and pa != ROOT_A) or (pb not in nodes and pb != ROOT_B):
+            ok, details = False, f"{v} has parents outside the tree"
+            break
+    report.add("parental-edges", ok, details)
+    if not ok:
+        return False
+
+    ok, details = True, ""
+    for v in sorted(nodes):
+        if not any(anc.td == 0 for anc in reference_major_ancestors(tree, v)):
+            ok, details = False, f"major chain from {v} does not reach a root"
+            break
+    report.add("rooted-majors", ok, details)
+    if not ok:
+        return False
+
+    ok, details = True, ""
+    for v in sorted(nodes):
+        if (tree.a_parent[v], tree.b_parent[v]) == (ROOT_A, ROOT_B):
+            continue
+        major = tree.major_parent(v)
+        expected = next(
+            (a for a in reference_major_ancestors(tree, major) if a.side != major.side), None
+        )
+        if tree.minor_parent(v) != expected:
+            ok = False
+            details = f"{v}: minor parent {tree.minor_parent(v)}, expected {expected}"
+            break
+    report.add("minor-recency", ok, details)
+
+    ok, details = True, ""
+    fenced = set()
+    for x, y in sorted(tree.fences):
+        if x in fenced or y in fenced:
+            ok, details = False, f"{x} or {y} sits in two fences"
+            break
+        fenced.update((x, y))
+        if {x.side, y.side} != {A_SIDE, B_SIDE}:
+            ok, details = False, f"fence {x}|{y} joins same-type nodes"
+            break
+        if {x, y} == {ROOT_A, ROOT_B}:
+            continue
+        if x not in nodes or y not in nodes:
+            ok, details = False, f"fence {x}|{y} references missing nodes"
+            break
+        if tree.a_parent[x] != tree.a_parent[y] or tree.b_parent[x] != tree.b_parent[y]:
+            ok, details = False, f"fence {x}|{y} does not share both parents"
+            break
+        root_pair = (tree.a_parent[x], tree.b_parent[x]) == (ROOT_A, ROOT_B)
+        if not root_pair and tree.major_side[x] != tree.major_side[y]:
+            ok, details = False, f"fence {x}|{y} mixes major sides"
+            break
+    report.add("fences", ok, details)
+    return True
+
+
+def reference_validate_beta_tree(tree):
+    report = StructureReport()
+    reference_check_double_tree(tree, report)
+    return report
+
+
+def reference_validate_structure(tree):
+    report = StructureReport()
+    if not reference_check_double_tree(tree, report):
+        return report
+
+    one_a, one_b = BreakpointId(1, A_SIDE), BreakpointId(1, B_SIDE)
+    ok = (
+        tree.major_side.get(one_a) == B_SIDE
+        and tree.major_side.get(one_b) == A_SIDE
+        and tree.a_parent.get(one_a) == ROOT_A
+        and tree.b_parent.get(one_b) == ROOT_B
+        and 1 in tree.fence_tds
+    )
+    report.add("first-td-convention", ok, "" if ok else "TD 1 breaks the root convention")
+
+    diagram = _order_diagram(tree)
+    try:
+        above = reference_reachability(diagram)
+    except CycleDetectedError as exc:
+        report.add("order-diagram", False, str(exc))
+        return report
+    targets = {v for _, v in diagram.edges}
+    sources = [v for v in diagram.nodes if v not in targets]
+    sinks = [v for v in diagram.nodes if not above[v]]
+    ok = sources == [ROOT_A] and sinks == [ROOT_B]
+    report.add("order-diagram", ok, "" if ok else f"sources={sources} sinks={sinks}")
+
+    ok, details = True, ""
+    children = {v: [] for v in tree.nodes}
+    for v in tree.major_side:
+        children[tree.major_parent(v)].append(v)
+    for leaf in [v for v in tree.nodes if not children[v]]:
+        chain = [leaf] + list(reference_major_ancestors(tree, leaf))
+        chain.reverse()
+        a_nodes = [v for v in chain if v.side == A_SIDE]
+        b_nodes = [v for v in chain if v.side == B_SIDE]
+        predicted = a_nodes + b_nodes[::-1]
+        for u, v in zip(predicted, predicted[1:]):
+            if u in above[v]:
+                ok = False
+                details = f"chain to {leaf}: {v} < {u} contradicts predicted order"
+                break
+        if not ok:
+            break
+    report.add("chain-order", ok, details)
+
+    ok, details = True, ""
+    for left, right in sorted(tree.segments):
+        if left == ROOT_A and right == ROOT_B:
+            continue
+        lo, hi = (left, right) if left.td < right.td else (right, left)
+        walk = [hi]
+        reached = False
+        for anc in reference_major_ancestors(tree, hi):
+            walk.append(anc)
+            if anc == lo:
+                reached = True
+                break
+        if not reached:
+            ok, details = False, f"segment {left}..{right}: no major chain {lo} to {hi}"
+            break
+        internal = walk[1:-1]
+        if any(v.side != hi.side for v in internal):
+            ok, details = False, f"segment {left}..{right}: mixed-type chain"
+            break
+        tds = [v.td for v in walk]
+        if any(x <= y for x, y in zip(tds, tds[1:])):
+            ok, details = False, f"segment {left}..{right}: chain not ascending"
+            break
+        if internal and tree.minor_parent(hi) != lo:
+            ok, details = False, f"segment {left}..{right}: minor edge missing"
+            break
+    report.add("segment-connectivity", ok, details)
+
+    ok, details = True, ""
+    for k in sorted(tree.fence_tds):
+        ka, kb = BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)
+        if kb not in above[ka]:
+            ok, details = False, f"fenced TD {k} not forced reversed"
+            break
+    report.add("fence-orientation", ok, details)
+    return report
+
+
+def test_builder_matches_reference():
+    """Every tree with n <= 4 and every fifth at n = 5, field by field."""
+    fields = ("n", "a_parent", "b_parent", "major_side", "fence_tds", "segments", "fences")
+    evs = [ev for n in range(1, 5) for ev in enumerate_word_evolutions(n)]
+    evs += list(enumerate_word_evolutions(5))[::5]
+    assert len(evs) == 403 + 3063
+    for ev in evs:
+        new, old = build_2d_tree(ev), reference_build_2d_tree(ev)
+        assert all(getattr(new, f) == getattr(old, f) for f in fields), str(ev)
+
+
+def test_reachability_matches_reference():
+    for n in range(1, 5):
+        for ev in enumerate_word_evolutions(n):
+            diagram = hasse_diagram(build_2d_tree(ev))
+            assert reachability(diagram) == reference_reachability(diagram)
+
+
+def scrambled(tree, rng):
+    """One or two seeded corruptions: a parent rewired to a node of the
+    right type (loops included), or a major side flipped."""
+    tree = corrupt(tree)
+    for _ in range(rng.choice((1, 2))):
+        v = rng.choice(sorted(tree.major_side))
+        kind = rng.randrange(3)
+        if kind == 2:
+            tree.major_side[v] = A_SIDE if tree.major_side[v] == B_SIDE else B_SIDE
+        else:
+            side, parents = ((A_SIDE, tree.a_parent), (B_SIDE, tree.b_parent))[kind]
+            parents[v] = rng.choice([u for u in tree.nodes if u.side == side])
+    return tree
+
+
+def test_validators_match_reference_on_seeded_corruptions():
+    rng = random.Random(8)
+    trees = [build_2d_tree(ev) for n in range(1, 5) for ev in enumerate_word_evolutions(n)]
+    failed = set()
+    for _ in range(1000):
+        tree = scrambled(rng.choice(trees), rng)
+        report = validate_structure(tree)
+        assert report == reference_validate_structure(tree), tree
+        assert validate_beta_tree(tree) == reference_validate_beta_tree(tree), tree
+        failed.update(c.details for c in report.failures())
+    # major loops and order-diagram cycles are among the corruptions
+    assert any("does not reach a root" in d for d in failed)
+    assert "order diagram contains a directed cycle" in failed
+    assert any(d.startswith("chain to") for d in failed)
+
+
+def test_beta_validator_matches_reference_on_random_trees():
+    rng = random.Random(9)
+    for seed in range(200):
+        tree = random_beta_tree(seed, 4 + seed % 13)
+        assert validate_beta_tree(tree) == reference_validate_beta_tree(tree), seed
+        broken = scrambled(tree, rng)
+        assert validate_beta_tree(broken) == reference_validate_beta_tree(broken), seed
