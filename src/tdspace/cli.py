@@ -113,14 +113,29 @@ def _validate(cfg: argparse.Namespace) -> None:
         raise ValidationError(f"TD_MAX_MEM must be positive, got {cfg.max_mem_bytes}")
 
 
-def _emit(text: str, output: str | None) -> None:
-    text = text if text.endswith("\n") else text + "\n"
+#: pieces of output gathered before one write
+_BATCH = 4096
+
+
+def _emit(pieces: Iterable[str], output: str | None) -> None:
+    """Write ``pieces`` as they come, in batches, then a newline unless
+    the output already ends with one."""
+
+    def write(fh) -> None:
+        rest, last = iter(pieces), ""
+        for batch in iter(lambda: tuple(itertools.islice(rest, _BATCH)), ()):
+            chunk = "".join(batch)
+            fh.write(chunk)
+            last = chunk or last
+        if not last.endswith("\n"):
+            fh.write("\n")
+
     if output is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     try:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as exc:
         raise TdSpaceError(f"cannot write {output!r}: {exc}") from exc
 
@@ -162,14 +177,22 @@ class Result:
         return EXIT_OK if self.passed else EXIT_MISMATCH
 
 
-def _render(result: Result, fmt: str) -> str:
+def _joined(lines: Iterable[str]) -> Iterator[str]:
+    """The pieces of ``"\\n".join(lines)``, one line at a time."""
+    sep = ""
+    for line in lines:
+        yield sep + line
+        sep = "\n"
+
+
+def _render(result: Result, fmt: str) -> Iterable[str]:
     if fmt == "json":
         doc = result.json
-        return doc if isinstance(doc, str) else json.dumps(doc, indent=2)
+        return [doc] if isinstance(doc, str) else json.JSONEncoder(indent=2).iterencode(doc)
     if fmt == "csv":
         header, rows = result.csv
-        return "\n".join(",".join(map(str, row)) for row in itertools.chain((header,), rows))
-    return "\n".join(result.text)
+        return _joined(",".join(map(str, row)) for row in itertools.chain((header,), rows))
+    return _joined(result.text)
 
 
 # ---------------------------------------------------------------------------

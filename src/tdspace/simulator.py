@@ -1,37 +1,34 @@
 """Direct simulation of the tandem-duplication process on a genome.
 
-States track reference intervals (split further as breakpoints land),
-the genome as a sequence of interval copies, and the somatic connection
-each TD created.  A TD choice picks the two genome segments that receive
-the new start/end breakpoints; when the two cuts fall in distinct copies
-of the same reference interval their relative reference order is a free
-extra choice.  Enumerating all choice sequences and deduplicating the
-resulting records (every intermediate genome, re-expressed at the final
-reference resolution) reproduces the evolution counts obtained from
-words and linear extensions — by a completely different route.
+A state names each reference interval by its index, left to right: the
+genome is a tuple of indices and ``ref_bps`` holds the breakpoints between
+consecutive intervals.  A junction of the genome follows the reference
+exactly when it joins interval ``i`` to ``i + 1``; every other junction is
+somatic.  A TD choice picks the two genome segments that receive the new
+start/end breakpoints; when the two cuts fall in distinct copies of the
+same reference interval their relative reference order is a free extra
+choice.  Enumerating all choice sequences and deduplicating the resulting
+records (every intermediate genome, re-expressed at the final reference
+resolution) reproduces the evolution counts obtained from words and
+linear extensions — by a completely different route.
 
-The record key is carried down the walk instead of being rebuilt at
-each leaf.  A node holds the bytes of its genomes so far, each written in
-the node's own reference intervals and followed by ``0xff``.  A child
-splits at most two intervals, so it replaces each split interval by its
-two or three pieces with one ``bytes.replace`` and appends its own
-genome; the parent's prefix is never re-expanded.  The carried bytes
-name intervals by id, which never changes; at depth ``n`` one
-``bytes.translate`` turns ids into reference indices, and the result is
-exactly :meth:`TdEvolutionRecord.canonical_key`.
-
-The last TD of a path builds no state.  From a node at depth ``n - 1``,
-:func:`_leaves` reads each leaf's record key, word, steps, copy numbers
-and connection positions straight off the node.  The node's choices fall
+One split step builds every node of the walk.  The choices at a node fall
 into a few classes: the host intervals, plus the order of the two
-breakpoints when both cuts share a host.  Once per class it splits the
-hosts, puts the pieces into the key and the genome, translates both to
-reference indices, and works out the width and the connection
-positions.  Each choice then costs two ``bytes.count`` calls per host
-for its cut offsets, two slices of the expanded genome and its copy
-numbers.  :func:`apply_td` builds the inner nodes, and both consumers,
-:func:`tabulate` and :func:`enumerate_process`, read the leaves of this
-one walk.
+breakpoints when both cuts share a host.  Once per class, :func:`_split`
+inserts the new breakpoints into ``ref_bps`` and renumbers the intervals:
+each host becomes two or three pieces and every later interval moves up.
+It renumbers a byte string with one ``bytes.replace`` per host and one
+``bytes.translate``.  The walk carries the record key down this way (the
+genomes so far, each followed by ``0xff``), so the parent's prefix is never
+re-expanded, and at depth ``n`` the key is exactly
+:meth:`TdEvolutionRecord.canonical_key`.  Each choice then costs two
+``bytes.count`` calls per host for its cut offsets and two slices of the
+renumbered genome.  :func:`_children` takes this step for inner nodes,
+which become states, and for leaves, which yield their record key, word,
+steps, copy numbers and connection positions without a state.
+:func:`apply_td` is the step for one choice, and both consumers,
+:func:`tabulate` and :func:`enumerate_process`, read the leaves of one
+walk.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, Deadline, ValidationError
@@ -76,14 +74,10 @@ class Connection(NamedTuple):
 class GenomeState:
     """Immutable snapshot of the rearranged genome after some TDs."""
 
-    ref: tuple[int, ...]  # reference interval ids, left to right
+    genome: tuple[int, ...]  # reference interval indices in genome order
     ref_bps: tuple[BreakpointId, ...]  # boundaries between consecutive intervals
-    bounds: dict[int, tuple[BreakpointId | None, BreakpointId | None]]
-    genome: tuple[int, ...]  # interval ids in genome order
-    splits: dict[int, tuple[int, ...]]  # interval refinements so far
     conns: tuple[tuple[BreakpointId, BreakpointId], ...]  # (end bp, start bp) per TD
     steps: tuple[tuple[int, int], ...]  # derived word-level (a, b) per TD after the first
-    next_id: int
 
     @property
     def n(self) -> int:
@@ -94,24 +88,13 @@ class GenomeState:
         """Running count of somatic junctions: entry ``k`` counts those
         left of genome position ``k``.  Computed once per state, on first
         use; every TD applied to the state reads its ``(a, b)`` here."""
-        bounds = self.bounds
-        counts = [0]
-        for left, right in zip(self.genome, self.genome[1:]):
-            counts.append(counts[-1] + (bounds[left][1] is not bounds[right][0]))
-        return tuple(counts)
+        genome = self.genome
+        junctions = zip(genome, genome[1:])
+        return tuple(accumulate((right != left + 1 for left, right in junctions), initial=0))
 
 
 def initial_state() -> GenomeState:
-    return GenomeState(
-        ref=(0,),
-        ref_bps=(),
-        bounds={0: (None, None)},
-        genome=(0,),
-        splits={},
-        conns=(),
-        steps=(),
-        next_id=1,
-    )
+    return GenomeState(genome=(0,), ref_bps=(), conns=(), steps=())
 
 
 def enumerate_choices(state: GenomeState) -> list[TdChoice]:
@@ -144,113 +127,19 @@ def _hosts(genome: tuple[int, ...], choice: TdChoice) -> tuple[int, int]:
 
 def apply_td(state: GenomeState, choice: TdChoice) -> GenomeState:
     """Apply one tandem duplication and return the successor state."""
-    g1, g2, order_flag = choice
-    r1, r2 = _hosts(state.genome, choice)
-
-    td = state.n + 1
-    bp_a = BreakpointId(td, A_SIDE)
-    bp_b = BreakpointId(td, B_SIDE)
-    bounds = dict(state.bounds)
-    splits = dict(state.splits)
-    nid = state.next_id
-
-    # Refine the host interval(s).  ``refine`` maps an old interval id to
-    # its pieces; ``start_piece``/``end_piece`` locate the cuts inside the
-    # refined copies at g1/g2.
-    refine: dict[int, tuple[int, ...]] = {}
-    left, right = bounds[r1]
-    if g1 == g2 or (r1 == r2 and order_flag is True):
-        pieces = (nid, nid + 1, nid + 2)
-        nid += 3
-        bounds[pieces[0]] = (left, bp_a)
-        bounds[pieces[1]] = (bp_a, bp_b)
-        bounds[pieces[2]] = (bp_b, right)
-        refine[r1] = pieces
-        start_piece, end_piece = 1, 1
-    elif r1 == r2:  # order_flag is False: end breakpoint first on the reference
-        pieces = (nid, nid + 1, nid + 2)
-        nid += 3
-        bounds[pieces[0]] = (left, bp_b)
-        bounds[pieces[1]] = (bp_b, bp_a)
-        bounds[pieces[2]] = (bp_a, right)
-        refine[r1] = pieces
-        start_piece, end_piece = 2, 0
-    else:
-        pieces1 = (nid, nid + 1)
-        nid += 2
-        bounds[pieces1[0]] = (left, bp_a)
-        bounds[pieces1[1]] = (bp_a, right)
-        refine[r1] = pieces1
-        left2, right2 = bounds[r2]
-        pieces2 = (nid, nid + 1)
-        nid += 2
-        bounds[pieces2[0]] = (left2, bp_b)
-        bounds[pieces2[1]] = (bp_b, right2)
-        refine[r2] = pieces2
-        start_piece, end_piece = 1, 0
-
-    for old, pieces in refine.items():
-        del bounds[old]
-        splits[old] = pieces
-
-    new_ref: list[int] = []
-    for rid in state.ref:
-        hit = refine.get(rid)
-        if hit is None:
-            new_ref.append(rid)
-        else:
-            new_ref.extend(hit)
-    new_bps = [bounds[rid][1] for rid in new_ref[:-1]]
-
-    expanded: list[int] = []
-    start_idx = end_idx = -1
-    for i, rid in enumerate(state.genome):
-        hit = refine.get(rid)
-        if hit is None:
-            expanded.append(rid)
-        else:
-            offset = len(expanded)
-            if i == g1:
-                start_idx = offset + start_piece
-            if i == g2:
-                end_idx = offset + end_piece
-            expanded.extend(hit)
-
-    # Word-level duplication bounds: connections strictly before each cut.
-    # Both cuts lie past the first piece of their host copy, and splitting
-    # an interval adds only reference junctions, so these are the somatic
-    # junctions left of g1 (plus one) and left of g2 in the old genome.
-    somatic = state._somatic_before
-    a, b = somatic[g1] + 1, somatic[g2]
-
-    new_genome = (
-        tuple(expanded[: end_idx + 1])
-        + tuple(expanded[start_idx : end_idx + 1])
-        + tuple(expanded[end_idx + 1 :])
-    )
-
-    return GenomeState(
-        ref=tuple(new_ref),
-        ref_bps=tuple(new_bps),
-        bounds=bounds,
-        genome=new_genome,
-        splits=splits,
-        conns=state.conns + ((bp_b, bp_a),),
-        steps=state.steps + ((a, b),) if td > 1 else state.steps,
-        next_id=nid,
-    )
+    _hosts(state.genome, choice)
+    child, _key, _word = next(_children(state, b"", word_of(state), (choice,), leaf=False))
+    return child
 
 
 def word_of(state: GenomeState) -> Word:
     """Read the somatic connections off the genome, left to right."""
     out = []
-    bounds = state.bounds
-    genome = state.genome
-    for j in range(len(genome) - 1):
-        lb = bounds[genome[j]][1]
-        rb = bounds[genome[j + 1]][0]
-        if lb is rb:
+    bounds = (None, *state.ref_bps, None)  # interval i lies between i and i + 1
+    for left, right in zip(state.genome, state.genome[1:]):
+        if right == left + 1:
             continue
+        lb, rb = bounds[left + 1], bounds[right]
         if lb is None or rb is None or lb.side != B_SIDE or rb.side != A_SIDE or lb.td != rb.td:
             raise ValidationError(f"junction {lb}|{rb} is neither reference nor somatic")
         out.append(lb.td)
@@ -302,31 +191,6 @@ def _direction(from_pos: int, to_pos: int) -> str:
 
 _IDENTITY = bytes(range(256))
 
-
-def _extend_key(parent: GenomeState, choice: TdChoice, child: GenomeState, key: bytes) -> bytes:
-    """``key`` (the genomes up to ``parent``, as interval ids) at
-    ``child``'s resolution, followed by ``child``'s genome and ``0xff``.
-
-    Ids stay below ``4n + 1``, so under the depth budget each one fits in
-    a byte and never reaches the ``0xff`` separator.
-    """
-    r1, r2 = parent.genome[choice.g1], parent.genome[choice.g2]
-    key = key.replace(bytes((r1,)), bytes(child.splits[r1]))
-    if r2 != r1:
-        key = key.replace(bytes((r2,)), bytes(child.splits[r2]))
-    return key + bytes(child.genome) + b"\xff"
-
-
-def _descend(
-    state: GenomeState, key: bytes, word: Word, choice: TdChoice
-) -> tuple[GenomeState, bytes, Word]:
-    """Apply ``choice`` to a node of the walk: the child state, its id key
-    and its terminal word."""
-    child = apply_td(state, choice)
-    word = td_step(word, child.steps[-1], child.n) if child.n > 1 else FIRST_WORD
-    return child, _extend_key(state, choice, child, key), word
-
-
 #: connection positions ``(end, start)`` or word steps ``(a, b)``
 _Pairs = tuple[tuple[int, int], ...]
 #: record key, terminal word, steps, graph key ``(cnv, sorted positions)``,
@@ -334,51 +198,55 @@ _Pairs = tuple[tuple[int, int], ...]
 _Leaf = tuple[bytes, Word, _Pairs, tuple[tuple[int, ...], _Pairs], _Pairs]
 
 
-def _leaf_class(
-    parent: GenomeState,
-    key: bytes,
-    genome: bytes,
-    conns: tuple[tuple[BreakpointId, BreakpointId], ...],
-    r1: int,
-    r2: int,
-    reverse: bool,
-) -> tuple[bytes, bytes, _Pairs, _Pairs, int]:
-    """What every leaf below ``parent`` whose cuts land in ``r1`` and ``r2``
-    (end breakpoint first on the reference when ``reverse``) shares: the
-    key and the genome at leaf resolution, both as reference indices, the
-    connection positions in TD order and sorted, and the width.  ``conns``
-    are the leaf's connections; the last one is the new TD's."""
+def _split(
+    parent: GenomeState, key: bytes, genome: bytes, conns: tuple, r1: int, r2: int, reverse: bool
+) -> tuple:
+    """The step shared by every child of ``parent`` whose cuts land in
+    intervals ``r1`` and ``r2`` (end breakpoint first on the reference
+    when ``reverse``); ``conns`` are the child's connections, the last
+    one the new TD's.
+
+    Returns ``key`` and ``genome``, byte strings of ``parent``'s interval
+    indices, renumbered to the child's, then the child's ``ref_bps``, the
+    connection positions in TD order and sorted, and the width.  Indices
+    stay below ``2n + 1`` and the fresh ids below ``2n + 4``, so under
+    the depth budget each fits in a byte and never reaches the ``0xff``
+    separator.
+    """
     bp_b, bp_a = conns[-1]
-    nid = parent.next_id
     if r1 != r2:
-        pieces = {r1: (nid, nid + 1), r2: (nid + 2, nid + 3)}
-        inner = {r1: [bp_a], r2: [bp_b]}
+        cuts = {r1: (bp_a,), r2: (bp_b,)}
     else:
-        pieces = {r1: (nid, nid + 1, nid + 2)}
-        inner = {r1: [bp_b, bp_a] if reverse else [bp_a, bp_b]}
-    ref, bps = list(parent.ref), list(parent.ref_bps)
+        cuts = {r1: (bp_b, bp_a) if reverse else (bp_a, bp_b)}
+    bps = list(parent.ref_bps)
+    ids = bytearray(_IDENTITY[: len(bps) + 1])
+    fresh = len(ids)
     # Later host first, so the earlier host's index still holds.
-    for p in sorted(map(parent.ref.index, pieces), reverse=True):
-        rid = ref[p]
-        ref[p : p + 1] = pieces[rid]
-        bps[p:p] = inner[rid]
-        key = key.replace(bytes((rid,)), bytes(pieces[rid]))
-        genome = genome.replace(bytes((rid,)), bytes(pieces[rid]))
-    table = bytes.maketrans(bytes(ref), _IDENTITY[: len(ref)])
+    for r in sorted(cuts, reverse=True):
+        host, piece = _IDENTITY[r : r + 1], _IDENTITY[fresh : fresh + len(cuts[r]) + 1]
+        ids[r : r + 1] = piece
+        bps[r:r] = cuts[r]
+        key, genome = key.replace(host, piece), genome.replace(host, piece)
+        fresh += len(piece)
+    table = bytes.maketrans(ids, _IDENTITY[: len(ids)])
     positions = tuple((bps.index(e), bps.index(s)) for e, s in conns)
-    key, genome = key.translate(table), genome.translate(table)
-    return key, genome, positions, tuple(sorted(positions)), len(ref)
+    return (
+        key.translate(table), genome.translate(table), tuple(bps),
+        positions, tuple(sorted(positions)), len(ids),
+    )
 
 
-def _leaves(
-    parent: GenomeState, key: bytes, word: Word, choices: Sequence[TdChoice]
-) -> Iterator[_Leaf]:
-    """The leaf one TD below ``parent`` for each of ``choices``, in order:
-    its record key, terminal word, steps, graph key ``(cnv, sorted
-    connection positions)`` and connection positions in TD order.
+def _children(
+    parent: GenomeState, key: bytes, word: Word, choices: Sequence[TdChoice], leaf: bool
+) -> Iterator:
+    """The child of ``parent`` for each of ``choices``, in order.
 
-    No successor state is built.  The choices are not checked: they come
-    from :func:`enumerate_choices` or have been checked by the caller.
+    ``key`` is ``parent``'s record key and ``word`` its terminal word.  An
+    inner child is ``(state, key, word)``; a leaf is its record key,
+    terminal word, steps, graph key ``(cnv, sorted connection positions)``
+    and connection positions in TD order, and builds no state.  The
+    choices are not checked: they come from :func:`enumerate_choices` or
+    have been checked by the caller.
     """
     genome = parent.genome
     gbytes = bytes(genome)
@@ -390,12 +258,11 @@ def _leaves(
         r1, r2, reverse = genome[g1], genome[g2], flag is False
         cls = classes.get((r1, r2, reverse))
         if cls is None:
-            cls = _leaf_class(parent, key, gbytes, conns, r1, r2, reverse)
-            classes[r1, r2, reverse] = cls
-        prefix, expanded, positions, graph_conns, width = cls
-        # The cuts in the expanded genome, as in apply_td: each earlier copy
-        # of a host has grown by its extra pieces, and the cut lies after
-        # the piece that ends in the new breakpoint.
+            cls = classes[r1, r2, reverse] = _split(parent, key, gbytes, conns, r1, r2, reverse)
+        prefix, expanded, ref_bps, positions, graph_conns, width = cls
+        # The cuts in the renumbered genome: each earlier copy of a host has
+        # grown by its extra pieces, and the cut lies after the piece that
+        # ends in the new breakpoint.
         if r1 != r2:
             start = g1 + gbytes.count(r1, 0, g1) + gbytes.count(r2, 0, g1) + 1
             end = g2 + gbytes.count(r1, 0, g2) + gbytes.count(r2, 0, g2)
@@ -406,13 +273,21 @@ def _leaves(
             start = g1 + 2 * gbytes.count(r1, 0, g1) + 1
             end = g2 + 2 * gbytes.count(r1, 0, g2) + 1
         last = expanded[: end + 1] + expanded[start:]
+        # Word-level duplication bounds: connections strictly before each cut.
+        # Both cuts lie past the first piece of their host copy, and splitting
+        # an interval adds only reference junctions, so these are the somatic
+        # junctions left of g1 (plus one) and left of g2 in the parent.
         if td > 1:
             step = (somatic[g1] + 1, somatic[g2])
-            leaf_word, steps = td_step(word, step, td), parent.steps + (step,)
+            child_word, steps = td_step(word, step, td), parent.steps + (step,)
         else:
-            leaf_word, steps = FIRST_WORD, parent.steps
-        cnv = tuple(map(last.count, range(width)))
-        yield prefix + last + b"\xff", leaf_word, steps, (cnv, graph_conns), positions
+            child_word, steps = FIRST_WORD, parent.steps
+        if leaf:
+            cnv = tuple(map(last.count, range(width)))
+            yield prefix + last + b"\xff", child_word, steps, (cnv, graph_conns), positions
+        else:
+            child = GenomeState(tuple(last), ref_bps, conns, steps)
+            yield child, prefix + last + b"\xff", child_word
 
 
 def _walk(
@@ -421,7 +296,7 @@ def _walk(
     deep: bool,
 ) -> Iterator[_Leaf]:
     """Every choice path of ``n`` TDs, in choice order, as a leaf of
-    :func:`_leaves`."""
+    :func:`_children`."""
     limit = DEEP_MAX_N if deep else DEFAULT_MAX_N
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
@@ -432,18 +307,18 @@ def _walk(
 
     def parents(state: GenomeState, key: bytes, word: Word, fixed: tuple[TdChoice, ...]):
         """The nodes at depth ``n - 1``, each with the choices to take below it."""
+        for choice in fixed[:1]:
+            _hosts(state.genome, choice)
+        choices = fixed[:1] or enumerate_choices(state)
         if state.n < n - 1:
-            for c in fixed[:1] or enumerate_choices(state):
-                yield from parents(*_descend(state, key, word, c), fixed[1:])
-        elif fixed:
-            _hosts(state.genome, fixed[0])
-            yield state, key, word, fixed
+            for child in _children(state, key, word, choices, leaf=False):
+                yield from parents(*child, fixed[1:])
         else:
-            yield state, key, word, enumerate_choices(state)
+            yield state, key, word, choices
 
     fixed = tuple(TdChoice(*c) for c in (TdChoice(0, 0, None), *prefix))
-    for parent in parents(initial_state(), b"", (), fixed):
-        yield from _leaves(*parent)
+    for parent, key, word, choices in parents(initial_state(), b"", (), fixed):
+        yield from _children(parent, key, word, choices, leaf=True)
 
 
 def _record(key: bytes, steps: _Pairs, positions: _Pairs) -> TdEvolutionRecord:

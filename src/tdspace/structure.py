@@ -237,14 +237,6 @@ class MajorGraph:
     def edges(self) -> frozenset[tuple[BreakpointId, BreakpointId]]:
         return frozenset((p, c) for c, p in self.parent.items())
 
-    def children(self) -> dict[BreakpointId, list[BreakpointId]]:
-        out: dict[BreakpointId, list[BreakpointId]] = {v: [] for v in self.nodes}
-        for c, p in self.parent.items():
-            out[p].append(c)
-        for p in out:
-            out[p].sort()
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MajorGraph):
             return NotImplemented

@@ -314,12 +314,49 @@ def test_unwritable_output_is_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_time_limit_stops_the_simulator_sweep(capsys, workers):
-    start = time.monotonic()
+def test_time_limit_stops_the_simulator_sweep(capsys, monkeypatch, workers):
+    def sweep(*args, **kwargs):
+        tabulate(*args, **kwargs)
+        pytest.fail("the deadline let the simulator sweep finish")
+
+    tabulate = cli.tabulate
+    monkeypatch.setattr(cli, "tabulate", sweep)
     code, _, err = run(
         capsys,
         "verify", "--suite", "grand-total", "-n", "4", "--time-limit", "1", "--workers", workers,
     )
     assert code == 2
     assert "time limit" in err
-    assert time.monotonic() - start < 5
+
+
+def joined_output(text):
+    """What the CLI wrote when it joined the whole output first."""
+    return text if text.endswith("\n") else text + "\n"
+
+
+@pytest.mark.parametrize(
+    "lines", [[], [""], ["", ""], ["a", ""], ["a", "b\n"], ["", "x"], ["a,b"] * 10_000]
+)
+def test_streamed_text_equals_the_joined_text(capsys, tmp_path, lines):
+    expected = joined_output("\n".join(lines))
+    result = cli.Result(json=None, text=lines, csv=(lines[:1], [[line] for line in lines[1:]]))
+    for fmt in ("text", "csv"):
+        cli._emit(cli._render(result, fmt), None)
+        assert capsys.readouterr().out == expected
+        target = tmp_path / f"out.{fmt}"
+        cli._emit(cli._render(result, fmt), str(target))
+        assert target.read_text() == expected
+
+
+@pytest.mark.parametrize(
+    "doc", [{}, [], '{"as": "is"}\n', {"rows": {str(m): m for m in range(10_000)}}]
+)
+def test_streamed_json_equals_the_joined_json(capsys, doc):
+    cli._emit(cli._render(cli.Result(json=doc, text=[]), "json"), None)
+    expected = doc if isinstance(doc, str) else json.dumps(doc, indent=2)
+    assert capsys.readouterr().out == joined_output(expected)
+
+
+def test_the_trailing_newline_rule_holds_across_batches(capsys):
+    cli._emit(["x\n"] * cli._BATCH + [""], None)
+    assert capsys.readouterr().out == "x\n" * cli._BATCH

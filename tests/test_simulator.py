@@ -1,12 +1,14 @@
 """Genome-state simulation: choices, records, and the distinct-object table."""
 
 import hashlib
+from dataclasses import dataclass
 
 import pytest
 
 from tdspace import (
     BudgetExceededError,
     Connection,
+    GenomeState,
     TdChoice,
     TdGraph,
     ValidationError,
@@ -22,6 +24,7 @@ from tdspace import (
 )
 from tdspace.errors import Deadline
 from tdspace.simulator import _collect, _DedupSets, _walk
+from tdspace.structure import A_SIDE, B_SIDE, BreakpointId
 from tdspace.words import FIRST_WORD, td_step
 
 TABLE = {
@@ -79,11 +82,15 @@ def test_second_td_forward_flag_changes_profile():
     assert word_of(state) == (1, 2, 1)
 
 
+def test_apply_td_checks_the_choice():
+    bad_choices = (TdChoice(1, 2, None), TdChoice(0, 0, False), TdChoice(2, 1, None))
+    for bad in (*bad_choices, TdChoice(0, 4, None)):
+        with pytest.raises(ValidationError):
+            apply_td(after_first_td(), bad)
+
+
 def cnv_of(state):
-    counts = {rid: 0 for rid in state.ref}
-    for rid in state.genome:
-        counts[rid] += 1
-    return tuple(counts[rid] for rid in state.ref)
+    return tuple(map(state.genome.count, range(len(state.ref_bps) + 1)))
 
 
 def test_word_readoff_matches_derived_steps():
@@ -152,6 +159,183 @@ def test_record_keys_are_pinned():
     assert digest == N3_KEY_DIGEST
 
 
+# A dict-based TD step, independent of the simulator's renumbering one:
+# intervals carry ids that never change, ``bounds`` holds each live
+# interval's two breakpoints, ``splits`` each split id's pieces and ``ref``
+# the live ids in reference order.  It is the referee for the states,
+# records and leaves of the walk.
+
+
+@dataclass(frozen=True)
+class ReferenceState:
+    ref: tuple
+    ref_bps: tuple
+    bounds: dict
+    genome: tuple
+    splits: dict
+    conns: tuple
+    steps: tuple
+    next_id: int
+
+    @property
+    def n(self):
+        return len(self.conns)
+
+    @property
+    def somatic_before(self):
+        counts = [0]
+        for left, right in zip(self.genome, self.genome[1:]):
+            counts.append(counts[-1] + (self.bounds[left][1] is not self.bounds[right][0]))
+        return tuple(counts)
+
+
+def reference_initial_state():
+    return ReferenceState(
+        ref=(0,),
+        ref_bps=(),
+        bounds={0: (None, None)},
+        genome=(0,),
+        splits={},
+        conns=(),
+        steps=(),
+        next_id=1,
+    )
+
+
+def reference_apply_td(state, choice):
+    g1, g2, order_flag = choice
+    r1, r2 = state.genome[g1], state.genome[g2]
+    td = state.n + 1
+    bp_a = BreakpointId(td, A_SIDE)
+    bp_b = BreakpointId(td, B_SIDE)
+    bounds = dict(state.bounds)
+    splits = dict(state.splits)
+    nid = state.next_id
+
+    refine = {}
+    left, right = bounds[r1]
+    if g1 == g2 or (r1 == r2 and order_flag is True):
+        pieces = (nid, nid + 1, nid + 2)
+        nid += 3
+        bounds[pieces[0]] = (left, bp_a)
+        bounds[pieces[1]] = (bp_a, bp_b)
+        bounds[pieces[2]] = (bp_b, right)
+        refine[r1] = pieces
+        start_piece, end_piece = 1, 1
+    elif r1 == r2:  # end breakpoint first on the reference
+        pieces = (nid, nid + 1, nid + 2)
+        nid += 3
+        bounds[pieces[0]] = (left, bp_b)
+        bounds[pieces[1]] = (bp_b, bp_a)
+        bounds[pieces[2]] = (bp_a, right)
+        refine[r1] = pieces
+        start_piece, end_piece = 2, 0
+    else:
+        pieces1 = (nid, nid + 1)
+        nid += 2
+        bounds[pieces1[0]] = (left, bp_a)
+        bounds[pieces1[1]] = (bp_a, right)
+        refine[r1] = pieces1
+        left2, right2 = bounds[r2]
+        pieces2 = (nid, nid + 1)
+        nid += 2
+        bounds[pieces2[0]] = (left2, bp_b)
+        bounds[pieces2[1]] = (bp_b, right2)
+        refine[r2] = pieces2
+        start_piece, end_piece = 1, 0
+
+    for old, pieces in refine.items():
+        del bounds[old]
+        splits[old] = pieces
+
+    new_ref = []
+    for rid in state.ref:
+        new_ref.extend(refine.get(rid, (rid,)))
+    new_bps = [bounds[rid][1] for rid in new_ref[:-1]]
+
+    expanded = []
+    start_idx = end_idx = -1
+    for i, rid in enumerate(state.genome):
+        hit = refine.get(rid)
+        if hit is None:
+            expanded.append(rid)
+        else:
+            offset = len(expanded)
+            if i == g1:
+                start_idx = offset + start_piece
+            if i == g2:
+                end_idx = offset + end_piece
+            expanded.extend(hit)
+
+    somatic = state.somatic_before
+    a, b = somatic[g1] + 1, somatic[g2]
+    new_genome = (
+        tuple(expanded[: end_idx + 1])
+        + tuple(expanded[start_idx : end_idx + 1])
+        + tuple(expanded[end_idx + 1 :])
+    )
+    return ReferenceState(
+        ref=tuple(new_ref),
+        ref_bps=tuple(new_bps),
+        bounds=bounds,
+        genome=new_genome,
+        splits=splits,
+        conns=state.conns + ((bp_b, bp_a),),
+        steps=state.steps + ((a, b),) if td > 1 else state.steps,
+        next_id=nid,
+    )
+
+
+def reference_word_of(state):
+    out = []
+    for j in range(len(state.genome) - 1):
+        lb = state.bounds[state.genome[j]][1]
+        rb = state.bounds[state.genome[j + 1]][0]
+        if lb is rb:
+            continue
+        assert lb.side == B_SIDE and rb.side == A_SIDE and lb.td == rb.td
+        out.append(lb.td)
+    return tuple(out)
+
+
+def assert_same_state(state, reference):
+    """``state`` is ``reference`` with each id replaced by its index."""
+    index = {rid: i for i, rid in enumerate(reference.ref)}
+    assert state.genome == tuple(index[rid] for rid in reference.genome)
+    assert state.ref_bps == reference.ref_bps
+    assert state.conns == reference.conns
+    assert repr(state.steps) == repr(reference.steps)  # ints, not bools
+    assert state._somatic_before == reference.somatic_before
+    assert word_of(state) == reference_word_of(reference)
+    assert enumerate_choices(state) == enumerate_choices(reference)
+
+
+def check_states_against_reference(max_n):
+    """Walk every state with at most ``max_n`` TDs next to the reference;
+    returns the number of states compared."""
+    compared = 0
+    stack = [(initial_state(), reference_initial_state())]
+    while stack:
+        state, reference = stack.pop()
+        assert_same_state(state, reference)
+        compared += 1
+        if state.n < max_n:
+            for choice in enumerate_choices(state):
+                stack.append((apply_td(state, choice), reference_apply_td(reference, choice)))
+    return compared
+
+
+def test_states_match_the_reference_step():
+    assert check_states_against_reference(3) == 1 + 1 + 11 + 627
+
+
+def test_word_of_rejects_a_junction_that_no_td_made():
+    state = after_first_td()
+    bad = GenomeState(state.genome[::-1], state.ref_bps, state.conns, state.steps)
+    with pytest.raises(ValidationError):
+        word_of(bad)
+
+
 def reference_record(states):
     """A record rebuilt from its whole path of states, by re-expanding
     every genome recursively through the final state's interval splits."""
@@ -187,9 +371,9 @@ def reference_records(n):
             out.append(reference_record(states))
             return
         for choice in enumerate_choices(states[-1]):
-            walk(states + [apply_td(states[-1], choice)])
+            walk(states + [reference_apply_td(states[-1], choice)])
 
-    walk([after_first_td()])
+    walk([reference_apply_td(reference_initial_state(), TdChoice(0, 0, None))])
     return out
 
 
@@ -230,16 +414,22 @@ def test_a_prefix_choice_at_the_leaf_is_checked():
         list(enumerate_process(2, prefix=(TdChoice(0, 4, None),)))
 
 
+def test_a_prefix_choice_at_an_inner_node_is_checked():
+    for bad in (TdChoice(0, 0, True), TdChoice(1, 2, None), TdChoice(0, 4, None)):
+        with pytest.raises(ValidationError):
+            list(enumerate_process(3, prefix=(bad,)))
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_workers_do_not_change_the_shallow_rows(n):
     # at n = 2 each worker's prefix already reaches the leaf
     assert tabulate(n, workers=2) == tabulate(n)
 
 
-# Reference leaves, built independently of the leaf step: a full successor
-# state from ``apply_td``, its id key re-indexed through the state's
-# reference intervals, and the copy numbers and connection positions read
-# off the state.
+# Reference leaves, built independently of the one-step walk: a full
+# successor state from ``reference_apply_td``, its id key re-indexed through
+# the state's reference intervals, and the copy numbers and connection
+# positions read off the state.
 
 
 def reference_extend_key(parent, choice, child, key):
@@ -263,7 +453,7 @@ def reference_leaves(n):
 
     def walk(state, key, word):
         for choice in enumerate_choices(state):
-            child = apply_td(state, choice)
+            child = reference_apply_td(state, choice)
             child_key = reference_extend_key(state, choice, child, key)
             child_word = td_step(word, child.steps[-1], child.n) if child.n > 1 else FIRST_WORD
             if child.n < n:
@@ -276,7 +466,7 @@ def reference_leaves(n):
             graph = (cnv, tuple(sorted(positions)))
             out.append((key_at_leaf, child_word, child.steps, graph, positions))
 
-    walk(initial_state(), b"", ())
+    walk(reference_initial_state(), b"", ())
     return out
 
 
