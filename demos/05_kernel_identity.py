@@ -17,7 +17,6 @@ from tdspace import (
     ROOT_A,
     ROOT_B,
     BetaTree,
-    beta_from_td_tree,
     build_2d_tree,
     contracted_count,
     enumerate_beta_subtrees,
@@ -94,7 +93,7 @@ assert all(c.equal for c in kernel_profile(tree))
 
 for n in range(1, 4):
     for ev in enumerate_word_evolutions(n):
-        beta = beta_from_td_tree(build_2d_tree(ev))
+        beta = build_2d_tree(ev)
         assert all(c.equal for c in kernel_profile(beta)), str(ev)
 print("  identity verified on all derivation trees up to three TDs")
 

@@ -24,7 +24,6 @@ verification sweeps and DOT/JSON exports.
 from .beta import (
     BetaTree,
     KernelCheck,
-    beta_from_td_tree,
     closed_form,
     contracted_count,
     delete_first_td,

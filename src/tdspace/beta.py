@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, factorial, prod
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     BudgetExceededError,
@@ -37,6 +37,7 @@ from .errors import (
     MalformedGraphError,
     NotInducedError,
     ValidationError,
+    _fan_out,
 )
 from .extensions import ExtensionCount, _forest_count, count_extensions_formula
 from .structure import (
@@ -56,12 +57,12 @@ from .structure import (
 )
 from .words import (
     DEFAULT_MAX_N,
+    FIRST_WORD,
     DupChoice,
     Word,
     WordEvolution,
-    _evolution_unchecked,
+    _derive,
     enumerate_word_evolutions,
-    td_step,
 )
 
 SUBTREE_NODE_BUDGET = 20
@@ -81,29 +82,28 @@ def _strip_first_symbol(word: Word) -> Word:
     return tuple(c - 1 for c in word if c != 1)
 
 
+def _kept(word: Word) -> list[int]:
+    """Entry ``p`` counts the symbols other than 1 among the first ``p``."""
+    return list(accumulate((c != 1 for c in word), initial=0))
+
+
 def delete_first_td(ev: WordEvolution) -> WordEvolution:
     """Remove TD 1 from an evolution and renumber the rest down by one.
 
-    Drops the first word, strips every 1 from the remaining words and
-    lowers the surviving symbols; the result is itself a valid evolution
-    (its steps are re-derived from the surgered words and replayed as a
-    consistency check).
+    Stripping every 1 from word ``d`` of ``ev`` (and lowering the other
+    symbols) gives word ``d - 1`` of the result, so the step ``(a, b)``
+    on word ``d >= 2`` becomes ``(kept[a - 1] + 1, kept[b])``, where
+    ``kept`` holds the prefix counts of the non-1 symbols of that word:
+    the duplicated subword keeps exactly its non-1 symbols.  This is the
+    rule :func:`induced_evolutions` inverts.  The result is replayed and
+    compared with the stripped words as a consistency check.
     """
     if ev.n < 2:
         raise ValidationError("need at least two TDs to delete the first one")
-    shifted = [_strip_first_symbol(w) for w in ev.words[1:]]
-    steps = []
-    for j in range(1, len(shifted)):
-        before, after = shifted[j - 1], shifted[j]
-        symbol = j + 1
-        try:
-            p = after.index(symbol) + 1
-        except ValueError:
-            raise ValidationError(f"symbol {symbol} missing after deletion") from None
-        dup_len = len(after) - len(before) - 1
-        steps.append(DupChoice(p - dup_len, p - 1))
-    out = WordEvolution(steps=tuple(steps))
-    if out.words != tuple(shifted):
+    kept = map(_kept, ev.words[1:])
+    steps = tuple(DupChoice(k[a - 1] + 1, k[b]) for (a, b), k in zip(ev.steps[1:], kept))
+    out = WordEvolution(steps=steps)
+    if out.words != tuple(map(_strip_first_symbol, ev.words[1:])):
         raise ValidationError("deletion surgery produced an inconsistent evolution")
     return out
 
@@ -111,45 +111,32 @@ def delete_first_td(ev: WordEvolution) -> WordEvolution:
 def induced_evolutions(ev: WordEvolution, max_n: int = DEFAULT_MAX_N) -> list[WordEvolution]:
     """All one-TD-longer evolutions whose first-TD deletion gives ``ev``.
 
-    The fiber is built step by step, without trying every choice.  Let
-    ``(a', b')`` be the step of ``ev`` that makes its word ``d`` (TD 1
-    counts as ``(1, 0)`` on the empty word).  On the longer evolution's
-    word ``d``, step ``(a, b)`` strips back to that word exactly when
-    ``a - 1`` is a position whose prefix holds ``a' - 1`` non-1 symbols,
-    ``b`` is one whose prefix holds ``b'``, and ``b >= a - 1``.  Taking
-    ``a`` and then ``b`` in ascending order gives the members in
-    lexicographic step order; the fibers of :func:`delete_first_td`
-    partition the next level, so every longer evolution shows up for
-    exactly one ``ev``.
+    The fiber is built step by step with the derivation walk of
+    :mod:`tdspace.words`, inverting the rule of :func:`delete_first_td`
+    instead of trying every choice.  Let ``(a', b')`` be the step of
+    ``ev`` that makes its word ``d`` (TD 1 counts as ``(1, 0)`` on the
+    empty word).  On the longer evolution's word ``d``, step ``(a, b)``
+    strips back to that word exactly when the prefix of length
+    ``a - 1`` holds ``a' - 1`` non-1 symbols, the prefix of length ``b``
+    holds ``b'``, and ``b >= a - 1``.  Taking ``a`` and then ``b`` in
+    ascending order gives the members in lexicographic step order; the
+    fibers of :func:`delete_first_td` partition the next level, so every
+    longer evolution shows up for exactly one ``ev``.
     """
     target_n = ev.n + 1
     if target_n > max_n:
         raise BudgetExceededError(f"inducing {target_n} TDs exceeds the budget of {max_n}")
     base_steps = (DupChoice(1, 0),) + ev.steps
-    results: list[WordEvolution] = []
-    steps: list[DupChoice] = []
-    words: list[Word] = [(1,)]
 
-    def walk(depth: int) -> None:
-        if depth == target_n:
-            results.append(_evolution_unchecked(tuple(steps), tuple(words)))
-            return
+    def fiber_steps(depth: int, word: Word) -> Iterator[DupChoice]:
         a_base, b_base = base_steps[depth - 1]
-        current = words[-1]
-        kept = list(accumulate((c != 1 for c in current), initial=0))
-        starts = [p for p, k in enumerate(kept) if k == a_base - 1]
+        kept = _kept(word)
         ends = [p for p, k in enumerate(kept) if k == b_base]
-        for start in starts:
-            for b in ends:
-                if b >= start:
-                    steps.append(DupChoice(start + 1, b))
-                    words.append(td_step(current, steps[-1], depth + 1))
-                    walk(depth + 1)
-                    words.pop()
-                    steps.pop()
+        for start, k in enumerate(kept):
+            if k == a_base - 1:
+                yield from (DupChoice(start + 1, b) for b in ends if b >= start)
 
-    walk(1)
-    return results
+    return list(_derive((), (FIRST_WORD,), target_n, fiber_steps))
 
 
 def one_nodeset_of(ev: WordEvolution, induced: WordEvolution) -> NodeSet:
@@ -211,17 +198,6 @@ def induced_major_graph(tree: TdTree, nodeset: Iterable[BreakpointId]) -> MajorG
 
 # ---------------------------------------------------------------------------
 # Beta trees, subtrees and the induced rewrite
-
-
-def beta_from_td_tree(tree: TdTree) -> BetaTree:
-    """Plain beta-tree copy of a breakpoint tree (drops ``n``, ``fence_tds``
-    and ``segments``)."""
-    return BetaTree(
-        a_parent=dict(tree.a_parent),
-        b_parent=dict(tree.b_parent),
-        major_side=dict(tree.major_side),
-        fences=tree.fences,
-    )
 
 
 def _closure_order(tree: BetaTree) -> list[BreakpointId]:
@@ -526,10 +502,9 @@ def closed_form(n: int) -> int:
     return value
 
 
-def _sum_partition(args: tuple) -> int:
-    n, prefix, max_n, deadline = args
+def _sum_partition(n: int, prefix: tuple, deadline: Deadline) -> int:
     total = 0
-    for ev in enumerate_word_evolutions(n, prefix=prefix, max_n=max_n):
+    for ev in enumerate_word_evolutions(n, prefix=prefix):
         deadline.check()
         total += count_extensions_formula(major_graph(build_2d_tree(ev))).value
     return total
@@ -538,7 +513,6 @@ def _sum_partition(args: tuple) -> int:
 def total_evolutions_via_words(
     n: int,
     workers: int = 1,
-    max_n: int = DEFAULT_MAX_N,
     deadline: Deadline | None = None,
 ) -> int:
     """Evolution total summed word by word: Σ extensions of each tree.
@@ -554,10 +528,6 @@ def total_evolutions_via_words(
         raise ValidationError(f"need n >= 1, got {n}")
     deadline = deadline if deadline is not None else Deadline(None)
     if workers <= 1 or n < 3:
-        return _sum_partition((n, (), max_n, deadline))
-    prefixes = [tuple(ev.steps) for ev in enumerate_word_evolutions(3, max_n=max_n)]
-    from concurrent.futures import ProcessPoolExecutor
-
-    parts = [(n, p, max_n, deadline) for p in prefixes]
-    with ProcessPoolExecutor(max_workers=min(workers, len(parts))) as pool:
-        return sum(pool.map(_sum_partition, parts))
+        return _sum_partition(n, (), deadline)
+    parts = [(n, tuple(ev.steps), deadline) for ev in enumerate_word_evolutions(3)]
+    return sum(_fan_out(_sum_partition, parts, workers))

@@ -89,6 +89,11 @@ def _mem_budget_from_env() -> int | None:
         raise ValidationError(f"TD_MAX_MEM must be an integer byte count, got {raw!r}") from exc
 
 
+def _depth_cap(cfg: argparse.Namespace, need: int, cap: int) -> int:
+    """The enumeration depth budget: ``cap``, lifted to ``need`` by ``--deep``."""
+    return max(need, cap) if cfg.deep else cap
+
+
 def _validate(cfg: argparse.Namespace) -> None:
     """Check the options of one invocation and add ``max_mem_bytes`` to them.
 
@@ -161,13 +166,13 @@ class Result:
     ``json`` is the JSON document (an export passes its JSON text as
     is), ``text`` the lines of the text or DOT form and ``csv`` the
     header and rows where the command offers CSV.  ``words``, whose rows
-    grow as 2^n, fills only the format that was asked for.  A failed
-    cross-check exits 3 and prints ``error``, if any, on stderr after the
-    output.
+    grow as 2^n, generates its lines and rows as they are written and
+    builds its JSON document only for JSON.  A failed cross-check exits 3
+    and prints ``error``, if any, on stderr after the output.
     """
 
     json: object
-    text: list[str]
+    text: Iterable[str]
     csv: tuple[Sequence[str], Iterable[Sequence[object]]] | None = None
     passed: bool = True
     error: str = ""
@@ -205,38 +210,36 @@ def cmd_words(cfg: argparse.Namespace) -> Result:
     if cfg.recursion or not cfg.enumerate_:
         routes["recursion"] = word_count_row(n)
     if cfg.enumerate_:
-        budget = max(n, ENUMERATION_MAX_N) if cfg.deep else ENUMERATION_MAX_N
         counts: dict[int, int] = {}
-        for w in distinct_words(n, max_n=budget):
+        for w in distinct_words(n, max_n=_depth_cap(cfg, n, ENUMERATION_MAX_N)):
             counts[len(w)] = counts.get(len(w), 0) + 1
-        routes["enumeration"] = counts
+        routes["enumeration"] = dict(sorted(counts.items()))
     agree = all(row == next(iter(routes.values())) for row in routes.values())
     totals = {route: sum(row.values()) for route, row in routes.items()}
-    # A row at n = 20 has about a million lengths: build only the asked format.
-    result = Result(json=None, text=[], passed=agree, error="word-count routes disagree")
+
+    # A row at n = 20 has about a million lengths: text and CSV are lazy.
+    def text() -> Iterator[str]:
+        for route, row in routes.items():
+            yield f"words after {n} TDs ({route})"
+            yield from (f"  length {m:2d}: {count}" for m, count in row.items())
+            yield f"  total {totals[route]}"
+        if len(routes) > 1:
+            yield "routes agree" if agree else "ROUTES DISAGREE"
+
+    doc = None
     if cfg.fmt == "json":
-        result.json = {
+        doc = {
             "command": "words",
             "n": n,
             "routes": {
-                route: {"counts": {str(m): row[m] for m in sorted(row)}, "total": totals[route]}
+                route: {"counts": {str(m): c for m, c in row.items()}, "total": totals[route]}
                 for route, row in routes.items()
             },
             "agree": agree,
         }
-    elif cfg.fmt == "csv":
-        result.csv = (
-            ("n", "route", "length", "count"),
-            ((n, route, m, row[m]) for route, row in routes.items() for m in sorted(row)),
-        )
-    else:
-        for route, row in routes.items():
-            result.text.append(f"words after {n} TDs ({route})")
-            result.text += (f"  length {m:2d}: {row[m]}" for m in sorted(row))
-            result.text.append(f"  total {totals[route]}")
-        if len(routes) > 1:
-            result.text.append("routes agree" if agree else "ROUTES DISAGREE")
-    return result
+    rows = ((n, route, m, c) for route, row in routes.items() for m, c in row.items())
+    return Result(json=doc, text=text(), csv=(("n", "route", "length", "count"), rows),
+                  passed=agree, error="word-count routes disagree")
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +464,10 @@ _SUITES: dict[str, Callable[[argparse.Namespace, Deadline], list[Check]]] = {
 
 
 def cmd_verify(cfg: argparse.Namespace) -> Result:
+    # every suite but the simulator's enumerates evolutions of up to n TDs
+    cap = _depth_cap(cfg, cfg.n, DEFAULT_MAX_N)
+    if cfg.suite != "grand-total" and cfg.n > cap:
+        raise BudgetExceededError(f"enumeration of {cfg.n} TDs exceeds the budget of {cap}")
     checks = _SUITES[cfg.suite](cfg, Deadline(cfg.time_limit))
     passed = all(ok for _, ok, _ in checks)
     text = [f"suite={cfg.suite}"]
@@ -506,7 +513,7 @@ def cmd_export(cfg: argparse.Namespace) -> Result:
 
 def cmd_induce(cfg: argparse.Namespace) -> Result:
     ev = _load_evolution(cfg.evolution)
-    budget = max(ev.n + 1, DEFAULT_MAX_N) if cfg.deep else DEFAULT_MAX_N
+    budget = _depth_cap(cfg, ev.n + 1, DEFAULT_MAX_N)
     members, base_count, predicted = _fiber(ev, budget)
     entries = []
     for e2, value in members:

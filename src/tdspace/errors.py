@@ -1,6 +1,8 @@
-"""Exception types shared across tdspace modules, and the wall-clock budget."""
+"""Exception types shared across tdspace modules, the wall-clock budget
+and the one process fan-out of the long sweeps."""
 
 import time
+from typing import Callable, Iterator, Sequence
 
 
 class TdSpaceError(Exception):
@@ -44,6 +46,16 @@ class Deadline:
     def check(self) -> None:
         if self._expires is not None and time.monotonic() > self._expires:
             raise BudgetExceededError("time limit exceeded")
+
+
+def _fan_out(worker: Callable, parts: Sequence[tuple], workers: int) -> Iterator:
+    """``worker(*part)`` for each of ``parts``, on at most ``min(workers,
+    len(parts))`` processes; yields the results in order, so the caller
+    can check its budgets between them while the pool lives."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(workers, len(parts))) as pool:
+        yield from pool.map(worker, *zip(*parts))
 
 
 class CycleDetectedError(TdSpaceError):

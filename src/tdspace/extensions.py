@@ -53,46 +53,32 @@ def _forest_count(
     nodes: Sequence[BreakpointId],
     parent: dict[BreakpointId, BreakpointId],
     fences: Sequence[tuple[BreakpointId, BreakpointId]],
-    site_label=None,
 ) -> ExtensionCount:
     """Product of combinatorial factors over a rooted forest with fences.
 
     ``parent`` must map every non-root node to another node of the
     forest; fences must bridge two nodes sharing a parent, or two roots.
+    Subtree sizes come from one reverse pass over a parents-first order.
     """
-    node_set = set(nodes)
     children: dict[BreakpointId, list[BreakpointId]] = {v: [] for v in nodes}
-    roots = []
+    order = []  # parents first: the roots, then the children of each node read
     for v in nodes:
         p = parent.get(v)
         if p is None:
-            roots.append(v)
-        elif p in node_set:
+            order.append(v)
+        elif p in children:
             children[p].append(v)
         else:
             raise MalformedGraphError(f"parent of {v} is outside the graph")
-
-    size: dict[BreakpointId, int] = {}
-
-    def fill_size(v: BreakpointId) -> int:
-        stack = [(v, iter(children[v]))]
-        while stack:
-            node, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                size[node] = 1 + sum(size[c] for c in children[node])
-                stack.pop()
-            else:
-                stack.append((nxt, iter(children[nxt])))
-        return size[v]
-
-    for r in roots:
-        fill_size(r)
-    if len(size) != len(nodes):
+    for v in order:
+        order.extend(children[v])
+    if len(order) != len(nodes):
         raise MalformedGraphError("parent edges do not form a forest")
-
-    if site_label is None:
-        site_label = str
+    size = dict.fromkeys(nodes, 1)
+    for v in reversed(order):
+        p = parent.get(v)
+        if p is not None:
+            size[p] += size[v]
 
     in_fence: set[BreakpointId] = set()
     merged: dict[BreakpointId, list[tuple[BreakpointId, BreakpointId]]] = {}
@@ -113,7 +99,7 @@ def _forest_count(
         if x.td == y.td:
             site = f"fence({x.td})"
         else:
-            site = f"fence({site_label(x)}|{site_label(y)})"
+            site = f"fence({x}|{y})"
         if factor != 1:
             trace.append((site, factor))
         value *= factor
@@ -129,7 +115,7 @@ def _forest_count(
             branches[x] = branches.pop(x) + branches.pop(y)
         factor = multinomial(list(branches.values()))
         if factor != 1:
-            node_trace.append((f"node({site_label(v)})", factor))
+            node_trace.append((f"node({v})", factor))
         value *= factor
 
     return ExtensionCount(value=value, factor_trace=tuple(trace + node_trace))
@@ -142,10 +128,7 @@ def count_extensions_formula(graph: MajorGraph) -> ExtensionCount:
     (its two components bridged by the first fence) supplies the factors.
     """
     inner = [v for v in graph.nodes if v.td != 0]
-    parent = {
-        v: (p if p.td != 0 else None) for v, p in graph.parent.items() if v.td != 0
-    }
-    parent = {v: p for v, p in parent.items() if p is not None}
+    parent = {v: p for v, p in graph.parent.items() if v.td != 0 and p.td != 0}
     fences = [f for f in graph.fences if f[0].td != 0 and f[1].td != 0]
     return _forest_count(inner, parent, fences)
 

@@ -24,8 +24,10 @@ re-expanded, and at depth ``n`` the key is exactly
 :meth:`TdEvolutionRecord.canonical_key`.  Each choice then costs two
 ``bytes.count`` calls per host for its cut offsets and two slices of the
 renumbered genome.  :func:`_children` takes this step for inner nodes,
-which become states, and for leaves, which yield their record key, word,
-steps, copy numbers and connection positions without a state.
+which become states (a state reads its word off the genome only when
+asked), and for leaves, which step their parent's word and yield their
+record key, word, steps, copy numbers and connection positions without a
+state.
 :func:`apply_td` is the step for one choice, and both consumers,
 :func:`tabulate` and :func:`enumerate_process`, read the leaves of one
 walk.
@@ -39,7 +41,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import BudgetExceededError, Deadline, ValidationError
+from .errors import BudgetExceededError, Deadline, ValidationError, _fan_out
 from .structure import A_SIDE, B_SIDE, BreakpointId
 from .words import FIRST_WORD, Word, WordEvolution, td_step
 
@@ -92,6 +94,11 @@ class GenomeState:
         junctions = zip(genome, genome[1:])
         return tuple(accumulate((right != left + 1 for left, right in junctions), initial=0))
 
+    @cached_property
+    def word(self) -> Word:
+        """The terminal word, read off the genome by :func:`word_of` on first use."""
+        return word_of(self)
+
 
 def initial_state() -> GenomeState:
     return GenomeState(genome=(0,), ref_bps=(), conns=(), steps=())
@@ -128,7 +135,7 @@ def _hosts(genome: tuple[int, ...], choice: TdChoice) -> tuple[int, int]:
 def apply_td(state: GenomeState, choice: TdChoice) -> GenomeState:
     """Apply one tandem duplication and return the successor state."""
     _hosts(state.genome, choice)
-    child, _key, _word = next(_children(state, b"", word_of(state), (choice,), leaf=False))
+    child, _key = next(_children(state, b"", (choice,), leaf=False))
     return child
 
 
@@ -237,13 +244,13 @@ def _split(
 
 
 def _children(
-    parent: GenomeState, key: bytes, word: Word, choices: Sequence[TdChoice], leaf: bool
+    parent: GenomeState, key: bytes, choices: Sequence[TdChoice], leaf: bool
 ) -> Iterator:
     """The child of ``parent`` for each of ``choices``, in order.
 
-    ``key`` is ``parent``'s record key and ``word`` its terminal word.  An
-    inner child is ``(state, key, word)``; a leaf is its record key,
-    terminal word, steps, graph key ``(cnv, sorted connection positions)``
+    ``key`` is ``parent``'s record key.  An inner child is ``(state,
+    key)``; a leaf is its record key, terminal word (the only place a
+    word is stepped), steps, graph key ``(cnv, sorted connection positions)``
     and connection positions in TD order, and builds no state.  The
     choices are not checked: they come from :func:`enumerate_choices` or
     have been checked by the caller.
@@ -253,6 +260,7 @@ def _children(
     somatic = parent._somatic_before
     td = parent.n + 1
     conns = parent.conns + ((BreakpointId(td, B_SIDE), BreakpointId(td, A_SIDE)),)
+    word = parent.word if leaf else ()
     classes: dict[tuple[int, int, bool], tuple] = {}
     for g1, g2, flag in choices:
         r1, r2, reverse = genome[g1], genome[g2], flag is False
@@ -277,17 +285,13 @@ def _children(
         # Both cuts lie past the first piece of their host copy, and splitting
         # an interval adds only reference junctions, so these are the somatic
         # junctions left of g1 (plus one) and left of g2 in the parent.
-        if td > 1:
-            step = (somatic[g1] + 1, somatic[g2])
-            child_word, steps = td_step(word, step, td), parent.steps + (step,)
-        else:
-            child_word, steps = FIRST_WORD, parent.steps
+        steps = parent.steps + ((somatic[g1] + 1, somatic[g2]),) if td > 1 else parent.steps
         if leaf:
+            child_word = td_step(word, steps[-1], td) if td > 1 else FIRST_WORD
             cnv = tuple(map(last.count, range(width)))
             yield prefix + last + b"\xff", child_word, steps, (cnv, graph_conns), positions
         else:
-            child = GenomeState(tuple(last), ref_bps, conns, steps)
-            yield child, prefix + last + b"\xff", child_word
+            yield GenomeState(tuple(last), ref_bps, conns, steps), prefix + last + b"\xff"
 
 
 def _walk(
@@ -305,20 +309,20 @@ def _walk(
     if len(prefix) >= n:
         raise ValidationError(f"prefix of {len(prefix)} choices too long for n={n}")
 
-    def parents(state: GenomeState, key: bytes, word: Word, fixed: tuple[TdChoice, ...]):
+    def parents(state: GenomeState, key: bytes, fixed: tuple[TdChoice, ...]):
         """The nodes at depth ``n - 1``, each with the choices to take below it."""
         for choice in fixed[:1]:
             _hosts(state.genome, choice)
         choices = fixed[:1] or enumerate_choices(state)
         if state.n < n - 1:
-            for child in _children(state, key, word, choices, leaf=False):
+            for child in _children(state, key, choices, leaf=False):
                 yield from parents(*child, fixed[1:])
         else:
-            yield state, key, word, choices
+            yield state, key, choices
 
     fixed = tuple(TdChoice(*c) for c in (TdChoice(0, 0, None), *prefix))
-    for parent, key, word, choices in parents(initial_state(), b"", (), fixed):
-        yield from _children(parent, key, word, choices, leaf=True)
+    for parent, key, choices in parents(initial_state(), b"", fixed):
+        yield from _children(parent, key, choices, leaf=True)
 
 
 def _record(key: bytes, steps: _Pairs, positions: _Pairs) -> TdEvolutionRecord:
@@ -336,17 +340,13 @@ def _record(key: bytes, steps: _Pairs, positions: _Pairs) -> TdEvolutionRecord:
     )
 
 
-def enumerate_process(
-    n: int,
-    prefix: Sequence[TdChoice] = (),
-    deep: bool = False,
-) -> Iterator[TdEvolutionRecord]:
+def enumerate_process(n: int, prefix: Sequence[TdChoice] = ()) -> Iterator[TdEvolutionRecord]:
     """Enumerate every choice path of ``n`` TDs and yield its record.
 
     ``prefix`` fixes the leading choices (from the second TD on; the
     first TD admits a single choice) so sweeps can be partitioned.
     """
-    for key, _word, steps, _graph, positions in _walk(n, prefix, deep):
+    for key, _word, steps, _graph, positions in _walk(n, prefix, deep=False):
         yield _record(key, steps, positions)
 
 
@@ -389,7 +389,7 @@ class _DedupSets:
             if len(held) != before:
                 self.entry_bytes += _deep_size(entry)
 
-    def merge(self, parts: Sequence[frozenset]) -> None:
+    def merge(self, parts: Sequence[set]) -> None:
         for held, part in zip(self.sets, parts):
             if self.max_mem_bytes is None:
                 held |= part
@@ -436,11 +436,6 @@ def _collect(
     return dedup, paths
 
 
-def _collect_worker(args) -> tuple[tuple[frozenset, ...], int]:
-    dedup, paths = _collect(*args)
-    return tuple(map(frozenset, dedup.sets)), paths
-
-
 def tabulate(
     n: int,
     workers: int = 1,
@@ -463,16 +458,13 @@ def tabulate(
     else:
         first = apply_td(initial_state(), TdChoice(0, 0, None))
         parts = [(n, (c,), deep, max_mem_bytes, deadline) for c in enumerate_choices(first)]
-        from concurrent.futures import ProcessPoolExecutor
-
         dedup = _DedupSets(max_mem_bytes)
         paths = 0
-        with ProcessPoolExecutor(max_workers=min(workers, len(parts))) as pool:
-            for sets, p in pool.map(_collect_worker, parts):
-                dedup.merge(sets)
-                paths += p
-                deadline.check()
-                dedup.check()
+        for part, p in _fan_out(_collect, parts, workers):
+            dedup.merge(part.sets)
+            paths += p
+            deadline.check()
+            dedup.check()
     words, cnvs, graphs, records = dedup.sets
     return TableRow(
         n=n,

@@ -508,47 +508,40 @@ _NODE_STYLE = {
     A_SIDE: 'shape=box, color=red',
     B_SIDE: 'shape=ellipse, color=blue',
 }
+_FENCE_STYLE = "style=bold, color=black, dir=none"
 
 
-def _dot_nodes(nodes: Iterable[BreakpointId]) -> list[str]:
-    return [f'  "{v}" [{_NODE_STYLE[v.side]}];' for v in sorted(nodes)]
+def _to_dot(name: str, nodes: Iterable, edges: Iterable, fences: Iterable = ()) -> str:
+    """One Graphviz digraph: styled nodes, then ``(tail, head, attributes)``
+    edges in the order given, then the sorted fences."""
+    lines = [f"digraph {name} {{"]
+    lines += (f'  "{v}" [{_NODE_STYLE[v.side]}];' for v in sorted(nodes))
+    lines += (f'  "{u}" -> "{v}"{f" [{attrs}]" if attrs else ""};' for u, v, attrs in edges)
+    lines += (f'  "{x}" -> "{y}" [{_FENCE_STYLE}];' for x, y in sorted(fences))
+    lines.append("}")
+    return "\n".join(lines)
 
 
-def tree_to_dot(tree: BetaTree, name: str = "td_tree") -> str:
+def tree_to_dot(tree: BetaTree) -> str:
     """Graphviz form of any double tree (breakpoint or beta tree):
     boxes/red for a, ellipses/blue for b, solid major edges, dashed
     minor edges, bold black fences."""
-    lines = [f"digraph {name} {{"]
-    lines += _dot_nodes(tree.nodes)
+    edges = []
+    sides = (A_SIDE, tree.a_parent, "red"), (B_SIDE, tree.b_parent, "blue")
     for v in sorted(tree.major_side):
-        for side, parent_of in ((A_SIDE, tree.a_parent), (B_SIDE, tree.b_parent)):
+        for side, parent_of, color in sides:
             style = "solid" if tree.major_side[v] == side else "dashed"
-            color = "red" if side == A_SIDE else "blue"
-            lines.append(f'  "{parent_of[v]}" -> "{v}" [style={style}, color={color}];')
-    for x, y in sorted(tree.fences):
-        lines.append(f'  "{x}" -> "{y}" [style=bold, color=black, dir=none];')
-    lines.append("}")
-    return "\n".join(lines)
+            edges.append((parent_of[v], v, f"style={style}, color={color}"))
+    return _to_dot("td_tree", tree.nodes, edges, tree.fences)
 
 
-def hasse_to_dot(diagram: HasseDiagram, name: str = "order_diagram") -> str:
-    lines = [f"digraph {name} {{"]
-    lines += _dot_nodes(diagram.nodes)
-    for u, v in sorted(diagram.edges):
-        lines.append(f'  "{u}" -> "{v}";')
-    lines.append("}")
-    return "\n".join(lines)
+def hasse_to_dot(diagram: HasseDiagram) -> str:
+    return _to_dot("order_diagram", diagram.nodes, ((u, v, "") for u, v in sorted(diagram.edges)))
 
 
-def major_to_dot(graph: MajorGraph, name: str = "major_graph") -> str:
-    lines = [f"digraph {name} {{"]
-    lines += _dot_nodes(graph.nodes)
-    for child in sorted(graph.parent):
-        lines.append(f'  "{graph.parent[child]}" -> "{child}" [style=solid];')
-    for x, y in sorted(graph.fences):
-        lines.append(f'  "{x}" -> "{y}" [style=bold, color=black, dir=none];')
-    lines.append("}")
-    return "\n".join(lines)
+def major_to_dot(graph: MajorGraph) -> str:
+    edges = ((graph.parent[v], v, "style=solid") for v in sorted(graph.parent))
+    return _to_dot("major_graph", graph.nodes, edges, graph.fences)
 
 
 def tree_to_json(tree: TdTree) -> str:

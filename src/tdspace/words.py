@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -120,6 +120,22 @@ def _evolution_unchecked(steps: tuple[DupChoice, ...], words: tuple[Word, ...]) 
     return ev
 
 
+def _derive(steps: tuple, words: tuple, n: int, choices: Callable) -> Iterator[WordEvolution]:
+    """Yield every derivation of ``n`` TDs that extends ``steps``/``words``.
+
+    On word ``depth`` (1-based, the last of ``words`` so far) the walk
+    takes the steps ``choices(depth, word)`` in the order given, each
+    with every derivation below it before the next.  The choices are
+    not checked: each must be valid on its word.
+    """
+    if len(words) == n:
+        yield _evolution_unchecked(steps, words)
+        return
+    depth, word = len(words), words[-1]
+    for c in choices(depth, word):
+        yield from _derive(steps + (c,), words + (td_step(word, c, depth + 1),), n, choices)
+
+
 def enumerate_word_evolutions(
     n: int,
     prefix: Sequence[tuple[int, int]] = (),
@@ -139,16 +155,7 @@ def enumerate_word_evolutions(
     base = WordEvolution(steps=tuple(DupChoice(*p) for p in prefix))
     if base.n > n:
         raise ValidationError(f"prefix of {base.n - 1} steps is too long for n={n}")
-
-    def walk(steps: tuple[DupChoice, ...], words: tuple[Word, ...]) -> Iterator[WordEvolution]:
-        if len(words) == n:
-            yield _evolution_unchecked(steps, words)
-            return
-        sym = len(words) + 1
-        for c in choices_for(words[-1]):
-            yield from walk(steps + (c,), words + (td_step(words[-1], c, sym),))
-
-    yield from walk(base.steps, base.words)
+    yield from _derive(base.steps, base.words, n, lambda _depth, word: choices_for(word))
 
 
 def distinct_words(n: int, max_n: int = DEFAULT_MAX_N) -> set[Word]:

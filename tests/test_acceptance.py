@@ -10,7 +10,6 @@ import random
 import time
 
 from tdspace import (
-    beta_from_td_tree,
     build_2d_tree,
     closed_form,
     count_extensions_bruteforce,
@@ -142,7 +141,7 @@ def test_criterion_7_kernel_identity(worked_beta_tree):
     for n in range(1, 5):
         for ev in enumerate_word_evolutions(n):
             trees += 1
-            beta = beta_from_td_tree(build_2d_tree(ev))
+            beta = build_2d_tree(ev)
             if not all(c.equal for c in kernel_profile(beta)):
                 evolution_failures += 1
     assert evolution_failures == 0

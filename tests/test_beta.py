@@ -17,7 +17,6 @@ from tdspace import (
     NotInducedError,
     ValidationError,
     WordEvolution,
-    beta_from_td_tree,
     build_2d_tree,
     closed_form,
     contracted_count,
@@ -108,6 +107,38 @@ def test_fibers_partition_the_next_level(n):
             assert delete_first_td(e2) == base
             seen.add(key)
     assert seen == set(level)
+
+
+def reference_delete_first_td(ev):
+    """The symbol search: strip every word, then find each step from where
+    its new symbol lands and how much the word grew."""
+    if ev.n < 2:
+        raise ValidationError("need at least two TDs to delete the first one")
+    shifted = [tuple(c - 1 for c in w if c != 1) for w in ev.words[1:]]
+    steps = []
+    for j in range(1, len(shifted)):
+        before, after = shifted[j - 1], shifted[j]
+        p = after.index(j + 1) + 1
+        dup_len = len(after) - len(before) - 1
+        steps.append((p - dup_len, p - 1))
+    out = WordEvolution(steps=tuple(steps))
+    assert out.words == tuple(shifted)
+    return out
+
+
+def test_deletion_rule_matches_reference():
+    evolutions = [ev for n in range(2, 5) for ev in enumerate_word_evolutions(n)]
+    assert len(evolutions) == 3 + 22 + 377
+    for ev in evolutions:
+        assert delete_first_td(ev) == reference_delete_first_td(ev), str(ev)
+
+
+def test_deletion_keeps_the_consistency_check():
+    """An evolution whose words do not follow its steps fails the replay."""
+    last = (1, 4, 1, 2, 3, 5, 3, 2, 1, 2)  # the true last word with one pair swapped
+    forged = WordEvolution(steps=EV_PRIME.steps, words=EV_PRIME.words[:-1] + (last,))
+    with pytest.raises(ValidationError, match="inconsistent evolution"):
+        delete_first_td(forged)
 
 
 def reference_induced_evolutions(ev, max_n=DEFAULT_MAX_N):
@@ -219,7 +250,7 @@ def test_two_routes_agree_exhaustively(n):
 def test_nodesets_are_valid_subtrees():
     """Shifted down one TD, every one-nodeset obeys the subtree rules."""
     for base in enumerate_word_evolutions(2):
-        beta = beta_from_td_tree(build_2d_tree(base))
+        beta = build_2d_tree(base)
         for e2 in induced_evolutions(base):
             tau = {
                 BreakpointId(v.td - 1, v.side)
@@ -236,13 +267,12 @@ def test_beta_view_of_breakpoint_trees_validates():
     for n in range(1, 4):
         for ev in enumerate_word_evolutions(n):
             tree = build_2d_tree(ev)
-            beta = beta_from_td_tree(tree)
-            assert validate_beta_tree(beta).ok
-            assert {x.td for x, _ in beta.fences} == set(tree.fence_tds)
+            assert validate_beta_tree(tree).ok
+            assert {x.td for x, _ in tree.fences} == set(tree.fence_tds)
 
 
 def test_subtrees_of_the_first_tree():
-    beta = beta_from_td_tree(build_2d_tree(FIRST))
+    beta = build_2d_tree(FIRST)
     taus = {frozenset(str(v) for v in tau) for tau in enumerate_beta_subtrees(beta)}
     roots = {"0a", "0b"}
     assert taus == {
@@ -296,7 +326,7 @@ def test_kernel_contributions_at_r5(worked_beta_tree):
 
 
 def test_kernel_on_first_tree():
-    beta = beta_from_td_tree(build_2d_tree(FIRST))
+    beta = build_2d_tree(FIRST)
     for check in kernel_profile(beta):
         assert (check.lhs, check.rhs) == (1, 1)
 
@@ -304,7 +334,7 @@ def test_kernel_on_first_tree():
 def test_kernel_on_evolution_trees():
     for n in range(1, 4):
         for ev in enumerate_word_evolutions(n):
-            beta = beta_from_td_tree(build_2d_tree(ev))
+            beta = build_2d_tree(ev)
             assert all(c.equal for c in kernel_profile(beta)), str(ev)
 
 

@@ -184,6 +184,24 @@ def test_verify_time_limit(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite", ["structure", "kernel", "induction"])
+def test_verify_stops_at_the_enumeration_cap(capsys, suite):
+    """Past n = 6 without --deep the suite exits before any work; the time
+    limit only bounds a run that ignores the cap."""
+    code, out, err = run(
+        capsys, "verify", "--suite", suite, "-n", "7", "--seed", "1", "--time-limit", "5"
+    )
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: enumeration of 7 TDs exceeds the budget of 6\n"
+
+
+def test_verify_deep_lifts_the_enumeration_cap(capsys):
+    code, _, err = run(
+        capsys, "verify", "--suite", "structure", "-n", "7", "--deep", "--time-limit", "1e-9"
+    )
+    assert (code, err) == (2, "budget exceeded: time limit exceeded\n")
+
+
 def test_verify_failure_is_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "closed_form", lambda n: -1)
     code, out, _ = run(capsys, "verify", "--suite", "grand-total", "-n", "2")

@@ -306,7 +306,7 @@ def assert_same_state(state, reference):
     assert state.conns == reference.conns
     assert repr(state.steps) == repr(reference.steps)  # ints, not bools
     assert state._somatic_before == reference.somatic_before
-    assert word_of(state) == reference_word_of(reference)
+    assert state.word == word_of(state) == reference_word_of(reference)
     assert enumerate_choices(state) == enumerate_choices(reference)
 
 
