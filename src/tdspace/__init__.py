@@ -88,7 +88,6 @@ from .structure import (
     major_to_dot,
     major_to_json,
     parse_breakpoint,
-    reachability,
     tree_to_dot,
     tree_to_json,
     validate_structure,

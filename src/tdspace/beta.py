@@ -49,6 +49,8 @@ from .structure import (
     BreakpointId,
     MajorGraph,
     TdTree,
+    _bp,
+    _ids,
     _recent_minor,
     build_2d_tree,
     major_graph,
@@ -70,8 +72,7 @@ SUBTREE_NODE_BUDGET = 20
 #: A one-nodeset or beta-subtree is just a set of breakpoint nodes.
 NodeSet = frozenset[BreakpointId]
 
-_ONE_A = BreakpointId(1, A_SIDE)
-_ONE_B = BreakpointId(1, B_SIDE)
+_ONE_A, _ONE_B = _bp(1, A_SIDE), _bp(1, B_SIDE)
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +151,13 @@ def one_nodeset_of(ev: WordEvolution, induced: WordEvolution) -> NodeSet:
     """
     if ev.n + 1 != induced.n or tuple(map(_strip_first_symbol, induced.words[1:])) != ev.words:
         raise NotInducedError("the second evolution does not reduce to the first")
-    members = {_ONE_A, _ONE_B}
+    pairs: set[tuple[int, int]] = set()  # neighbouring symbols, in word order
     for word in induced.words[1:]:
-        for i, symbol in enumerate(word):
-            if symbol != 1:
-                continue
-            if i > 0 and word[i - 1] != 1:
-                members.add(BreakpointId(word[i - 1], A_SIDE))
-            if i + 1 < len(word) and word[i + 1] != 1:
-                members.add(BreakpointId(word[i + 1], B_SIDE))
-    return frozenset(members)
+        pairs.update(zip(word, word[1:]))
+    ida, idb = _ids(A_SIDE, induced.n), _ids(B_SIDE, induced.n)
+    members = {ida[x] for x, y in pairs if y == 1 != x}
+    members.update(idb[y] for x, y in pairs if x == 1 != y)
+    return frozenset(members | {_ONE_A, _ONE_B})
 
 
 def _shift(bp: BreakpointId, by: int) -> BreakpointId:

@@ -17,7 +17,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from .errors import BudgetExceededError, MalformedGraphError
-from .structure import BreakpointId, HasseDiagram, MajorGraph
+from .structure import BreakpointId, HasseDiagram, MajorGraph, _successors
 
 BRUTEFORCE_NODE_BUDGET = 26
 
@@ -145,17 +145,16 @@ def count_extensions_bruteforce(
     step only visits addable elements.  Exponential in the width of the
     order in general, hence the node budget.
     """
-    nodes = sorted(diagram.nodes)
+    nodes = diagram.nodes
     if len(nodes) > budget:
         raise BudgetExceededError(
             f"{len(nodes)} nodes exceed the brute-force budget of {budget}"
         )
-    index = {v: i for i, v in enumerate(nodes)}
-    succ: list[list[int]] = [[] for _ in nodes]
+    succ = _successors(diagram)
     pred_mask = [0] * len(nodes)
-    for u, v in diagram.edges:
-        succ[index[u]].append(index[v])
-        pred_mask[index[v]] |= 1 << index[u]
+    for i, heads in enumerate(succ):
+        for j in heads:
+            pred_mask[j] |= 1 << i
 
     minimal = sum(1 << i for i, mask in enumerate(pred_mask) if not mask)
     level = {0: [1, minimal]}  # down-set -> [orderings, addable mask]

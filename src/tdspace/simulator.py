@@ -42,7 +42,7 @@ from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, Deadline, ValidationError, _fan_out
-from .structure import A_SIDE, B_SIDE, BreakpointId
+from .structure import A_SIDE, B_SIDE, BreakpointId, _bp
 from .words import FIRST_WORD, Word, WordEvolution, td_step
 
 DEFAULT_MAX_N = 4
@@ -259,7 +259,7 @@ def _children(
     gbytes = bytes(genome)
     somatic = parent._somatic_before
     td = parent.n + 1
-    conns = parent.conns + ((BreakpointId(td, B_SIDE), BreakpointId(td, A_SIDE)),)
+    conns = parent.conns + ((_bp(td, B_SIDE), _bp(td, A_SIDE)),)
     word = parent.word if leaf else ()
     classes: dict[tuple[int, int, bool], tuple] = {}
     for g1, g2, flag in choices:

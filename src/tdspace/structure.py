@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import CycleDetectedError, ValidationError
 from .words import WordEvolution
@@ -46,8 +46,24 @@ class BreakpointId(NamedTuple):
         return f"{self.td}{self.side}"
 
 
-ROOT_A = BreakpointId(0, A_SIDE)
-ROOT_B = BreakpointId(0, B_SIDE)
+#: Interned ids of the first TDs on each side: the hot paths index this
+#: table instead of building (and fully comparing) a fresh id per use.
+_INTERNED = {side: tuple(BreakpointId(k, side) for k in range(64)) for side in (A_SIDE, B_SIDE)}
+
+
+def _ids(side: str, n: int) -> tuple[BreakpointId, ...]:
+    """The ids of TDs ``0..n`` on one side, built fresh past the table."""
+    table = _INTERNED[side]
+    return table[: n + 1] + tuple(BreakpointId(k, side) for k in range(len(table), n + 1))
+
+
+def _bp(td: int, side: str) -> BreakpointId:
+    """One id, from the table where it reaches."""
+    table = _INTERNED[side]
+    return table[td] if 0 <= td < len(table) else BreakpointId(td, side)
+
+
+ROOT_A, ROOT_B = _bp(0, A_SIDE), _bp(0, B_SIDE)
 
 
 def parse_breakpoint(text: str) -> BreakpointId:
@@ -106,9 +122,7 @@ class TdTree(BetaTree):
     fences: frozenset[tuple[BreakpointId, BreakpointId]] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.fences = frozenset(
-            (BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)) for k in self.fence_tds
-        )
+        self.fences = frozenset((_bp(k, A_SIDE), _bp(k, B_SIDE)) for k in self.fence_tds)
 
 
 def build_2d_tree(ev: WordEvolution) -> TdTree:
@@ -119,8 +133,7 @@ def build_2d_tree(ev: WordEvolution) -> TdTree:
     ``[(c_b)_a, (c_{b+1})_b]``, and adds exactly two segments,
     ``[(c_b)_a, k_b]`` and ``[k_a, (c_a)_b]``; no segment ever leaves.
     """
-    ida = [BreakpointId(k, A_SIDE) for k in range(ev.n + 1)]
-    idb = [BreakpointId(k, B_SIDE) for k in range(ev.n + 1)]
+    ida, idb = _ids(A_SIDE, ev.n), _ids(B_SIDE, ev.n)
     # First TD: both breakpoints on the initial interval; fixed convention.
     a_parent = {ida[1]: ROOT_A, idb[1]: ROOT_A}
     b_parent = {ida[1]: ROOT_B, idb[1]: ROOT_B}
@@ -166,14 +179,34 @@ class HasseDiagram:
 
 def _order_diagram(tree: TdTree) -> HasseDiagram:
     """:func:`hasse_diagram` without its acyclicity check."""
-    edges: set[tuple[BreakpointId, BreakpointId]] = set()
-    for node, parent in tree.a_parent.items():
-        edges.add((parent, node))
-    for node, parent in tree.b_parent.items():
-        edges.add((node, parent))
-    for k in tree.fence_tds:
-        edges.add((BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)))
-    return HasseDiagram(nodes=tree.nodes, edges=frozenset(edges))
+    fences = ((_bp(k, A_SIDE), _bp(k, B_SIDE)) for k in tree.fence_tds)
+    edges = frozenset(zip(tree.a_parent.values(), tree.a_parent))
+    return HasseDiagram(nodes=tree.nodes, edges=edges.union(tree.b_parent.items(), fences))
+
+
+def _successors(diagram: HasseDiagram) -> list[list[int]]:
+    """The successors of each node; nodes are named by their positions in
+    ``diagram.nodes``."""
+    index = {v: i for i, v in enumerate(diagram.nodes)}
+    succ: list[list[int]] = [[] for _ in diagram.nodes]
+    for u, v in diagram.edges:
+        succ[index[u]].append(index[v])
+    return succ
+
+
+def _topological(succ: list[list[int]]) -> list[int]:
+    """The nodes in a topological order; short of some when there is a cycle."""
+    indeg = [0] * len(succ)
+    for targets in succ:
+        for j in targets:
+            indeg[j] += 1
+    order = [i for i, d in enumerate(indeg) if not d]
+    for i in order:  # grows while nodes lose their last predecessor
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                order.append(j)
+    return order
 
 
 def hasse_diagram(tree: TdTree) -> HasseDiagram:
@@ -184,42 +217,9 @@ def hasse_diagram(tree: TdTree) -> HasseDiagram:
     guards hand-made or corrupted inputs).
     """
     diagram = _order_diagram(tree)
-    if _up_sets(diagram) is None:
+    if len(_topological(_successors(diagram))) < len(diagram.nodes):
         raise CycleDetectedError("order diagram contains a directed cycle")
     return diagram
-
-
-def _up_sets(diagram: HasseDiagram) -> list[int] | None:
-    """Bit masks of the nodes strictly above each node (bit ``i`` is
-    ``diagram.nodes[i]``), in one topological pass; None on a cycle."""
-    index = {v: i for i, v in enumerate(diagram.nodes)}
-    succ: list[list[int]] = [[] for _ in index]
-    indeg = [0] * len(index)
-    for u, v in diagram.edges:
-        succ[index[u]].append(index[v])
-        indeg[index[v]] += 1
-    order = [i for i, d in enumerate(indeg) if d == 0]
-    for i in order:  # grows while nodes lose their last predecessor
-        for j in succ[i]:
-            indeg[j] -= 1
-            if not indeg[j]:
-                order.append(j)
-    if len(order) < len(index):
-        return None
-    above = [0] * len(index)
-    for i in reversed(order):
-        for j in succ[i]:
-            above[i] |= above[j] | 1 << j
-    return above
-
-
-def reachability(diagram: HasseDiagram) -> dict[BreakpointId, set[BreakpointId]]:
-    """Transitive closure: node -> set of nodes strictly above it."""
-    above = _up_sets(diagram)
-    if above is None:
-        raise CycleDetectedError("order diagram contains a directed cycle")
-    nodes = diagram.nodes
-    return {v: {w for j, w in enumerate(nodes) if mask >> j & 1} for v, mask in zip(nodes, above)}
 
 
 @dataclass
@@ -254,7 +254,8 @@ def normalize_fence(pair: Iterable[BreakpointId]) -> tuple[BreakpointId, Breakpo
 
 def major_graph(tree: TdTree) -> MajorGraph:
     """Restrict a breakpoint tree to its major edges and fences."""
-    parent = {node: tree.major_parent(node) for node in tree.major_side}
+    a, b = tree.a_parent, tree.b_parent
+    parent = {v: a[v] if side == A_SIDE else b[v] for v, side in tree.major_side.items()}
     fences = frozenset(normalize_fence(pair) for pair in tree.fences)
     return MajorGraph(nodes=tree.nodes, parent=parent, fences=fences)
 
@@ -285,37 +286,32 @@ class StructureReport:
         self.checks.append(CheckResult(name, passed, details))
 
 
-def _major_ancestors(tree: BetaTree, node: BreakpointId) -> Iterator[BreakpointId]:
-    """Major parent, grandparent, ... ending at a root (cycle-safe)."""
-    seen = {node}
+def _recent_minor(tree: BetaTree, major: BreakpointId) -> BreakpointId | None:
+    """First opposite-type node on the major chain above ``major``; the
+    tree's major edges must be free of loops."""
+    node = major
     while node in tree.major_side:
         node = tree.major_parent(node)
-        if node in seen:  # corrupted trees can loop; validation reports it
-            return
-        seen.add(node)
-        yield node
-
-
-def _recent_minor(tree: BetaTree, major: BreakpointId) -> BreakpointId | None:
-    """First opposite-type node on the major chain above ``major``."""
-    for anc in _major_ancestors(tree, major):
-        if anc.side != major.side:
-            return anc
+        if node.side != major.side:
+            return node
     return None
 
 
-def _check_double_tree(
-    tree: BetaTree, report: StructureReport
-) -> dict[BreakpointId, tuple[BreakpointId, ...]] | None:
+def _check_double_tree(tree: BetaTree, report: StructureReport) -> tuple | None:
     """Add the double-tree axiom checks to ``report``.
 
-    Returns every node's :func:`_major_ancestors`, walked once per node,
-    or None when parental edges are missing or mistyped, or a major
-    chain misses the roots; no further check can run on such a tree.
+    Returns the tree on integer indices, the two roots first and then
+    the sorted nodes: ``(ids, index, side, a_of, b_of, major, chains,
+    recent)``.  The parent lists hold indices (-1 at the roots),
+    ``chains`` each node's major parent, grandparent, ... up to its
+    root, and ``recent`` the first opposite-type node on that chain
+    (None if there is none).  Returns None when parental edges are
+    missing or mistyped, or a major chain misses the roots; no further
+    check can run on such a tree.
     """
-    nodes = set(tree.major_side)
+    nodes = tree.major_side
     # once parental edges pass, this holds exactly the nodes
-    ordered = sorted(nodes | tree.a_parent.keys() | tree.b_parent.keys())
+    ordered = sorted(nodes.keys() | tree.a_parent.keys() | tree.b_parent.keys())
 
     ok, details = True, ""
     for v in ordered:
@@ -333,28 +329,40 @@ def _check_double_tree(
     if not ok:
         return None
 
-    # every chain holds parents only, so its roots are exactly its td-0 nodes
-    chains = {v: tuple(_major_ancestors(tree, v)) for v in nodes}
-    ok, details = True, ""
-    for v in ordered:
-        if ROOT_A not in chains[v] and ROOT_B not in chains[v]:
-            ok, details = False, f"major chain from {v} does not reach a root"
-            break
-    report.add("rooted-majors", ok, details)
-    if not ok:
-        return None
+    ids = (ROOT_A, ROOT_B, *ordered)
+    index = dict(zip(ids, range(len(ids))))
+    a_of = [-1, -1, *map(index.get, map(tree.a_parent.get, ordered))]
+    b_of = [-1, -1, *map(index.get, map(tree.b_parent.get, ordered))]
+    major = [a if nodes.get(v) == A_SIDE else b for v, a, b in zip(ids, a_of, b_of)]
+    side = [v.side for v in ids]
+    # Top-down and memoised: a chain is the major parent and then its
+    # chain, and ``recent`` the first opposite-type node on the chain.  A
+    # walk that meets itself is a loop, which no root can end.
+    chains: list = [(), (), *([None] * len(ordered))]
+    recent: list = [None] * len(ids)
+    for i in range(2, len(ids)):
+        walk, j = [], i
+        while chains[j] is None:
+            chains[j] = False
+            walk.append(j)
+            j = major[j]
+        if chains[j] is False:
+            report.add("rooted-majors", False, f"major chain from {ids[i]} does not reach a root")
+            return None
+        for k in reversed(walk):
+            p = major[k]
+            chains[k] = (p, *chains[p])
+            recent[k] = p if side[p] != side[k] else recent[p]
+    report.add("rooted-majors", True, "")
 
     # The minor parent is the nearest opposite-type node above the major
     # parent; nodes hung on the two roots are fixed by convention.
     ok, details = True, ""
-    for v in ordered:
-        pa, pb = tree.a_parent[v], tree.b_parent[v]
-        if (pa, pb) == (ROOT_A, ROOT_B):
-            continue
-        major, minor = (pa, pb) if tree.major_side[v] == A_SIDE else (pb, pa)
-        expected = next((u for u in chains.get(major, ()) if u.side != major.side), None)
-        if minor != expected:
-            ok, details = False, f"{v}: minor parent {minor}, expected {expected}"
+    for i in range(2, len(ids)):
+        minor, expected = a_of[i] + b_of[i] - major[i], recent[major[i]]
+        if (a_of[i], b_of[i]) != (0, 1) and minor != expected:
+            expected = None if expected is None else ids[expected]
+            ok, details = False, f"{ids[i]}: minor parent {ids[minor]}, expected {expected}"
             break
     report.add("minor-recency", ok, details)
 
@@ -373,10 +381,7 @@ def _check_double_tree(
         if x not in nodes or y not in nodes:
             ok, details = False, f"fence {x}|{y} references missing nodes"
             break
-        if (
-            tree.a_parent[x] != tree.a_parent[y]
-            or tree.b_parent[x] != tree.b_parent[y]
-        ):
+        if tree.a_parent[x] != tree.a_parent[y] or tree.b_parent[x] != tree.b_parent[y]:
             ok, details = False, f"fence {x}|{y} does not share both parents"
             break
         root_pair = (tree.a_parent[x], tree.b_parent[x]) == (ROOT_A, ROOT_B)
@@ -384,7 +389,7 @@ def _check_double_tree(
             ok, details = False, f"fence {x}|{y} mixes major sides"
             break
     report.add("fences", ok, details)
-    return chains
+    return ids, index, side, a_of, b_of, major, chains, recent
 
 
 def validate_beta_tree(tree: BetaTree) -> StructureReport:
@@ -407,15 +412,17 @@ def validate_structure(tree: TdTree) -> StructureReport:
     source/sink, the forced a-ascending/b-descending order along major
     chains, segment connectivity (each segment's endpoints joined by a
     major edge, or by a minor edge plus a single-type major chain), and
-    the forced reversal of fenced TDs.
+    the forced reversal of fenced TDs.  They run on the integer indices
+    of :func:`_check_double_tree`.
     """
     report = StructureReport()
-    chains = _check_double_tree(tree, report)
-    if chains is None:
+    indexed = _check_double_tree(tree, report)
+    if indexed is None:
         return report
+    ids, index, side, a_of, b_of, major, chains, recent = indexed
 
     # First-TD convention.
-    one_a, one_b = BreakpointId(1, A_SIDE), BreakpointId(1, B_SIDE)
+    one_a, one_b = _bp(1, A_SIDE), _bp(1, B_SIDE)
     ok = (
         tree.major_side.get(one_a) == B_SIDE
         and tree.major_side.get(one_b) == A_SIDE
@@ -425,75 +432,81 @@ def validate_structure(tree: TdTree) -> StructureReport:
     )
     report.add("first-td-convention", ok, "" if ok else "TD 1 breaks the root convention")
 
-    # Order diagram: acyclic, source 0a, sink 0b.  The closure sorts the
-    # diagram once and doubles as the acyclicity check.
-    diagram = _order_diagram(tree)
-    up_sets = _up_sets(diagram)
-    if up_sets is None:
+    # Order diagram: acyclic, source 0a, sink 0b.  The edges are those of
+    # :func:`_order_diagram` on indices, and the up-set masks (bit ``j``
+    # for ``ids[j]`` above) come from one pass over a topological order.
+    succ: list[list[int]] = [[] for _ in ids]
+    for i in range(2, len(ids)):
+        succ[a_of[i]].append(i)
+        succ[i].append(b_of[i])
+    for k in tree.fence_tds:
+        succ[index[_bp(k, A_SIDE)]].append(index[_bp(k, B_SIDE)])
+    order = _topological(succ)
+    if len(order) < len(ids):
         report.add("order-diagram", False, "order diagram contains a directed cycle")
         return report
-    index = {v: i for i, v in enumerate(diagram.nodes)}
-    up_set = dict(zip(diagram.nodes, up_sets))
-    targets = {v for _, v in diagram.edges}
-    sources = [v for v in diagram.nodes if v not in targets]
-    sinks = [v for v in diagram.nodes if not up_set[v]]
+    up = [0] * len(ids)
+    for i in reversed(order):
+        for j in succ[i]:
+            up[i] |= up[j] | 1 << j
+    targets = {j for heads in succ for j in heads}
+    sources = [v for i, v in enumerate(ids) if i not in targets]
+    sinks = [v for i, v in enumerate(ids) if not up[i]]
     ok = sources == [ROOT_A] and sinks == [ROOT_B]
-    report.add(
-        "order-diagram",
-        ok,
-        "" if ok else f"sources={sources} sinks={sinks}",
-    )
+    report.add("order-diagram", ok, "" if ok else f"sources={sources} sinks={sinks}")
 
     # Along any maximal major chain, a-nodes ascend and b-nodes descend:
     # the chain nodes admit exactly one relative order, which must not
-    # contradict the order diagram.
+    # contradict the order diagram.  Its neighbour pairs are each node
+    # and the nearest same-type node above it, plus the pair where the
+    # a-nodes give way to the b-nodes, which never contradicts: a b-node's
+    # one edge out leads to its b-parent, so it reaches b-nodes only.  The
+    # pairs are tested once; a contradiction is then named leaf by leaf.
     ok, details = True, ""
-    majors = {tree.major_parent(v) for v in tree.major_side}
-    leaves = [v for v in tree.nodes if v not in majors]
-    for leaf in leaves:
-        chain = [leaf, *chains.get(leaf, ())]
-        chain.reverse()  # root first
-        a_nodes = [v for v in chain if v.side == A_SIDE]
-        b_nodes = [v for v in chain if v.side == B_SIDE]
-        predicted = a_nodes + b_nodes[::-1]
-        for u, v in zip(predicted, predicted[1:]):
-            if up_set[v] >> index[u] & 1:
-                ok = False
-                details = f"chain to {leaf}: {v} < {u} contradicts predicted order"
+    same = [(k, p if side[p] == side[k] else recent[p]) for k, p in enumerate(major) if k > 1]
+    pairs = [(o, k) if side[k] == A_SIDE else (k, o) for k, o in same if o is not None]
+    if any(up[v] >> u & 1 for u, v in pairs):
+        majors = set(major)
+        for leaf in (v for v in range(len(ids)) if v not in majors):
+            chain = (leaf, *chains[leaf])  # leaf first
+            predicted = [v for v in reversed(chain) if side[v] == A_SIDE]
+            predicted += [v for v in chain if side[v] == B_SIDE]
+            bad = [(u, v) for u, v in zip(predicted, predicted[1:]) if up[v] >> u & 1]
+            if bad:
+                (u, v), ok = bad[0], False
+                details = f"chain to {ids[leaf]}: {ids[v]} < {ids[u]} contradicts predicted order"
                 break
-        if not ok:
-            break
     report.add("chain-order", ok, details)
 
-    # Segment connectivity.
-    ok, details = True, ""
-    for left, right in sorted(tree.segments):
-        if left == ROOT_A and right == ROOT_B:
-            continue
+    # Segment connectivity.  Each segment is checked on its own, so the
+    # first failure in sorted order is the least failing segment.  Along
+    # a major chain ``recent`` marks where the type first changes, and
+    # TD numbers fall unless some node's major edge climbs.
+    tds = [v.td for v in ids]
+    climbing = {k for k in range(2, len(ids)) if tds[major[k]] >= tds[k]}
+    failures = []
+    for left, right in tree.segments:
         lo, hi = (left, right) if left.td < right.td else (right, left)
-        chain = chains.get(hi, ())
-        if lo not in chain:
-            ok, details = False, f"segment {left}..{right}: no major chain {lo} to {hi}"
-            break
-        walk = [hi, *chain[: chain.index(lo) + 1]]
-        internal = walk[1:-1]
-        if any(v.side != hi.side for v in internal):
-            ok, details = False, f"segment {left}..{right}: mixed-type chain"
-            break
-        tds = [v.td for v in walk]
-        if any(x <= y for x, y in zip(tds, tds[1:])):
-            ok, details = False, f"segment {left}..{right}: chain not ascending"
-            break
-        if internal and tree.minor_parent(hi) != lo:
-            ok, details = False, f"segment {left}..{right}: minor edge missing"
-            break
-    report.add("segment-connectivity", ok, details)
+        h, low = index.get(hi), index.get(lo)
+        chain = () if h is None else chains[h]
+        if low not in chain:
+            if (left, right) != (ROOT_A, ROOT_B):  # the initial interval
+                failures.append((left, right, f"no major chain {lo} to {hi}"))
+            continue
+        cut = chain.index(low)  # the chain's nodes between hi and lo
+        if recent[h] in chain[:cut]:
+            failures.append((left, right, "mixed-type chain"))
+        elif climbing and not climbing.isdisjoint((h, *chain[:cut])):
+            failures.append((left, right, "chain not ascending"))
+        elif cut and a_of[h] + b_of[h] - major[h] != low:
+            failures.append((left, right, "minor edge missing"))
+    left, right, why = min(failures, default=(None, None, ""))
+    report.add("segment-connectivity", not failures, why and f"segment {left}..{right}: {why}")
 
     # Fenced TDs are forced reversed (start before end in every extension).
     ok, details = True, ""
     for k in sorted(tree.fence_tds):
-        ka, kb = BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)
-        if not up_set[ka] >> index[kb] & 1:
+        if not up[index[_bp(k, A_SIDE)]] >> index[_bp(k, B_SIDE)] & 1:
             ok, details = False, f"fenced TD {k} not forced reversed"
             break
     report.add("fence-orientation", ok, details)

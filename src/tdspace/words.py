@@ -82,7 +82,8 @@ class WordEvolution:
     """A full derivation: the choice sequence and every intermediate word.
 
     ``steps[k]`` produces word ``k + 2`` (the first word is always ``1``,
-    created by the initial TD which admits no choice).
+    created by the initial TD which admits no choice).  The steps are
+    replayed, and ``words``, when given, must equal the replay.
     """
 
     steps: tuple[DupChoice, ...]
@@ -91,14 +92,15 @@ class WordEvolution:
     def __post_init__(self):
         steps = tuple(DupChoice(*s) for s in self.steps)
         object.__setattr__(self, "steps", steps)
-        if not self.words:
-            words = [FIRST_WORD]
-            try:
-                for i, step in enumerate(steps):
-                    words.append(td_step(words[-1], step, i + 2))
-            except IndexOutOfRangeError as exc:
-                raise ValidationError(f"invalid step {i + 1} {tuple(step)}: {exc}") from exc
-            object.__setattr__(self, "words", tuple(words))
+        words = [FIRST_WORD]
+        try:
+            for i, step in enumerate(steps):
+                words.append(td_step(words[-1], step, i + 2))
+        except IndexOutOfRangeError as exc:
+            raise ValidationError(f"invalid step {i + 1} {tuple(step)}: {exc}") from exc
+        if self.words and tuple(map(tuple, self.words)) != tuple(words):
+            raise ValidationError("the given words do not follow the steps")
+        object.__setattr__(self, "words", tuple(words))
 
     @property
     def n(self) -> int:

@@ -6,7 +6,6 @@ Budgets are wall-clock upper bounds and hold with wide margins on a
 desktop machine.
 """
 
-import random
 import time
 
 from tdspace import (

@@ -136,7 +136,8 @@ def test_deletion_rule_matches_reference():
 def test_deletion_keeps_the_consistency_check():
     """An evolution whose words do not follow its steps fails the replay."""
     last = (1, 4, 1, 2, 3, 5, 3, 2, 1, 2)  # the true last word with one pair swapped
-    forged = WordEvolution(steps=EV_PRIME.steps, words=EV_PRIME.words[:-1] + (last,))
+    # the public constructor refuses such words; only the internal one takes them
+    forged = _evolution_unchecked(EV_PRIME.steps, EV_PRIME.words[:-1] + (last,))
     with pytest.raises(ValidationError, match="inconsistent evolution"):
         delete_first_td(forged)
 

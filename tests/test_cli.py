@@ -1,11 +1,17 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from tdspace import cli, format_evolution, parse_evolution
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -332,19 +338,20 @@ def test_unwritable_output_is_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_time_limit_stops_the_simulator_sweep(capsys, monkeypatch, workers):
-    def sweep(*args, **kwargs):
-        tabulate(*args, **kwargs)
-        pytest.fail("the deadline let the simulator sweep finish")
-
-    tabulate = cli.tabulate
-    monkeypatch.setattr(cli, "tabulate", sweep)
-    code, _, err = run(
-        capsys,
-        "verify", "--suite", "grand-total", "-n", "4", "--time-limit", "1", "--workers", workers,
+def test_time_limit_stops_the_simulator_sweep(workers):
+    """The suite runs ``tabulate`` first, over about 157 M paths at n = 5,
+    which no host finishes within the limit.  In a subprocess, a deadline
+    that failed to stop it would meet the timeout or the memory cap, whose
+    exit says nothing of a time limit, instead of hanging the tests."""
+    env = dict(os.environ, TD_MAX_MEM=str(256 * 2**20))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["verify", "--suite", "grand-total", "-n", "5", "--deep", "--time-limit", "1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "tdspace.cli", *argv, "--workers", workers],
+        capture_output=True, env=env, text=True, timeout=60,
     )
-    assert code == 2
-    assert "time limit" in err
+    assert done.returncode == 2, done.stderr
+    assert "time limit" in done.stderr
 
 
 def joined_output(text):

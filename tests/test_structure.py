@@ -4,6 +4,8 @@ import json
 import random
 from dataclasses import replace
 
+import pytest
+
 from tdspace import (
     A_SIDE,
     B_SIDE,
@@ -23,13 +25,18 @@ from tdspace import (
     major_to_json,
     parse_breakpoint,
     random_beta_tree,
-    reachability,
     tree_to_dot,
     tree_to_json,
     validate_beta_tree,
     validate_structure,
 )
-from tdspace.structure import StructureReport, TdTree, _order_diagram
+from tdspace.structure import (
+    StructureReport,
+    TdTree,
+    _order_diagram,
+    _successors,
+    _topological,
+)
 
 
 def bp(text):
@@ -96,6 +103,29 @@ def test_hasse_diagram_shape(ev_121, ev_540):
     assert (len(small.nodes), len(small.edges)) == (6, 9)
     big = hasse_diagram(build_2d_tree(ev_540))
     assert (len(big.nodes), len(big.edges)) == (10, 18)
+
+
+def _up_sets(diagram):
+    """Bit masks of the nodes strictly above each node (bit ``i`` is
+    ``diagram.nodes[i]``), in one topological pass; None on a cycle."""
+    succ = _successors(diagram)
+    order = _topological(succ)
+    if len(order) < len(succ):
+        return None
+    above = [0] * len(succ)
+    for i in reversed(order):
+        for j in succ[i]:
+            above[i] |= above[j] | 1 << j
+    return above
+
+
+def reachability(diagram):
+    """Transitive closure: node -> set of nodes strictly above it."""
+    above = _up_sets(diagram)
+    if above is None:
+        raise CycleDetectedError("order diagram contains a directed cycle")
+    nodes = diagram.nodes
+    return {v: {w for j, w in enumerate(nodes) if mask >> j & 1} for v, mask in zip(nodes, above)}
 
 
 def test_hasse_unique_source_and_sink():
@@ -460,20 +490,68 @@ def scrambled(tree, rng):
     return tree
 
 
-def test_validators_match_reference_on_seeded_corruptions():
+def test_validators_match_reference_on_seeded_corruptions(random_evolution):
+    """1000 corruptions each of the trees with n <= 4, of those with
+    n = 5, and of seeded trees with n = 6..12."""
     rng = random.Random(8)
+    pools = [
+        [build_2d_tree(ev) for n in range(1, 5) for ev in enumerate_word_evolutions(n)],
+        [build_2d_tree(ev) for ev in enumerate_word_evolutions(5)],
+        [build_2d_tree(random_evolution(n, 50 * n + k)) for n in range(6, 13) for k in range(30)],
+    ]
+    for pool in pools:
+        failed = set()
+        for _ in range(1000):
+            tree = scrambled(rng.choice(pool), rng)
+            report = validate_structure(tree)
+            assert report == reference_validate_structure(tree), tree
+            assert validate_beta_tree(tree) == reference_validate_beta_tree(tree), tree
+            failed.update(c.details for c in report.failures())
+        # major loops and order-diagram cycles are among the corruptions
+        assert any("does not reach a root" in d for d in failed)
+        assert "order diagram contains a directed cycle" in failed
+        assert any(d.startswith("chain to") for d in failed)
+
+
+def test_validator_matches_reference_on_every_clean_tree_up_to_5():
+    """Both references open with the same four double-tree checks, so the
+    beta-tree report must be the head of the full one."""
+    for n in range(1, 6):
+        for ev in enumerate_word_evolutions(n):
+            tree = build_2d_tree(ev)
+            report = validate_structure(tree)
+            assert report.ok and report == reference_validate_structure(tree), str(ev)
+            assert validate_beta_tree(tree).checks == report.checks[:4], str(ev)
+
+
+def test_long_evolution_past_the_interned_ids():
+    """300 empty duplications: ids past the interned table, chains 300 deep."""
+    ev = WordEvolution(steps=((1, 0),) * 299)
+    tree = build_2d_tree(ev)
+    assert tree.n == 300 and BreakpointId(300, B_SIDE) in tree.major_side
+    old = reference_build_2d_tree(ev)
+    fields = ("n", "a_parent", "b_parent", "major_side", "fence_tds", "segments", "fences")
+    assert all(getattr(tree, f) == getattr(old, f) for f in fields)
+    report = validate_structure(tree)
+    assert report.ok and report == reference_validate_structure(tree)
+    assert hasse_diagram(tree) == _order_diagram(tree)
+
+
+def test_hasse_diagram_refuses_exactly_the_cyclic_corruptions():
+    rng = random.Random(10)
     trees = [build_2d_tree(ev) for n in range(1, 5) for ev in enumerate_word_evolutions(n)]
-    failed = set()
-    for _ in range(1000):
+    cyclic = 0
+    for _ in range(500):
         tree = scrambled(rng.choice(trees), rng)
-        report = validate_structure(tree)
-        assert report == reference_validate_structure(tree), tree
-        assert validate_beta_tree(tree) == reference_validate_beta_tree(tree), tree
-        failed.update(c.details for c in report.failures())
-    # major loops and order-diagram cycles are among the corruptions
-    assert any("does not reach a root" in d for d in failed)
-    assert "order diagram contains a directed cycle" in failed
-    assert any(d.startswith("chain to") for d in failed)
+        try:
+            reference_reachability(_order_diagram(tree))
+        except CycleDetectedError:
+            cyclic += 1
+            with pytest.raises(CycleDetectedError):
+                hasse_diagram(tree)
+        else:
+            assert hasse_diagram(tree) == _order_diagram(tree)
+    assert cyclic
 
 
 def test_beta_validator_matches_reference_on_random_trees():

@@ -90,6 +90,17 @@ def test_evolution_rejects_invalid_step():
         WordEvolution(steps=((1, 1), (9, 9)))
 
 
+def test_evolution_checks_given_words():
+    """Words passed in are replayed from the steps, never trusted."""
+    ev = WordEvolution(steps=((1, 1), (1, 0), (2, 3)))
+    assert WordEvolution(steps=ev.steps, words=ev.words) == ev
+    with pytest.raises(ValidationError, match="do not follow the steps"):
+        WordEvolution(steps=ev.steps, words=ev.words[:-1] + ((3, 1, 2, 4, 2, 1, 1),))
+    # the second step leaves its word, whatever words come with it
+    with pytest.raises(ValidationError, match="invalid step 2"):
+        WordEvolution(steps=((1, 0), (3, 3)), words=((1,), (2, 1), (1,)))
+
+
 def test_level_sizes_and_word_bijection():
     """Each derivation reaches its own word, so levels count both."""
     for n in range(1, 5):
