@@ -51,7 +51,7 @@ from .structure import (
     TdTree,
     _bp,
     _ids,
-    _recent_minor,
+    _topological,
     build_2d_tree,
     major_graph,
     normalize_fence,
@@ -199,23 +199,17 @@ def induced_major_graph(tree: TdTree, nodeset: Iterable[BreakpointId]) -> MajorG
 
 
 def _closure_order(tree: BetaTree) -> list[BreakpointId]:
-    """Nodes ordered so both parents precede every node."""
-    remaining = set(tree.major_side)
-    placed = {ROOT_A, ROOT_B}
-    order: list[BreakpointId] = []
-    while remaining:
-        layer = sorted(
-            v
-            for v in remaining
-            if tree.a_parent[v] in placed and tree.b_parent[v] in placed
-        )
-        if not layer:
-            raise ValidationError("parental edges contain a cycle")
-        for v in layer:
-            order.append(v)
-            placed.add(v)
-            remaining.remove(v)
-    return order
+    """Non-root nodes ordered so both parents precede every node."""
+    nodes = tree.nodes
+    index = dict(zip(nodes, range(len(nodes))))
+    succ: list[list[int]] = [[] for _ in nodes]
+    for i in range(2, len(nodes)):
+        for p in (tree.a_parent[nodes[i]], tree.b_parent[nodes[i]]):
+            succ[index.get(p, i)].append(i)  # a parent outside the tree: a loop
+    order = _topological(succ)
+    if len(order) < len(nodes):
+        raise ValidationError("parental edges contain a cycle")
+    return [nodes[i] for i in order[2:]]
 
 
 def enumerate_beta_subtrees(
@@ -302,9 +296,9 @@ def induced_tree(tree: BetaTree, tau: Iterable[BreakpointId]) -> MajorGraph:
 # The kernel identity
 
 
-def root_component_size(graph: MajorGraph, root: BreakpointId = ROOT_A) -> int:
-    """Number of nodes whose parent chain ends at ``root``, root included."""
-    members = {root}
+def root_component_size(graph: MajorGraph) -> int:
+    """Number of nodes whose parent chain ends at ``ROOT_A``, root included."""
+    members = {ROOT_A}
     changed = True
     while changed:
         changed = False
@@ -446,12 +440,16 @@ def random_beta_tree(seed: int, size: int, fence_rate: float = 0.35) -> BetaTree
     if size < 2:
         raise ValidationError(f"a beta tree has at least its two roots, got size {size}")
     rng = random.Random(seed)
-    tree = BetaTree(a_parent={}, b_parent={}, major_side={}, fences=frozenset())
+    a_parent: dict[BreakpointId, BreakpointId] = {}
+    b_parent: dict[BreakpointId, BreakpointId] = {}
+    major_side: dict[BreakpointId, str] = {}
+    # each node's nearest opposite-type node up its major chain
+    recent: dict[BreakpointId, BreakpointId | None] = {ROOT_A: None, ROOT_B: None}
     fences: set[tuple[BreakpointId, BreakpointId]] = set()
     count, next_id = 2, 1
 
     while count < size:
-        anchors = [q for q in sorted(tree.major_side) if _recent_minor(tree, q) is not None]
+        anchors = [q for q in sorted(major_side) if recent[q] is not None]
         pick = rng.randrange(len(anchors) + 1)
         if pick == len(anchors):
             pa, pb = ROOT_A, ROOT_B
@@ -459,26 +457,21 @@ def random_beta_tree(seed: int, size: int, fence_rate: float = 0.35) -> BetaTree
         else:
             q = anchors[pick]
             side = q.side
-            pa, pb = (q, _recent_minor(tree, q)) if side == A_SIDE else (_recent_minor(tree, q), q)
+            pa, pb = (q, recent[q]) if side == A_SIDE else (recent[q], q)
 
         if size - count >= 2 and rng.random() < fence_rate:
             pair = (BreakpointId(next_id, A_SIDE), BreakpointId(next_id, B_SIDE))
-            for z in pair:
-                tree.a_parent[z] = pa
-                tree.b_parent[z] = pb
-                tree.major_side[z] = side
             fences.add(pair)
-            count += 2
         else:
-            z = BreakpointId(next_id, rng.choice((A_SIDE, B_SIDE)))
-            tree.a_parent[z] = pa
-            tree.b_parent[z] = pb
-            tree.major_side[z] = side
-            count += 1
+            pair = (BreakpointId(next_id, rng.choice((A_SIDE, B_SIDE))),)
+        major = pa if side == A_SIDE else pb
+        for z in pair:
+            a_parent[z], b_parent[z], major_side[z] = pa, pb, side
+            recent[z] = major if major.side != z.side else recent[major]
+        count += len(pair)
         next_id += 1
 
-    tree.fences = frozenset(fences)
-    return tree
+    return BetaTree(a_parent, b_parent, major_side, frozenset(fences))
 
 
 # ---------------------------------------------------------------------------

@@ -192,10 +192,6 @@ class TdEvolutionRecord:
         return bytes(flat)
 
 
-def _direction(from_pos: int, to_pos: int) -> str:
-    return "reversed" if to_pos < from_pos else "forward"
-
-
 _IDENTITY = bytes(range(256))
 
 #: connection positions ``(end, start)`` or word steps ``(a, b)``
@@ -328,7 +324,7 @@ def _walk(
 def _record(key: bytes, steps: _Pairs, positions: _Pairs) -> TdEvolutionRecord:
     genomes = key[:-1].split(b"\xff")
     width = 2 * len(positions) + 1
-    conns = tuple(Connection(f, t, _direction(f, t)) for f, t in positions)
+    conns = tuple(Connection(f, t, "reversed" if t < f else "forward") for f, t in positions)
     graphs = tuple(
         TdGraph(cnv=tuple(map(genome.count, range(width))), connections=conns[: k + 1])
         for k, genome in enumerate(genomes)

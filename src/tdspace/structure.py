@@ -179,9 +179,8 @@ class HasseDiagram:
 
 def _order_diagram(tree: TdTree) -> HasseDiagram:
     """:func:`hasse_diagram` without its acyclicity check."""
-    fences = ((_bp(k, A_SIDE), _bp(k, B_SIDE)) for k in tree.fence_tds)
     edges = frozenset(zip(tree.a_parent.values(), tree.a_parent))
-    return HasseDiagram(nodes=tree.nodes, edges=edges.union(tree.b_parent.items(), fences))
+    return HasseDiagram(nodes=tree.nodes, edges=edges.union(tree.b_parent.items(), tree.fences))
 
 
 def _successors(diagram: HasseDiagram) -> list[list[int]]:
@@ -226,25 +225,15 @@ def hasse_diagram(tree: TdTree) -> HasseDiagram:
 class MajorGraph:
     """Major parental edges plus fences; the input to the counting formula.
 
-    ``parent`` maps each non-root node to its single major parent.  Fences
-    are unordered pairs stored as sorted tuples.
+    ``nodes`` lists the two roots and then the other nodes sorted, so
+    comparing the tuples compares the node sets.  ``parent``
+    maps each non-root node to its single major parent.  Fences are
+    unordered pairs stored as sorted tuples.
     """
 
     nodes: tuple[BreakpointId, ...]
     parent: dict[BreakpointId, BreakpointId]
     fences: frozenset[tuple[BreakpointId, BreakpointId]]
-
-    def edges(self) -> frozenset[tuple[BreakpointId, BreakpointId]]:
-        return frozenset((p, c) for c, p in self.parent.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MajorGraph):
-            return NotImplemented
-        return (
-            set(self.nodes) == set(other.nodes)
-            and self.parent == other.parent
-            and self.fences == other.fences
-        )
 
 
 def normalize_fence(pair: Iterable[BreakpointId]) -> tuple[BreakpointId, BreakpointId]:
@@ -284,17 +273,6 @@ class StructureReport:
 
     def add(self, name: str, passed: bool, details: str = "") -> None:
         self.checks.append(CheckResult(name, passed, details))
-
-
-def _recent_minor(tree: BetaTree, major: BreakpointId) -> BreakpointId | None:
-    """First opposite-type node on the major chain above ``major``; the
-    tree's major edges must be free of loops."""
-    node = major
-    while node in tree.major_side:
-        node = tree.major_parent(node)
-        if node.side != major.side:
-            return node
-    return None
 
 
 def _check_double_tree(tree: BetaTree, report: StructureReport) -> tuple | None:
@@ -577,7 +555,7 @@ def tree_to_json(tree: TdTree) -> str:
 def major_to_json(graph: MajorGraph) -> str:
     doc = {
         "nodes": [str(v) for v in sorted(graph.nodes)],
-        "edges": [[str(p), str(c)] for p, c in sorted(graph.edges())],
+        "edges": [[str(p), str(c)] for p, c in sorted((p, c) for c, p in graph.parent.items())],
         "fences": [[str(x), str(y)] for x, y in sorted(graph.fences)],
     }
     return json.dumps(doc, indent=2)

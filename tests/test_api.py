@@ -1,0 +1,36 @@
+"""The public API: its size is a design measure, so every change to it
+shows up here."""
+
+import inspect
+
+import tdspace
+
+PUBLIC_NAMES = [
+    "A_SIDE", "B_SIDE", "BetaTree", "BreakpointId", "BudgetExceededError", "Connection",
+    "CycleDetectedError", "DerivationCollisionError", "DupChoice", "ExtensionCount",
+    "FIRST_WORD", "GenomeState", "HasseDiagram", "IndexOutOfRangeError", "KernelCheck",
+    "MajorGraph", "MalformedGraphError", "NotInducedError", "ParseError", "ROOT_A", "ROOT_B",
+    "StructureReport", "TableRow", "TdChoice", "TdEvolutionRecord", "TdGraph", "TdSpaceError",
+    "TdTree", "ValidationError", "Word", "WordEvolution", "apply_td", "build_2d_tree",
+    "choice_count", "choices_for", "closed_form", "contracted_count",
+    "count_extensions_bruteforce", "count_extensions_formula", "delete_first_td",
+    "distinct_words", "enumerate_beta_subtrees", "enumerate_choices", "enumerate_process",
+    "enumerate_word_evolutions", "format_evolution", "hasse_diagram", "hasse_to_dot",
+    "hasse_to_json", "induced_evolutions", "induced_major_graph", "induced_tree",
+    "initial_state", "kernel_profile", "major_graph", "major_to_dot", "major_to_json",
+    "multinomial", "one_nodeset_of", "parse_breakpoint", "parse_evolution",
+    "random_beta_tree", "root_component_size", "tabulate", "td_step",
+    "total_evolutions_via_words", "tree_to_dot", "tree_to_json", "two_tree_count",
+    "validate_beta_tree", "validate_structure", "word_count_recursion", "word_count_row",
+    "word_count_total", "word_of", "word_to_text",
+]
+
+
+def test_public_names_are_pinned():
+    names = sorted(
+        name
+        for name, value in vars(tdspace).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    )
+    assert len(names) == 76
+    assert names == PUBLIC_NAMES

@@ -1,5 +1,6 @@
 """Deletion calculus, two-tree rewrites, the kernel identity, totals."""
 
+import hashlib
 import random
 import time
 
@@ -295,6 +296,59 @@ def test_subtree_rules_on_worked_tree(worked_beta_tree):
         validate_beta_subtree(worked_beta_tree, (ROOT_A, ROOT_B))
 
 
+def brute_force_subtrees(tree):
+    """Every node subset with the roots, kept when it is closed under both
+    parents and keeps the fence rule."""
+    nodes = sorted(tree.major_side)
+    found = set()
+    for mask in range(1 << len(nodes)):
+        tau = {ROOT_A, ROOT_B} | {v for i, v in enumerate(nodes) if mask >> i & 1}
+        try:
+            validate_beta_subtree(tree, tau)
+        except ValidationError:
+            continue
+        found.add(frozenset(tau))
+    return found
+
+
+def test_subtrees_match_brute_force():
+    trees = [build_2d_tree(ev) for n in range(1, 4) for ev in enumerate_word_evolutions(n)]
+    trees += [random_beta_tree(seed, 4 + seed % 7, (0, 0.35, 1)[seed % 3]) for seed in range(150)]
+    for tree in trees:
+        listed = enumerate_beta_subtrees(tree)
+        assert len(set(listed)) == len(listed)
+        assert set(listed) == brute_force_subtrees(tree), tree
+
+
+def test_broken_parental_edges_raise_one_error(worked_beta_tree):
+    """A minor-edge cycle and a minor parent outside the tree stop both
+    subtree walks with one error.  A broken major edge stops
+    ``kernel_profile`` earlier, in the count of its right-hand side."""
+
+    def rewired(a_parent=None, b_parent=None, major_side=None):
+        t = worked_beta_tree
+        return BetaTree(
+            a_parent={**t.a_parent, **(a_parent or {})},
+            b_parent={**t.b_parent, **(b_parent or {})},
+            major_side={**t.major_side, **(major_side or {})},
+            fences=t.fences,
+        )
+
+    minor_cycle = rewired(b_parent={bp("1b"): bp("2b")})
+    minor_outside = rewired(b_parent={bp("2a"): bp("9b")})
+    major_cycle = rewired(a_parent={bp("1a"): bp("2a")}, major_side={bp("1a"): A_SIDE})
+    major_outside = rewired(a_parent={bp("2a"): bp("9a")})
+    for tree in (minor_cycle, minor_outside, major_cycle, major_outside):
+        with pytest.raises(ValidationError, match="^parental edges contain a cycle$"):
+            enumerate_beta_subtrees(tree)
+    for tree in (minor_cycle, minor_outside):
+        with pytest.raises(ValidationError, match="^parental edges contain a cycle$"):
+            kernel_profile(tree)
+    for tree in (major_cycle, major_outside):
+        with pytest.raises(MalformedGraphError):
+            kernel_profile(tree)
+
+
 def test_subtree_budget(worked_beta_tree):
     from tdspace import BudgetExceededError
 
@@ -428,6 +482,20 @@ def test_skewed_minor_tree_breaks_the_kernel(skewed_minor_tree):
 def test_random_tree_reproducible():
     assert random_beta_tree(139, 9) == random_beta_tree(139, 9)
     assert random_beta_tree(139, 9) != random_beta_tree(140, 9)
+
+
+def test_random_trees_are_pinned():
+    """sha256 of 3,000 generated trees: the seeded sweeps, the kernel-sweep
+    benchmark and ``tdspace beta`` all rely on each seed's tree."""
+    digest = hashlib.sha256()
+    for rate in (0, 0.35, 1):
+        for seed in range(1000):
+            t = random_beta_tree(seed, 4 + seed % 13, rate)
+            fields = (t.a_parent.items(), t.b_parent.items(), t.major_side.items(), t.fences)
+            digest.update(repr(tuple(map(sorted, fields))).encode())
+    assert digest.hexdigest() == (
+        "be3a9d817fbbeb070f737ee082f92d58fc42bef7a4947a61a24994b6c9fc9cb9"
+    )
 
 
 def test_random_tree_sizes_and_validity():

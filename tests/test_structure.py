@@ -139,6 +139,19 @@ def test_hasse_unique_source_and_sink():
             assert all(ROOT_B in reach[v] for v in everything - {ROOT_B})
 
 
+def test_hasse_diagram_orients_replaced_fences():
+    """``fences`` is derived from ``fence_tds`` on construction, so a tree
+    copied with other fenced TDs orients exactly those."""
+    for n in range(1, 4):
+        for ev in enumerate_word_evolutions(n):
+            tree = build_2d_tree(ev)
+            kept = {(p, v) for v, p in tree.a_parent.items()} | set(tree.b_parent.items())
+            for tds in (frozenset(range(1, n + 1)), frozenset({1})):
+                diagram = hasse_diagram(replace(tree, fence_tds=tds))
+                fences = {(BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)) for k in tds}
+                assert diagram.edges == kept | fences, str(ev)
+
+
 def test_validators_pass_exhaustively():
     for n in range(1, 5):
         for ev in enumerate_word_evolutions(n):
