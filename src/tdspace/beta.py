@@ -352,11 +352,11 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
     from :func:`contracted_count`, so the two sides of each identity
     are computed by different code.
     """
-    rhs = contracted_count(induced_tree(tree, (ROOT_A, ROOT_B))).value
     total = len(tree.nodes)
     if total > budget:
         raise BudgetExceededError(f"{total} nodes exceed the subtree budget of {budget}")
     order = _closure_order(tree)
+    rhs = contracted_count(induced_tree(tree, (ROOT_A, ROOT_B))).value
     index = {ROOT_A: 0, ROOT_B: 1}
     index.update((v, i) for i, v in enumerate(order, start=2))
     # per node: its two parents, and its induced parent when it is in the

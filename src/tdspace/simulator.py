@@ -21,13 +21,15 @@ It renumbers a byte string with one ``bytes.replace`` per host and one
 ``bytes.translate``.  The walk carries the record key down this way (the
 genomes so far, each followed by ``0xff``), so the parent's prefix is never
 re-expanded, and at depth ``n`` the key is exactly
-:meth:`TdEvolutionRecord.canonical_key`.  Each choice then costs two
-``bytes.count`` calls per host for its cut offsets and two slices of the
-renumbered genome.  :func:`_children` takes this step for inner nodes,
-which become states (a state reads its word off the genome only when
-asked), and for leaves, which step their parent's word and yield their
-record key, word, steps, copy numbers and connection positions without a
-state.
+:meth:`TdEvolutionRecord.canonical_key`.  Each choice then costs four
+lookups in the parent's prefix counts of each interval for its cut offsets
+and two slices of the renumbered genome.  :func:`_children` takes this
+step for inner nodes, which become states (a state reads its word off the
+genome only when asked), and for leaves, which yield their record key,
+word, steps, copy numbers and connection positions without a state.  A
+leaf reads its copy numbers off the class's prefix sums of byte weights in
+one subtraction, and shares its word with every sibling of the same
+word-level step: the parent's word is stepped once per distinct step.
 :func:`apply_td` is the step for one choice, and both consumers,
 :func:`tabulate` and :func:`enumerate_process`, read the leaves of one
 walk.
@@ -39,7 +41,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, Deadline, ValidationError, _fan_out
 from .structure import A_SIDE, B_SIDE, BreakpointId, _bp
@@ -104,18 +106,21 @@ def initial_state() -> GenomeState:
     return GenomeState(genome=(0,), ref_bps=(), conns=(), steps=())
 
 
+def _choices(genome: tuple[int, ...]) -> Iterator[tuple[int, int, bool | None]]:
+    """The fields of every TD choice ``genome`` offers, in deterministic order."""
+    for g1, r1 in enumerate(genome):
+        yield g1, g1, None
+        for g2 in range(g1 + 1, len(genome)):
+            if genome[g2] == r1:
+                yield g1, g2, True
+                yield g1, g2, False
+            else:
+                yield g1, g2, None
+
+
 def enumerate_choices(state: GenomeState) -> list[TdChoice]:
     """All TD choices available from a state, in deterministic order."""
-    out = []
-    genome = state.genome
-    for g1 in range(len(genome)):
-        for g2 in range(g1, len(genome)):
-            if g1 != g2 and genome[g1] == genome[g2]:
-                out.append(TdChoice(g1, g2, True))
-                out.append(TdChoice(g1, g2, False))
-            else:
-                out.append(TdChoice(g1, g2, None))
-    return out
+    return [TdChoice(*c) for c in _choices(state.genome)]
 
 
 def _hosts(genome: tuple[int, ...], choice: TdChoice) -> tuple[int, int]:
@@ -181,9 +186,9 @@ class TdEvolutionRecord:
     def canonical_key(self) -> bytes:
         """Exact byte form of the record identity.
 
-        Interval indices are at most ``2n`` and genome lengths at most
-        ``2^(n+1) - 1``, so for every supported budget each value fits in
-        a byte; ``0xff`` separates the steps.
+        Interval indices are at most ``2n``, so for every supported
+        budget each fits in a byte below ``0xff``, which separates the
+        steps.
         """
         flat: list[int] = []
         for g in self.genomes:
@@ -193,6 +198,8 @@ class TdEvolutionRecord:
 
 
 _IDENTITY = bytes(range(256))
+#: ``256**i`` for every interval index under the depth budget
+_WEIGHTS = tuple(256**i for i in range(2 * DEEP_MAX_N + 1))
 
 #: connection positions ``(end, start)`` or word steps ``(a, b)``
 _Pairs = tuple[tuple[int, int], ...]
@@ -240,7 +247,7 @@ def _split(
 
 
 def _children(
-    parent: GenomeState, key: bytes, choices: Sequence[TdChoice], leaf: bool
+    parent: GenomeState, key: bytes, choices: Iterable[tuple], leaf: bool
 ) -> Iterator:
     """The child of ``parent`` for each of ``choices``, in order.
 
@@ -248,8 +255,14 @@ def _children(
     key)``; a leaf is its record key, terminal word (the only place a
     word is stepped), steps, graph key ``(cnv, sorted connection positions)``
     and connection positions in TD order, and builds no state.  The
-    choices are not checked: they come from :func:`enumerate_choices` or
-    have been checked by the caller.
+    choices are ``(g1, g2, order_flag)`` triples and are not checked:
+    they come from :func:`_choices` or have been checked by the caller.
+
+    A leaf's copy numbers come from prefix sums of ``256**i`` over its
+    class's renumbered genome: the sum over a slice holds the count of
+    interval ``i`` in byte ``i``.  A TD copies each genome segment at
+    most once, so after ``n`` TDs every count is at most ``2^n``; under
+    the depth budget each fits in a byte and never carries into the next.
     """
     genome = parent.genome
     gbytes = bytes(genome)
@@ -257,34 +270,46 @@ def _children(
     td = parent.n + 1
     conns = parent.conns + ((_bp(td, B_SIDE), _bp(td, A_SIDE)),)
     word = parent.word if leaf else ()
+    # before[r][g]: copies of interval r left of genome position g, for hosts
+    before: list = [None] * (len(parent.ref_bps) + 1)
     classes: dict[tuple[int, int, bool], tuple] = {}
+    # one word step per distinct (a, b): the child's steps and word
+    stepped: dict[tuple[int, int], tuple] = {}
     for g1, g2, flag in choices:
         r1, r2, reverse = genome[g1], genome[g2], flag is False
         cls = classes.get((r1, r2, reverse))
         if cls is None:
-            cls = classes[r1, r2, reverse] = _split(parent, key, gbytes, conns, r1, r2, reverse)
-        prefix, expanded, ref_bps, positions, graph_conns, width = cls
+            for r in (r1, r2):
+                if before[r] is None:
+                    before[r] = list(accumulate(map(r.__eq__, genome), initial=0))
+            split = _split(parent, key, gbytes, conns, r1, r2, reverse)
+            weights = list(accumulate(map(_WEIGHTS.__getitem__, split[1]), initial=0)) if leaf else ()
+            offsets = (1, 0) if r1 != r2 else (2, 0) if reverse else (1, 1)
+            cls = classes[r1, r2, reverse] = (*split, before[r1], before[r2], *offsets, weights)
+        prefix, expanded, ref_bps, positions, graph_conns, width, lo, hi, s_off, e_off, weights = cls
         # The cuts in the renumbered genome: each earlier copy of a host has
-        # grown by its extra pieces, and the cut lies after the piece that
-        # ends in the new breakpoint.
-        if r1 != r2:
-            start = g1 + gbytes.count(r1, 0, g1) + gbytes.count(r2, 0, g1) + 1
-            end = g2 + gbytes.count(r1, 0, g2) + gbytes.count(r2, 0, g2)
-        elif reverse:
-            start = g1 + 2 * gbytes.count(r1, 0, g1) + 2
-            end = g2 + 2 * gbytes.count(r1, 0, g2)
-        else:
-            start = g1 + 2 * gbytes.count(r1, 0, g1) + 1
-            end = g2 + 2 * gbytes.count(r1, 0, g2) + 1
+        # grown by one piece per cut it holds (a host of both cuts is both
+        # ``lo`` and ``hi``), and the cut lies after the piece that ends in
+        # the new breakpoint.
+        start = g1 + lo[g1] + hi[g1] + s_off
+        end = g2 + lo[g2] + hi[g2] + e_off
         last = expanded[: end + 1] + expanded[start:]
         # Word-level duplication bounds: connections strictly before each cut.
         # Both cuts lie past the first piece of their host copy, and splitting
         # an interval adds only reference junctions, so these are the somatic
         # junctions left of g1 (plus one) and left of g2 in the parent.
-        steps = parent.steps + ((somatic[g1] + 1, somatic[g2]),) if td > 1 else parent.steps
+        step = (somatic[g1] + 1, somatic[g2])
+        after = stepped.get(step)
+        if after is None:
+            if td == 1:
+                after = parent.steps, FIRST_WORD
+            else:
+                after = parent.steps + (step,), td_step(word, step, td) if leaf else ()
+            stepped[step] = after
+        steps, child_word = after
         if leaf:
-            child_word = td_step(word, steps[-1], td) if td > 1 else FIRST_WORD
-            cnv = tuple(map(last.count, range(width)))
+            counts = weights[end + 1] + weights[-1] - weights[start]
+            cnv = tuple(counts.to_bytes(width, "little"))
             yield prefix + last + b"\xff", child_word, steps, (cnv, graph_conns), positions
         else:
             yield GenomeState(tuple(last), ref_bps, conns, steps), prefix + last + b"\xff"
@@ -309,7 +334,7 @@ def _walk(
         """The nodes at depth ``n - 1``, each with the choices to take below it."""
         for choice in fixed[:1]:
             _hosts(state.genome, choice)
-        choices = fixed[:1] or enumerate_choices(state)
+        choices = fixed[:1] or _choices(state.genome)
         if state.n < n - 1:
             for child in _children(state, key, choices, leaf=False):
                 yield from parents(*child, fixed[1:])

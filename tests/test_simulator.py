@@ -1,6 +1,7 @@
 """Genome-state simulation: choices, records, and the distinct-object table."""
 
 import hashlib
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -23,7 +24,7 @@ from tdspace import (
     word_of,
 )
 from tdspace.errors import Deadline
-from tdspace.simulator import _collect, _DedupSets, _walk
+from tdspace.simulator import DEEP_MAX_N, _collect, _DedupSets, _walk
 from tdspace.structure import A_SIDE, B_SIDE, BreakpointId
 from tdspace.words import FIRST_WORD, td_step
 
@@ -447,12 +448,15 @@ def reference_index_key(state, key):
     return key.translate(table)
 
 
-def reference_leaves(n):
-    """Every leaf of ``n`` TDs in choice order, as the walk yields it."""
+def reference_leaves(n, prefix=()):
+    """Every leaf of ``n`` TDs in choice order, as the walk yields it;
+    ``prefix`` fixes the choices from the second TD on."""
     out = []
+    fixed = (TdChoice(0, 0, None), *(TdChoice(*c) for c in prefix))
 
     def walk(state, key, word):
-        for choice in enumerate_choices(state):
+        choices = fixed[state.n : state.n + 1] or enumerate_choices(state)
+        for choice in choices:
             child = reference_apply_td(state, choice)
             child_key = reference_extend_key(state, choice, child, key)
             child_word = td_step(word, child.steps[-1], child.n) if child.n > 1 else FIRST_WORD
@@ -477,6 +481,48 @@ def test_leaf_step_matches_apply_td(n):
     assert leaves == reference_leaves(n)
 
 
+def reference_prefix(choose, length):
+    """``length`` choices from the second TD on, each ``choose(state)`` of
+    its reference state."""
+    state = reference_apply_td(reference_initial_state(), TdChoice(0, 0, None))
+    prefix = []
+    for _ in range(length):
+        choice = choose(state)
+        prefix.append(choice)
+        state = reference_apply_td(state, choice)
+    return tuple(prefix)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_deep_leaves_match_the_reference_under_seeded_prefixes(seed):
+    rng = random.Random(seed)
+    prefix = reference_prefix(lambda state: rng.choice(enumerate_choices(state)), 3)
+    leaves = list(_walk(5, prefix, True))
+    assert leaves and leaves == reference_leaves(5, prefix)
+
+
+def test_deep_leaves_match_the_reference_at_the_largest_copy_numbers():
+    # Each TD of the prefix duplicates the whole genome, and so does the
+    # last leaf's: the middle piece of the first TD's interval doubles its
+    # count at each of the five TDs.
+    prefix = reference_prefix(lambda state: TdChoice(0, len(state.genome) - 1, None), 3)
+    leaves = list(_walk(5, prefix, True))
+    assert leaves == reference_leaves(5, prefix)
+    cnvs = [cnv for _key, _word, _steps, (cnv, _conns), _positions in leaves]
+    assert {len(cnv) for cnv in cnvs} == {11}
+    assert max(map(max, cnvs)) == 2**5
+
+
+def test_byte_bounds_hold_up_to_the_depth_cap():
+    # A TD copies each genome segment at most once, so after n TDs every
+    # copy number is at most 2^n: the leaf's byte-weighted prefix sums
+    # never carry from one interval into the next.
+    assert 2**DEEP_MAX_N < 256
+    # Interval indices stay below 2n + 1 and fresh ids below 2n + 4, so no
+    # byte of a record key reaches the 0xff separator.
+    assert 2 * DEEP_MAX_N + 4 < 0xFF
+
+
 #: sha256 of the sorted record keys of every n=4 path, each followed by a
 #: newline; the walk's keys are the records' ``canonical_key()``s
 N4_KEY_DIGEST = "409748c579552838179bb406e895310ac04070ccdd9b98349e0f3e42460b2510"
@@ -487,6 +533,22 @@ def test_record_keys_are_pinned_at_n4():
     assert len(keys) == 154869
     digest = hashlib.sha256(b"".join(k + b"\n" for k in keys)).hexdigest()
     assert digest == N4_KEY_DIGEST
+
+
+#: sha256 of ``repr(leaf)`` of every n=4 leaf of the walk, in walk order,
+#: each followed by a newline: the order, keys, words, steps, graph keys
+#: and connection positions, and their types
+N4_LEAF_DIGEST = "cba37b336e6ddbb61947869f156a1da0d2e25e132704d32e6eb9a1b5a6ff389b"
+
+
+def test_leaf_stream_is_pinned_at_n4():
+    digest = hashlib.sha256()
+    leaves = 0
+    for leaf in _walk(4, (), False):
+        digest.update(repr(leaf).encode() + b"\n")
+        leaves += 1
+    assert leaves == 154869
+    assert digest.hexdigest() == N4_LEAF_DIGEST
 
 
 def test_memory_budget_measures_what_the_old_leaves_measured():
