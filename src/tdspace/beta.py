@@ -19,7 +19,8 @@ checked here directly: :func:`kernel_profile` walks every admissible
 subset once, fixing each node's rewritten parent as it decides the
 node, and values each subset by the hook-length form of its extension
 product (factorials over the induced subtree sizes, with one correction
-per surviving fence).  The right-hand side still comes from the
+per surviving fence).  :func:`enumerate_beta_subtrees` lists the
+subsets of that same walk.  The right-hand side still comes from the
 dict-based forest count, so the two sides are computed independently.
 """
 
@@ -27,9 +28,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import comb, factorial, prod
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     BudgetExceededError,
@@ -198,61 +199,85 @@ def induced_major_graph(tree: TdTree, nodeset: Iterable[BreakpointId]) -> MajorG
 # Beta trees, subtrees and the induced rewrite
 
 
-def _closure_order(tree: BetaTree) -> list[BreakpointId]:
-    """Non-root nodes ordered so both parents precede every node."""
-    nodes = tree.nodes
-    index = dict(zip(nodes, range(len(nodes))))
-    succ: list[list[int]] = [[] for _ in nodes]
-    for i in range(2, len(nodes)):
-        for p in (tree.a_parent[nodes[i]], tree.b_parent[nodes[i]]):
-            succ[index.get(p, i)].append(i)  # a parent outside the tree: a loop
-    order = _topological(succ)
-    if len(order) < len(nodes):
-        raise ValidationError("parental edges contain a cycle")
-    return [nodes[i] for i in order[2:]]
+def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
+    """The one include/exclude walk over the admissible subtrees of ``tree``.
 
-
-def enumerate_beta_subtrees(
-    tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET
-) -> list[NodeSet]:
-    """Every admissible node subset, by top-down include/exclude search.
-
-    A node can only join once both parents have; a fence whose shared
-    parents are both chosen forces at least one of its two nodes in.
+    Returns ``(ids, index, chosen, parent, run)``: the nodes, the two
+    roots first and then in an order that puts both parents before every
+    node; each node's position in ``ids``; per position, whether the
+    node is in the subtree at hand and its :func:`induced_tree` parent
+    there; and ``run(visit)``, which calls ``visit()`` once at each
+    admissible subtree, excluding each node before including it.  A node
+    can only join once both parents have; a fence whose shared parents
+    are both chosen forces at least one of its two nodes in, and its
+    rule prunes the branch as soon as its later node is decided.
     """
-    if len(tree.nodes) > budget:
-        raise BudgetExceededError(
-            f"{len(tree.nodes)} nodes exceed the subtree budget of {budget}"
-        )
-    order = _closure_order(tree)
-    fences = [f for f in tree.fences if {f[0], f[1]} != {ROOT_A, ROOT_B}]
+    nodes = tree.nodes
+    total = len(nodes)
+    if total > budget:
+        raise BudgetExceededError(f"{total} nodes exceed the subtree budget of {budget}")
+    position = dict(zip(nodes, range(total)))
+    succ: list[list[int]] = [[] for _ in nodes]
+    for i in range(2, total):
+        for p in (tree.a_parent[nodes[i]], tree.b_parent[nodes[i]]):
+            succ[position.get(p, i)].append(i)  # a parent outside the tree: a loop
+    order = _topological(succ)
+    if len(order) < total:
+        raise ValidationError("parental edges contain a cycle")
+    ids = [nodes[i] for i in order]  # the roots come first: nothing points at them
+    index = dict(zip(ids, range(total)))
+    # per node: its two parents, and its induced parent when it is in the
+    # subtree, when it is out under two chosen parents, and otherwise
+    pa, pb, same, flip, major = ([0, 0] for _ in range(5))
+    for v in ids[2:]:
+        a, b = index[tree.a_parent[v]], index[tree.b_parent[v]]
+        pa.append(a)
+        pb.append(b)
+        same.append(a if v.side == A_SIDE else b)
+        flip.append(b if v.side == A_SIDE else a)
+        major.append(index[tree.major_parent(v)])
+
+    # a fence's rule is known once its later node is decided
+    rules: list[list[tuple[int, int, int, int]]] = [[] for _ in range(total)]
+    for x, y in sorted(tree.fences):
+        if {x, y} == {ROOT_A, ROOT_B}:
+            continue
+        if x not in tree.major_side or y not in tree.major_side:
+            raise ValidationError(f"fence {x}|{y} references missing nodes")
+        i, j = index[x], index[y]
+        rules[max(i, j)].append((i, j, pa[i], pb[i]))
+
+    chosen = [True, True] + [False] * (total - 2)
+    parent = [-1] * total
+
+    def run(visit: Callable[[], None]) -> None:
+        def walk(v: int) -> None:
+            if v == total:
+                visit()
+                return
+            both = chosen[pa[v]] and chosen[pb[v]]
+            parent[v] = flip[v] if both else major[v]
+            if not rules[v] or not any(
+                not chosen[x] and not chosen[y] and chosen[a] and chosen[b]
+                for x, y, a, b in rules[v]
+            ):
+                walk(v + 1)
+            if both:
+                chosen[v] = True
+                parent[v] = same[v]
+                walk(v + 1)
+                chosen[v] = False
+
+        walk(2)
+
+    return ids, index, chosen, parent, run
+
+
+def enumerate_beta_subtrees(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> list[NodeSet]:
+    """Every admissible node subset, in the order of the walk :func:`kernel_profile` shares."""
+    ids, _, chosen, _, run = _subtree_walk(tree, budget)
     results: list[NodeSet] = []
-    chosen: set[BreakpointId] = {ROOT_A, ROOT_B}
-
-    def admissible() -> bool:
-        return all(
-            not (
-                tree.a_parent[x] in chosen
-                and tree.b_parent[x] in chosen
-                and x not in chosen
-                and y not in chosen
-            )
-            for x, y in fences
-        )
-
-    def walk(i: int) -> None:
-        if i == len(order):
-            if admissible():
-                results.append(frozenset(chosen))
-            return
-        v = order[i]
-        walk(i + 1)
-        if tree.a_parent[v] in chosen and tree.b_parent[v] in chosen:
-            chosen.add(v)
-            walk(i + 1)
-            chosen.remove(v)
-
-    walk(0)
+    run(lambda: results.append(frozenset(compress(ids, chosen))))
     return results
 
 
@@ -339,11 +364,9 @@ class KernelCheck:
 def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[KernelCheck, ...]:
     """Kernel sums for every feasible first-root size, in one subtree walk.
 
-    The walk makes the include/exclude decisions of
-    :func:`enumerate_beta_subtrees` over integer arrays and fixes each
-    node's :func:`induced_tree` parent as it decides the node, so no
-    subtree is ever materialised.  A fence whose rule is broken prunes
-    the branch at its later node.  At each admissible subtree one
+    The walk is the one behind :func:`enumerate_beta_subtrees`; it fixes
+    each node's :func:`induced_tree` parent as it decides the node, so no
+    subtree is ever materialised.  At each admissible subtree one
     reverse pass gives the induced subtree sizes ``s``, and the
     :func:`two_tree_count` of the rewrite is the hook-length value
     ``(s_A - 1)! (s_B - 1)! / ∏ s_v`` over the non-root nodes, times
@@ -352,38 +375,12 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
     from :func:`contracted_count`, so the two sides of each identity
     are computed by different code.
     """
-    total = len(tree.nodes)
-    if total > budget:
-        raise BudgetExceededError(f"{total} nodes exceed the subtree budget of {budget}")
-    order = _closure_order(tree)
+    ids, index, chosen, parent, run = _subtree_walk(tree, budget)
+    total = len(ids)
     rhs = contracted_count(induced_tree(tree, (ROOT_A, ROOT_B))).value
-    index = {ROOT_A: 0, ROOT_B: 1}
-    index.update((v, i) for i, v in enumerate(order, start=2))
-    # per node: its two parents, and its induced parent when it is in the
-    # subtree, when it is out under two chosen parents, and otherwise
-    pa, pb, same, flip, major = ([0, 0] for _ in range(5))
-    for v in order:
-        a, b = index[tree.a_parent[v]], index[tree.b_parent[v]]
-        pa.append(a)
-        pb.append(b)
-        same.append(a if v.side == A_SIDE else b)
-        flip.append(b if v.side == A_SIDE else a)
-        major.append(index[tree.major_parent(v)])
-
-    # a fence's rule is known once its later node is decided
-    rules: list[list[tuple[int, int, int, int]]] = [[] for _ in range(total)]
-    inner = set()
-    for x, y in tree.fences:
-        if {x, y} == {ROOT_A, ROOT_B}:
-            continue
-        i, j = index[x], index[y]
-        rules[max(i, j)].append((i, j, pa[i], pb[i]))
-        inner.add(normalize_fence((x, y)))
+    inner = {normalize_fence(f) for f in tree.fences if set(f) != {ROOT_A, ROOT_B}}
     fences = [(index[x], index[y], f"{x}|{y}") for x, y in sorted(inner)]
-
     facts = [factorial(k) for k in range(total)]
-    chosen = [True, True] + [False] * (total - 2)
-    parent = [-1] * total
     sums = [0] * total
 
     def leaf() -> None:
@@ -402,24 +399,7 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
             den *= c
         sums[size[0]] += num // den
 
-    def walk(v: int) -> None:
-        if v == total:
-            leaf()
-            return
-        both = chosen[pa[v]] and chosen[pb[v]]
-        parent[v] = flip[v] if both else major[v]
-        if not rules[v] or not any(
-            not chosen[x] and not chosen[y] and chosen[a] and chosen[b]
-            for x, y, a, b in rules[v]
-        ):
-            walk(v + 1)
-        if both:
-            chosen[v] = True
-            parent[v] = same[v]
-            walk(v + 1)
-            chosen[v] = False
-
-    walk(2)
+    run(leaf)
     return tuple(KernelCheck(r=r, lhs=sums[r], rhs=rhs) for r in range(1, total))
 
 

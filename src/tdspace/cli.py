@@ -607,6 +607,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
         p.set_defaults(run=run)
 
+    def sweep(p: argparse.ArgumentParser, required: bool) -> None:
+        """The random-tree options of ``verify`` and ``beta``; ``required`` is for ``--seed``."""
+        p.add_argument("--seed", type=int, required=required, help="seed for the random portions")
+        p.add_argument("--trees", type=int, default=200, help="random trees in the kernel sweep")
+        p.add_argument("--size", type=int, default=12, help="max random-tree size")
+        p.add_argument("--fence-rate", type=float, default=0.35, dest="fence_rate")
+        p.add_argument("--node-budget", type=int, default=SUBTREE_NODE_BUDGET, dest="node_budget")
+
     p = sub.add_parser("words", help="word counts per length, by recursion and/or enumeration")
     p.add_argument("-n", type=int, default=6, help="number of TDs (default 6)")
     p.add_argument("--recursion", action="store_true", help="use the exact recursion (default)")
@@ -631,11 +639,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
     p.add_argument("-n", type=int, default=4, help="depth bound (default 4)")
-    p.add_argument("--seed", type=int, default=None, help="seed for the random portions")
-    p.add_argument("--trees", type=int, default=200, help="random trees in the kernel suite")
-    p.add_argument("--size", type=int, default=12, help="max random-tree size")
-    p.add_argument("--fence-rate", type=float, default=0.35, dest="fence_rate")
-    p.add_argument("--node-budget", type=int, default=SUBTREE_NODE_BUDGET, dest="node_budget")
+    sweep(p, required=False)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--time-limit", type=float, default=None, dest="time_limit",
                    help="seconds; exceeded sweeps exit with code 2")
@@ -653,11 +657,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, cmd_induce, ("text", "csv", "json"))
 
     p = sub.add_parser("beta", help="kernel-identity sweep over random two-trees")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trees", type=int, default=200)
-    p.add_argument("--size", type=int, default=12)
-    p.add_argument("--fence-rate", type=float, default=0.35, dest="fence_rate")
-    p.add_argument("--node-budget", type=int, default=SUBTREE_NODE_BUDGET, dest="node_budget")
+    sweep(p, required=True)
     common(p, cmd_beta, ("text", "json"))
 
     return parser

@@ -321,7 +321,9 @@ def _walk(
     deep: bool,
 ) -> Iterator[_Leaf]:
     """Every choice path of ``n`` TDs, in choice order, as a leaf of
-    :func:`_children`."""
+    :func:`_children`.  ``prefix`` fixes the leading choices (from the
+    second TD on; the first admits a single choice), which is how
+    :func:`tabulate` partitions the sweep."""
     limit = DEEP_MAX_N if deep else DEFAULT_MAX_N
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
@@ -361,13 +363,9 @@ def _record(key: bytes, steps: _Pairs, positions: _Pairs) -> TdEvolutionRecord:
     )
 
 
-def enumerate_process(n: int, prefix: Sequence[TdChoice] = ()) -> Iterator[TdEvolutionRecord]:
-    """Enumerate every choice path of ``n`` TDs and yield its record.
-
-    ``prefix`` fixes the leading choices (from the second TD on; the
-    first TD admits a single choice) so sweeps can be partitioned.
-    """
-    for key, _word, steps, _graph, positions in _walk(n, prefix, deep=False):
+def enumerate_process(n: int) -> Iterator[TdEvolutionRecord]:
+    """Enumerate every choice path of ``n`` TDs and yield its record."""
+    for key, _word, steps, _graph, positions in _walk(n, (), deep=False):
         yield _record(key, steps, positions)
 
 

@@ -68,7 +68,8 @@ ROOT_A, ROOT_B = _bp(0, A_SIDE), _bp(0, B_SIDE)
 
 def parse_breakpoint(text: str) -> BreakpointId:
     text = text.strip()
-    if len(text) < 2 or text[-1] not in (A_SIDE, B_SIDE) or not text[:-1].isdigit():
+    # ASCII only: ``isdigit`` also passes digits such as "³" that ``int`` refuses
+    if text[-1:] not in (A_SIDE, B_SIDE) or not (text.isascii() and text[:-1].isdigit()):
         raise ValidationError(f"bad breakpoint id {text!r}")
     return BreakpointId(int(text[:-1]), text[-1])
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 import time
 
 import pytest
@@ -44,6 +45,7 @@ from tdspace import (
 )
 from tdspace.beta import SUBTREE_NODE_BUDGET
 from tdspace.errors import Deadline
+from tdspace.structure import _topological
 from tdspace.words import DEFAULT_MAX_N, _evolution_unchecked, choices_for, td_step
 
 FIRST = WordEvolution(steps=())
@@ -320,17 +322,91 @@ def test_subtrees_match_brute_force():
         assert set(listed) == brute_force_subtrees(tree), tree
 
 
+def reference_subtrees(tree, budget=SUBTREE_NODE_BUDGET):
+    """The dict-and-set walk: include/exclude every node in closure order
+    on sets of ids, and test every fence only at the leaf."""
+    if len(tree.nodes) > budget:
+        raise BudgetExceededError(
+            f"{len(tree.nodes)} nodes exceed the subtree budget of {budget}"
+        )
+    nodes = tree.nodes
+    index = dict(zip(nodes, range(len(nodes))))
+    succ = [[] for _ in nodes]
+    for i in range(2, len(nodes)):
+        for p in (tree.a_parent[nodes[i]], tree.b_parent[nodes[i]]):
+            succ[index.get(p, i)].append(i)
+    order = _topological(succ)
+    if len(order) < len(nodes):
+        raise ValidationError("parental edges contain a cycle")
+    order = [nodes[i] for i in order[2:]]
+    fences = [f for f in tree.fences if {f[0], f[1]} != {ROOT_A, ROOT_B}]
+    results = []
+    chosen = {ROOT_A, ROOT_B}
+
+    def admissible():
+        return all(
+            not (
+                tree.a_parent[x] in chosen
+                and tree.b_parent[x] in chosen
+                and x not in chosen
+                and y not in chosen
+            )
+            for x, y in fences
+        )
+
+    def walk(i):
+        if i == len(order):
+            if admissible():
+                results.append(frozenset(chosen))
+            return
+        v = order[i]
+        walk(i + 1)
+        if tree.a_parent[v] in chosen and tree.b_parent[v] in chosen:
+            chosen.add(v)
+            walk(i + 1)
+            chosen.remove(v)
+
+    walk(0)
+    return results
+
+
+def test_subtree_lists_are_pinned():
+    """The ordered subtree lists of every evolution tree with n <= 4 and
+    600 seeded trees of 4..14 nodes: equal to the reference walk's, and
+    pinned by a sha256 taken before the walk was shared with
+    ``kernel_profile``."""
+    trees = [build_2d_tree(ev) for n in range(1, 5) for ev in enumerate_word_evolutions(n)]
+    trees += [
+        random_beta_tree(seed, 4 + seed % 11, rate)
+        for rate in (0, 0.35, 1)
+        for seed in range(200)
+    ]
+    digest, count = hashlib.sha256(), 0
+    for tree in trees:
+        listed = enumerate_beta_subtrees(tree)
+        assert listed == reference_subtrees(tree), tree
+        for tau in listed:
+            digest.update(repr(sorted(map(str, tau))).encode())
+        digest.update(b";")
+        count += len(listed)
+    assert count == 80042
+    assert digest.hexdigest() == (
+        "7f1034d867d40dc65aed2282c331ebcf05a34491d8113335ab7cfaa0faf68848"
+    )
+
+
 def test_broken_parental_edges_raise_one_error(worked_beta_tree):
     """A cycle or a parent outside the tree, on a minor or a major edge,
-    stops both subtree walks with one error."""
+    stops both readers of the subtree walk with one error; so does a
+    fence on a node outside the tree, in the words of the validator."""
 
-    def rewired(a_parent=None, b_parent=None, major_side=None):
+    def rewired(a_parent=None, b_parent=None, major_side=None, fences=()):
         t = worked_beta_tree
         return BetaTree(
             a_parent={**t.a_parent, **(a_parent or {})},
             b_parent={**t.b_parent, **(b_parent or {})},
             major_side={**t.major_side, **(major_side or {})},
-            fences=t.fences,
+            fences=t.fences | frozenset(fences),
         )
 
     minor_cycle = rewired(b_parent={bp("1b"): bp("2b")})
@@ -342,6 +418,13 @@ def test_broken_parental_edges_raise_one_error(worked_beta_tree):
             enumerate_beta_subtrees(tree)
         with pytest.raises(ValidationError, match="^parental edges contain a cycle$"):
             kernel_profile(tree)
+
+    fenced_outside = rewired(fences={(bp("9a"), bp("9b"))})
+    message = "fence 9a|9b references missing nodes"
+    assert validate_beta_tree(fenced_outside).failures()[0].details == message
+    for walk in (enumerate_beta_subtrees, kernel_profile):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            walk(fenced_outside)
 
 
 def test_subtree_budget(worked_beta_tree):
@@ -389,11 +472,12 @@ def test_kernel_on_evolution_trees():
 
 
 def reference_kernel_profile(tree, budget=SUBTREE_NODE_BUDGET):
-    """The kernel sums one materialised subtree at a time: enumerate,
-    rewrite, measure root A's component and count the rewrite."""
+    """The kernel sums one materialised subtree at a time: enumerate by
+    the reference walk, rewrite, measure root A's component and count
+    the rewrite."""
     rhs = contracted_count(induced_tree(tree, (ROOT_A, ROOT_B))).value
     sums = {}
-    for tau in enumerate_beta_subtrees(tree, budget=budget):
+    for tau in reference_subtrees(tree, budget=budget):
         graph = induced_tree(tree, tau)
         r = root_component_size(graph)
         sums[r] = sums.get(r, 0) + two_tree_count(graph).value

@@ -391,34 +391,34 @@ def test_records_match_the_recursive_expansion(n):
 
 def test_prefixes_partition_the_walk():
     sharded = [
-        rec
+        leaf
         for choice in enumerate_choices(after_first_td())
-        for rec in enumerate_process(3, prefix=(choice,))
+        for leaf in _walk(3, (choice,), False)
     ]
-    assert sharded == list(enumerate_process(3))
+    assert sharded == list(_walk(3, (), False))
 
 
 def test_prefixes_partition_the_walk_at_the_leaf():
     # n = 2: each prefix fixes the leaf's own choice
     sharded = [
-        rec
+        leaf
         for choice in enumerate_choices(after_first_td())
-        for rec in enumerate_process(2, prefix=(choice,))
+        for leaf in _walk(2, (choice,), False)
     ]
-    assert sharded == list(enumerate_process(2))
+    assert sharded == list(_walk(2, (), False))
 
 
 def test_a_prefix_choice_at_the_leaf_is_checked():
     with pytest.raises(ValidationError):
-        list(enumerate_process(2, prefix=(TdChoice(0, 0, True),)))
+        list(_walk(2, (TdChoice(0, 0, True),), False))
     with pytest.raises(ValidationError):
-        list(enumerate_process(2, prefix=(TdChoice(0, 4, None),)))
+        list(_walk(2, (TdChoice(0, 4, None),), False))
 
 
 def test_a_prefix_choice_at_an_inner_node_is_checked():
     for bad in (TdChoice(0, 0, True), TdChoice(1, 2, None), TdChoice(0, 4, None)):
         with pytest.raises(ValidationError):
-            list(enumerate_process(3, prefix=(bad,)))
+            list(_walk(3, (bad,), False))
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -47,7 +47,16 @@ def test_breakpoint_parsing_and_rendering():
     assert bp("3a") == BreakpointId(3, A_SIDE)
     assert str(BreakpointId(12, B_SIDE)) == "12b"
     assert bp("12b") == BreakpointId(12, B_SIDE)
+    assert bp(" 3a ") == BreakpointId(3, A_SIDE)
     assert ROOT_A == BreakpointId(0, A_SIDE)
+
+
+@pytest.mark.parametrize("text", ["", "a", "3", "b3", "3c", "3 a", "+3a", "\u00b3a", "\u0663a"])
+def test_malformed_breakpoint_ids_raise_validation_error(text):
+    """Superscript and non-ASCII decimal digits pass ``str.isdigit``;
+    they are refused like every other malformed id."""
+    with pytest.raises(ValidationError, match="^bad breakpoint id "):
+        parse_breakpoint(text)
 
 
 def word_segments(word):
