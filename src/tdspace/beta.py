@@ -199,6 +199,14 @@ def induced_major_graph(tree: TdTree, nodeset: Iterable[BreakpointId]) -> MajorG
 # Beta trees, subtrees and the induced rewrite
 
 
+def _parents(tree: BetaTree, v: BreakpointId) -> tuple[BreakpointId, BreakpointId]:
+    """``v``'s a- and b-parent; :class:`ValidationError` in the words of
+    :func:`validate_beta_tree` when either is missing."""
+    if v not in tree.a_parent or v not in tree.b_parent:
+        raise ValidationError(f"{v} missing parental data")
+    return tree.a_parent[v], tree.b_parent[v]
+
+
 def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
     """The one include/exclude walk over the admissible subtrees of ``tree``.
 
@@ -219,7 +227,7 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
     position = dict(zip(nodes, range(total)))
     succ: list[list[int]] = [[] for _ in nodes]
     for i in range(2, total):
-        for p in (tree.a_parent[nodes[i]], tree.b_parent[nodes[i]]):
+        for p in _parents(tree, nodes[i]):
             succ[position.get(p, i)].append(i)  # a parent outside the tree: a loop
     order = _topological(succ)
     if len(order) < total:
@@ -296,12 +304,12 @@ def induced_tree(tree: BetaTree, tau: Iterable[BreakpointId]) -> MajorGraph:
     if not chosen >= {ROOT_A, ROOT_B}:
         raise ValidationError("both roots belong to every beta subtree")
     for v in chosen:
-        if v.td != 0 and (tree.a_parent[v] not in chosen or tree.b_parent[v] not in chosen):
+        if v.td != 0 and not chosen.issuperset(_parents(tree, v)):
             raise ValidationError(f"{v} is in the subtree but a parent is not")
 
     parent = {}
     for v in tree.major_side:
-        pa, pb = tree.a_parent[v], tree.b_parent[v]
+        pa, pb = _parents(tree, v)
         if v in chosen:
             parent[v] = pa if v.side == A_SIDE else pb
         elif pa in chosen and pb in chosen:

@@ -26,13 +26,14 @@ lookups in the parent's prefix counts of each interval for its cut offsets
 and two slices of the renumbered genome.  :func:`_children` takes this
 step for inner nodes, which become states (a state reads its word off the
 genome only when asked), and for leaves, which yield their record key,
-word, steps, copy numbers and connection positions without a state.  A
-leaf reads its copy numbers off the class's prefix sums of byte weights in
-one subtraction, and shares its word with every sibling of the same
-word-level step: the parent's word is stepped once per distinct step.
-:func:`apply_td` is the step for one choice, and both consumers,
-:func:`tabulate` and :func:`enumerate_process`, read the leaves of one
-walk.
+word, steps, copy numbers, graph key and connection positions without a
+state.  A leaf reads its copy numbers off the class's prefix sums of byte
+weights in one subtraction, and shares its word with every sibling of the
+same word-level step: the parent's word is stepped once per distinct step.
+Each entry :func:`tabulate` dedups is one flat byte string, so
+``sys.getsizeof`` gives its whole size.  :func:`apply_td` is the step for
+one choice, and both consumers, :func:`tabulate` and
+:func:`enumerate_process`, read the leaves of one walk.
 """
 
 from __future__ import annotations
@@ -190,11 +191,7 @@ class TdEvolutionRecord:
         budget each fits in a byte below ``0xff``, which separates the
         steps.
         """
-        flat: list[int] = []
-        for g in self.genomes:
-            flat.extend(g)
-            flat.append(0xFF)
-        return bytes(flat)
+        return b"".join(bytes(g) + b"\xff" for g in self.genomes)
 
 
 _IDENTITY = bytes(range(256))
@@ -203,9 +200,9 @@ _WEIGHTS = tuple(256**i for i in range(2 * DEEP_MAX_N + 1))
 
 #: connection positions ``(end, start)`` or word steps ``(a, b)``
 _Pairs = tuple[tuple[int, int], ...]
-#: record key, terminal word, steps, graph key ``(cnv, sorted positions)``,
-#: positions in TD order
-_Leaf = tuple[bytes, Word, _Pairs, tuple[tuple[int, ...], _Pairs], _Pairs]
+#: record key, terminal word, steps, copy numbers, graph key (copy numbers
+#: then sorted positions), positions in TD order
+_Leaf = tuple[bytes, bytes, _Pairs, bytes, bytes, _Pairs]
 
 
 def _split(
@@ -218,7 +215,8 @@ def _split(
 
     Returns ``key`` and ``genome``, byte strings of ``parent``'s interval
     indices, renumbered to the child's, then the child's ``ref_bps``, the
-    connection positions in TD order and sorted, and the width.  Indices
+    connection positions in TD order, the sorted positions as one byte
+    string of ``(end, start)`` pairs, and the width.  Indices
     stay below ``2n + 1`` and the fresh ids below ``2n + 4``, so under
     the depth budget each fits in a byte and never reaches the ``0xff``
     separator.
@@ -242,7 +240,7 @@ def _split(
     positions = tuple((bps.index(e), bps.index(s)) for e, s in conns)
     return (
         key.translate(table), genome.translate(table), tuple(bps),
-        positions, tuple(sorted(positions)), len(ids),
+        positions, bytes(i for pair in sorted(positions) for i in pair), len(ids),
     )
 
 
@@ -253,8 +251,9 @@ def _children(
 
     ``key`` is ``parent``'s record key.  An inner child is ``(state,
     key)``; a leaf is its record key, terminal word (the only place a
-    word is stepped), steps, graph key ``(cnv, sorted connection positions)``
-    and connection positions in TD order, and builds no state.  The
+    word is stepped), steps, copy numbers, graph key (the copy numbers,
+    then the sorted positions: both widths are fixed at depth ``n``) and
+    connection positions in TD order, and builds no state.  The
     choices are ``(g1, g2, order_flag)`` triples and are not checked:
     they come from :func:`_choices` or have been checked by the caller.
 
@@ -302,15 +301,15 @@ def _children(
         after = stepped.get(step)
         if after is None:
             if td == 1:
-                after = parent.steps, FIRST_WORD
+                after = parent.steps, bytes(FIRST_WORD)
             else:
-                after = parent.steps + (step,), td_step(word, step, td) if leaf else ()
+                after = parent.steps + (step,), bytes(td_step(word, step, td)) if leaf else b""
             stepped[step] = after
         steps, child_word = after
         if leaf:
             counts = weights[end + 1] + weights[-1] - weights[start]
-            cnv = tuple(counts.to_bytes(width, "little"))
-            yield prefix + last + b"\xff", child_word, steps, (cnv, graph_conns), positions
+            cnv = counts.to_bytes(width, "little")
+            yield prefix + last + b"\xff", child_word, steps, cnv, cnv + graph_conns, positions
         else:
             yield GenomeState(tuple(last), ref_bps, conns, steps), prefix + last + b"\xff"
 
@@ -365,7 +364,7 @@ def _record(key: bytes, steps: _Pairs, positions: _Pairs) -> TdEvolutionRecord:
 
 def enumerate_process(n: int) -> Iterator[TdEvolutionRecord]:
     """Enumerate every choice path of ``n`` TDs and yield its record."""
-    for key, _word, steps, _graph, positions in _walk(n, (), deep=False):
+    for key, _word, steps, _cnv, _graph, positions in _walk(n, (), deep=False):
         yield _record(key, steps, positions)
 
 
@@ -381,19 +380,12 @@ class TableRow:
     paths: int = 0  # raw choice paths; equals evolutions when records never collide
 
 
-def _deep_size(obj: object) -> int:
-    size = sys.getsizeof(obj)
-    if isinstance(obj, tuple):
-        size += sum(map(_deep_size, obj))
-    return size
-
-
 class _DedupSets:
     """Words, copy-number profiles, graph keys and record keys seen so far.
 
-    With a memory budget, each entry's deep ``sys.getsizeof`` is counted
-    once, when it first enters its set; :meth:`check` adds the sets' own
-    tables and compares the total with the budget.
+    With a memory budget, each entry's ``sys.getsizeof`` is counted once,
+    when it first enters its set: a flat byte string, it shares nothing.
+    :meth:`check` adds the sets' own tables and compares with the budget.
     """
 
     def __init__(self, max_mem_bytes: int | None):
@@ -406,7 +398,7 @@ class _DedupSets:
             before = len(held)
             held.add(entry)
             if len(held) != before:
-                self.entry_bytes += _deep_size(entry)
+                self.entry_bytes += sys.getsizeof(entry)
 
     def merge(self, parts: Sequence[set]) -> None:
         for held, part in zip(self.sets, parts):
@@ -415,7 +407,7 @@ class _DedupSets:
             else:
                 new = part - held
                 held |= new
-                self.entry_bytes += sum(map(_deep_size, new))
+                self.entry_bytes += sum(map(sys.getsizeof, new))
 
     def check(self) -> None:
         if self.max_mem_bytes is None:
@@ -439,15 +431,15 @@ def _collect(
     words, cnvs, graphs, records = dedup.sets
     paths = 0
     deadline.check()
-    for key, word, _steps, graph, _positions in _walk(n, prefix, deep):
+    for key, word, _steps, cnv, graph, _positions in _walk(n, prefix, deep):
         paths += 1
         if max_mem_bytes is None:
             words.add(word)
-            cnvs.add(graph[0])
+            cnvs.add(cnv)
             graphs.add(graph)
             records.add(key)
         else:
-            dedup.add_measured(word, graph[0], graph, key)
+            dedup.add_measured(word, cnv, graph, key)
         if paths % _CHECK_EVERY == 0:
             deadline.check()
             dedup.check()
@@ -484,12 +476,4 @@ def tabulate(
             paths += p
             deadline.check()
             dedup.check()
-    words, cnvs, graphs, records = dedup.sets
-    return TableRow(
-        n=n,
-        words=len(words),
-        cnvs=len(cnvs),
-        td_graphs=len(graphs),
-        evolutions=len(records),
-        paths=paths,
-    )
+    return TableRow(n, *map(len, dedup.sets), paths=paths)

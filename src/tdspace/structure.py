@@ -285,8 +285,8 @@ def _check_double_tree(tree: BetaTree, report: StructureReport) -> tuple | None:
     ``chains`` each node's major parent, grandparent, ... up to its
     root, and ``recent`` the first opposite-type node on that chain
     (None if there is none).  Returns None when parental edges are
-    missing or mistyped, or a major chain misses the roots; no further
-    check can run on such a tree.
+    missing or mistyped, a major chain misses the roots, or a fence names
+    a node outside the tree; no further check can run on such a tree.
     """
     nodes = tree.major_side
     # once parental edges pass, this holds exactly the nodes
@@ -368,6 +368,8 @@ def _check_double_tree(tree: BetaTree, report: StructureReport) -> tuple | None:
             ok, details = False, f"fence {x}|{y} mixes major sides"
             break
     report.add("fences", ok, details)
+    if not ok and not index.keys() >= {v for fence in tree.fences for v in fence}:
+        return None  # a fence that passed has its nodes in the tree
     return ids, index, side, a_of, b_of, major, chains, recent
 
 

@@ -397,8 +397,9 @@ def test_subtree_lists_are_pinned():
 
 def test_broken_parental_edges_raise_one_error(worked_beta_tree):
     """A cycle or a parent outside the tree, on a minor or a major edge,
-    stops both readers of the subtree walk with one error; so does a
-    fence on a node outside the tree, in the words of the validator."""
+    stops both readers of the subtree walk with one error; so do a fence
+    on a node outside the tree and a node missing a parent, in the words
+    of the validator, and the latter stops :func:`induced_tree` too."""
 
     def rewired(a_parent=None, b_parent=None, major_side=None, fences=()):
         t = worked_beta_tree
@@ -425,6 +426,22 @@ def test_broken_parental_edges_raise_one_error(worked_beta_tree):
     for walk in (enumerate_beta_subtrees, kernel_profile):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             walk(fenced_outside)
+
+    # a node without one of its parents, through the walks and the rewrite
+    message = "2a missing parental data"
+    for side in ("a_parent", "b_parent"):
+        t = worked_beta_tree
+        parents = {k: v for k, v in getattr(t, side).items() if k != bp("2a")}
+        orphan = BetaTree(**{**vars(t), side: parents})
+        assert validate_beta_tree(orphan).failures()[0].details == message
+        for walk in (
+            enumerate_beta_subtrees,
+            kernel_profile,
+            lambda tree: induced_tree(tree, (ROOT_A, ROOT_B)),
+            lambda tree: induced_tree(tree, (ROOT_A, ROOT_B, bp("2a"))),
+        ):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                walk(orphan)
 
 
 def test_subtree_budget(worked_beta_tree):

@@ -137,9 +137,9 @@ def test_table_memory_budget(capsys, monkeypatch):
     assert code == 2
 
 
-@pytest.mark.parametrize("limit,code", [("300000", 2), ("500000", 0)])
+@pytest.mark.parametrize("limit,code", [("100000", 2), ("150000", 0)])
 def test_table_memory_budget_is_measured(capsys, monkeypatch, limit, code):
-    # the n=3 dedup sets measure about 388,000 bytes
+    # the n=3 dedup sets measure about 126,000 bytes
     monkeypatch.setenv("TD_MAX_MEM", limit)
     got, _, err = run(capsys, "table", "-n", "3")
     assert got == code
@@ -343,7 +343,7 @@ def test_time_limit_stops_the_simulator_sweep(workers):
     which no host finishes within the limit.  In a subprocess, a deadline
     that failed to stop it would meet the timeout or the memory cap, whose
     exit says nothing of a time limit, instead of hanging the tests."""
-    env = dict(os.environ, TD_MAX_MEM=str(256 * 2**20))
+    env = dict(os.environ, TD_MAX_MEM=str(128 * 2**20))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     argv = ["verify", "--suite", "grand-total", "-n", "5", "--deep", "--time-limit", "1"]
     done = subprocess.run(

@@ -1,7 +1,11 @@
 """Genome-state simulation: choices, records, and the distinct-object table."""
 
+import gc
 import hashlib
 import random
+import re
+import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -24,7 +28,7 @@ from tdspace import (
     word_of,
 )
 from tdspace.errors import Deadline
-from tdspace.simulator import DEEP_MAX_N, _collect, _DedupSets, _walk
+from tdspace.simulator import DEEP_MAX_N, _collect, _walk
 from tdspace.structure import A_SIDE, B_SIDE, BreakpointId
 from tdspace.words import FIRST_WORD, td_step
 
@@ -134,11 +138,31 @@ def test_memory_budget():
 
 
 def test_memory_budget_is_measured_in_every_worker_count():
-    # the deep size of the n=3 dedup sets is about 388,000 bytes
+    # the n=3 dedup sets hold about 126,000 bytes
     for workers in (1, 3):
         with pytest.raises(BudgetExceededError):
-            tabulate(3, workers=workers, max_mem_bytes=300_000)
-        assert tabulate(3, workers=workers, max_mem_bytes=500_000) == tabulate(3)
+            tabulate(3, workers=workers, max_mem_bytes=100_000)
+        assert tabulate(3, workers=workers, max_mem_bytes=150_000) == tabulate(3)
+
+
+def test_memory_budget_agrees_with_tracemalloc():
+    """The bytes the budget compares at n = 3 are within 25% of the sets'
+    live size under tracemalloc.  A deep size of tuple entries, which
+    counted the objects they share once per entry, read 2.1 times it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dedup, _paths = _collect(3, (), False, None, Deadline(None))
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(BudgetExceededError) as exceeded:
+        _collect(3, (), False, 1, Deadline(None))
+    held = int(re.search(r"hold (\d+) bytes", str(exceeded.value)).group(1))
+    assert tuple(map(len, dedup.sets)) == TABLE[3]
+    assert abs(held - live) <= 0.25 * live, (held, live)
 
 
 def test_records_expose_every_step():
@@ -474,9 +498,23 @@ def reference_leaves(n, prefix=()):
     return out
 
 
+def as_old_leaf(leaf):
+    """A leaf of the walk in the tuple form the reference and the pinned
+    digest use: word and copy numbers as tuples of ints, and the graph
+    key as ``(copy numbers, sorted (end, start) positions)``."""
+    key, word, steps, cnv, graph, positions = leaf
+    assert graph.startswith(cnv)
+    pairs = graph[len(cnv) :]
+    return key, tuple(word), steps, (tuple(cnv), tuple(zip(pairs[::2], pairs[1::2]))), positions
+
+
+def old_leaves(n, prefix=(), deep=False):
+    return list(map(as_old_leaf, _walk(n, prefix, deep)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_leaf_step_matches_apply_td(n):
-    leaves = list(_walk(n, (), False))
+    leaves = old_leaves(n)
     assert len(leaves) == (1, 11, 627)[n - 1]
     assert leaves == reference_leaves(n)
 
@@ -497,7 +535,7 @@ def reference_prefix(choose, length):
 def test_deep_leaves_match_the_reference_under_seeded_prefixes(seed):
     rng = random.Random(seed)
     prefix = reference_prefix(lambda state: rng.choice(enumerate_choices(state)), 3)
-    leaves = list(_walk(5, prefix, True))
+    leaves = old_leaves(5, prefix, True)
     assert leaves and leaves == reference_leaves(5, prefix)
 
 
@@ -506,7 +544,7 @@ def test_deep_leaves_match_the_reference_at_the_largest_copy_numbers():
     # last leaf's: the middle piece of the first TD's interval doubles its
     # count at each of the five TDs.
     prefix = reference_prefix(lambda state: TdChoice(0, len(state.genome) - 1, None), 3)
-    leaves = list(_walk(5, prefix, True))
+    leaves = old_leaves(5, prefix, True)
     assert leaves == reference_leaves(5, prefix)
     cnvs = [cnv for _key, _word, _steps, (cnv, _conns), _positions in leaves]
     assert {len(cnv) for cnv in cnvs} == {11}
@@ -535,9 +573,9 @@ def test_record_keys_are_pinned_at_n4():
     assert digest == N4_KEY_DIGEST
 
 
-#: sha256 of ``repr(leaf)`` of every n=4 leaf of the walk, in walk order,
-#: each followed by a newline: the order, keys, words, steps, graph keys
-#: and connection positions, and their types
+#: sha256 of ``repr(as_old_leaf(leaf))`` of every n=4 leaf of the walk, in
+#: walk order, each followed by a newline: the order, keys, words, steps,
+#: graph keys and connection positions, and the types of the tuple form
 N4_LEAF_DIGEST = "cba37b336e6ddbb61947869f156a1da0d2e25e132704d32e6eb9a1b5a6ff389b"
 
 
@@ -545,20 +583,26 @@ def test_leaf_stream_is_pinned_at_n4():
     digest = hashlib.sha256()
     leaves = 0
     for leaf in _walk(4, (), False):
-        digest.update(repr(leaf).encode() + b"\n")
+        digest.update(repr(as_old_leaf(leaf)).encode() + b"\n")
         leaves += 1
     assert leaves == 154869
     assert digest.hexdigest() == N4_LEAF_DIGEST
 
 
 def test_memory_budget_measures_what_the_old_leaves_measured():
+    """The sets hold the reference leaves' words, copy numbers, graph keys
+    and record keys as flat byte strings, as many as the old tuples, and
+    the budget counts each entry's ``sys.getsizeof`` once."""
     dedup, paths = _collect(3, (), False, 10**9, Deadline(None))
-    reference = _DedupSets(10**9)
-    for key, word, _steps, graph, _positions in reference_leaves(3):
-        reference.add_measured(word, graph[0], graph, key)
-    assert paths == 627
-    assert dedup.sets == reference.sets
-    assert dedup.entry_bytes == reference.entry_bytes
+    flat = [
+        (bytes(word), bytes(cnv), bytes(cnv) + bytes(i for pair in conns for i in pair), key)
+        for key, word, _steps, (cnv, conns), _positions in reference_leaves(3)
+    ]
+    assert paths == len(flat) == 627
+    assert dedup.sets == tuple(map(set, zip(*flat)))
+    assert tuple(map(len, dedup.sets)) == TABLE[3]
+    sizes = sum(sys.getsizeof(entry) for held in dedup.sets for entry in held)
+    assert dedup.entry_bytes == sizes
 
 
 class RecordingExecutor:

@@ -209,6 +209,21 @@ def test_negative_control_major_cycle(ev_540):
     assert not validate_structure(broken).ok
 
 
+def test_a_fence_outside_the_tree_ends_the_report(ev_540):
+    """A fenced TD with no nodes in the tree fails the fence check, and the
+    report stops there, also when an earlier fence fails first."""
+    tree = build_2d_tree(ev_540)
+    for tds, details in (
+        ({1, 9}, "fence 9a|9b references missing nodes"),
+        ({1, 2, 9}, "fence 2a|2b does not share both parents"),
+    ):
+        broken = replace(tree, fence_tds=frozenset(tds))
+        report = validate_structure(broken)
+        assert report == reference_validate_structure(broken)
+        assert [c.details for c in report.failures()] == [details]
+        assert report.checks[-1].name == "fences"
+
+
 def test_fenced_tds_are_always_reversed():
     for n in range(1, 4):
         for ev in enumerate_word_evolutions(n):
@@ -386,7 +401,7 @@ def reference_check_double_tree(tree, report):
             ok, details = False, f"fence {x}|{y} mixes major sides"
             break
     report.add("fences", ok, details)
-    return True
+    return all(v in nodes or v in (ROOT_A, ROOT_B) for fence in tree.fences for v in fence)
 
 
 def reference_validate_beta_tree(tree):
