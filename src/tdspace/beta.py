@@ -497,8 +497,8 @@ def total_evolutions_via_words(
     """Evolution total summed word by word: Σ extensions of each tree.
 
     This is the enumeration route the closed form is checked against.
-    With ``workers > 1`` the word-evolution stream is partitioned by its
-    first two steps, with at most one process per partition; partial sums
+    One worker sums in this process; more split the word-evolution stream
+    by its first two steps, one process per part at most.  Partial sums
     are independent, so worker count never changes the result.
     ``deadline`` is checked before each evolution, in every worker, and
     raises :class:`BudgetExceededError`.
@@ -506,7 +506,7 @@ def total_evolutions_via_words(
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     deadline = deadline if deadline is not None else Deadline(None)
-    if workers <= 1 or n < 3:
-        return _sum_partition(n, (), deadline)
-    parts = [(n, tuple(ev.steps), deadline) for ev in enumerate_word_evolutions(3)]
-    return sum(_fan_out(_sum_partition, parts, workers))
+    prefixes: list[tuple] = [()]
+    if workers > 1 and n >= 3:
+        prefixes = [tuple(ev.steps) for ev in enumerate_word_evolutions(3)]
+    return sum(_fan_out(_sum_partition, [(n, p, deadline) for p in prefixes], workers))

@@ -68,6 +68,7 @@ from .words import (
     format_evolution,
     parse_evolution,
     word_count_row,
+    word_count_total,
     word_to_text,
 )
 
@@ -116,6 +117,8 @@ def _validate(cfg: argparse.Namespace) -> None:
         raise ValidationError(f"need a positive time limit, got {cfg.time_limit}")
     if cfg.max_mem_bytes is not None and cfg.max_mem_bytes <= 0:
         raise ValidationError(f"TD_MAX_MEM must be positive, got {cfg.max_mem_bytes}")
+    if options.get("suite") == "kernel" and cfg.seed is None:
+        raise ValidationError(f"{cfg.command} is randomized; pass an explicit --seed")
 
 
 #: pieces of output gathered before one write
@@ -375,8 +378,6 @@ def _random_sweep(
     Returns the number of identities checked and one failure record per
     invalid tree or unequal identity, in sweep order.
     """
-    if cfg.seed is None:
-        raise ValidationError(f"{cfg.command} is randomized; pass an explicit --seed")
     seed = cfg.seed
     failures: list[dict[str, object]] = []
     identities = 0
@@ -423,7 +424,7 @@ def _suite_induction(cfg: argparse.Namespace, deadline: Deadline) -> list[Check]
             fiber_total += len(members)
             if sum(value for _, value in members) != predicted:
                 bad.append(format_evolution(ev))
-        level_size = sum(1 for _ in enumerate_word_evolutions(n + 1, max_n=cfg.n))
+        level_size = word_count_total(n + 1)
         if fiber_total != level_size:
             bad.append(f"fibers cover {fiber_total} of {level_size} evolutions")
         checks.append(_check(f"fibers-base-{n}", bad, f"{bases} bases, {fiber_total} induced"))

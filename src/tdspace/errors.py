@@ -49,9 +49,13 @@ class Deadline:
 
 
 def _fan_out(worker: Callable, parts: Sequence[tuple], workers: int) -> Iterator:
-    """``worker(*part)`` for each of ``parts``, on at most ``min(workers,
-    len(parts))`` processes; yields the results in order, so the caller
-    can check its budgets between them while the pool lives."""
+    """``worker(*part)`` for each of ``parts``, in this process for a lone
+    part, else on at most ``min(workers, len(parts))`` processes; yields the
+    results in order, so the caller can check its budgets between them
+    while the pool lives.  Only a pool imports the pool module."""
+    if len(parts) == 1:
+        yield worker(*parts[0])
+        return
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(workers, len(parts))) as pool:

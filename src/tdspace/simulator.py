@@ -380,44 +380,16 @@ class TableRow:
     paths: int = 0  # raw choice paths; equals evolutions when records never collide
 
 
-class _DedupSets:
-    """Words, copy-number profiles, graph keys and record keys seen so far.
-
-    With a memory budget, each entry's ``sys.getsizeof`` is counted once,
-    when it first enters its set: a flat byte string, it shares nothing.
-    :meth:`check` adds the sets' own tables and compares with the budget.
-    """
-
-    def __init__(self, max_mem_bytes: int | None):
-        self.sets: tuple[set, set, set, set] = (set(), set(), set(), set())
-        self.max_mem_bytes = max_mem_bytes
-        self.entry_bytes = 0
-
-    def add_measured(self, *entries: object) -> None:
-        for held, entry in zip(self.sets, entries):
-            before = len(held)
-            held.add(entry)
-            if len(held) != before:
-                self.entry_bytes += sys.getsizeof(entry)
-
-    def merge(self, parts: Sequence[set]) -> None:
-        for held, part in zip(self.sets, parts):
-            if self.max_mem_bytes is None:
-                held |= part
-            else:
-                new = part - held
-                held |= new
-                self.entry_bytes += sum(map(sys.getsizeof, new))
-
-    def check(self) -> None:
-        if self.max_mem_bytes is None:
-            return
-        held = self.entry_bytes + sum(map(sys.getsizeof, self.sets))
-        if held > self.max_mem_bytes:
-            raise BudgetExceededError(
-                f"dedup sets hold {held} bytes, over the memory budget of "
-                f"{self.max_mem_bytes} bytes"
-            )
+def _check_budget(sets: Sequence[set], entry_bytes: int, max_mem_bytes: int | None) -> None:
+    """Raise :class:`BudgetExceededError` when ``entry_bytes`` plus the
+    sets' own tables exceed ``max_mem_bytes`` (``None``: no budget)."""
+    if max_mem_bytes is None:
+        return
+    held = entry_bytes + sum(map(sys.getsizeof, sets))
+    if held > max_mem_bytes:
+        raise BudgetExceededError(
+            f"dedup sets hold {held} bytes, over the memory budget of {max_mem_bytes} bytes"
+        )
 
 
 def _collect(
@@ -426,10 +398,13 @@ def _collect(
     deep: bool,
     max_mem_bytes: int | None,
     deadline: Deadline,
-) -> tuple[_DedupSets, int]:
-    dedup = _DedupSets(max_mem_bytes)
-    words, cnvs, graphs, records = dedup.sets
-    paths = 0
+) -> tuple[tuple[set, set, set, set], int, int]:
+    """The sets of words, copy numbers, graph keys and record keys below
+    ``prefix``, their entries' bytes and the path count.  Under a budget,
+    each entry's ``sys.getsizeof`` is counted once, when it enters its set:
+    a flat byte string, it shares nothing."""
+    sets = words, cnvs, graphs, records = set(), set(), set(), set()
+    entry_bytes = paths = 0
     deadline.check()
     for key, word, _steps, cnv, graph, _positions in _walk(n, prefix, deep):
         paths += 1
@@ -439,12 +414,16 @@ def _collect(
             graphs.add(graph)
             records.add(key)
         else:
-            dedup.add_measured(word, cnv, graph, key)
+            for held, entry in zip(sets, (word, cnv, graph, key)):
+                before = len(held)
+                held.add(entry)
+                if len(held) != before:
+                    entry_bytes += sys.getsizeof(entry)
         if paths % _CHECK_EVERY == 0:
             deadline.check()
-            dedup.check()
-    dedup.check()
-    return dedup, paths
+            _check_budget(sets, entry_bytes, max_mem_bytes)
+    _check_budget(sets, entry_bytes, max_mem_bytes)
+    return sets, entry_bytes, paths
 
 
 def tabulate(
@@ -456,24 +435,32 @@ def tabulate(
 ) -> TableRow:
     """Count distinct words, copy-number profiles, graphs and evolutions.
 
-    With ``workers > 1`` the sweep is partitioned by the first TD choice
-    after the forced one, with at most one process per partition; results
-    are identical for any worker count.
-    ``max_mem_bytes`` caps the measured size of the dedup sets and
-    ``deadline`` the wall-clock time; both are checked every 4096 paths,
-    in every worker, and raise :class:`BudgetExceededError`.
+    One worker sweeps in this process.  More partition the sweep by the
+    first TD choice after the forced one, one process per partition at
+    most, and the first partition's sets take in the rest.  Under a budget
+    they take them from an iterator, one entry at a time as the walk adds
+    them (a set would presize the table), so the budget's verdict, like
+    the results, is the same for any worker count.  ``max_mem_bytes``
+    caps the dedup sets' measured size and ``deadline`` the time; both are
+    checked every 4096 paths, in every worker, and raise
+    :class:`BudgetExceededError`.
     """
     deadline = deadline if deadline is not None else Deadline(None)
-    if workers <= 1 or n == 1:
-        dedup, paths = _collect(n, (), deep, max_mem_bytes, deadline)
-    else:
+    prefixes: list[tuple] = [()]
+    if workers > 1 and n > 1:
         first = apply_td(initial_state(), TdChoice(0, 0, None))
-        parts = [(n, (c,), deep, max_mem_bytes, deadline) for c in enumerate_choices(first)]
-        dedup = _DedupSets(max_mem_bytes)
-        paths = 0
-        for part, p in _fan_out(_collect, parts, workers):
-            dedup.merge(part.sets)
-            paths += p
-            deadline.check()
-            dedup.check()
-    return TableRow(n, *map(len, dedup.sets), paths=paths)
+        prefixes = [(c,) for c in enumerate_choices(first)]
+    results = _fan_out(_collect, [(n, p, deep, max_mem_bytes, deadline) for p in prefixes], workers)
+    sets, entry_bytes, paths = next(results)
+    for part, _part_bytes, part_paths in results:
+        for held, new in zip(sets, part):
+            if max_mem_bytes is None:
+                held |= new
+            else:
+                new -= held
+                held.update(iter(new))
+                entry_bytes += sum(map(sys.getsizeof, new))
+        paths += part_paths
+        deadline.check()
+        _check_budget(sets, entry_bytes, max_mem_bytes)
+    return TableRow(n, *map(len, sets), paths=paths)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -146,6 +147,21 @@ def test_table_memory_budget_is_measured(capsys, monkeypatch, limit, code):
     assert ("memory budget" in err) == (code == 2)
 
 
+@pytest.mark.parametrize("workers", ["1", "2", "3", "11"])
+def test_table_memory_budget_is_the_same_on_any_workers(capsys, monkeypatch, workers):
+    """One byte under what one worker holds at n = 3 fails on every worker count."""
+    monkeypatch.setenv("TD_MAX_MEM", "1")
+    _, _, err = run(capsys, "table", "-n", "3")
+    held = int(re.search(r"hold (\d+) bytes", err).group(1))
+    monkeypatch.setenv("TD_MAX_MEM", str(held - 1))
+    code, out, err = run(capsys, "table", "-n", "3", "--workers", workers)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"budget exceeded: dedup sets hold {held} bytes, "
+        f"over the memory budget of {held - 1} bytes\n"
+    )
+
+
 def test_table_bad_mem_env(capsys, monkeypatch):
     monkeypatch.setenv("TD_MAX_MEM", "lots")
     code, _, err = run(capsys, "table", "-n", "2")
@@ -177,10 +193,16 @@ def test_verify_json_report(capsys):
     assert {c["name"] for c in doc["checks"]} == {"trees-validate", "formula-vs-oracle"}
 
 
-def test_verify_kernel_requires_seed(capsys):
-    code, _, err = run(capsys, "verify", "--suite", "kernel", "-n", "1")
-    assert code == 1
-    assert "--seed" in err
+def test_verify_kernel_requires_seed(capsys, monkeypatch):
+    """The seed is checked before any work, not after the deterministic checks."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("kernel_profile ran before the seed check")
+
+    monkeypatch.setattr(cli, "kernel_profile", no_work)
+    code, out, err = run(capsys, "verify", "--suite", "kernel", "-n", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: verify is randomized; pass an explicit --seed\n"
 
 
 def test_verify_time_limit(capsys):
@@ -352,6 +374,22 @@ def test_time_limit_stops_the_simulator_sweep(workers):
     )
     assert done.returncode == 2, done.stderr
     assert "time limit" in done.stderr
+
+
+def test_importing_the_cli_loads_no_pool_module():
+    """Single-worker commands pay for every import; the process pool is
+    imported only when a sweep starts one."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, tdspace.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, env=env, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def joined_output(text):

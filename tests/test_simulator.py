@@ -145,6 +145,24 @@ def test_memory_budget_is_measured_in_every_worker_count():
         assert tabulate(3, workers=workers, max_mem_bytes=150_000) == tabulate(3)
 
 
+def smallest_passing_budget(n):
+    """The bytes a 1-worker ``tabulate(n)`` holds, read off its failure."""
+    with pytest.raises(BudgetExceededError) as exceeded:
+        tabulate(n, max_mem_bytes=1)
+    return int(re.search(r"hold (\d+) bytes", str(exceeded.value)).group(1))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 11])
+def test_memory_budget_does_not_depend_on_the_worker_count(workers):
+    """The merge of the partitions grows each set entry by entry, as the
+    walk does, so every set's table, and the budget's verdict, depends
+    only on what the sets hold."""
+    budget = smallest_passing_budget(3)
+    assert tabulate(3, workers=workers, max_mem_bytes=budget) == tabulate(3)
+    with pytest.raises(BudgetExceededError, match=f"hold {budget} bytes"):
+        tabulate(3, workers=workers, max_mem_bytes=budget - 1)
+
+
 def test_memory_budget_agrees_with_tracemalloc():
     """The bytes the budget compares at n = 3 are within 25% of the sets'
     live size under tracemalloc.  A deep size of tuple entries, which
@@ -153,7 +171,7 @@ def test_memory_budget_agrees_with_tracemalloc():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        dedup, _paths = _collect(3, (), False, None, Deadline(None))
+        sets, _entry_bytes, _paths = _collect(3, (), False, None, Deadline(None))
         gc.collect()
         live = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -161,7 +179,7 @@ def test_memory_budget_agrees_with_tracemalloc():
     with pytest.raises(BudgetExceededError) as exceeded:
         _collect(3, (), False, 1, Deadline(None))
     held = int(re.search(r"hold (\d+) bytes", str(exceeded.value)).group(1))
-    assert tuple(map(len, dedup.sets)) == TABLE[3]
+    assert tuple(map(len, sets)) == TABLE[3]
     assert abs(held - live) <= 0.25 * live, (held, live)
 
 
@@ -593,16 +611,16 @@ def test_memory_budget_measures_what_the_old_leaves_measured():
     """The sets hold the reference leaves' words, copy numbers, graph keys
     and record keys as flat byte strings, as many as the old tuples, and
     the budget counts each entry's ``sys.getsizeof`` once."""
-    dedup, paths = _collect(3, (), False, 10**9, Deadline(None))
+    sets, entry_bytes, paths = _collect(3, (), False, 10**9, Deadline(None))
     flat = [
         (bytes(word), bytes(cnv), bytes(cnv) + bytes(i for pair in conns for i in pair), key)
         for key, word, _steps, (cnv, conns), _positions in reference_leaves(3)
     ]
     assert paths == len(flat) == 627
-    assert dedup.sets == tuple(map(set, zip(*flat)))
-    assert tuple(map(len, dedup.sets)) == TABLE[3]
-    sizes = sum(sys.getsizeof(entry) for held in dedup.sets for entry in held)
-    assert dedup.entry_bytes == sizes
+    assert sets == tuple(map(set, zip(*flat)))
+    assert tuple(map(len, sets)) == TABLE[3]
+    sizes = sum(sys.getsizeof(entry) for held in sets for entry in held)
+    assert entry_bytes == sizes
 
 
 class RecordingExecutor:
@@ -635,4 +653,8 @@ def test_pools_are_capped_at_the_partitions(monkeypatch):
     assert RecordingExecutor.sizes == [11, 4]
     prefixes = len(list(enumerate_word_evolutions(3)))
     assert total_evolutions_via_words(4, workers=500) == 154869
+    assert RecordingExecutor.sizes == [11, 4, prefixes]
+    # one worker sweeps in this process
+    assert row_tuple(tabulate(3, workers=1)) == TABLE[3]
+    assert total_evolutions_via_words(4, workers=1) == 154869
     assert RecordingExecutor.sizes == [11, 4, prefixes]
