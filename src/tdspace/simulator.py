@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, Deadline, ValidationError, _fan_out
 from .structure import A_SIDE, B_SIDE, BreakpointId, _bp
-from .words import FIRST_WORD, Word, WordEvolution, td_step
+from .words import FIRST_WORD, Word, WordEvolution, _step
 
 DEFAULT_MAX_N = 4
 DEEP_MAX_N = 5
@@ -303,7 +303,7 @@ def _children(
             if td == 1:
                 after = parent.steps, bytes(FIRST_WORD)
             else:
-                after = parent.steps + (step,), bytes(td_step(word, step, td)) if leaf else b""
+                after = parent.steps + (step,), bytes(_step(word, step, td)) if leaf else b""
             stepped[step] = after
         steps, child_word = after
         if leaf:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import tdspace.words
 from tdspace import (
     BudgetExceededError,
     IndexOutOfRangeError,
@@ -22,7 +23,7 @@ from tdspace import (
     word_count_total,
     word_to_text,
 )
-from tdspace.words import WORD_COUNT_MAX_N
+from tdspace.words import FIRST_WORD, WORD_COUNT_MAX_N
 
 #: ``word_count_total(n)`` for n = 1..11, frozen from the O(4^n) recursion.
 WORD_TOTALS = {
@@ -58,6 +59,56 @@ def test_td_step_length_identity():
         assert len(new) == len(word) + (b - a + 1) + 1
         assert new.count(sym) == 1
         word = new
+
+
+def _reference_step(word, choice, symbol):
+    """The definition of a TD, ``W(1:a-1) + W(a:b) + n + W(a:b) + W(b+1:m)``."""
+    a, b = choice
+    return word[: a - 1] + word[a - 1 : b] + (symbol,) + word[a - 1 : b] + word[b:]
+
+
+def _reference_level(n):
+    """The words after ``n`` TDs, by a level sweep through ``_reference_step``."""
+    level = {FIRST_WORD}
+    for depth in range(2, n + 1):
+        level = {_reference_step(w, c, depth) for w in level for c in choices_for(w)}
+    return level
+
+
+def test_td_step_matches_the_definition(random_evolution):
+    """``W(1:b) + n + W(a:m)`` is the five-slice definition on every choice."""
+    words = set().union(*map(_reference_level, range(1, 5)))
+    words |= {random_evolution(n, seed).terminal_word for n in range(1, 13) for seed in range(4)}
+    for word in words:
+        symbol = max(word) + 1
+        for c in choices_for(word):
+            assert td_step(word, c, symbol) == _reference_step(word, c, symbol)
+
+
+def test_every_sweep_reaches_the_reference_level():
+    for n in range(1, 6):
+        level = _reference_level(n)
+        assert distinct_words(n) == level
+        assert {ev.terminal_word for ev in enumerate_word_evolutions(n)} == level
+
+
+def test_sweeps_make_no_checked_step(monkeypatch):
+    """Only the replay of a given prefix goes through ``td_step``."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return td_step(*args)
+
+    monkeypatch.setattr(tdspace.words, "td_step", counted)
+    assert len(distinct_words(4)) == WORD_TOTALS[4]
+    assert len(list(enumerate_word_evolutions(4))) == WORD_TOTALS[4]
+    assert calls == []
+    for prefix in [((1, 1),), ((1, 1), (1, 0)), ((1, 0), (3, 2), (2, 3))]:
+        calls.clear()
+        evolutions = list(enumerate_word_evolutions(5, prefix=prefix))
+        assert evolutions and all(ev.steps[: len(prefix)] == prefix for ev in evolutions)
+        assert len(calls) == len(prefix)
 
 
 @pytest.mark.parametrize("choice", [(0, 0), (1, 2), (3, 1), (2, 0), (-1, -1)])
@@ -181,7 +232,7 @@ def test_word_total_counts_choices_on_the_level_below():
         assert word_count_total(n) == sum(choice_count(m) * c for m, c in below.items())
 
 
-def test_word_count_budget():
+def test_word_count_budget(monkeypatch):
     assert WORD_COUNT_MAX_N == 20
     with pytest.raises(BudgetExceededError):
         word_count_row(WORD_COUNT_MAX_N + 1)
@@ -189,6 +240,23 @@ def test_word_count_budget():
         word_count_total(30)
     with pytest.raises(ValidationError):
         word_count_row(0)
+    # past n = 20, a length whose levels fit the budget is still counted
+    assert word_count_recursion(25, 21) == 4666132326325193944704000
+
+    def no_work(*args):
+        raise AssertionError("the row was built")
+
+    # every refusal and every empty length comes before any work
+    monkeypatch.setattr(tdspace.words, "_count_level", no_work)
+    with pytest.raises(BudgetExceededError):
+        word_count_total(WORD_COUNT_MAX_N + 1)
+    with pytest.raises(ValidationError):
+        word_count_total(0)
+    with pytest.raises(BudgetExceededError):
+        word_count_recursion(2**21 - 5, 22)
+    assert word_count_recursion(10**6 - 1, 10**6) == 0
+    assert word_count_recursion(2**22, 22) == 0
+    assert word_count_recursion(3, 40) == 0
 
 
 def test_length_five_words_at_level_three():
