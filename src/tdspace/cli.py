@@ -113,7 +113,7 @@ def _validate(cfg: argparse.Namespace) -> None:
         raise ValidationError(f"need 0 <= fence_rate <= 1, got {rate}")
     if options.get("node_budget") is not None and cfg.node_budget < 1:
         raise ValidationError(f"need a positive node budget, got {cfg.node_budget}")
-    if options.get("time_limit") is not None and cfg.time_limit <= 0:
+    if options.get("time_limit") is not None and not cfg.time_limit > 0:
         raise ValidationError(f"need a positive time limit, got {cfg.time_limit}")
     if cfg.max_mem_bytes is not None and cfg.max_mem_bytes <= 0:
         raise ValidationError(f"TD_MAX_MEM must be positive, got {cfg.max_mem_bytes}")

@@ -1,38 +1,37 @@
 """Direct simulation of the tandem-duplication process on a genome.
 
-A state names each reference interval by its index, left to right: the
-genome is a tuple of indices and ``ref_bps`` holds the breakpoints between
-consecutive intervals.  A junction of the genome follows the reference
-exactly when it joins interval ``i`` to ``i + 1``; every other junction is
-somatic.  A TD choice picks the two genome segments that receive the new
-start/end breakpoints; when the two cuts fall in distinct copies of the
-same reference interval their relative reference order is a free extra
-choice.  Enumerating all choice sequences and deduplicating the resulting
-records (every intermediate genome, re-expressed at the final reference
-resolution) reproduces the evolution counts obtained from words and
-linear extensions — by a completely different route.
+A state names each reference interval by its index, left to right, and
+position ``j`` is the breakpoint between intervals ``j`` and ``j + 1``.
+The genome is a tuple of interval indices, and ``positions`` holds the
+positions of each TD's end and start breakpoints.  A junction of the
+genome follows the reference exactly when it joins interval ``i`` to
+``i + 1``; every other junction is somatic and joins the end of one TD
+to its start.  A TD choice picks the two genome segments that receive
+the new start/end breakpoints; when the two cuts fall in distinct copies
+of the same reference interval their relative reference order is a free
+extra choice.  Enumerating all choice sequences and deduplicating the
+resulting records (every intermediate genome, re-expressed at the final
+reference resolution) reproduces the evolution counts obtained from
+words and linear extensions — by a completely different route, which
+shares no code with the double-tree model.
 
-One split step builds every node of the walk.  The choices at a node fall
+The walk has one node type, the tuple :func:`_children` yields: record
+key, word, steps, copy numbers, graph key and positions.  The key holds
+the genomes so far, each followed by ``0xff``, so a node's genome is its
+last segment, and at depth ``n`` the key is exactly
+:meth:`TdEvolutionRecord.canonical_key`.  The choices at a node fall
 into a few classes: the host intervals, plus the order of the two
 breakpoints when both cuts share a host.  Once per class, :func:`_split`
-inserts the new breakpoints into ``ref_bps`` and renumbers the intervals:
-each host becomes two or three pieces and every later interval moves up.
-It renumbers a byte string with one ``bytes.replace`` per host and one
-``bytes.translate``.  The walk carries the record key down this way (the
-genomes so far, each followed by ``0xff``), so the parent's prefix is never
-re-expanded, and at depth ``n`` the key is exactly
-:meth:`TdEvolutionRecord.canonical_key`.  Each choice then costs four
-lookups in the parent's prefix counts of each interval for its cut offsets
-and two slices of the renumbered genome.  :func:`_children` takes this
-step for inner nodes, which become states (a state reads its word off the
-genome only when asked), and for leaves, which yield their record key,
-word, steps, copy numbers, graph key and connection positions without a
-state.  A leaf reads its copy numbers off the class's prefix sums of byte
-weights in one subtraction, and shares its word with every sibling of the
-same word-level step: the parent's word is stepped once per distinct step.
-Each entry :func:`tabulate` dedups is one flat byte string, so
-``sys.getsizeof`` gives its whole size.  :func:`apply_td` is the step for
-one choice, and both consumers, :func:`tabulate` and
+renumbers the key and the genome with one ``bytes.replace`` per host and
+one ``bytes.translate`` (each host becomes two or three pieces and every
+later interval moves up) and moves each position past the new
+breakpoints left of it.  Each choice then costs four lookups in the
+parent's prefix counts of each interval for its cut offsets, two slices
+of the renumbered genome and one subtraction of the class's prefix sums
+of byte weights for its copy numbers; the parent's word is stepped once
+per distinct step.  Each entry :func:`tabulate` dedups is one flat byte
+string, so ``sys.getsizeof`` gives its whole size.  :func:`apply_td` is
+the step for one choice, and both consumers, :func:`tabulate` and
 :func:`enumerate_process`, read the leaves of one walk.
 """
 
@@ -41,12 +40,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, Deadline, ValidationError, _fan_out
-from .structure import A_SIDE, B_SIDE, BreakpointId, _bp
-from .words import FIRST_WORD, Word, WordEvolution, _step
+from .words import Word, WordEvolution, _step
 
 DEFAULT_MAX_N = 4
 DEEP_MAX_N = 5
@@ -80,22 +78,12 @@ class GenomeState:
     """Immutable snapshot of the rearranged genome after some TDs."""
 
     genome: tuple[int, ...]  # reference interval indices in genome order
-    ref_bps: tuple[BreakpointId, ...]  # boundaries between consecutive intervals
-    conns: tuple[tuple[BreakpointId, BreakpointId], ...]  # (end bp, start bp) per TD
+    positions: tuple[tuple[int, int], ...]  # (end, start) breakpoint positions per TD
     steps: tuple[tuple[int, int], ...]  # derived word-level (a, b) per TD after the first
 
     @property
     def n(self) -> int:
-        return len(self.conns)
-
-    @cached_property
-    def _somatic_before(self) -> tuple[int, ...]:
-        """Running count of somatic junctions: entry ``k`` counts those
-        left of genome position ``k``.  Computed once per state, on first
-        use; every TD applied to the state reads its ``(a, b)`` here."""
-        genome = self.genome
-        junctions = zip(genome, genome[1:])
-        return tuple(accumulate((right != left + 1 for left, right in junctions), initial=0))
+        return len(self.positions)
 
     @cached_property
     def word(self) -> Word:
@@ -104,10 +92,10 @@ class GenomeState:
 
 
 def initial_state() -> GenomeState:
-    return GenomeState(genome=(0,), ref_bps=(), conns=(), steps=())
+    return GenomeState(genome=(0,), positions=(), steps=())
 
 
-def _choices(genome: tuple[int, ...]) -> Iterator[tuple[int, int, bool | None]]:
+def _choices(genome: Sequence[int]) -> Iterator[tuple[int, int, bool | None]]:
     """The fields of every TD choice ``genome`` offers, in deterministic order."""
     for g1, r1 in enumerate(genome):
         yield g1, g1, None
@@ -124,7 +112,7 @@ def enumerate_choices(state: GenomeState) -> list[TdChoice]:
     return [TdChoice(*c) for c in _choices(state.genome)]
 
 
-def _hosts(genome: tuple[int, ...], choice: TdChoice) -> tuple[int, int]:
+def _hosts(genome: Sequence[int], choice: TdChoice) -> tuple[int, int]:
     """The intervals that hold the two cuts of ``choice``; raises
     :class:`ValidationError` for a choice ``genome`` does not offer."""
     g1, g2, order_flag = choice
@@ -141,21 +129,26 @@ def _hosts(genome: tuple[int, ...], choice: TdChoice) -> tuple[int, int]:
 def apply_td(state: GenomeState, choice: TdChoice) -> GenomeState:
     """Apply one tandem duplication and return the successor state."""
     _hosts(state.genome, choice)
-    child, _key = next(_children(state, b"", (choice,), leaf=False))
-    return child
+    node = (bytes(state.genome) + b"\xff", bytes(state.word), state.steps, b"", b"", state.positions)
+    key, _word, steps, _cnv, _graph, positions = next(_children(node, (choice,)))
+    return GenomeState(tuple(_genome(key)), positions, steps)
 
 
 def word_of(state: GenomeState) -> Word:
-    """Read the somatic connections off the genome, left to right."""
+    """Read the somatic connections off the genome, left to right: the
+    junction of intervals ``left`` and ``right`` is TD ``k`` exactly when
+    TD ``k``'s (end, start) positions are ``(left, right - 1)``."""
+    tds = {pair: k for k, pair in enumerate(state.positions, 1)}
     out = []
-    bounds = (None, *state.ref_bps, None)  # interval i lies between i and i + 1
     for left, right in zip(state.genome, state.genome[1:]):
         if right == left + 1:
             continue
-        lb, rb = bounds[left + 1], bounds[right]
-        if lb is None or rb is None or lb.side != B_SIDE or rb.side != A_SIDE or lb.td != rb.td:
-            raise ValidationError(f"junction {lb}|{rb} is neither reference nor somatic")
-        out.append(lb.td)
+        td = tds.get((left, right - 1))
+        if td is None:
+            raise ValidationError(
+                f"junction of intervals {left}|{right} is neither reference nor somatic"
+            )
+        out.append(td)
     return tuple(out)
 
 
@@ -200,77 +193,71 @@ _WEIGHTS = tuple(256**i for i in range(2 * DEEP_MAX_N + 1))
 
 #: connection positions ``(end, start)`` or word steps ``(a, b)``
 _Pairs = tuple[tuple[int, int], ...]
-#: record key, terminal word, steps, copy numbers, graph key (copy numbers
-#: then sorted positions), positions in TD order
-_Leaf = tuple[bytes, bytes, _Pairs, bytes, bytes, _Pairs]
+#: a node of the walk: record key, word, steps, copy numbers, graph key
+#: (copy numbers then sorted positions), positions in TD order
+_Node = tuple[bytes, bytes, _Pairs, bytes, bytes, _Pairs]
+#: the node before the first TD; its key is empty and its genome interval 0
+_ROOT: _Node = (b"", b"", (), b"", b"", ())
+
+
+def _genome(key: bytes) -> bytes:
+    """The last genome of a node's key (interval 0 for the root's empty key)."""
+    return key[:-1].rsplit(b"\xff", 1)[-1] or b"\x00"
 
 
 def _split(
-    parent: GenomeState, key: bytes, genome: bytes, conns: tuple, r1: int, r2: int, reverse: bool
+    key: bytes, genome: bytes, positions: _Pairs, r1: int, r2: int, reverse: bool
 ) -> tuple:
-    """The step shared by every child of ``parent`` whose cuts land in
-    intervals ``r1`` and ``r2`` (end breakpoint first on the reference
-    when ``reverse``); ``conns`` are the child's connections, the last
-    one the new TD's.
+    """The step shared by every child whose cuts land in intervals ``r1``
+    and ``r2`` (end breakpoint first on the reference when ``reverse``)
+    of a parent with ``key``, ``genome`` and ``positions``.
 
-    Returns ``key`` and ``genome``, byte strings of ``parent``'s interval
-    indices, renumbered to the child's, then the child's ``ref_bps``, the
-    connection positions in TD order, the sorted positions as one byte
-    string of ``(end, start)`` pairs, and the width.  Indices
-    stay below ``2n + 1`` and the fresh ids below ``2n + 4``, so under
-    the depth budget each fits in a byte and never reaches the ``0xff``
-    separator.
+    Returns ``key`` and ``genome`` renumbered to the child's intervals,
+    the child's positions in TD order, and the sorted positions as one
+    byte string of ``(end, start)`` pairs.  Indices stay below
+    ``2n + 1`` and the fresh ids below ``2n + 4``, so under the depth
+    budget each fits in a byte and never reaches the ``0xff`` separator.
     """
-    bp_b, bp_a = conns[-1]
-    if r1 != r2:
-        cuts = {r1: (bp_a,), r2: (bp_b,)}
-    else:
-        cuts = {r1: (bp_b, bp_a) if reverse else (bp_a, bp_b)}
-    bps = list(parent.ref_bps)
-    ids = bytearray(_IDENTITY[: len(bps) + 1])
+    ids = bytearray(_IDENTITY[: 2 * len(positions) + 1])
     fresh = len(ids)
     # Later host first, so the earlier host's index still holds.
-    for r in sorted(cuts, reverse=True):
-        host, piece = _IDENTITY[r : r + 1], _IDENTITY[fresh : fresh + len(cuts[r]) + 1]
+    for r in sorted({r1, r2}, reverse=True):
+        host, piece = _IDENTITY[r : r + 1], _IDENTITY[fresh : fresh + 2 + (r1 == r2)]
         ids[r : r + 1] = piece
-        bps[r:r] = cuts[r]
         key, genome = key.replace(host, piece), genome.replace(host, piece)
         fresh += len(piece)
     table = bytes.maketrans(ids, _IDENTITY[: len(ids)])
-    positions = tuple((bps.index(e), bps.index(s)) for e, s in conns)
+    if r1 != r2:
+        new = (r2 + (r2 > r1), r1 + (r1 > r2))
+    else:
+        new = (r1, r1 + 1) if reverse else (r1 + 1, r1)
+    moved = (*((e + (e >= r1) + (e >= r2), s + (s >= r1) + (s >= r2)) for e, s in positions), new)
     return (
-        key.translate(table), genome.translate(table), tuple(bps),
-        positions, bytes(i for pair in sorted(positions) for i in pair), len(ids),
+        key.translate(table), genome.translate(table), moved,
+        bytes(i for pair in sorted(moved) for i in pair),
     )
 
 
-def _children(
-    parent: GenomeState, key: bytes, choices: Iterable[tuple], leaf: bool
-) -> Iterator:
-    """The child of ``parent`` for each of ``choices``, in order.
+def _children(node: _Node, choices: Iterable[tuple]) -> Iterator[_Node]:
+    """The child of ``node`` for each of ``choices``, in order.
 
-    ``key`` is ``parent``'s record key.  An inner child is ``(state,
-    key)``; a leaf is its record key, terminal word (the only place a
-    word is stepped), steps, copy numbers, graph key (the copy numbers,
-    then the sorted positions: both widths are fixed at depth ``n``) and
-    connection positions in TD order, and builds no state.  The
-    choices are ``(g1, g2, order_flag)`` triples and are not checked:
+    The choices are ``(g1, g2, order_flag)`` triples and are not checked:
     they come from :func:`_choices` or have been checked by the caller.
 
-    A leaf's copy numbers come from prefix sums of ``256**i`` over its
+    A child's copy numbers come from prefix sums of ``256**i`` over its
     class's renumbered genome: the sum over a slice holds the count of
     interval ``i`` in byte ``i``.  A TD copies each genome segment at
     most once, so after ``n`` TDs every count is at most ``2^n``; under
     the depth budget each fits in a byte and never carries into the next.
     """
-    genome = parent.genome
-    gbytes = bytes(genome)
-    somatic = parent._somatic_before
-    td = parent.n + 1
-    conns = parent.conns + ((_bp(td, B_SIDE), _bp(td, A_SIDE)),)
-    word = parent.word if leaf else ()
+    key, word, parent_steps, _cnv, _graph, positions = node
+    genome = _genome(key)
+    word, td = tuple(word), len(positions) + 1
+    width = 2 * td + 1
+    junctions = zip(genome, genome[1:])
+    somatic = list(accumulate((right != left + 1 for left, right in junctions), initial=0))
     # before[r][g]: copies of interval r left of genome position g, for hosts
-    before: list = [None] * (len(parent.ref_bps) + 1)
+    before: list = [None] * (2 * td - 1)
     classes: dict[tuple[int, int, bool], tuple] = {}
     # one word step per distinct (a, b): the child's steps and word
     stepped: dict[tuple[int, int], tuple] = {}
@@ -281,45 +268,39 @@ def _children(
             for r in (r1, r2):
                 if before[r] is None:
                     before[r] = list(accumulate(map(r.__eq__, genome), initial=0))
-            split = _split(parent, key, gbytes, conns, r1, r2, reverse)
-            weights = list(accumulate(map(_WEIGHTS.__getitem__, split[1]), initial=0)) if leaf else ()
+            split = _split(key, genome, positions, r1, r2, reverse)
+            weights = list(accumulate(map(_WEIGHTS.__getitem__, split[1]), initial=0))
             offsets = (1, 0) if r1 != r2 else (2, 0) if reverse else (1, 1)
             cls = classes[r1, r2, reverse] = (*split, before[r1], before[r2], *offsets, weights)
-        prefix, expanded, ref_bps, positions, graph_conns, width, lo, hi, s_off, e_off, weights = cls
+        prefix, expanded, child_positions, graph_conns, lo, hi, s_off, e_off, weights = cls
         # The cuts in the renumbered genome: each earlier copy of a host has
         # grown by one piece per cut it holds (a host of both cuts is both
         # ``lo`` and ``hi``), and the cut lies after the piece that ends in
         # the new breakpoint.
         start = g1 + lo[g1] + hi[g1] + s_off
         end = g2 + lo[g2] + hi[g2] + e_off
-        last = expanded[: end + 1] + expanded[start:]
         # Word-level duplication bounds: connections strictly before each cut.
         # Both cuts lie past the first piece of their host copy, and splitting
         # an interval adds only reference junctions, so these are the somatic
-        # junctions left of g1 (plus one) and left of g2 in the parent.
+        # junctions left of g1 (plus one) and left of g2 in the parent.  The
+        # first TD steps the empty word to ``(1,)`` and records no step.
         step = (somatic[g1] + 1, somatic[g2])
         after = stepped.get(step)
         if after is None:
-            if td == 1:
-                after = parent.steps, bytes(FIRST_WORD)
-            else:
-                after = parent.steps + (step,), bytes(_step(word, step, td)) if leaf else b""
-            stepped[step] = after
+            steps = parent_steps + (step,) if td > 1 else ()
+            after = stepped[step] = steps, bytes(_step(word, step, td))
         steps, child_word = after
-        if leaf:
-            counts = weights[end + 1] + weights[-1] - weights[start]
-            cnv = counts.to_bytes(width, "little")
-            yield prefix + last + b"\xff", child_word, steps, cnv, cnv + graph_conns, positions
-        else:
-            yield GenomeState(tuple(last), ref_bps, conns, steps), prefix + last + b"\xff"
+        cnv = (weights[end + 1] + weights[-1] - weights[start]).to_bytes(width, "little")
+        child_key = prefix + expanded[: end + 1] + expanded[start:] + b"\xff"
+        yield child_key, child_word, steps, cnv, cnv + graph_conns, child_positions
 
 
 def _walk(
     n: int,
     prefix: Sequence[TdChoice],
     deep: bool,
-) -> Iterator[_Leaf]:
-    """Every choice path of ``n`` TDs, in choice order, as a leaf of
+) -> Iterator[_Node]:
+    """Every choice path of ``n`` TDs, in choice order, as a node of
     :func:`_children`.  ``prefix`` fixes the leading choices (from the
     second TD on; the first admits a single choice), which is how
     :func:`tabulate` partitions the sweep."""
@@ -331,20 +312,17 @@ def _walk(
     if len(prefix) >= n:
         raise ValidationError(f"prefix of {len(prefix)} choices too long for n={n}")
 
-    def parents(state: GenomeState, key: bytes, fixed: tuple[TdChoice, ...]):
-        """The nodes at depth ``n - 1``, each with the choices to take below it."""
+    def leaves(node: _Node, fixed: tuple[TdChoice, ...]) -> Iterator[_Node]:
+        """The leaves below ``node``; ``fixed`` names its first choices."""
+        genome = _genome(node[0])
         for choice in fixed[:1]:
-            _hosts(state.genome, choice)
-        choices = fixed[:1] or _choices(state.genome)
-        if state.n < n - 1:
-            for child in _children(state, key, choices, leaf=False):
-                yield from parents(*child, fixed[1:])
-        else:
-            yield state, key, choices
+            _hosts(genome, choice)
+        children = _children(node, fixed[:1] or _choices(genome))
+        if len(node[-1]) == n - 1:
+            return children
+        return chain.from_iterable(leaves(child, fixed[1:]) for child in children)
 
-    fixed = tuple(TdChoice(*c) for c in (TdChoice(0, 0, None), *prefix))
-    for parent, key, choices in parents(initial_state(), b"", fixed):
-        yield from _children(parent, key, choices, leaf=True)
+    yield from leaves(_ROOT, tuple(TdChoice(*c) for c in (TdChoice(0, 0, None), *prefix)))
 
 
 def _record(key: bytes, steps: _Pairs, positions: _Pairs) -> TdEvolutionRecord:

@@ -392,9 +392,8 @@ def validate_structure(tree: TdTree) -> StructureReport:
     convention, acyclicity of the order diagram with a unique
     source/sink, the forced a-ascending/b-descending order along major
     chains, segment connectivity (each segment's endpoints joined by a
-    major edge, or by a minor edge plus a single-type major chain), and
-    the forced reversal of fenced TDs.  They run on the integer indices
-    of :func:`_check_double_tree`.
+    major edge, or by a minor edge plus a single-type major chain).
+    They run on the integer indices of :func:`_check_double_tree`.
     """
     report = StructureReport()
     indexed = _check_double_tree(tree, report)
@@ -483,14 +482,6 @@ def validate_structure(tree: TdTree) -> StructureReport:
             failures.append((left, right, "minor edge missing"))
     left, right, why = min(failures, default=(None, None, ""))
     report.add("segment-connectivity", not failures, why and f"segment {left}..{right}: {why}")
-
-    # Fenced TDs are forced reversed (start before end in every extension).
-    ok, details = True, ""
-    for k in sorted(tree.fence_tds):
-        if not up[index[_bp(k, A_SIDE)]] >> index[_bp(k, B_SIDE)] & 1:
-            ok, details = False, f"fenced TD {k} not forced reversed"
-            break
-    report.add("fence-orientation", ok, details)
 
     return report
 

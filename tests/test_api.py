@@ -1,6 +1,7 @@
 """The public API: its size is a design measure, so every change to it
 shows up here."""
 
+import dataclasses
 import inspect
 
 import tdspace
@@ -34,3 +35,35 @@ def test_public_names_are_pinned():
     )
     assert len(names) == 76
     assert names == PUBLIC_NAMES
+
+
+#: the fields of every exported dataclass and NamedTuple, in order
+RECORD_FIELDS = {
+    "BetaTree": ("a_parent", "b_parent", "major_side", "fences"),
+    "BreakpointId": ("td", "side"),
+    "Connection": ("from_pos", "to_pos", "direction"),
+    "DupChoice": ("a", "b"),
+    "ExtensionCount": ("value", "factor_trace"),
+    "GenomeState": ("genome", "positions", "steps"),
+    "HasseDiagram": ("nodes", "edges"),
+    "KernelCheck": ("r", "lhs", "rhs"),
+    "MajorGraph": ("nodes", "parent", "fences"),
+    "StructureReport": ("checks",),
+    "TableRow": ("n", "words", "cnvs", "td_graphs", "evolutions", "paths"),
+    "TdChoice": ("g1", "g2", "order_flag"),
+    "TdEvolutionRecord": ("genomes", "graphs", "word_evolution"),
+    "TdGraph": ("cnv", "connections"),
+    "TdTree": ("a_parent", "b_parent", "major_side", "fences", "n", "fence_tds", "segments"),
+    "WordEvolution": ("steps", "words"),
+}
+
+
+def test_record_fields_are_pinned():
+    fields = {}
+    for name in PUBLIC_NAMES:
+        value = getattr(tdspace, name)
+        if dataclasses.is_dataclass(value):
+            fields[name] = tuple(field.name for field in dataclasses.fields(value))
+        elif inspect.isclass(value) and issubclass(value, tuple) and hasattr(value, "_fields"):
+            fields[name] = value._fields
+    assert fields == RECORD_FIELDS

@@ -350,6 +350,17 @@ def test_fence_rate_outside_unit_interval_is_rejected(capsys, command, rate):
     assert err == f"error: need 0 <= fence_rate <= 1, got {float(rate)}\n"
 
 
+@pytest.mark.parametrize("limit", ["0", "-1", "nan"])
+def test_time_limit_that_is_not_positive_is_rejected(capsys, limit):
+    """NaN compares false with everything, so it must not pass as a limit
+    that never expires."""
+    code, out, err = run(capsys, "verify", "--suite", "grand-total", "-n", "4",
+                         "--time-limit", limit)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: need a positive time limit, got {float(limit)}\n"
+
+
 def test_unwritable_output_is_exit_1(tmp_path, capsys):
     target = tmp_path / "missing" / "x"
     code, out, err = run(capsys, "words", "-n", "2", "-o", str(target))

@@ -1,5 +1,6 @@
 """Genome-state simulation: choices, records, and the distinct-object table."""
 
+import ast
 import gc
 import hashlib
 import random
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 
 import pytest
 
+import tdspace.simulator
 from tdspace import (
     BudgetExceededError,
     Connection,
@@ -95,7 +97,7 @@ def test_apply_td_checks_the_choice():
 
 
 def cnv_of(state):
-    return tuple(map(state.genome.count, range(len(state.ref_bps) + 1)))
+    return tuple(map(state.genome.count, range(2 * state.n + 1)))
 
 
 def test_word_readoff_matches_derived_steps():
@@ -345,10 +347,9 @@ def assert_same_state(state, reference):
     """``state`` is ``reference`` with each id replaced by its index."""
     index = {rid: i for i, rid in enumerate(reference.ref)}
     assert state.genome == tuple(index[rid] for rid in reference.genome)
-    assert state.ref_bps == reference.ref_bps
-    assert state.conns == reference.conns
+    bp_pos = {bp: i for i, bp in enumerate(reference.ref_bps)}
+    assert repr(state.positions) == repr(tuple((bp_pos[e], bp_pos[s]) for e, s in reference.conns))
     assert repr(state.steps) == repr(reference.steps)  # ints, not bools
-    assert state._somatic_before == reference.somatic_before
     assert state.word == word_of(state) == reference_word_of(reference)
     assert enumerate_choices(state) == enumerate_choices(reference)
 
@@ -374,7 +375,7 @@ def test_states_match_the_reference_step():
 
 def test_word_of_rejects_a_junction_that_no_td_made():
     state = after_first_td()
-    bad = GenomeState(state.genome[::-1], state.ref_bps, state.conns, state.steps)
+    bad = GenomeState(state.genome[::-1], state.positions, state.steps)
     with pytest.raises(ValidationError):
         word_of(bad)
 
@@ -658,3 +659,18 @@ def test_pools_are_capped_at_the_partitions(monkeypatch):
     assert row_tuple(tabulate(3, workers=1)) == TABLE[3]
     assert total_evolutions_via_words(4, workers=1) == 154869
     assert RecordingExecutor.sizes == [11, 4, prefixes]
+
+
+def test_the_simulator_shares_no_code_with_the_double_tree_model():
+    """The simulator cross-checks the double-tree route, so of this
+    package it may import only the errors and the word step."""
+    with open(tdspace.simulator.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            package.update(name for name in names if name.split(".")[0] == "tdspace")
+    assert package == {"errors", "words"}

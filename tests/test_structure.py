@@ -483,14 +483,6 @@ def reference_validate_structure(tree):
             ok, details = False, f"segment {left}..{right}: minor edge missing"
             break
     report.add("segment-connectivity", ok, details)
-
-    ok, details = True, ""
-    for k in sorted(tree.fence_tds):
-        ka, kb = BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)
-        if kb not in above[ka]:
-            ok, details = False, f"fenced TD {k} not forced reversed"
-            break
-    report.add("fence-orientation", ok, details)
     return report
 
 
