@@ -16,23 +16,29 @@ words and linear extensions — by a completely different route, which
 shares no code with the double-tree model.
 
 The walk has one node type, the tuple :func:`_children` yields: record
-key, word, steps, copy numbers, graph key and positions.  The key holds
-the genomes so far, each followed by ``0xff``, so a node's genome is its
-last segment, and at depth ``n`` the key is exactly
+key, word, steps, copy numbers, graph key and positions, the last one
+flat bytes ``end, start, ...`` in TD order.  The key holds the genomes
+so far, each followed by ``0xff``, so a node's genome is its last
+segment, and at depth ``n`` the key is exactly
 :meth:`TdEvolutionRecord.canonical_key`.  The choices at a node fall
 into a few classes: the host intervals, plus the order of the two
-breakpoints when both cuts share a host.  Once per class, :func:`_split`
-renumbers the key and the genome with one ``bytes.replace`` per host and
-one ``bytes.translate`` (each host becomes two or three pieces and every
-later interval moves up) and moves each position past the new
-breakpoints left of it.  Each choice then costs four lookups in the
-parent's prefix counts of each interval for its cut offsets, two slices
-of the renumbered genome and one subtraction of the class's prefix sums
-of byte weights for its copy numbers; the parent's word is stepped once
-per distinct step.  Each entry :func:`tabulate` dedups is one flat byte
-string, so ``sys.getsizeof`` gives its whole size.  :func:`apply_td` is
-the step for one choice, and both consumers, :func:`tabulate` and
-:func:`enumerate_process`, read the leaves of one walk.
+breakpoints when both cuts share a host.  What a class renumbers
+depends only on the parent's depth and the class, so it is looked up in
+:data:`_CLASS_STEPS`, filled on first use.  Once per class,
+:func:`_split` renumbers the key and the genome with one
+``bytes.replace`` per host and one ``bytes.translate`` (each host becomes
+two or three pieces and every later interval moves up) and moves the
+positions with one more ``translate``.  Each choice then costs four
+lookups in the parent's prefix counts of each interval for its cut
+offsets, two slices of the renumbered genome and one subtraction of the
+class's prefix sums of byte weights for its copy numbers; the parent's
+word is stepped once per distinct step.  :func:`_families` yields the
+children of each leaf parent as one list, and :func:`tabulate` dedups
+each such family with one ``set.update`` per set.  Each entry it dedups
+is one flat byte string, so ``sys.getsizeof`` gives its whole size.
+:func:`apply_td` is the step for one choice, and both consumers,
+:func:`tabulate` and :func:`enumerate_process`, read the leaves of one
+walk.
 """
 
 from __future__ import annotations
@@ -127,11 +133,24 @@ def _hosts(genome: Sequence[int], choice: TdChoice) -> tuple[int, int]:
 
 
 def apply_td(state: GenomeState, choice: TdChoice) -> GenomeState:
-    """Apply one tandem duplication and return the successor state."""
+    """Apply one tandem duplication and return the successor state.
+
+    Raises :class:`ValidationError` for a state whose genome names an
+    interval outside ``0..2n`` or whose positions are not pairs in
+    ``0..2n-1``, and :class:`BudgetExceededError` past the depth budget.
+    """
+    n = state.n
+    if n >= DEEP_MAX_N:
+        raise BudgetExceededError(f"simulating {n + 1} TDs exceeds the budget of {DEEP_MAX_N}")
+    if not all(0 <= r <= 2 * n for r in state.genome):
+        raise ValidationError(f"genome {state.genome} names an interval outside 0..{2 * n}")
+    flat = [j for pair in state.positions for j in pair]
+    if len(flat) != 2 * n or not all(0 <= j < 2 * n for j in flat):
+        raise ValidationError(f"positions {state.positions} are not pairs in 0..{2 * n - 1}")
     _hosts(state.genome, choice)
-    node = (bytes(state.genome) + b"\xff", bytes(state.word), state.steps, b"", b"", state.positions)
+    node = (bytes(state.genome) + b"\xff", bytes(state.word), state.steps, b"", b"", bytes(flat))
     key, _word, steps, _cnv, _graph, positions = next(_children(node, (choice,)))
-    return GenomeState(tuple(_genome(key)), positions, steps)
+    return GenomeState(tuple(_genome(key)), _pairs(positions), steps)
 
 
 def word_of(state: GenomeState) -> Word:
@@ -194,10 +213,22 @@ _WEIGHTS = tuple(256**i for i in range(2 * DEEP_MAX_N + 1))
 #: connection positions ``(end, start)`` or word steps ``(a, b)``
 _Pairs = tuple[tuple[int, int], ...]
 #: a node of the walk: record key, word, steps, copy numbers, graph key
-#: (copy numbers then sorted positions), positions in TD order
-_Node = tuple[bytes, bytes, _Pairs, bytes, bytes, _Pairs]
+#: (copy numbers then sorted positions), positions in TD order as one
+#: flat byte string ``end, start, end, start, ...``
+_Node = tuple[bytes, bytes, _Pairs, bytes, bytes, bytes]
 #: the node before the first TD; its key is empty and its genome interval 0
-_ROOT: _Node = (b"", b"", (), b"", b"", ())
+_ROOT: _Node = (b"", b"", (), b"", b"", b"")
+
+#: :func:`_class_step` by ``(parent depth, r1, r2, reverse)``, filled on
+#: first use, so importing builds nothing.  Each entry is a pure function
+#: of its key; under the depth budget there are at most 190, one per depth
+#: ``d < DEEP_MAX_N`` and ordered host pair plus one per reversed host.
+_CLASS_STEPS: dict[tuple[int, int, int, bool], tuple] = {}
+
+
+def _pairs(positions: bytes) -> _Pairs:
+    """Flat positions ``end, start, end, start, ...`` as ``(end, start)`` pairs."""
+    return tuple(zip(positions[::2], positions[1::2]))
 
 
 def _genome(key: bytes) -> bytes:
@@ -205,36 +236,55 @@ def _genome(key: bytes) -> bytes:
     return key[:-1].rsplit(b"\xff", 1)[-1] or b"\x00"
 
 
-def _split(
-    key: bytes, genome: bytes, positions: _Pairs, r1: int, r2: int, reverse: bool
-) -> tuple:
-    """The step shared by every child whose cuts land in intervals ``r1``
-    and ``r2`` (end breakpoint first on the reference when ``reverse``)
-    of a parent with ``key``, ``genome`` and ``positions``.
-
-    Returns ``key`` and ``genome`` renumbered to the child's intervals,
-    the child's positions in TD order, and the sorted positions as one
-    byte string of ``(end, start)`` pairs.  Indices stay below
-    ``2n + 1`` and the fresh ids below ``2n + 4``, so under the depth
-    budget each fits in a byte and never reaches the ``0xff`` separator.
-    """
-    ids = bytearray(_IDENTITY[: 2 * len(positions) + 1])
+def _class_step(depth: int, r1: int, r2: int, reverse: bool) -> tuple:
+    """The tables of one class at one parent depth: ``(host, pieces)``
+    byte pairs to replace, the ``maketrans`` table from those pieces and
+    the old indices to the child's, the table moving each old position
+    ``j`` to ``j + (j >= r1) + (j >= r2)``, the new TD's ``(end, start)``
+    pair, and the slices of the child's positions, one per pair."""
+    ids = bytearray(_IDENTITY[: 2 * depth + 1])
     fresh = len(ids)
+    pieces = []
     # Later host first, so the earlier host's index still holds.
     for r in sorted({r1, r2}, reverse=True):
         host, piece = _IDENTITY[r : r + 1], _IDENTITY[fresh : fresh + 2 + (r1 == r2)]
         ids[r : r + 1] = piece
-        key, genome = key.replace(host, piece), genome.replace(host, piece)
+        pieces.append((host, piece))
         fresh += len(piece)
-    table = bytes.maketrans(ids, _IDENTITY[: len(ids)])
     if r1 != r2:
         new = (r2 + (r2 > r1), r1 + (r1 > r2))
     else:
         new = (r1, r1 + 1) if reverse else (r1 + 1, r1)
-    moved = (*((e + (e >= r1) + (e >= r2), s + (s >= r1) + (s >= r2)) for e, s in positions), new)
+    shift = bytes(j + (j >= r1) + (j >= r2) for j in range(2 * depth)) + _IDENTITY[2 * depth :]
+    pairs = tuple(slice(i, i + 2) for i in range(0, 2 * depth + 2, 2))
+    return tuple(pieces), bytes.maketrans(ids, _IDENTITY[: len(ids)]), shift, bytes(new), pairs
+
+
+def _split(
+    key: bytes, genome: bytes, positions: bytes, r1: int, r2: int, reverse: bool
+) -> tuple:
+    """The step shared by every child whose cuts land in intervals ``r1``
+    and ``r2`` (end breakpoint first on the reference when ``reverse``)
+    of a parent with ``key``, ``genome`` and flat ``positions``.
+
+    Returns ``key`` and ``genome`` renumbered to the child's intervals,
+    the child's flat positions in TD order, and its sorted positions as
+    one byte string of ``(end, start)`` pairs, by the tables of
+    :data:`_CLASS_STEPS`.  Indices stay below ``2n + 1`` and the fresh
+    ids below ``2n + 4``, so under the depth budget each fits in a byte
+    and never reaches the ``0xff`` separator.
+    """
+    class_key = (len(positions) // 2, r1, r2, reverse)
+    step = _CLASS_STEPS.get(class_key)
+    if step is None:
+        step = _CLASS_STEPS[class_key] = _class_step(*class_key)
+    pieces, table, shift, new, pairs = step
+    for host, piece in pieces:
+        key, genome = key.replace(host, piece), genome.replace(host, piece)
+    moved = positions.translate(shift) + new
     return (
         key.translate(table), genome.translate(table), moved,
-        bytes(i for pair in sorted(moved) for i in pair),
+        b"".join(sorted(map(moved.__getitem__, pairs))),
     )
 
 
@@ -243,6 +293,9 @@ def _children(node: _Node, choices: Iterable[tuple]) -> Iterator[_Node]:
 
     The choices are ``(g1, g2, order_flag)`` triples and are not checked:
     they come from :func:`_choices` or have been checked by the caller.
+    Each class of choices takes one :func:`_split`, a table lookup and a
+    few ``bytes`` calls, and each child shares its class's flat positions
+    and sorted positions.
 
     A child's copy numbers come from prefix sums of ``256**i`` over its
     class's renumbered genome: the sum over a slice holds the count of
@@ -252,7 +305,7 @@ def _children(node: _Node, choices: Iterable[tuple]) -> Iterator[_Node]:
     """
     key, word, parent_steps, _cnv, _graph, positions = node
     genome = _genome(key)
-    word, td = tuple(word), len(positions) + 1
+    word, td = tuple(word), len(positions) // 2 + 1
     width = 2 * td + 1
     junctions = zip(genome, genome[1:])
     somatic = list(accumulate((right != left + 1 for left, right in junctions), initial=0))
@@ -268,10 +321,16 @@ def _children(node: _Node, choices: Iterable[tuple]) -> Iterator[_Node]:
             for r in (r1, r2):
                 if before[r] is None:
                     before[r] = list(accumulate(map(r.__eq__, genome), initial=0))
-            split = _split(key, genome, positions, r1, r2, reverse)
-            weights = list(accumulate(map(_WEIGHTS.__getitem__, split[1]), initial=0))
+            prefix, expanded, child_positions, graph_conns = _split(
+                key, genome, positions, r1, r2, reverse
+            )
+            weights = list(accumulate(map(_WEIGHTS.__getitem__, expanded), initial=0))
             offsets = (1, 0) if r1 != r2 else (2, 0) if reverse else (1, 1)
-            cls = classes[r1, r2, reverse] = (*split, before[r1], before[r2], *offsets, weights)
+            # The genome keeps its separator, so a child's tail slice ends the key.
+            cls = classes[r1, r2, reverse] = (
+                prefix, expanded + b"\xff", child_positions, graph_conns,
+                before[r1], before[r2], *offsets, weights,
+            )
         prefix, expanded, child_positions, graph_conns, lo, hi, s_off, e_off, weights = cls
         # The cuts in the renumbered genome: each earlier copy of a host has
         # grown by one piece per cut it holds (a host of both cuts is both
@@ -291,16 +350,13 @@ def _children(node: _Node, choices: Iterable[tuple]) -> Iterator[_Node]:
             after = stepped[step] = steps, bytes(_step(word, step, td))
         steps, child_word = after
         cnv = (weights[end + 1] + weights[-1] - weights[start]).to_bytes(width, "little")
-        child_key = prefix + expanded[: end + 1] + expanded[start:] + b"\xff"
+        child_key = prefix + expanded[: end + 1] + expanded[start:]
         yield child_key, child_word, steps, cnv, cnv + graph_conns, child_positions
 
 
-def _walk(
-    n: int,
-    prefix: Sequence[TdChoice],
-    deep: bool,
-) -> Iterator[_Node]:
-    """Every choice path of ``n`` TDs, in choice order, as a node of
+def _families(n: int, prefix: Sequence[TdChoice], deep: bool) -> Iterator[list[_Node]]:
+    """Every choice path of ``n`` TDs, in choice order, as the list of the
+    children of each leaf parent (a family of siblings), each a node of
     :func:`_children`.  ``prefix`` fixes the leading choices (from the
     second TD on; the first admits a single choice), which is how
     :func:`tabulate` partitions the sweep."""
@@ -312,23 +368,28 @@ def _walk(
     if len(prefix) >= n:
         raise ValidationError(f"prefix of {len(prefix)} choices too long for n={n}")
 
-    def leaves(node: _Node, fixed: tuple[TdChoice, ...]) -> Iterator[_Node]:
-        """The leaves below ``node``; ``fixed`` names its first choices."""
+    def families(node: _Node, fixed: tuple[TdChoice, ...]) -> Iterable[list[_Node]]:
+        """The families below ``node``; ``fixed`` names its first choices."""
         genome = _genome(node[0])
         for choice in fixed[:1]:
             _hosts(genome, choice)
         children = _children(node, fixed[:1] or _choices(genome))
-        if len(node[-1]) == n - 1:
-            return children
-        return chain.from_iterable(leaves(child, fixed[1:]) for child in children)
+        if len(node[-1]) == 2 * (n - 1):
+            return (list(children),)
+        return chain.from_iterable(families(child, fixed[1:]) for child in children)
 
-    yield from leaves(_ROOT, tuple(TdChoice(*c) for c in (TdChoice(0, 0, None), *prefix)))
+    yield from families(_ROOT, tuple(TdChoice(*c) for c in (TdChoice(0, 0, None), *prefix)))
 
 
-def _record(key: bytes, steps: _Pairs, positions: _Pairs) -> TdEvolutionRecord:
+def _walk(n: int, prefix: Sequence[TdChoice], deep: bool) -> Iterator[_Node]:
+    """The leaves of :func:`_families`, one at a time, in choice order."""
+    return chain.from_iterable(_families(n, prefix, deep))
+
+
+def _record(key: bytes, steps: _Pairs, positions: bytes) -> TdEvolutionRecord:
     genomes = key[:-1].split(b"\xff")
-    width = 2 * len(positions) + 1
-    conns = tuple(Connection(f, t, "reversed" if t < f else "forward") for f, t in positions)
+    width = len(positions) + 1
+    conns = tuple(Connection(f, t, "reversed" if t < f else "forward") for f, t in _pairs(positions))
     graphs = tuple(
         TdGraph(cnv=tuple(map(genome.count, range(width))), connections=conns[: k + 1])
         for k, genome in enumerate(genomes)
@@ -380,24 +441,27 @@ def _collect(
     """The sets of words, copy numbers, graph keys and record keys below
     ``prefix``, their entries' bytes and the path count.  Under a budget,
     each entry's ``sys.getsizeof`` is counted once, when it enters its set:
-    a flat byte string, it shares nothing."""
-    sets = words, cnvs, graphs, records = set(), set(), set(), set()
+    a flat byte string, it shares nothing.  Without a budget, each family
+    of siblings enters the sets in one ``set.update`` per set.  The
+    deadline and the budget are checked whenever the path count crosses a
+    multiple of :data:`_CHECK_EVERY`."""
+    sets = set(), set(), set(), set()
     entry_bytes = paths = 0
     deadline.check()
-    for key, word, _steps, cnv, graph, _positions in _walk(n, prefix, deep):
-        paths += 1
+    for family in _families(n, prefix, deep):
+        paths += len(family)
         if max_mem_bytes is None:
-            words.add(word)
-            cnvs.add(cnv)
-            graphs.add(graph)
-            records.add(key)
+            keys, words, _steps, cnvs, graphs, _positions = zip(*family)
+            for held, new in zip(sets, (words, cnvs, graphs, keys)):
+                held.update(new)
         else:
-            for held, entry in zip(sets, (word, cnv, graph, key)):
-                before = len(held)
-                held.add(entry)
-                if len(held) != before:
-                    entry_bytes += sys.getsizeof(entry)
-        if paths % _CHECK_EVERY == 0:
+            for key, word, _steps, cnv, graph, _positions in family:
+                for held, entry in zip(sets, (word, cnv, graph, key)):
+                    before = len(held)
+                    held.add(entry)
+                    if len(held) != before:
+                        entry_bytes += sys.getsizeof(entry)
+        if paths % _CHECK_EVERY < len(family):  # the family passed a multiple
             deadline.check()
             _check_budget(sets, entry_bytes, max_mem_bytes)
     _check_budget(sets, entry_bytes, max_mem_bytes)

@@ -3,14 +3,18 @@
 import ast
 import gc
 import hashlib
+import os
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+import tdspace.errors
 import tdspace.simulator
 from tdspace import (
     BudgetExceededError,
@@ -30,7 +34,7 @@ from tdspace import (
     word_of,
 )
 from tdspace.errors import Deadline
-from tdspace.simulator import DEEP_MAX_N, _collect, _walk
+from tdspace.simulator import DEEP_MAX_N, _ROOT, _choices, _children, _collect, _genome, _split, _walk
 from tdspace.structure import A_SIDE, B_SIDE, BreakpointId
 from tdspace.words import FIRST_WORD, td_step
 
@@ -94,6 +98,30 @@ def test_apply_td_checks_the_choice():
     for bad in (*bad_choices, TdChoice(0, 4, None)):
         with pytest.raises(ValidationError):
             apply_td(after_first_td(), bad)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        GenomeState((5,), (), ()),  # an interval past 2n
+        GenomeState((300,), (), ()),  # and past a byte
+        GenomeState((-1,), (), ()),
+        GenomeState((0, 1, 1, 2), ((2, 0),), ()),  # a position past 2n - 1
+        GenomeState((0, 1, 1, 2), ((1, -1),), ()),
+        GenomeState((0, 1, 1, 2), ((1,),), ()),  # not a pair
+    ],
+)
+def test_apply_td_checks_the_state(state):
+    with pytest.raises(ValidationError):
+        apply_td(state, TdChoice(0, 0, None))
+
+
+def test_apply_td_checks_the_depth_budget():
+    state = initial_state()
+    for _ in range(DEEP_MAX_N):
+        state = apply_td(state, TdChoice(0, len(state.genome) - 1, None))
+    with pytest.raises(BudgetExceededError):
+        apply_td(state, TdChoice(0, 0, None))
 
 
 def cnv_of(state):
@@ -183,6 +211,35 @@ def test_memory_budget_agrees_with_tracemalloc():
     held = int(re.search(r"hold (\d+) bytes", str(exceeded.value)).group(1))
     assert tuple(map(len, sets)) == TABLE[3]
     assert abs(held - live) <= 0.25 * live, (held, live)
+
+
+class CountingClock:
+    """Stands in for the ``time`` module of the deadline: each read of the
+    clock advances it by one second."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def monotonic(self):
+        self.reads += 1
+        return float(self.reads)
+
+
+def test_the_deadline_is_read_every_4096_paths(monkeypatch):
+    clock = CountingClock()
+    monkeypatch.setattr(tdspace.errors, "time", clock)
+    assert row_tuple(tabulate(4, deadline=Deadline(10**6))) == (377, 27839, 37572, 154869)
+    checks = clock.reads - 1  # the first read set the expiry
+    assert checks >= 154869 // 4096
+
+
+def test_a_deadline_that_expires_mid_walk_stops_it(monkeypatch):
+    clock = CountingClock()
+    monkeypatch.setattr(tdspace.errors, "time", clock)
+    deadline = Deadline(10)  # expires at the eleventh check
+    with pytest.raises(BudgetExceededError, match="time limit"):
+        tabulate(4, deadline=deadline)
+    assert clock.reads == 12 < 154869 // 4096
 
 
 def test_records_expose_every_step():
@@ -517,14 +574,19 @@ def reference_leaves(n, prefix=()):
     return out
 
 
+def as_pairs(flat):
+    """Flat bytes ``end, start, end, start, ...`` as ``(end, start)`` pairs."""
+    return tuple(zip(flat[::2], flat[1::2]))
+
+
 def as_old_leaf(leaf):
     """A leaf of the walk in the tuple form the reference and the pinned
-    digest use: word and copy numbers as tuples of ints, and the graph
-    key as ``(copy numbers, sorted (end, start) positions)``."""
+    digest use: word and copy numbers as tuples of ints, the graph key as
+    ``(copy numbers, sorted (end, start) positions)`` and the positions as
+    ``(end, start)`` pairs in TD order."""
     key, word, steps, cnv, graph, positions = leaf
     assert graph.startswith(cnv)
-    pairs = graph[len(cnv) :]
-    return key, tuple(word), steps, (tuple(cnv), tuple(zip(pairs[::2], pairs[1::2]))), positions
+    return key, tuple(word), steps, (tuple(cnv), as_pairs(graph[len(cnv) :])), as_pairs(positions)
 
 
 def old_leaves(n, prefix=(), deep=False):
@@ -568,6 +630,102 @@ def test_deep_leaves_match_the_reference_at_the_largest_copy_numbers():
     cnvs = [cnv for _key, _word, _steps, (cnv, _conns), _positions in leaves]
     assert {len(cnv) for cnv in cnvs} == {11}
     assert max(map(max, cnvs)) == 2**5
+
+
+def reference_split(key, genome, positions, r1, r2, reverse):
+    """The class step in arithmetic, with ``(end, start)`` position pairs:
+    the referee of the table-driven :func:`_split`."""
+    ids = bytearray(range(2 * len(positions) + 1))
+    fresh = len(ids)
+    for r in sorted({r1, r2}, reverse=True):
+        host, piece = bytes((r,)), bytes(range(fresh, fresh + 2 + (r1 == r2)))
+        ids[r : r + 1] = piece
+        key, genome = key.replace(host, piece), genome.replace(host, piece)
+        fresh += len(piece)
+    table = bytes.maketrans(ids, bytes(range(len(ids))))
+    if r1 != r2:
+        new = (r2 + (r2 > r1), r1 + (r1 > r2))
+    else:
+        new = (r1, r1 + 1) if reverse else (r1 + 1, r1)
+    moved = (*((e + (e >= r1) + (e >= r2), s + (s >= r1) + (s >= r2)) for e, s in positions), new)
+    return (
+        key.translate(table), genome.translate(table), moved,
+        bytes(i for pair in sorted(moved) for i in pair),
+    )
+
+
+def walk_parents(n, prefix=()):
+    """Every parent of a leaf or of a parent of the ``n``-TD walk whose
+    choices from the second TD on start with ``prefix``."""
+    fixed = (TdChoice(0, 0, None), *prefix)
+    out = []
+
+    def visit(node):
+        out.append(node)
+        depth = len(node[-1]) // 2
+        if depth < n - 1:
+            for child in _children(node, fixed[depth : depth + 1] or _choices(_genome(node[0]))):
+                visit(child)
+
+    visit(_ROOT)
+    return out
+
+
+def assert_splits_match_the_reference(parents):
+    splits = 0
+    for key, _word, _steps, _cnv, _graph, positions in parents:
+        genome = _genome(key)
+        pairs = as_pairs(positions)
+        classes = {(genome[g1], genome[g2], flag is False) for g1, g2, flag in _choices(genome)}
+        for cls in sorted(classes):
+            child_key, child_genome, moved, graph = reference_split(key, genome, pairs, *cls)
+            flat = bytes(i for pair in moved for i in pair)
+            assert _split(key, genome, positions, *cls) == (child_key, child_genome, flat, graph)
+            splits += 1
+    return splits
+
+
+def test_class_steps_match_the_arithmetic_step_up_to_n4():
+    parents = walk_parents(4)
+    assert len(parents) == 1 + 1 + 11 + 627
+    assert assert_splits_match_the_reference(parents) > 26000
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_class_steps_match_the_arithmetic_step_under_seeded_prefixes(seed):
+    # Two fixed choices leave every child of the third TD's node a parent
+    # of n = 5 leaves.
+    rng = random.Random(seed)
+    prefix = reference_prefix(lambda state: rng.choice(enumerate_choices(state)), 2)
+    parents = walk_parents(5, prefix)
+    assert max(len(node[-1]) for node in parents) == 2 * (DEEP_MAX_N - 1)
+    assert_splits_match_the_reference(parents)
+
+
+def test_the_class_step_table_is_filled_on_first_use():
+    """Nothing is built at import, and the table stays within one entry per
+    parent depth under the budget and class."""
+    probe = """
+import tdspace
+from tdspace import simulator as s
+assert not s._CLASS_STEPS, len(s._CLASS_STEPS)
+s.tabulate(4)
+state, prefix = s.apply_td(s.initial_state(), s.TdChoice(0, 0, None)), []
+for _ in range(3):
+    prefix.append(s.TdChoice(0, len(state.genome) - 1, None))
+    state = s.apply_td(state, prefix[-1])
+assert any(True for _ in s._walk(5, prefix, True))
+print(len(s._CLASS_STEPS))
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, env=env, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    entries = int(done.stdout)
+    assert 0 < entries <= sum((2 * d + 1) * (2 * d + 2) for d in range(DEEP_MAX_N)) <= 330
 
 
 def test_byte_bounds_hold_up_to_the_depth_cap():
