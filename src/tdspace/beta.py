@@ -228,7 +228,9 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
     succ: list[list[int]] = [[] for _ in nodes]
     for i in range(2, total):
         for p in _parents(tree, nodes[i]):
-            succ[position.get(p, i)].append(i)  # a parent outside the tree: a loop
+            if p not in position:
+                raise ValidationError(f"{nodes[i]} has parents outside the tree")
+            succ[position[p]].append(i)
     order = _topological(succ)
     if len(order) < total:
         raise ValidationError("parental edges contain a cycle")

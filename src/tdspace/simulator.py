@@ -431,6 +431,24 @@ def _check_budget(sets: Sequence[set], entry_bytes: int, max_mem_bytes: int | No
         )
 
 
+def _take(sets: Sequence[set], columns: Iterable[Iterable], max_mem_bytes: int | None) -> int:
+    """Add each column to its set.  Under a budget, return the bytes of
+    the entries that were new, which go in from an iterator one at a time
+    (a set would presize the table), so a set's table does not depend on
+    how its entries were batched, nor the budget's verdict on the worker
+    count; without one, return 0."""
+    if max_mem_bytes is None:
+        for held, column in zip(sets, columns):
+            held.update(column)
+        return 0
+    added = 0
+    for held, column in zip(sets, columns):
+        new = set(column).difference(held)
+        held.update(iter(new))
+        added += sum(map(sys.getsizeof, new))
+    return added
+
+
 def _collect(
     n: int,
     prefix: Sequence[TdChoice],
@@ -439,28 +457,19 @@ def _collect(
     deadline: Deadline,
 ) -> tuple[tuple[set, set, set, set], int, int]:
     """The sets of words, copy numbers, graph keys and record keys below
-    ``prefix``, their entries' bytes and the path count.  Under a budget,
-    each entry's ``sys.getsizeof`` is counted once, when it enters its set:
-    a flat byte string, it shares nothing.  Without a budget, each family
-    of siblings enters the sets in one ``set.update`` per set.  The
-    deadline and the budget are checked whenever the path count crosses a
-    multiple of :data:`_CHECK_EVERY`."""
+    ``prefix``, their entries' bytes and the path count.  Each family of
+    siblings enters the sets through one :func:`_take`; under a budget,
+    each entry's ``sys.getsizeof`` is counted once, when it enters its
+    set: a flat byte string, it shares nothing.  The deadline and the
+    budget are checked whenever the path count crosses a multiple of
+    :data:`_CHECK_EVERY`."""
     sets = set(), set(), set(), set()
     entry_bytes = paths = 0
     deadline.check()
     for family in _families(n, prefix, deep):
         paths += len(family)
-        if max_mem_bytes is None:
-            keys, words, _steps, cnvs, graphs, _positions = zip(*family)
-            for held, new in zip(sets, (words, cnvs, graphs, keys)):
-                held.update(new)
-        else:
-            for key, word, _steps, cnv, graph, _positions in family:
-                for held, entry in zip(sets, (word, cnv, graph, key)):
-                    before = len(held)
-                    held.add(entry)
-                    if len(held) != before:
-                        entry_bytes += sys.getsizeof(entry)
+        keys, words, _steps, cnvs, graphs, _positions = zip(*family)
+        entry_bytes += _take(sets, (words, cnvs, graphs, keys), max_mem_bytes)
         if paths % _CHECK_EVERY < len(family):  # the family passed a multiple
             deadline.check()
             _check_budget(sets, entry_bytes, max_mem_bytes)
@@ -479,10 +488,9 @@ def tabulate(
 
     One worker sweeps in this process.  More partition the sweep by the
     first TD choice after the forced one, one process per partition at
-    most, and the first partition's sets take in the rest.  Under a budget
-    they take them from an iterator, one entry at a time as the walk adds
-    them (a set would presize the table), so the budget's verdict, like
-    the results, is the same for any worker count.  ``max_mem_bytes``
+    most, and the first partition's sets take in the rest through
+    :func:`_take`, so the budget's verdict, like the results, is the
+    same for any worker count.  ``max_mem_bytes``
     caps the dedup sets' measured size and ``deadline`` the time; both are
     checked every 4096 paths, in every worker, and raise
     :class:`BudgetExceededError`.
@@ -495,13 +503,7 @@ def tabulate(
     results = _fan_out(_collect, [(n, p, deep, max_mem_bytes, deadline) for p in prefixes], workers)
     sets, entry_bytes, paths = next(results)
     for part, _part_bytes, part_paths in results:
-        for held, new in zip(sets, part):
-            if max_mem_bytes is None:
-                held |= new
-            else:
-                new -= held
-                held.update(iter(new))
-                entry_bytes += sum(map(sys.getsizeof, new))
+        entry_bytes += _take(sets, part, max_mem_bytes)
         paths += part_paths
         deadline.check()
         _check_budget(sets, entry_bytes, max_mem_bytes)

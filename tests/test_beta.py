@@ -396,10 +396,10 @@ def test_subtree_lists_are_pinned():
 
 
 def test_broken_parental_edges_raise_one_error(worked_beta_tree):
-    """A cycle or a parent outside the tree, on a minor or a major edge,
-    stops both readers of the subtree walk with one error; so do a fence
-    on a node outside the tree and a node missing a parent, in the words
-    of the validator, and the latter stops :func:`induced_tree` too."""
+    """A cycle, on a minor or a major edge, stops both readers of the
+    subtree walk with one error; so do a parent or a fence outside the
+    tree and a node missing a parent, in the words of the validator, and
+    the last stops :func:`induced_tree` too."""
 
     def rewired(a_parent=None, b_parent=None, major_side=None, fences=()):
         t = worked_beta_tree
@@ -414,11 +414,17 @@ def test_broken_parental_edges_raise_one_error(worked_beta_tree):
     minor_outside = rewired(b_parent={bp("2a"): bp("9b")})
     major_cycle = rewired(a_parent={bp("1a"): bp("2a")}, major_side={bp("1a"): A_SIDE})
     major_outside = rewired(a_parent={bp("2a"): bp("9a")})
-    for tree in (minor_cycle, minor_outside, major_cycle, major_outside):
+    for tree in (minor_cycle, major_cycle):
         with pytest.raises(ValidationError, match="^parental edges contain a cycle$"):
             enumerate_beta_subtrees(tree)
         with pytest.raises(ValidationError, match="^parental edges contain a cycle$"):
             kernel_profile(tree)
+    message = "2a has parents outside the tree"
+    for tree in (minor_outside, major_outside):
+        assert validate_beta_tree(tree).failures()[0].details == message
+        for walk in (enumerate_beta_subtrees, kernel_profile):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                walk(tree)
 
     fenced_outside = rewired(fences={(bp("9a"), bp("9b"))})
     message = "fence 9a|9b references missing nodes"

@@ -5,8 +5,11 @@ import random
 import pytest
 
 from tdspace import (
+    B_SIDE,
+    BreakpointId,
     BudgetExceededError,
     HasseDiagram,
+    MalformedGraphError,
     WordEvolution,
     build_2d_tree,
     count_extensions_bruteforce,
@@ -137,3 +140,11 @@ def test_oracle_counts_zero_on_a_cycle(ev_540):
     looped = HasseDiagram(nodes=diagram.nodes, edges=diagram.edges | {(bottom, top)})
     assert count_extensions_bruteforce(looped) == 0
     assert reference_count_extensions_bruteforce(looped) == 0
+
+
+def test_oracle_refuses_an_edge_off_the_diagram(ev_540):
+    diagram = hasse_diagram(build_2d_tree(ev_540))
+    outside = BreakpointId(9, B_SIDE)
+    stray = HasseDiagram(nodes=diagram.nodes, edges=diagram.edges | {(diagram.nodes[0], outside)})
+    with pytest.raises(MalformedGraphError, match="^edge at 9b, outside the diagram's nodes$"):
+        count_extensions_bruteforce(stray)

@@ -13,6 +13,7 @@ from tdspace import (
     ROOT_B,
     BreakpointId,
     CycleDetectedError,
+    MalformedGraphError,
     ValidationError,
     WordEvolution,
     build_2d_tree,
@@ -256,7 +257,7 @@ def test_json_exports(ev_121):
 
 # ---------------------------------------------------------------------------
 # The replay-based tree builder and the walk-per-check validator, kept as
-# references for the incremental builder and the chain/bit-mask validator
+# references for the incremental builder and the index-based validator
 
 
 def reference_build_2d_tree(ev):
@@ -345,6 +346,9 @@ def reference_check_double_tree(tree, report):
         if pa is None or pb is None or v not in nodes:
             ok, details = False, f"{v} missing parental data"
             break
+        if tree.major_side[v] not in (A_SIDE, B_SIDE):
+            ok, details = False, f"{v} has major side {tree.major_side[v]!r}"
+            break
         if pa.side != A_SIDE or pb.side != B_SIDE:
             ok, details = False, f"{v} has mistyped parents {pa}, {pb}"
             break
@@ -425,36 +429,12 @@ def reference_validate_structure(tree):
     )
     report.add("first-td-convention", ok, "" if ok else "TD 1 breaks the root convention")
 
-    diagram = _order_diagram(tree)
     try:
-        above = reference_reachability(diagram)
+        reference_reachability(_order_diagram(tree))
     except CycleDetectedError as exc:
         report.add("order-diagram", False, str(exc))
         return report
-    targets = {v for _, v in diagram.edges}
-    sources = [v for v in diagram.nodes if v not in targets]
-    sinks = [v for v in diagram.nodes if not above[v]]
-    ok = sources == [ROOT_A] and sinks == [ROOT_B]
-    report.add("order-diagram", ok, "" if ok else f"sources={sources} sinks={sinks}")
-
-    ok, details = True, ""
-    children = {v: [] for v in tree.nodes}
-    for v in tree.major_side:
-        children[tree.major_parent(v)].append(v)
-    for leaf in [v for v in tree.nodes if not children[v]]:
-        chain = [leaf] + list(reference_major_ancestors(tree, leaf))
-        chain.reverse()
-        a_nodes = [v for v in chain if v.side == A_SIDE]
-        b_nodes = [v for v in chain if v.side == B_SIDE]
-        predicted = a_nodes + b_nodes[::-1]
-        for u, v in zip(predicted, predicted[1:]):
-            if u in above[v]:
-                ok = False
-                details = f"chain to {leaf}: {v} < {u} contradicts predicted order"
-                break
-        if not ok:
-            break
-    report.add("chain-order", ok, details)
+    report.add("order-diagram", True)
 
     ok, details = True, ""
     for left, right in sorted(tree.segments):
@@ -484,6 +464,42 @@ def reference_validate_structure(tree):
             break
     report.add("segment-connectivity", ok, details)
     return report
+
+
+# Two checks ``validate_structure`` omits because they cannot fail alone
+# (its docstring gives the reasons; the property test below checks them).
+# They would run once the double-tree checks pass and the order diagram is
+# acyclic, where the report's order-diagram check passes; ``above`` is the
+# diagram's :func:`reachability`.
+
+
+def old_chain_order(tree, above):
+    """Along each maximal major chain, a-nodes ascend and b-nodes descend;
+    the details of the first contradiction of the order diagram, or ""."""
+    children = {v: [] for v in tree.nodes}
+    for v in tree.major_side:
+        children[tree.major_parent(v)].append(v)
+    for leaf in [v for v in tree.nodes if not children[v]]:
+        chain = [leaf] + list(reference_major_ancestors(tree, leaf))
+        chain.reverse()
+        a_nodes = [v for v in chain if v.side == A_SIDE]
+        b_nodes = [v for v in chain if v.side == B_SIDE]
+        predicted = a_nodes + b_nodes[::-1]
+        for u, v in zip(predicted, predicted[1:]):
+            if u in above[v]:
+                return f"chain to {leaf}: {v} < {u} contradicts predicted order"
+    return ""
+
+
+def old_sources_and_sinks(tree, above):
+    """The order diagram's sources must be [0a] and its sinks [0b]; the
+    details of a failure, or ""."""
+    diagram = _order_diagram(tree)
+    targets = {v for _, v in diagram.edges}
+    sources = [v for v in diagram.nodes if v not in targets]
+    sinks = [v for v in diagram.nodes if not above[v]]
+    ok = sources == [ROOT_A] and sinks == [ROOT_B]
+    return "" if ok else f"sources={sources} sinks={sinks}"
 
 
 def test_builder_matches_reference():
@@ -519,19 +535,27 @@ def scrambled(tree, rng):
     return tree
 
 
-def test_validators_match_reference_on_seeded_corruptions(random_evolution):
-    """1000 corruptions each of the trees with n <= 4, of those with
-    n = 5, and of seeded trees with n = 6..12."""
-    rng = random.Random(8)
-    pools = [
+def corruption_pools(random_evolution):
+    """Every tree with n <= 4, every tree with n = 5, and seeded trees
+    with n = 6..12."""
+    return [
         [build_2d_tree(ev) for n in range(1, 5) for ev in enumerate_word_evolutions(n)],
         [build_2d_tree(ev) for ev in enumerate_word_evolutions(5)],
         [build_2d_tree(random_evolution(n, 50 * n + k)) for n in range(6, 13) for k in range(30)],
     ]
-    for pool in pools:
+
+
+def seeded_corruptions(pools):
+    """1000 seeded corruptions of each pool, one list per pool."""
+    rng = random.Random(8)
+    return [[scrambled(rng.choice(pool), rng) for _ in range(1000)] for pool in pools]
+
+
+def test_validators_match_reference_on_seeded_corruptions(random_evolution):
+    """1000 corruptions of each pool of :func:`corruption_pools`."""
+    for corruptions in seeded_corruptions(corruption_pools(random_evolution)):
         failed = set()
-        for _ in range(1000):
-            tree = scrambled(rng.choice(pool), rng)
+        for tree in corruptions:
             report = validate_structure(tree)
             assert report == reference_validate_structure(tree), tree
             assert validate_beta_tree(tree) == reference_validate_beta_tree(tree), tree
@@ -539,7 +563,76 @@ def test_validators_match_reference_on_seeded_corruptions(random_evolution):
         # major loops and order-diagram cycles are among the corruptions
         assert any("does not reach a root" in d for d in failed)
         assert "order diagram contains a directed cycle" in failed
-        assert any(d.startswith("chain to") for d in failed)
+
+
+def test_dropped_checks_fail_only_with_a_kept_one(random_evolution):
+    """Wherever the old chain-order check fails, minor-recency fails too,
+    and wherever the old source/sink test fails, first-td-convention
+    does: on every clean tree with n <= 5, on the seeded corruptions of
+    the three pools and on the empty tree, which has no edge at all."""
+    pools = corruption_pools(random_evolution)
+    empty = TdTree(
+        n=0, a_parent={}, b_parent={}, major_side={}, fence_tds=frozenset(), segments=frozenset()
+    )
+    corruptions = [tree for part in seeded_corruptions(pools) for tree in part]
+    trees = [*pools[0], *pools[1], *corruptions, empty]
+    chain_failures, sink_failures = [], []
+    for tree in trees:
+        passed = {c.name: c.passed for c in validate_structure(tree).checks}
+        if not passed.get("order-diagram"):
+            continue  # where the old checks did not run
+        above = reachability(_order_diagram(tree))
+        if old_chain_order(tree, above):
+            assert not passed["minor-recency"], tree
+            chain_failures.append(tree)
+        if old_sources_and_sinks(tree, above):
+            assert not passed["first-td-convention"], tree
+            sink_failures.append(tree)
+    assert chain_failures
+    assert any(tree is empty for tree in sink_failures)
+
+
+def test_clean_report_lists_its_checks_in_order(ev_540):
+    report = validate_structure(build_2d_tree(ev_540))
+    assert report.ok
+    assert [c.name for c in report.checks] == [
+        "parental-edges",
+        "rooted-majors",
+        "minor-recency",
+        "fences",
+        "first-td-convention",
+        "order-diagram",
+        "segment-connectivity",
+    ]
+
+
+def test_a_major_side_other_than_a_or_b_fails_parental_edges(ev_540):
+    broken = corrupt(build_2d_tree(ev_540), major_side={bp("2a"): "x"})
+    for validate, reference in (
+        (validate_structure, reference_validate_structure),
+        (validate_beta_tree, reference_validate_beta_tree),
+    ):
+        report = validate(broken)
+        assert report == reference(broken)
+        assert [(c.name, c.details) for c in report.failures()] == [
+            ("parental-edges", "2a has major side 'x'")
+        ]
+
+
+def test_hasse_diagram_refuses_a_parent_outside_the_tree(ev_540):
+    broken = corrupt(build_2d_tree(ev_540), a_parent={bp("2a"): bp("9a")})
+    with pytest.raises(MalformedGraphError, match="^edge at 9a, outside the diagram's nodes$"):
+        hasse_diagram(broken)
+
+
+def test_major_graph_refuses_a_missing_major_parent(ev_540):
+    broken = corrupt(build_2d_tree(ev_540))
+    del broken.b_parent[bp("2a")]
+    assert broken.major_side[bp("2a")] == B_SIDE
+    message = "2a missing parental data"
+    assert validate_structure(broken).failures()[0].details == message
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        major_graph(broken)
 
 
 def test_validator_matches_reference_on_every_clean_tree_up_to_5():
