@@ -51,6 +51,7 @@ from .structure import (
     MajorGraph,
     TdTree,
     _bp,
+    _edges,
     _ids,
     _topological,
     build_2d_tree,
@@ -199,14 +200,6 @@ def induced_major_graph(tree: TdTree, nodeset: Iterable[BreakpointId]) -> MajorG
 # Beta trees, subtrees and the induced rewrite
 
 
-def _parents(tree: BetaTree, v: BreakpointId) -> tuple[BreakpointId, BreakpointId]:
-    """``v``'s a- and b-parent; :class:`ValidationError` in the words of
-    :func:`validate_beta_tree` when either is missing."""
-    if v not in tree.a_parent or v not in tree.b_parent:
-        raise ValidationError(f"{v} missing parental data")
-    return tree.a_parent[v], tree.b_parent[v]
-
-
 def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
     """The one include/exclude walk over the admissible subtrees of ``tree``.
 
@@ -224,13 +217,12 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
     total = len(nodes)
     if total > budget:
         raise BudgetExceededError(f"{total} nodes exceed the subtree budget of {budget}")
+    rows = _edges(tree)  # row i - 2 is node i's
     position = dict(zip(nodes, range(total)))
     succ: list[list[int]] = [[] for _ in nodes]
-    for i in range(2, total):
-        for p in _parents(tree, nodes[i]):
-            if p not in position:
-                raise ValidationError(f"{nodes[i]} has parents outside the tree")
-            succ[position[p]].append(i)
+    for i, (_, a, b, _) in enumerate(rows, start=2):
+        succ[position[a]].append(i)
+        succ[position[b]].append(i)
     order = _topological(succ)
     if len(order) < total:
         raise ValidationError("parental edges contain a cycle")
@@ -239,13 +231,13 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
     # per node: its two parents, and its induced parent when it is in the
     # subtree, when it is out under two chosen parents, and otherwise
     pa, pb, same, flip, major = ([0, 0] for _ in range(5))
-    for v in ids[2:]:
-        a, b = index[tree.a_parent[v]], index[tree.b_parent[v]]
+    for v, a, b, m in (rows[i - 2] for i in order[2:]):
+        a, b = index[a], index[b]
         pa.append(a)
         pb.append(b)
         same.append(a if v.side == A_SIDE else b)
         flip.append(b if v.side == A_SIDE else a)
-        major.append(index[tree.major_parent(v)])
+        major.append(index[m])
 
     # a fence's rule is known once its later node is decided
     rules: list[list[tuple[int, int, int, int]]] = [[] for _ in range(total)]
@@ -305,26 +297,25 @@ def induced_tree(tree: BetaTree, tau: Iterable[BreakpointId]) -> MajorGraph:
     chosen = frozenset(tau)
     if not chosen >= {ROOT_A, ROOT_B}:
         raise ValidationError("both roots belong to every beta subtree")
-    for v in chosen:
-        if v.td != 0 and not chosen.issuperset(_parents(tree, v)):
-            raise ValidationError(f"{v} is in the subtree but a parent is not")
+    rows = _edges(tree)
+    stray = chosen - {ROOT_A, ROOT_B, *tree.major_side}
+    if stray:
+        raise ValidationError(f"{min(stray)} is not a node of the tree")
 
     parent = {}
-    for v in tree.major_side:
-        pa, pb = _parents(tree, v)
+    for v, pa, pb, major in rows:
+        both = pa in chosen and pb in chosen
         if v in chosen:
+            if not both:
+                raise ValidationError(f"{v} is in the subtree but a parent is not")
             parent[v] = pa if v.side == A_SIDE else pb
-        elif pa in chosen and pb in chosen:
+        elif both:
             parent[v] = pb if v.side == A_SIDE else pa
         else:
-            parent[v] = tree.major_parent(v)
+            parent[v] = major
 
-    fences = frozenset(
-        normalize_fence((x, y))
-        for x, y in tree.fences
-        if not (x in chosen and y in chosen)
-    )
-    return MajorGraph(nodes=tree.nodes, parent=parent, fences=fences)
+    fences = frozenset(normalize_fence(f) for f in tree.fences if not chosen.issuperset(f))
+    return MajorGraph(nodes=(ROOT_A, ROOT_B, *parent), parent=parent, fences=fences)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,11 @@ The resulting double tree orders the breakpoints along the reference:
 keeping type-a edges, reversing type-b edges and directing fences
 ``n_a -> n_b`` yields an acyclic diagram whose linear extensions are
 exactly the admissible reference layouts.
+
+One private reader, :func:`_edges`, reads every node's parents; the
+validators report its verdict as ``parental-edges``, and every other
+reader raises its :class:`ValidationError` on a tree that check fails
+(:func:`hasse_diagram` reads neither major sides nor parent types).
 """
 
 from __future__ import annotations
@@ -89,6 +94,9 @@ class BetaTree:
     trees.  Merely requiring the two parents to be comparable is not
     enough: a five-node chain with one minor edge skipping past a nearer
     ancestor already breaks the subtree counting identity.
+
+    Readers take each node's parents from :func:`_edges`, so a malformed
+    node raises :class:`ValidationError` in the validator's words.
     """
 
     a_parent: dict[BreakpointId, BreakpointId]
@@ -170,6 +178,27 @@ def build_2d_tree(ev: WordEvolution) -> TdTree:
     )
 
 
+def _edges(tree: BetaTree) -> list[tuple[BreakpointId, BreakpointId, BreakpointId, BreakpointId]]:
+    """The rows ``(node, a_parent, b_parent, major_parent)``, sorted by node;
+    :class:`ValidationError` for the first node missing parental data, with
+    a major side other than a or b, or with mistyped or outside parents."""
+    nodes, a_parent, b_parent = tree.major_side, tree.a_parent, tree.b_parent
+    rows = []
+    for v in sorted({*nodes, *a_parent, *b_parent}):
+        pa, pb = a_parent.get(v), b_parent.get(v)
+        if pa is None or pb is None or v not in nodes:
+            raise ValidationError(f"{v} missing parental data")
+        side = nodes[v]
+        if side not in (A_SIDE, B_SIDE):
+            raise ValidationError(f"{v} has major side {side!r}")
+        if pa.side != A_SIDE or pb.side != B_SIDE:
+            raise ValidationError(f"{v} has mistyped parents {pa}, {pb}")
+        if (pa not in nodes and pa != ROOT_A) or (pb not in nodes and pb != ROOT_B):
+            raise ValidationError(f"{v} has parents outside the tree")
+        rows.append((v, pa, pb, pa if side == A_SIDE else pb))
+    return rows
+
+
 @dataclass
 class HasseDiagram:
     """Directed acyclic diagram of the reference order of breakpoints."""
@@ -180,6 +209,8 @@ class HasseDiagram:
 
 def _order_diagram(tree: TdTree) -> HasseDiagram:
     """:func:`hasse_diagram` without its acyclicity check."""
+    if not tree.a_parent.keys() == tree.b_parent.keys() == tree.major_side.keys():
+        _edges(tree)  # raises: some node misses parental data
     edges = frozenset(zip(tree.a_parent.values(), tree.a_parent))
     return HasseDiagram(nodes=tree.nodes, edges=edges.union(tree.b_parent.items(), tree.fences))
 
@@ -215,9 +246,9 @@ def _topological(succ: list[list[int]]) -> list[int]:
 def hasse_diagram(tree: TdTree) -> HasseDiagram:
     """Order diagram: type-a edges kept, type-b edges reversed, fences a -> b.
 
-    Raises :class:`CycleDetectedError` if the result is not acyclic, and
-    :class:`MalformedGraphError` for a parent outside the tree (neither
-    happens to trees built by :func:`build_2d_tree`).
+    Major sides and parent types are not read.  Raises :class:`ValidationError`
+    for a node missing parental data, :class:`MalformedGraphError` for a
+    parent outside the tree and :class:`CycleDetectedError` for a cycle.
     """
     diagram = _order_diagram(tree)
     if len(_topological(_successors(diagram))) < len(diagram.nodes):
@@ -247,13 +278,9 @@ def normalize_fence(pair: Iterable[BreakpointId]) -> tuple[BreakpointId, Breakpo
 
 def major_graph(tree: TdTree) -> MajorGraph:
     """Restrict a breakpoint tree to its major edges and fences."""
-    a, b = tree.a_parent, tree.b_parent
-    try:
-        parent = {v: a[v] if side == A_SIDE else b[v] for v, side in tree.major_side.items()}
-    except KeyError as exc:
-        raise ValidationError(f"{exc.args[0]} missing parental data") from None
+    parent = {v: major for v, _, _, major in _edges(tree)}
     fences = frozenset(normalize_fence(pair) for pair in tree.fences)
-    return MajorGraph(nodes=tree.nodes, parent=parent, fences=fences)
+    return MajorGraph(nodes=(ROOT_A, ROOT_B, *parent), parent=parent, fences=fences)
 
 
 # ---------------------------------------------------------------------------
@@ -290,41 +317,27 @@ def _check_double_tree(tree: BetaTree, report: StructureReport) -> tuple | None:
     recent)``.  The parent lists hold indices (-1 at the roots),
     ``chains`` each node's major parent, grandparent, ... up to its
     root, and ``recent`` the first opposite-type node on that chain
-    (None if there is none).  Returns None when parental edges or major
-    sides are missing or mistyped, a major chain misses the roots, or a
-    fence names a node outside the tree; no further check can run on it.
+    (None if there is none).  Returns None when parental-edges or
+    rooted-majors fails or a fence names a node outside the tree.
     """
     nodes = tree.major_side
-    # once parental edges pass, this holds exactly the nodes
-    ordered = sorted(nodes.keys() | tree.a_parent.keys() | tree.b_parent.keys())
-
-    details = ""
-    for v in ordered:
-        pa, pb = tree.a_parent.get(v), tree.b_parent.get(v)
-        if pa is None or pb is None or v not in nodes:
-            details = f"{v} missing parental data"
-        elif nodes[v] not in (A_SIDE, B_SIDE):
-            details = f"{v} has major side {nodes[v]!r}"
-        elif pa.side != A_SIDE or pb.side != B_SIDE:
-            details = f"{v} has mistyped parents {pa}, {pb}"
-        elif (pa not in nodes and pa != ROOT_A) or (pb not in nodes and pb != ROOT_B):
-            details = f"{v} has parents outside the tree"
-        if details:
-            break
-    report.add("parental-edges", not details, details)
-    if details:
+    try:
+        rows = _edges(tree)
+    except ValidationError as exc:
+        report.add("parental-edges", False, str(exc))
         return None
+    report.add("parental-edges", True, "")
 
-    ids = (ROOT_A, ROOT_B, *ordered)
+    ids = (ROOT_A, ROOT_B, *(v for v, _, _, _ in rows))
     index = dict(zip(ids, range(len(ids))))
-    a_of = [-1, -1, *map(index.get, map(tree.a_parent.get, ordered))]
-    b_of = [-1, -1, *map(index.get, map(tree.b_parent.get, ordered))]
-    major = [a if nodes.get(v) == A_SIDE else b for v, a, b in zip(ids, a_of, b_of)]
+    a_of = [-1, -1, *(index[pa] for _, pa, _, _ in rows)]
+    b_of = [-1, -1, *(index[pb] for _, _, pb, _ in rows)]
+    major = [-1, -1, *(index[m] for _, _, _, m in rows)]
     side = [v.side for v in ids]
     # Top-down and memoised: a chain is the major parent and then its
     # chain, and ``recent`` the first opposite-type node on the chain.  A
     # walk that meets itself is a loop, which no root can end.
-    chains: list = [(), (), *([None] * len(ordered))]
+    chains: list = [(), (), *([None] * len(rows))]
     recent: list = [None] * len(ids)
     for i in range(2, len(ids)):
         walk, j = [], i
@@ -487,11 +500,10 @@ def tree_to_dot(tree: BetaTree) -> str:
     boxes/red for a, ellipses/blue for b, solid major edges, dashed
     minor edges, bold black fences."""
     edges = []
-    sides = (A_SIDE, tree.a_parent, "red"), (B_SIDE, tree.b_parent, "blue")
-    for v in sorted(tree.major_side):
-        for side, parent_of, color in sides:
-            style = "solid" if tree.major_side[v] == side else "dashed"
-            edges.append((parent_of[v], v, f"style={style}, color={color}"))
+    for v, pa, pb, major in _edges(tree):
+        for p, color in ((pa, "red"), (pb, "blue")):
+            style = "solid" if p == major else "dashed"
+            edges.append((p, v, f"style={style}, color={color}"))
     return _to_dot("td_tree", tree.nodes, edges, tree.fences)
 
 
@@ -509,12 +521,8 @@ def tree_to_json(tree: TdTree) -> str:
         "n": tree.n,
         "nodes": [str(v) for v in tree.nodes],
         "parents": {
-            str(v): {
-                "a": str(tree.a_parent[v]),
-                "b": str(tree.b_parent[v]),
-                "major": tree.major_side[v],
-            }
-            for v in sorted(tree.major_side)
+            str(v): {"a": str(pa), "b": str(pb), "major": major.side}
+            for v, pa, pb, major in _edges(tree)
         },
         "fences": sorted(tree.fence_tds),
     }

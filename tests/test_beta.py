@@ -4,6 +4,7 @@ import hashlib
 import random
 import re
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -39,13 +40,14 @@ from tdspace import (
     root_component_size,
     total_evolutions_via_words,
     tree_to_dot,
+    tree_to_json,
     two_tree_count,
     validate_beta_tree,
     validate_structure,
 )
 from tdspace.beta import SUBTREE_NODE_BUDGET
 from tdspace.errors import Deadline
-from tdspace.structure import _topological
+from tdspace.structure import TdTree, _topological
 from tdspace.words import DEFAULT_MAX_N, _evolution_unchecked, choices_for, td_step
 
 FIRST = WordEvolution(steps=())
@@ -448,6 +450,107 @@ def test_broken_parental_edges_raise_one_error(worked_beta_tree):
         ):
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 walk(orphan)
+
+
+def copied(tree):
+    """``tree`` with its three dicts copied, ready to break."""
+    return replace(
+        tree,
+        a_parent=dict(tree.a_parent),
+        b_parent=dict(tree.b_parent),
+        major_side=dict(tree.major_side),
+    )
+
+
+#: One defect each, at node 2a.
+PARENTAL_DEFECTS = {
+    "missing a-parent": lambda t: t.a_parent.pop(bp("2a")),
+    "missing b-parent": lambda t: t.b_parent.pop(bp("2a")),
+    "major side x": lambda t: t.major_side.update({bp("2a"): "x"}),
+    "mistyped parent": lambda t: t.a_parent.update({bp("2a"): bp("2b")}),
+    "parent outside": lambda t: t.a_parent.update({bp("2a"): bp("9a")}),
+}
+
+PARENTAL_READERS = {
+    "major_graph": major_graph,
+    "hasse_diagram": hasse_diagram,
+    "tree_to_dot": tree_to_dot,
+    "tree_to_json": tree_to_json,
+    "kernel_profile": kernel_profile,
+    "enumerate_beta_subtrees": enumerate_beta_subtrees,
+    "induced_tree": lambda tree: induced_tree(tree, (ROOT_A, ROOT_B)),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(PARENTAL_DEFECTS))
+@pytest.mark.parametrize("reader", sorted(PARENTAL_READERS))
+def test_every_reader_refuses_bad_parents_in_the_validators_words(
+    reader, defect, ev_540, worked_beta_tree
+):
+    """On the 540 tree (2a major on b) and the worked beta tree (2a major
+    on a), each reader raises the validator's first failure, except where
+    :func:`hasse_diagram` documents otherwise: it reads no major sides,
+    keeps a mistyped parent's edge and refuses an outside parent as an
+    edge off the diagram.  :func:`tree_to_json` takes breakpoint trees only."""
+    for tree in (build_2d_tree(ev_540), worked_beta_tree):
+        if reader == "tree_to_json" and not isinstance(tree, TdTree):
+            continue
+        broken = copied(tree)
+        PARENTAL_DEFECTS[defect](broken)
+        message = validate_beta_tree(broken).failures()[0].details
+        assert message.startswith("2a ")
+        read = PARENTAL_READERS[reader]
+        if reader == "hasse_diagram" and defect == "major side x":
+            assert read(broken) == read(tree)
+        elif reader == "hasse_diagram" and defect == "mistyped parent":
+            assert (bp("2b"), bp("2a")) in read(broken).edges
+        elif reader == "hasse_diagram" and defect == "parent outside":
+            with pytest.raises(MalformedGraphError, match="^edge at 9a, outside the diagram"):
+                read(broken)
+        else:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                read(broken)
+
+
+def test_the_oracle_counts_no_tree_missing_a_parent(ev_540):
+    """The order diagram once dropped a missing parent's edge without a
+    word, and the oracle counted 700 without 1a's a-parent and 1,660
+    without 1b's b-parent; both count routes now refuse such trees."""
+    for side, node in (("a_parent", "1a"), ("b_parent", "1b")):
+        broken = copied(build_2d_tree(ev_540))
+        getattr(broken, side).pop(bp(node))
+        for count in (
+            lambda t: count_extensions_bruteforce(hasse_diagram(t)),
+            lambda t: count_extensions_formula(major_graph(t)).value,
+        ):
+            with pytest.raises(ValidationError, match=f"^{node} missing parental data$"):
+                count(broken)
+
+
+@pytest.mark.parametrize(
+    "tau, message",
+    [
+        ((ROOT_A, "2b"), "both roots belong to every beta subtree"),
+        ((ROOT_A, ROOT_B, "2b"), "2b is in the subtree but a parent is not"),
+        ((ROOT_A, ROOT_B, "9a"), "9a is not a node of the tree"),
+    ],
+)
+def test_induced_tree_refuses_a_subset_that_is_no_subtree(worked_beta_tree, tau, message):
+    tau = [bp(v) if isinstance(v, str) else v for v in tau]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        induced_tree(worked_beta_tree, tau)
+
+
+@pytest.mark.parametrize(
+    "nodeset, message",
+    [
+        (("1a", "2b"), "a one-nodeset always contains both breakpoints of 1"),
+        (("1a", "1b", "6a"), "nodeset labels outside 1..5"),
+    ],
+)
+def test_induced_major_graph_refuses_a_malformed_nodeset(ev_540, nodeset, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        induced_major_graph(build_2d_tree(ev_540), map(bp, nodeset))
 
 
 def test_subtree_budget(worked_beta_tree):

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from tdspace import cli, format_evolution, parse_evolution
+from tdspace import KernelCheck, TdTree, cli, format_evolution, kernel_profile, parse_evolution
+from tdspace.structure import StructureReport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -247,6 +248,84 @@ def test_verify_mismatch_is_replayable(capsys, monkeypatch):
     assert literal.startswith('{"steps":')
     assert format_evolution(parse_evolution(literal)) == literal
     assert rest == "formula 1 vs oracle 7)"
+
+
+def failing_report(tree):
+    report = StructureReport()
+    report.add("forced", False, "forced failure")
+    return report
+
+
+def unequal_where(picked):
+    """A kernel profile with one unequal identity on the trees ``picked`` takes."""
+
+    def profile(tree, budget):
+        return (KernelCheck(1, 0, 1),) if picked(tree) else kernel_profile(tree, budget=budget)
+
+    return profile
+
+
+KERNEL = ["verify", "--suite", "kernel", "-n", "1", "--trees", "2", "--seed", "5"]
+INDUCTION = ["verify", "--suite", "induction", "-n", "2"]
+FIRST_EVOLUTION = '{"steps":[]}'
+
+
+@pytest.mark.parametrize(
+    "argv, target, stand_in, check, detail",
+    [
+        (
+            ["verify", "--suite", "structure", "-n", "2"],
+            "validate_structure", failing_report, "trees-validate", FIRST_EVOLUTION,
+        ),
+        (
+            KERNEL, "kernel_profile", unequal_where(lambda t: isinstance(t, TdTree)),
+            "evolution-trees", FIRST_EVOLUTION,
+        ),
+        (KERNEL, "validate_beta_tree", failing_report, "random-trees", "seeds [5, 6]"),
+        (
+            KERNEL,
+            "kernel_profile",
+            unequal_where(lambda t: not isinstance(t, TdTree) and t != cli._worked_kernel_tree()),
+            "random-trees",
+            "seeds [5, 6]",
+        ),
+        (INDUCTION, "_induction_factor", lambda n: 0, "fibers-base-1", FIRST_EVOLUTION),
+        (
+            INDUCTION, "word_count_total", lambda n: 0,
+            "fibers-base-1", "fibers cover 3 of 0 evolutions",
+        ),
+    ],
+)
+def test_each_verify_failure_exits_3_with_its_fail_line(
+    capsys, monkeypatch, argv, target, stand_in, check, detail
+):
+    """Each check fails alone, and a failing evolution is named by a
+    ``{"steps": ...}`` literal that ``count`` replays."""
+    monkeypatch.setattr(cli, target, stand_in)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert [ln for ln in out.splitlines() if ln.startswith("FAIL")] == [f"FAIL {check} ({detail})"]
+    if detail.startswith('{"steps":'):
+        monkeypatch.undo()
+        assert run(capsys, "count", detail)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "target, stand_in, fail",
+    [
+        ("validate_beta_tree", failing_report, "{'seed': 5, 'reason': 'forced'}"),
+        (
+            "kernel_profile", unequal_where(lambda t: True),
+            "{'seed': 5, 'r': 1, 'lhs': 0, 'rhs': 1}",
+        ),
+    ],
+)
+def test_beta_lists_each_failing_tree(capsys, monkeypatch, target, stand_in, fail):
+    monkeypatch.setattr(cli, target, stand_in)
+    code, out, _ = run(capsys, "beta", "--seed", "5", "--trees", "2")
+    assert code == 3
+    assert "kernel identity: 0/2 trees pass" in out
+    assert [ln for ln in out.splitlines() if "FAIL" in ln][0] == f"  FAIL {fail}"
 
 
 def test_export_major_dot(capsys):

@@ -1,14 +1,18 @@
 """Extension counting: closed form, factor traces, and the DP oracle."""
 
 import random
+import re
 
 import pytest
 
 from tdspace import (
     B_SIDE,
+    ROOT_A,
+    ROOT_B,
     BreakpointId,
     BudgetExceededError,
     HasseDiagram,
+    MajorGraph,
     MalformedGraphError,
     WordEvolution,
     build_2d_tree,
@@ -18,6 +22,7 @@ from tdspace import (
     hasse_diagram,
     major_graph,
     multinomial,
+    parse_breakpoint,
     word_to_text,
 )
 from tdspace.extensions import BRUTEFORCE_NODE_BUDGET
@@ -148,3 +153,26 @@ def test_oracle_refuses_an_edge_off_the_diagram(ev_540):
     stray = HasseDiagram(nodes=diagram.nodes, edges=diagram.edges | {(diagram.nodes[0], outside)})
     with pytest.raises(MalformedGraphError, match="^edge at 9b, outside the diagram's nodes$"):
         count_extensions_bruteforce(stray)
+
+
+@pytest.mark.parametrize(
+    "parent, fences, message",
+    [
+        ({"1a": "9a", "1b": "0a", "2b": "0a"}, [], "parent of 1a is outside the graph"),
+        ({"1a": "1b", "1b": "1a", "2b": "0a"}, [], "parent edges do not form a forest"),
+        (
+            {"1a": "0a", "1b": "0a", "2b": "0a"},
+            [("1a", "1b"), ("1a", "2b")],
+            "node in two fences near 1a|2b",
+        ),
+    ],
+)
+def test_formula_refuses_a_malformed_forest(parent, fences, message):
+    bp = parse_breakpoint
+    graph = MajorGraph(
+        nodes=(ROOT_A, ROOT_B, bp("1a"), bp("1b"), bp("2b")),
+        parent={bp(v): bp(p) for v, p in parent.items()},
+        fences=frozenset((bp(x), bp(y)) for x, y in fences),
+    )
+    with pytest.raises(MalformedGraphError, match=f"^{re.escape(message)}$"):
+        count_extensions_formula(graph)

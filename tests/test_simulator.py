@@ -832,3 +832,13 @@ def test_the_simulator_shares_no_code_with_the_double_tree_model():
             names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
             package.update(name for name in names if name.split(".")[0] == "tdspace")
     assert package == {"errors", "words"}
+
+
+def test_the_subtree_walk_and_the_rewrite_read_parents_through_one_reader():
+    """The beta module reads no parent attribute of a tree: its walk and
+    rewrite take each node's parents from ``structure._edges``, which
+    refuses malformed parental data in the validator's words."""
+    with open(tdspace.beta.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    names = {"a_parent", "b_parent", "major_parent", "minor_parent"}
+    assert not [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in names]

@@ -225,6 +225,22 @@ def test_a_fence_outside_the_tree_ends_the_report(ev_540):
         assert report.checks[-1].name == "fences"
 
 
+@pytest.mark.parametrize(
+    "fence, details",
+    [
+        (("1a", "2b"), "1a or 2b sits in two fences"),
+        (("2b", "3b"), "fence 2b|3b joins same-type nodes"),
+    ],
+)
+def test_fence_checks_on_a_beta_tree(worked_beta_tree, fence, details):
+    """Two fence rules that no breakpoint tree can break, as its fences
+    always join the two breakpoints of one TD."""
+    broken = replace(worked_beta_tree, fences=worked_beta_tree.fences | {tuple(map(bp, fence))})
+    report = validate_beta_tree(broken)
+    assert report == reference_validate_beta_tree(broken)
+    assert [(c.name, c.details) for c in report.failures()] == [("fences", details)]
+
+
 def test_fenced_tds_are_always_reversed():
     for n in range(1, 4):
         for ev in enumerate_word_evolutions(n):
