@@ -24,8 +24,7 @@ exactly the admissible reference layouts.
 
 One private reader, :func:`_edges`, reads every node's parents; the
 validators report its verdict as ``parental-edges``, and every other
-reader raises its :class:`ValidationError` on a tree that check fails
-(:func:`hasse_diagram` reads neither major sides nor parent types).
+reader raises its :class:`ValidationError` on a tree that check fails.
 """
 
 from __future__ import annotations
@@ -120,14 +119,11 @@ class TdTree(BetaTree):
     """Breakpoint double tree of one word evolution with ``n`` TDs.
 
     ``fence_tds`` lists the TDs whose breakpoint pair is fenced (the
-    inherited ``fences`` are derived from it), and ``segments`` records
-    every segment ``(u_a, v_b)`` that arose while replaying the
-    evolution (used by the structural validators).
+    inherited ``fences`` are derived from it).
     """
 
     n: int
     fence_tds: frozenset[int]
-    segments: frozenset[tuple[BreakpointId, BreakpointId]]
     fences: frozenset[tuple[BreakpointId, BreakpointId]] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -141,6 +137,8 @@ def build_2d_tree(ev: WordEvolution) -> TdTree:
     ``k_a`` on segment ``[(c_{a-1})_a, (c_a)_b]`` and ``k_b`` on
     ``[(c_b)_a, (c_{b+1})_b]``, and adds exactly two segments,
     ``[(c_b)_a, k_b]`` and ``[k_a, (c_a)_b]``; no segment ever leaves.
+    Those are ``[a_parent(k_b), k_b]`` and ``[k_a, b_parent(k_a)]``, so
+    the parents record every segment but the initial ``[0_a, 0_b]``.
     """
     ida, idb = _ids(A_SIDE, ev.n), _ids(B_SIDE, ev.n)
     # First TD: both breakpoints on the initial interval; fixed convention.
@@ -148,7 +146,6 @@ def build_2d_tree(ev: WordEvolution) -> TdTree:
     b_parent = {ida[1]: ROOT_B, idb[1]: ROOT_B}
     major_side = {ida[1]: B_SIDE, idb[1]: A_SIDE}
     fence_tds = {1}
-    segments = {(ROOT_A, ROOT_B), (ROOT_A, idb[1]), (ida[1], ROOT_B)}
 
     def attach(node: BreakpointId, left: int, right: int) -> None:
         if left == right:
@@ -159,12 +156,8 @@ def build_2d_tree(ev: WordEvolution) -> TdTree:
 
     for k, ((a, b), word) in enumerate(zip(ev.steps, ev.words), start=2):
         m = len(word)
-        ca = word[a - 1] if a <= m else 0
-        cb = word[b - 1] if b else 0
-        attach(ida[k], word[a - 2] if a > 1 else 0, ca)
-        attach(idb[k], cb, word[b] if b < m else 0)
-        segments.add((ida[cb], idb[k]))
-        segments.add((ida[k], idb[ca]))
+        attach(ida[k], word[a - 2] if a > 1 else 0, word[a - 1] if a <= m else 0)
+        attach(idb[k], word[b - 1] if b else 0, word[b] if b < m else 0)
         if b == a - 1:
             fence_tds.add(k)
 
@@ -174,7 +167,6 @@ def build_2d_tree(ev: WordEvolution) -> TdTree:
         b_parent=b_parent,
         major_side=major_side,
         fence_tds=frozenset(fence_tds),
-        segments=frozenset(segments),
     )
 
 
@@ -207,12 +199,11 @@ class HasseDiagram:
     edges: frozenset[tuple[BreakpointId, BreakpointId]]
 
 
-def _order_diagram(tree: TdTree) -> HasseDiagram:
-    """:func:`hasse_diagram` without its acyclicity check."""
-    if not tree.a_parent.keys() == tree.b_parent.keys() == tree.major_side.keys():
-        _edges(tree)  # raises: some node misses parental data
-    edges = frozenset(zip(tree.a_parent.values(), tree.a_parent))
-    return HasseDiagram(nodes=tree.nodes, edges=edges.union(tree.b_parent.items(), tree.fences))
+def _order_diagram(rows: list[tuple], fences: Iterable) -> HasseDiagram:
+    """:func:`hasse_diagram` from :func:`_edges`' rows, without its acyclicity check."""
+    edges = [(pa, v) for v, pa, _, _ in rows] + [(v, pb) for v, _, pb, _ in rows]
+    nodes = (ROOT_A, ROOT_B, *(v for v, _, _, _ in rows))
+    return HasseDiagram(nodes=nodes, edges=frozenset(edges).union(fences))
 
 
 def _successors(diagram: HasseDiagram) -> list[list[int]]:
@@ -246,11 +237,11 @@ def _topological(succ: list[list[int]]) -> list[int]:
 def hasse_diagram(tree: TdTree) -> HasseDiagram:
     """Order diagram: type-a edges kept, type-b edges reversed, fences a -> b.
 
-    Major sides and parent types are not read.  Raises :class:`ValidationError`
-    for a node missing parental data, :class:`MalformedGraphError` for a
-    parent outside the tree and :class:`CycleDetectedError` for a cycle.
+    Raises :class:`ValidationError` where the validators' parental-edges
+    check fails, :class:`MalformedGraphError` for a fence outside the tree
+    and :class:`CycleDetectedError` for a cycle.
     """
-    diagram = _order_diagram(tree)
+    diagram = _order_diagram(_edges(tree), tree.fences)
     if len(_topological(_successors(diagram))) < len(diagram.nodes):
         raise CycleDetectedError("order diagram contains a directed cycle")
     return diagram
@@ -312,15 +303,13 @@ class StructureReport:
 def _check_double_tree(tree: BetaTree, report: StructureReport) -> tuple | None:
     """Add the double-tree axiom checks to ``report``.
 
-    Returns the tree on integer indices, the two roots first and then
-    the sorted nodes: ``(ids, index, a_of, b_of, major, chains,
-    recent)``.  The parent lists hold indices (-1 at the roots),
-    ``chains`` each node's major parent, grandparent, ... up to its
-    root, and ``recent`` the first opposite-type node on that chain
-    (None if there is none).  Returns None when parental-edges or
-    rooted-majors fails or a fence names a node outside the tree.
+    Returns ``(rows, ids, index, major, recent)``: :func:`_edges`' rows,
+    the nodes (the two roots first, then sorted) and their positions,
+    and per position the major parent's position (-1 at the roots) and
+    the first opposite-type node on the major chain (None if none).
+    Returns None when parental-edges or rooted-majors fails or a fence
+    names a node outside the tree.
     """
-    nodes = tree.major_side
     try:
         rows = _edges(tree)
     except ValidationError as exc:
@@ -330,38 +319,30 @@ def _check_double_tree(tree: BetaTree, report: StructureReport) -> tuple | None:
 
     ids = (ROOT_A, ROOT_B, *(v for v, _, _, _ in rows))
     index = dict(zip(ids, range(len(ids))))
-    a_of = [-1, -1, *(index[pa] for _, pa, _, _ in rows)]
-    b_of = [-1, -1, *(index[pb] for _, _, pb, _ in rows)]
     major = [-1, -1, *(index[m] for _, _, _, m in rows)]
-    side = [v.side for v in ids]
-    # Top-down and memoised: a chain is the major parent and then its
-    # chain, and ``recent`` the first opposite-type node on the chain.  A
-    # walk that meets itself is a loop, which no root can end.
-    chains: list = [(), (), *([None] * len(rows))]
-    recent: list = [None] * len(ids)
+    # A topological order of the major edges leaves out exactly the nodes
+    # on a loop or below one, whose major chains reach no root.
+    succ: list[list[int]] = [[] for _ in ids]
     for i in range(2, len(ids)):
-        walk, j = [], i
-        while chains[j] is None:
-            chains[j] = False
-            walk.append(j)
-            j = major[j]
-        if chains[j] is False:
-            report.add("rooted-majors", False, f"major chain from {ids[i]} does not reach a root")
-            return None
-        for k in reversed(walk):
-            p = major[k]
-            chains[k] = (p, *chains[p])
-            recent[k] = p if side[p] != side[k] else recent[p]
+        succ[major[i]].append(i)
+    order = _topological(succ)
+    if len(order) < len(ids):
+        stray = ids[min(set(range(len(ids))).difference(order))]
+        report.add("rooted-majors", False, f"major chain from {stray} does not reach a root")
+        return None
     report.add("rooted-majors", True, "")
+    recent: list[BreakpointId | None] = [None] * len(ids)
+    for k in order[2:]:  # the roots come first, then each node after its major parent
+        p = major[k]
+        recent[k] = ids[p] if ids[p].side != ids[k].side else recent[p]
 
     # The minor parent is the nearest opposite-type node above the major
     # parent; nodes hung on the two roots are fixed by convention.
     ok, details = True, ""
-    for i in range(2, len(ids)):
-        minor, expected = a_of[i] + b_of[i] - major[i], recent[major[i]]
-        if (a_of[i], b_of[i]) != (0, 1) and minor != expected:
-            expected = None if expected is None else ids[expected]
-            ok, details = False, f"{ids[i]}: minor parent {ids[minor]}, expected {expected}"
+    for (v, pa, pb, m), p in zip(rows, major[2:]):
+        minor = pb if m == pa else pa
+        if (pa, pb) != (ROOT_A, ROOT_B) and minor != recent[p]:
+            ok, details = False, f"{v}: minor parent {minor}, expected {recent[p]}"
             break
     report.add("minor-recency", ok, details)
 
@@ -377,20 +358,16 @@ def _check_double_tree(tree: BetaTree, report: StructureReport) -> tuple | None:
             break
         if {x, y} == {ROOT_A, ROOT_B}:
             continue
-        if x not in nodes or y not in nodes:
+        if x not in tree.major_side or y not in tree.major_side:
             ok, details = False, f"fence {x}|{y} references missing nodes"
             break
         if tree.a_parent[x] != tree.a_parent[y] or tree.b_parent[x] != tree.b_parent[y]:
             ok, details = False, f"fence {x}|{y} does not share both parents"
             break
-        root_pair = (tree.a_parent[x], tree.b_parent[x]) == (ROOT_A, ROOT_B)
-        if not root_pair and tree.major_side[x] != tree.major_side[y]:
-            ok, details = False, f"fence {x}|{y} mixes major sides"
-            break
     report.add("fences", ok, details)
     if not ok and not index.keys() >= {v for fence in tree.fences for v in fence}:
         return None  # a fence that passed has its nodes in the tree
-    return ids, index, a_of, b_of, major, chains, recent
+    return rows, ids, index, major, recent
 
 
 def validate_beta_tree(tree: BetaTree) -> StructureReport:
@@ -410,9 +387,12 @@ def validate_structure(tree: TdTree) -> StructureReport:
 
     Checks, in report order: the four of :func:`validate_beta_tree`,
     first-td-convention, order-diagram (acyclic; a cycle ends the
-    report) and segment-connectivity (each segment's endpoints joined by
-    a major edge, or by a minor edge plus a single-type major chain).
-    Two invariants need no check, as they fail only with one above:
+    report) and segment-connectivity.  Each segment but the initial one
+    joins a node to its opposite-type parent (see :func:`build_2d_tree`);
+    its end with the lower TD must sit on the major chain of the other,
+    ``hi``, with only nodes of hi's type between them and TD numbers
+    falling all the way up.  Four invariants need no check, as they
+    fail only with one above:
 
     - Chain order (a-nodes ascend, b-nodes descend along a major chain)
       pairs each node k with the nearest node of its type above it: the
@@ -424,12 +404,19 @@ def validate_structure(tree: TdTree) -> StructureReport:
       fences run from a to b, 0a has no edge in and 0b none out.  The
       first-TD convention hangs 1a on 0a and 1b on 0b, so where it
       passes the one source is 0a and the one sink 0b.
+    - A segment's minor edge: where nodes of hi's type sit between the
+      ends, the lower end is ``recent[hi]``, so ``recent[major]``, hi's
+      minor parent by minor-recency (a node on both roots has no
+      opposite-type node above it).
+    - One major side per fence off the roots: with x major on the shared
+      parent pa and y on pb, minor-recency puts each first above the
+      other, which only a major loop allows.
     """
     report = StructureReport()
     indexed = _check_double_tree(tree, report)
     if indexed is None:
         return report
-    ids, index, a_of, b_of, major, chains, recent = indexed
+    rows, ids, index, major, recent = indexed
 
     # First-TD convention.
     one_a, one_b = _bp(1, A_SIDE), _bp(1, B_SIDE)
@@ -442,33 +429,29 @@ def validate_structure(tree: TdTree) -> StructureReport:
     )
     report.add("first-td-convention", ok, "" if ok else "TD 1 breaks the root convention")
 
-    if len(_topological(_successors(_order_diagram(tree)))) < len(ids):
+    if len(_topological(_successors(_order_diagram(rows, tree.fences)))) < len(ids):
         report.add("order-diagram", False, "order diagram contains a directed cycle")
         return report
     report.add("order-diagram", True, "")
 
     # Segment connectivity.  Each segment is checked on its own, so the
-    # first failure in sorted order is the least failing segment.  Along
-    # a major chain ``recent`` marks where the type first changes, and
-    # TD numbers fall unless some node's major edge climbs.
-    tds = [v.td for v in ids]
-    climbing = {k for k in range(2, len(ids)) if tds[major[k]] >= tds[k]}
+    # least failure is the least failing segment's.  ``recent`` is where
+    # a major chain first changes type, and TD numbers fall along it
+    # unless some node's major edge climbs.
+    climbing = {k for k in range(2, len(ids)) if ids[major[k]].td >= ids[k].td}
     failures = []
-    for left, right in tree.segments:
+    for v, pa, pb, _ in rows:
+        left, right = (v, pb) if v.side == A_SIDE else (pa, v)
         lo, hi = (left, right) if left.td < right.td else (right, left)
-        h, low = index.get(hi), index.get(lo)
-        chain = () if h is None else chains[h]
-        if low not in chain:
-            if (left, right) != (ROOT_A, ROOT_B):  # the initial interval
-                failures.append((left, right, f"no major chain {lo} to {hi}"))
-            continue
-        cut = chain.index(low)  # the chain's nodes between hi and lo
-        if recent[h] in chain[:cut]:
+        low, chain = index[lo], [index[hi]]
+        while chain[-1] not in (low, -1):
+            chain.append(major[chain[-1]])
+        if chain[-1] != low:
+            failures.append((left, right, f"no major chain {lo} to {hi}"))
+        elif recent[chain[0]] != lo:
             failures.append((left, right, "mixed-type chain"))
-        elif climbing and not climbing.isdisjoint((h, *chain[:cut])):
+        elif not climbing.isdisjoint(chain[:-1]):
             failures.append((left, right, "chain not ascending"))
-        elif cut and a_of[h] + b_of[h] - major[h] != low:
-            failures.append((left, right, "minor edge missing"))
     left, right, why = min(failures, default=(None, None, ""))
     report.add("segment-connectivity", not failures, why and f"segment {left}..{right}: {why}")
     return report

@@ -53,7 +53,7 @@ RECORD_FIELDS = {
     "TdChoice": ("g1", "g2", "order_flag"),
     "TdEvolutionRecord": ("genomes", "graphs", "word_evolution"),
     "TdGraph": ("cnv", "connections"),
-    "TdTree": ("a_parent", "b_parent", "major_side", "fences", "n", "fence_tds", "segments"),
+    "TdTree": ("a_parent", "b_parent", "major_side", "fences", "n", "fence_tds"),
     "WordEvolution": ("steps", "words"),
 }
 

@@ -13,7 +13,6 @@ from tdspace import (
     ROOT_B,
     BreakpointId,
     CycleDetectedError,
-    MalformedGraphError,
     ValidationError,
     WordEvolution,
     build_2d_tree,
@@ -34,6 +33,7 @@ from tdspace import (
 from tdspace.structure import (
     StructureReport,
     TdTree,
+    _edges,
     _order_diagram,
     _successors,
     _topological,
@@ -67,6 +67,20 @@ def word_segments(word):
         (BreakpointId(bounded[i], A_SIDE), BreakpointId(bounded[i + 1], B_SIDE))
         for i in range(len(bounded) - 1)
     ]
+
+
+def derived_segments(tree):
+    """The segments read off the parents: each node with its opposite-type
+    parent, and the initial interval."""
+    segments = {(ROOT_A, ROOT_B)}
+    for v in tree.major_side:
+        segments.add((v, tree.b_parent[v]) if v.side == A_SIDE else (tree.a_parent[v], v))
+    return segments
+
+
+def order_diagram(tree):
+    """The order diagram of any tree whose parental edges pass, cyclic or not."""
+    return _order_diagram(_edges(tree), tree.fences)
 
 
 def test_word_segments_of_single_connection():
@@ -277,7 +291,8 @@ def test_json_exports(ev_121):
 
 
 def reference_build_2d_tree(ev):
-    """Replay every word and hang each breakpoint on its host segment."""
+    """Replay every word and hang each breakpoint on its host segment;
+    returns the tree and every segment the replay met."""
     a_parent, b_parent, major_side = {}, {}, {}
     fence_tds = {1}
     segments = {(ROOT_A, ROOT_B)}
@@ -306,14 +321,14 @@ def reference_build_2d_tree(ev):
         if b == a - 1:
             fence_tds.add(td)
     segments.update(word_segments(ev.words[-1]))
-    return TdTree(
+    tree = TdTree(
         n=ev.n,
         a_parent=a_parent,
         b_parent=b_parent,
         major_side=major_side,
         fence_tds=frozenset(fence_tds),
-        segments=frozenset(segments),
     )
+    return tree, frozenset(segments)
 
 
 def reference_reachability(diagram):
@@ -416,10 +431,6 @@ def reference_check_double_tree(tree, report):
         if tree.a_parent[x] != tree.a_parent[y] or tree.b_parent[x] != tree.b_parent[y]:
             ok, details = False, f"fence {x}|{y} does not share both parents"
             break
-        root_pair = (tree.a_parent[x], tree.b_parent[x]) == (ROOT_A, ROOT_B)
-        if not root_pair and tree.major_side[x] != tree.major_side[y]:
-            ok, details = False, f"fence {x}|{y} mixes major sides"
-            break
     report.add("fences", ok, details)
     return all(v in nodes or v in (ROOT_A, ROOT_B) for fence in tree.fences for v in fence)
 
@@ -446,14 +457,14 @@ def reference_validate_structure(tree):
     report.add("first-td-convention", ok, "" if ok else "TD 1 breaks the root convention")
 
     try:
-        reference_reachability(_order_diagram(tree))
+        reference_reachability(order_diagram(tree))
     except CycleDetectedError as exc:
         report.add("order-diagram", False, str(exc))
         return report
     report.add("order-diagram", True)
 
     ok, details = True, ""
-    for left, right in sorted(tree.segments):
+    for left, right in sorted(derived_segments(tree)):
         if left == ROOT_A and right == ROOT_B:
             continue
         lo, hi = (left, right) if left.td < right.td else (right, left)
@@ -475,18 +486,16 @@ def reference_validate_structure(tree):
         if any(x <= y for x, y in zip(tds, tds[1:])):
             ok, details = False, f"segment {left}..{right}: chain not ascending"
             break
-        if internal and tree.minor_parent(hi) != lo:
-            ok, details = False, f"segment {left}..{right}: minor edge missing"
-            break
     report.add("segment-connectivity", ok, details)
     return report
 
 
-# Two checks ``validate_structure`` omits because they cannot fail alone
-# (its docstring gives the reasons; the property test below checks them).
-# They would run once the double-tree checks pass and the order diagram is
-# acyclic, where the report's order-diagram check passes; ``above`` is the
-# diagram's :func:`reachability`.
+# Four checks the validators omit because they cannot fail alone (the
+# docstring of ``validate_structure`` gives the reasons; the property test
+# below checks them).  The first two would run once the double-tree checks
+# pass and the order diagram is acyclic, where the report's order-diagram
+# check passes; ``above`` is the diagram's :func:`reachability`.  The last
+# two need only major chains that reach a root.
 
 
 def old_chain_order(tree, above):
@@ -510,7 +519,7 @@ def old_chain_order(tree, above):
 def old_sources_and_sinks(tree, above):
     """The order diagram's sources must be [0a] and its sinks [0b]; the
     details of a failure, or ""."""
-    diagram = _order_diagram(tree)
+    diagram = order_diagram(tree)
     targets = {v for _, v in diagram.edges}
     sources = [v for v in diagram.nodes if v not in targets]
     sinks = [v for v in diagram.nodes if not above[v]]
@@ -518,15 +527,51 @@ def old_sources_and_sinks(tree, above):
     return "" if ok else f"sources={sources} sinks={sinks}"
 
 
+def old_minor_edge(tree):
+    """Where nodes of one type sit between a segment's ends on a major
+    chain, the minor edge joins the ends too; the details of the least
+    segment that breaks this, or ""."""
+    for left, right in sorted(derived_segments(tree) - {(ROOT_A, ROOT_B)}):
+        lo, hi = (left, right) if left.td < right.td else (right, left)
+        walk = [hi, *reference_major_ancestors(tree, hi)]
+        internal = walk[1 : walk.index(lo)] if lo in walk else []
+        if internal and all(v.side == hi.side for v in internal) and tree.minor_parent(hi) != lo:
+            return f"segment {left}..{right}: minor edge missing"
+    return ""
+
+
+def old_fence_major_sides(tree):
+    """Fenced nodes off the two roots share their major side; the details
+    of the least fence that breaks this, or ""."""
+    for x, y in sorted(tree.fences):
+        if not {x, y} <= tree.major_side.keys():
+            continue
+        shared = (tree.a_parent[x], tree.b_parent[x])
+        if shared == (tree.a_parent[y], tree.b_parent[y]) != (ROOT_A, ROOT_B):
+            if tree.major_side[x] != tree.major_side[y]:
+                return f"fence {x}|{y} mixes major sides"
+    return ""
+
+
 def test_builder_matches_reference():
     """Every tree with n <= 4 and every fifth at n = 5, field by field."""
-    fields = ("n", "a_parent", "b_parent", "major_side", "fence_tds", "segments", "fences")
+    fields = ("n", "a_parent", "b_parent", "major_side", "fence_tds", "fences")
     evs = [ev for n in range(1, 5) for ev in enumerate_word_evolutions(n)]
     evs += list(enumerate_word_evolutions(5))[::5]
     assert len(evs) == 403 + 3063
     for ev in evs:
-        new, old = build_2d_tree(ev), reference_build_2d_tree(ev)
+        new, (old, _) = build_2d_tree(ev), reference_build_2d_tree(ev)
         assert all(getattr(new, f) == getattr(old, f) for f in fields), str(ev)
+
+
+def test_segments_derived_from_parents_match_the_replay(random_evolution):
+    """Every tree with n <= 5, seeded trees with n = 6..12 and the 300-TD
+    chain: the parents record every segment the replay meets."""
+    evs = [ev for n in range(1, 6) for ev in enumerate_word_evolutions(n)]
+    evs += [random_evolution(n, 50 * n + k) for n in range(6, 13) for k in range(30)]
+    evs.append(WordEvolution(steps=((1, 0),) * 299))
+    for ev in evs:
+        assert derived_segments(build_2d_tree(ev)) == reference_build_2d_tree(ev)[1], str(ev)
 
 
 def test_reachability_matches_reference():
@@ -585,27 +630,45 @@ def test_dropped_checks_fail_only_with_a_kept_one(random_evolution):
     """Wherever the old chain-order check fails, minor-recency fails too,
     and wherever the old source/sink test fails, first-td-convention
     does: on every clean tree with n <= 5, on the seeded corruptions of
-    the three pools and on the empty tree, which has no edge at all."""
+    the three pools and on the empty tree, which has no edge at all.
+    Wherever the old minor-edge or fence major-side test fails,
+    minor-recency fails too: on the same trees and on seeded beta trees
+    at fence rates 0, 0.35 and 1, each also scrambled."""
     pools = corruption_pools(random_evolution)
-    empty = TdTree(
-        n=0, a_parent={}, b_parent={}, major_side={}, fence_tds=frozenset(), segments=frozenset()
-    )
+    empty = TdTree(n=0, a_parent={}, b_parent={}, major_side={}, fence_tds=frozenset())
     corruptions = [tree for part in seeded_corruptions(pools) for tree in part]
-    trees = [*pools[0], *pools[1], *corruptions, empty]
-    chain_failures, sink_failures = [], []
+    rng = random.Random(11)
+    betas = [
+        beta
+        for rate in (0, 0.35, 1)
+        for seed in range(300)
+        for tree in [random_beta_tree(seed, 4 + seed % 13, rate)]
+        for beta in (tree, scrambled(tree, rng))
+    ]
+    trees = [*pools[0], *pools[1], *corruptions, empty, *betas]
+    failures = {"chain": [], "sink": [], "edge": [], "sides": []}
     for tree in trees:
-        passed = {c.name: c.passed for c in validate_structure(tree).checks}
+        breakpoint_tree = isinstance(tree, TdTree)
+        validate = validate_structure if breakpoint_tree else validate_beta_tree
+        passed = {c.name: c.passed for c in validate(tree).checks}
+        if not passed.get("rooted-majors"):
+            continue  # where no major chain is sure to end
+        for name, old_check in (("edge", old_minor_edge), ("sides", old_fence_major_sides)):
+            if old_check(tree):
+                assert not passed["minor-recency"], tree
+                failures[name].append(tree)
         if not passed.get("order-diagram"):
             continue  # where the old checks did not run
-        above = reachability(_order_diagram(tree))
+        above = reachability(order_diagram(tree))
         if old_chain_order(tree, above):
             assert not passed["minor-recency"], tree
-            chain_failures.append(tree)
+            failures["chain"].append(tree)
         if old_sources_and_sinks(tree, above):
             assert not passed["first-td-convention"], tree
-            sink_failures.append(tree)
-    assert chain_failures
-    assert any(tree is empty for tree in sink_failures)
+            failures["sink"].append(tree)
+    assert failures["chain"] and failures["edge"] and failures["sides"]
+    assert any(tree is empty for tree in failures["sink"])
+    assert any(not isinstance(tree, TdTree) for tree in failures["edge"] + failures["sides"])
 
 
 def test_clean_report_lists_its_checks_in_order(ev_540):
@@ -637,7 +700,7 @@ def test_a_major_side_other_than_a_or_b_fails_parental_edges(ev_540):
 
 def test_hasse_diagram_refuses_a_parent_outside_the_tree(ev_540):
     broken = corrupt(build_2d_tree(ev_540), a_parent={bp("2a"): bp("9a")})
-    with pytest.raises(MalformedGraphError, match="^edge at 9a, outside the diagram's nodes$"):
+    with pytest.raises(ValidationError, match="^2a has parents outside the tree$"):
         hasse_diagram(broken)
 
 
@@ -667,12 +730,12 @@ def test_long_evolution_past_the_interned_ids():
     ev = WordEvolution(steps=((1, 0),) * 299)
     tree = build_2d_tree(ev)
     assert tree.n == 300 and BreakpointId(300, B_SIDE) in tree.major_side
-    old = reference_build_2d_tree(ev)
-    fields = ("n", "a_parent", "b_parent", "major_side", "fence_tds", "segments", "fences")
+    old, _ = reference_build_2d_tree(ev)
+    fields = ("n", "a_parent", "b_parent", "major_side", "fence_tds", "fences")
     assert all(getattr(tree, f) == getattr(old, f) for f in fields)
     report = validate_structure(tree)
     assert report.ok and report == reference_validate_structure(tree)
-    assert hasse_diagram(tree) == _order_diagram(tree)
+    assert hasse_diagram(tree) == order_diagram(tree)
 
 
 def test_hasse_diagram_refuses_exactly_the_cyclic_corruptions():
@@ -682,13 +745,13 @@ def test_hasse_diagram_refuses_exactly_the_cyclic_corruptions():
     for _ in range(500):
         tree = scrambled(rng.choice(trees), rng)
         try:
-            reference_reachability(_order_diagram(tree))
+            reference_reachability(order_diagram(tree))
         except CycleDetectedError:
             cyclic += 1
             with pytest.raises(CycleDetectedError):
                 hasse_diagram(tree)
         else:
-            assert hasse_diagram(tree) == _order_diagram(tree)
+            assert hasse_diagram(tree) == order_diagram(tree)
     assert cyclic
 
 
