@@ -212,12 +212,19 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
     can only join once both parents have; a fence whose shared parents
     are both chosen forces at least one of its two nodes in, and its
     rule prunes the branch as soon as its later node is decided.
+
+    A node whose parents are not both chosen has one branch, out under
+    its major parent, so one loop passes over a run of such nodes
+    without a call per node.  A node that decides a fence stays out of
+    that loop: the rule reads the parents of the fence's first node,
+    which need not be the later node's own, so it can prune even where
+    the later node's parents are not both chosen.
     """
-    nodes = tree.nodes
-    total = len(nodes)
+    total = 2 + len(tree.major_side)
     if total > budget:
         raise BudgetExceededError(f"{total} nodes exceed the subtree budget of {budget}")
-    rows = _edges(tree)  # row i - 2 is node i's
+    rows = _edges(tree)
+    nodes = (ROOT_A, ROOT_B, *(v for v, _, _, _ in rows))
     position = dict(zip(nodes, range(total)))
     succ: list[list[int]] = [[] for _ in nodes]
     for i, (_, a, b, _) in enumerate(rows, start=2):
@@ -251,26 +258,39 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
 
     chosen = [True, True] + [False] * (total - 2)
     parent = [-1] * total
+    last = total - 1
 
     def run(visit: Callable[[], None]) -> None:
         def walk(v: int) -> None:
-            if v == total:
-                visit()
-                return
+            while not rules[v] and not (chosen[pa[v]] and chosen[pb[v]]):
+                parent[v] = major[v]
+                if v == last:
+                    visit()
+                    return
+                v += 1
             both = chosen[pa[v]] and chosen[pb[v]]
             parent[v] = flip[v] if both else major[v]
-            if not rules[v] or not any(
-                not chosen[x] and not chosen[y] and chosen[a] and chosen[b]
-                for x, y, a, b in rules[v]
-            ):
-                walk(v + 1)
+            for x, y, a, b in rules[v]:
+                if not chosen[x] and not chosen[y] and chosen[a] and chosen[b]:
+                    break
+            else:
+                if v == last:
+                    visit()
+                else:
+                    walk(v + 1)
             if both:
                 chosen[v] = True
                 parent[v] = same[v]
-                walk(v + 1)
+                if v == last:
+                    visit()
+                else:
+                    walk(v + 1)
                 chosen[v] = False
 
-        walk(2)
+        if total == 2:
+            visit()
+        else:
+            walk(2)
 
     return ids, index, chosen, parent, run
 
@@ -383,10 +403,11 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
     fences = [(index[x], index[y], f"{x}|{y}") for x, y in sorted(inner)]
     facts = [factorial(k) for k in range(total)]
     sums = [0] * total
+    down = range(total - 1, 1, -1)
 
     def leaf() -> None:
         size = [1] * total
-        for v in range(total - 1, 1, -1):
+        for v in down:
             size[parent[v]] += size[v]
         num = facts[size[0] - 1] * facts[size[1] - 1]
         den = prod(size[2:])
@@ -416,10 +437,15 @@ def random_beta_tree(seed: int, size: int, fence_rate: float = 0.35) -> BetaTree
     pair — itself as major and that nearest ancestor as minor.  Each
     round picks an anchor and hangs a single node or a fenced pair under
     it.  No uniformity is claimed over the space of trees — diversity is
-    the point.
+    the point.  A ``size`` that is not a whole number of at least 2, or a
+    ``fence_rate`` outside [0, 1], raises :class:`ValidationError`.
     """
+    if not isinstance(size, int):
+        raise ValidationError(f"a tree size is a whole number of nodes, got {size!r}")
     if size < 2:
         raise ValidationError(f"a beta tree has at least its two roots, got size {size}")
+    if not 0 <= fence_rate <= 1:  # NaN fails too
+        raise ValidationError(f"need 0 <= fence_rate <= 1, got {fence_rate}")
     rng = random.Random(seed)
     a_parent: dict[BreakpointId, BreakpointId] = {}
     b_parent: dict[BreakpointId, BreakpointId] = {}

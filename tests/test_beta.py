@@ -10,6 +10,7 @@ import pytest
 
 from tdspace import (
     A_SIDE,
+    B_SIDE,
     ROOT_A,
     ROOT_B,
     BetaTree,
@@ -615,6 +616,12 @@ def test_kernel_walk_matches_reference_on_random_trees():
     for seed in range(1000, 1100):
         tree = random_beta_tree(seed, 4 + seed % 9)
         assert kernel_profile(tree) == reference_kernel_profile(tree), seed
+    # 13..16 nodes, the top of the kernel-sweep benchmark's range
+    for rate in (0, 1):
+        for size in range(13, 17):
+            for seed in range(5):
+                tree = random_beta_tree(seed, size, rate)
+                assert kernel_profile(tree) == reference_kernel_profile(tree), (rate, size, seed)
 
 
 def test_kernel_walk_keeps_the_budget_error(worked_beta_tree):
@@ -642,6 +649,57 @@ def test_kernel_walk_keeps_the_malformed_fence_error(worked_beta_tree):
             profile(corrupt)
         errors.append(str(exc.value))
     assert errors == ["fence 1b|2b does not bridge siblings or roots"] * 2
+
+
+def profile_or_error(profile, tree):
+    """``profile(tree)``, or the type and message of what it raises."""
+    try:
+        return profile(tree)
+    except (ValidationError, MalformedGraphError) as exc:
+        return type(exc), str(exc)
+
+
+def test_kernel_walk_on_the_roots_only_tree():
+    """Two roots and nothing to decide: one subtree, one identity."""
+    for seed in range(5):
+        tree = random_beta_tree(seed, 2)
+        assert enumerate_beta_subtrees(tree) == [frozenset({ROOT_A, ROOT_B})]
+        assert kernel_profile(tree) == (KernelCheck(r=1, lhs=1, rhs=1),)
+        assert reference_kernel_profile(tree) == kernel_profile(tree)
+
+
+def test_kernel_walk_on_three_node_trees():
+    """One node under the roots: out first, then in."""
+    for seed in range(5):
+        for rate in (0, 1):
+            tree = random_beta_tree(seed, 3, rate)
+            (v,) = tree.major_side
+            assert enumerate_beta_subtrees(tree) == [
+                frozenset({ROOT_A, ROOT_B}),
+                frozenset({ROOT_A, ROOT_B, v}),
+            ]
+            assert kernel_profile(tree) == reference_kernel_profile(tree)
+
+
+def test_kernel_walk_prunes_at_a_fence_node_whose_parents_are_out():
+    """The fence 1a|2b joins nodes with different parents, and its rule
+    reads 1a's, which are the roots; it is decided at 2b, whose b-parent
+    1b may be out.  With 1a and 1b both out the rule must still prune,
+    although 2b itself can only stay out."""
+    a1, b1, b2 = bp("1a"), bp("1b"), bp("2b")
+    tree = BetaTree(
+        a_parent={a1: ROOT_A, b1: ROOT_A, b2: ROOT_A},
+        b_parent={a1: ROOT_B, b1: ROOT_B, b2: b1},
+        major_side={a1: B_SIDE, b1: A_SIDE, b2: A_SIDE},
+        fences=frozenset({(a1, b2)}),
+    )
+    listed = enumerate_beta_subtrees(tree)
+    assert listed == reference_subtrees(tree)
+    assert frozenset({ROOT_A, ROOT_B}) not in listed
+    assert len(listed) == 4
+    assert profile_or_error(kernel_profile, tree) == profile_or_error(
+        reference_kernel_profile, tree
+    )
 
 
 def test_contracted_count_of_empty_subtree(worked_beta_tree):
@@ -712,6 +770,17 @@ def test_random_tree_fence_rate_extremes():
     assert len(fenced.fences) == 5
     with pytest.raises(ValidationError):
         random_beta_tree(0, 1)
+
+
+@pytest.mark.parametrize(
+    "size, rate, shown",
+    [(5.5, 0.35, "5.5"), (5, 2.0, "2.0"), (5, -1, "-1"), (5, float("nan"), "nan")],
+)
+def test_random_tree_refuses_bad_inputs(size, rate, shown):
+    """A fractional size once built a tree anyway, and a rate outside
+    [0, 1] acted as 0 or 1."""
+    with pytest.raises(ValidationError, match=f"got {shown}$"):
+        random_beta_tree(1, size, rate)
 
 
 # ---------------------------------------------------------------------------
