@@ -52,11 +52,11 @@ from .structure import (
     TdTree,
     _bp,
     _edges,
+    _fences,
     _ids,
     _topological,
     build_2d_tree,
     major_graph,
-    normalize_fence,
     validate_beta_tree,
 )
 from .words import (
@@ -209,16 +209,16 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
     node is in the subtree at hand and its :func:`induced_tree` parent
     there; and ``run(visit)``, which calls ``visit()`` once at each
     admissible subtree, excluding each node before including it.  A node
-    can only join once both parents have; a fence whose shared parents
-    are both chosen forces at least one of its two nodes in, and its
-    rule prunes the branch as soon as its later node is decided.
+    can only join once both parents have, so a node whose parents are
+    not both chosen has one branch, out under its major parent, and one
+    loop passes over a run of such nodes without a call per node.
 
-    A node whose parents are not both chosen has one branch, out under
-    its major parent, so one loop passes over a run of such nodes
-    without a call per node.  A node that decides a fence stays out of
-    that loop: the rule reads the parents of the fence's first node,
-    which need not be the later node's own, so it can prune even where
-    the later node's parents are not both chosen.
+    A fence whose shared parents are both chosen forces at least one of
+    its two nodes in.  As :func:`_fences` passes only fences whose nodes
+    share both parents, it can prune only at its later node and only
+    where that node's parents are both chosen, so leaving that node out
+    needs only its ``partner``, the fence's earlier node (else the root
+    0a, always in), to be in.
     """
     total = 2 + len(tree.major_side)
     if total > budget:
@@ -235,9 +235,9 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
         raise ValidationError("parental edges contain a cycle")
     ids = [nodes[i] for i in order]  # the roots come first: nothing points at them
     index = dict(zip(ids, range(total)))
-    # per node: its two parents, and its induced parent when it is in the
-    # subtree, when it is out under two chosen parents, and otherwise
-    pa, pb, same, flip, major = ([0, 0] for _ in range(5))
+    # per node: its two parents; its induced parent when in the subtree, when
+    # out under two chosen parents and otherwise; and its fence partner
+    pa, pb, same, flip, major, partner = ([0, 0] for _ in range(6))
     for v, a, b, m in (rows[i - 2] for i in order[2:]):
         a, b = index[a], index[b]
         pa.append(a)
@@ -245,16 +245,9 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
         same.append(a if v.side == A_SIDE else b)
         flip.append(b if v.side == A_SIDE else a)
         major.append(index[m])
-
-    # a fence's rule is known once its later node is decided
-    rules: list[list[tuple[int, int, int, int]]] = [[] for _ in range(total)]
-    for x, y in sorted(tree.fences):
-        if {x, y} == {ROOT_A, ROOT_B}:
-            continue
-        if x not in tree.major_side or y not in tree.major_side:
-            raise ValidationError(f"fence {x}|{y} references missing nodes")
-        i, j = index[x], index[y]
-        rules[max(i, j)].append((i, j, pa[i], pb[i]))
+        partner.append(0)
+    for i, j in (sorted((index[x], index[y])) for x, y in _fences(tree)):
+        partner[j] = i
 
     chosen = [True, True] + [False] * (total - 2)
     parent = [-1] * total
@@ -262,30 +255,25 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
 
     def run(visit: Callable[[], None]) -> None:
         def walk(v: int) -> None:
-            while not rules[v] and not (chosen[pa[v]] and chosen[pb[v]]):
+            while not (chosen[pa[v]] and chosen[pb[v]]):
                 parent[v] = major[v]
                 if v == last:
                     visit()
                     return
                 v += 1
-            both = chosen[pa[v]] and chosen[pb[v]]
-            parent[v] = flip[v] if both else major[v]
-            for x, y, a, b in rules[v]:
-                if not chosen[x] and not chosen[y] and chosen[a] and chosen[b]:
-                    break
+            if chosen[partner[v]]:
+                parent[v] = flip[v]
+                if v == last:
+                    visit()
+                else:
+                    walk(v + 1)
+            chosen[v] = True
+            parent[v] = same[v]
+            if v == last:
+                visit()
             else:
-                if v == last:
-                    visit()
-                else:
-                    walk(v + 1)
-            if both:
-                chosen[v] = True
-                parent[v] = same[v]
-                if v == last:
-                    visit()
-                else:
-                    walk(v + 1)
-                chosen[v] = False
+                walk(v + 1)
+            chosen[v] = False
 
         if total == 2:
             visit()
@@ -317,7 +305,7 @@ def induced_tree(tree: BetaTree, tau: Iterable[BreakpointId]) -> MajorGraph:
     chosen = frozenset(tau)
     if not chosen >= {ROOT_A, ROOT_B}:
         raise ValidationError("both roots belong to every beta subtree")
-    rows = _edges(tree)
+    rows, fences = _edges(tree), _fences(tree)
     stray = chosen - {ROOT_A, ROOT_B, *tree.major_side}
     if stray:
         raise ValidationError(f"{min(stray)} is not a node of the tree")
@@ -334,7 +322,7 @@ def induced_tree(tree: BetaTree, tau: Iterable[BreakpointId]) -> MajorGraph:
         else:
             parent[v] = major
 
-    fences = frozenset(normalize_fence(f) for f in tree.fences if not chosen.issuperset(f))
+    fences = frozenset(f for f in fences if not chosen.issuperset(f))
     return MajorGraph(nodes=(ROOT_A, ROOT_B, *parent), parent=parent, fences=fences)
 
 
@@ -399,8 +387,7 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
     ids, index, chosen, parent, run = _subtree_walk(tree, budget)
     total = len(ids)
     rhs = contracted_count(induced_tree(tree, (ROOT_A, ROOT_B))).value
-    inner = {normalize_fence(f) for f in tree.fences if set(f) != {ROOT_A, ROOT_B}}
-    fences = [(index[x], index[y], f"{x}|{y}") for x, y in sorted(inner)]
+    fences = [(index[x], index[y], f"{x}|{y}") for x, y in _fences(tree)]
     facts = [factorial(k) for k in range(total)]
     sums = [0] * total
     down = range(total - 1, 1, -1)

@@ -108,6 +108,8 @@ def _validate(cfg: argparse.Namespace) -> None:
         value = options.get(name)
         if value is not None and value < least:
             raise ValidationError(f"need {name} >= {least}, got {value}")
+    if options.get("suite") == "induction" and cfg.n < 2:  # no fiber level below n = 2
+        raise ValidationError(f"need n >= 2 for the induction suite, got {cfg.n}")
     rate = options.get("fence_rate")
     if rate is not None and not 0 <= rate <= 1:
         raise ValidationError(f"need 0 <= fence_rate <= 1, got {rate}")

@@ -22,9 +22,9 @@ keeping type-a edges, reversing type-b edges and directing fences
 ``n_a -> n_b`` yields an acyclic diagram whose linear extensions are
 exactly the admissible reference layouts.
 
-One private reader, :func:`_edges`, reads every node's parents; the
-validators report its verdict as ``parental-edges``, and every other
-reader raises its :class:`ValidationError` on a tree that check fails.
+Two private readers, :func:`_edges` for the parents and :func:`_fences` for
+the fences, give the validators' ``parental-edges`` and ``fences`` verdicts;
+a reader that relies on one raises its :class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -94,8 +94,10 @@ class BetaTree:
     enough: a five-node chain with one minor edge skipping past a nearer
     ancestor already breaks the subtree counting identity.
 
-    Readers take each node's parents from :func:`_edges`, so a malformed
-    node raises :class:`ValidationError` in the validator's words.
+    Readers take each node's parents from :func:`_edges` (and the subtree
+    walk, ``kernel_profile`` and ``induced_tree`` the fences from
+    :func:`_fences`), so a malformed node or fence raises
+    :class:`ValidationError` in the validator's words.
     """
 
     a_parent: dict[BreakpointId, BreakpointId]
@@ -189,6 +191,28 @@ def _edges(tree: BetaTree) -> list[tuple[BreakpointId, BreakpointId, BreakpointI
             raise ValidationError(f"{v} has parents outside the tree")
         rows.append((v, pa, pb, pa if side == A_SIDE else pb))
     return rows
+
+
+def _fences(tree: BetaTree) -> list[tuple[BreakpointId, BreakpointId]]:
+    """The fences other than the root pair, normalised and sorted;
+    :class:`ValidationError` for the first bad one in stored sorted order.
+    The parents are read as given, so call :func:`_edges` first."""
+    fenced: set[BreakpointId] = set()
+    inner = []
+    for x, y in sorted(tree.fences):
+        if x in fenced or y in fenced:
+            raise ValidationError(f"{x} or {y} sits in two fences")
+        fenced.update((x, y))
+        if {x.side, y.side} != {A_SIDE, B_SIDE}:
+            raise ValidationError(f"fence {x}|{y} joins same-type nodes")
+        if {x, y} == {ROOT_A, ROOT_B}:
+            continue
+        if x not in tree.major_side or y not in tree.major_side:
+            raise ValidationError(f"fence {x}|{y} references missing nodes")
+        if tree.a_parent[x] != tree.a_parent[y] or tree.b_parent[x] != tree.b_parent[y]:
+            raise ValidationError(f"fence {x}|{y} does not share both parents")
+        inner.append(normalize_fence((x, y)))
+    return sorted(inner)
 
 
 @dataclass
@@ -346,26 +370,13 @@ def _check_double_tree(tree: BetaTree, report: StructureReport) -> tuple | None:
             break
     report.add("minor-recency", ok, details)
 
-    ok, details = True, ""
-    fenced: set[BreakpointId] = set()
-    for x, y in sorted(tree.fences):
-        if x in fenced or y in fenced:
-            ok, details = False, f"{x} or {y} sits in two fences"
-            break
-        fenced.update((x, y))
-        if {x.side, y.side} != {A_SIDE, B_SIDE}:
-            ok, details = False, f"fence {x}|{y} joins same-type nodes"
-            break
-        if {x, y} == {ROOT_A, ROOT_B}:
-            continue
-        if x not in tree.major_side or y not in tree.major_side:
-            ok, details = False, f"fence {x}|{y} references missing nodes"
-            break
-        if tree.a_parent[x] != tree.a_parent[y] or tree.b_parent[x] != tree.b_parent[y]:
-            ok, details = False, f"fence {x}|{y} does not share both parents"
-            break
-    report.add("fences", ok, details)
-    if not ok and not index.keys() >= {v for fence in tree.fences for v in fence}:
+    try:
+        _fences(tree)
+        details = ""
+    except ValidationError as exc:
+        details = str(exc)
+    report.add("fences", not details, details)
+    if details and not index.keys() >= {v for fence in tree.fences for v in fence}:
         return None  # a fence that passed has its nodes in the tree
     return rows, ids, index, major, recent
 

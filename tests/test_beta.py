@@ -400,17 +400,17 @@ def test_subtree_lists_are_pinned():
 
 def test_broken_parental_edges_raise_one_error(worked_beta_tree):
     """A cycle, on a minor or a major edge, stops both readers of the
-    subtree walk with one error; so do a parent or a fence outside the
-    tree and a node missing a parent, in the words of the validator, and
-    the last stops :func:`induced_tree` too."""
+    subtree walk with one error; so do a parent outside the tree and a
+    node missing a parent, in the words of the validator, and the last
+    stops :func:`induced_tree` too."""
 
-    def rewired(a_parent=None, b_parent=None, major_side=None, fences=()):
+    def rewired(a_parent=None, b_parent=None, major_side=None):
         t = worked_beta_tree
         return BetaTree(
             a_parent={**t.a_parent, **(a_parent or {})},
             b_parent={**t.b_parent, **(b_parent or {})},
             major_side={**t.major_side, **(major_side or {})},
-            fences=t.fences | frozenset(fences),
+            fences=t.fences,
         )
 
     minor_cycle = rewired(b_parent={bp("1b"): bp("2b")})
@@ -428,13 +428,6 @@ def test_broken_parental_edges_raise_one_error(worked_beta_tree):
         for walk in (enumerate_beta_subtrees, kernel_profile):
             with pytest.raises(ValidationError, match=f"^{message}$"):
                 walk(tree)
-
-    fenced_outside = rewired(fences={(bp("9a"), bp("9b"))})
-    message = "fence 9a|9b references missing nodes"
-    assert validate_beta_tree(fenced_outside).failures()[0].details == message
-    for walk in (enumerate_beta_subtrees, kernel_profile):
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            walk(fenced_outside)
 
     # a node without one of its parents, through the walks and the rewrite
     message = "2a missing parental data"
@@ -633,30 +626,24 @@ def test_kernel_walk_keeps_the_budget_error(worked_beta_tree):
     assert errors == ["7 nodes exceed the subtree budget of 5"] * 2
 
 
-def test_kernel_walk_keeps_the_malformed_fence_error(worked_beta_tree):
-    """A fence between 1b and 2b holds under the contracted rewrite of the
-    bare roots, but once 1b is chosen the two hang from different roots."""
+def test_kernel_walk_keeps_the_malformed_fence_error():
+    """The fence 2a|2b passes the fence check, as both nodes hang on
+    (1a, 1b), but 2a is major on 1a and 2b on 1b, which only minor-recency
+    refuses; once 1a or 1b is out, the two hang from different parents."""
+    a1, b1, a2, b2 = map(bp, ("1a", "1b", "2a", "2b"))
     corrupt = BetaTree(
-        a_parent=dict(worked_beta_tree.a_parent),
-        b_parent=dict(worked_beta_tree.b_parent),
-        major_side={**worked_beta_tree.major_side, bp("2b"): A_SIDE},
-        fences=frozenset({(bp("1b"), bp("2b"))}),
+        a_parent={a1: ROOT_A, b1: ROOT_A, a2: a1, b2: a1},
+        b_parent={a1: ROOT_B, b1: ROOT_B, a2: b1, b2: b1},
+        major_side={a1: B_SIDE, b1: A_SIDE, a2: A_SIDE, b2: B_SIDE},
+        fences=frozenset({(a1, b1), (a2, b2)}),
     )
-    contracted_count(induced_tree(corrupt, (ROOT_A, ROOT_B)))
+    assert [c.name for c in validate_beta_tree(corrupt).failures()] == ["minor-recency"]
     errors = []
     for profile in (kernel_profile, reference_kernel_profile):
         with pytest.raises(MalformedGraphError) as exc:
             profile(corrupt)
         errors.append(str(exc.value))
-    assert errors == ["fence 1b|2b does not bridge siblings or roots"] * 2
-
-
-def profile_or_error(profile, tree):
-    """``profile(tree)``, or the type and message of what it raises."""
-    try:
-        return profile(tree)
-    except (ValidationError, MalformedGraphError) as exc:
-        return type(exc), str(exc)
+    assert errors == ["fence 2a|2b does not bridge siblings or roots"] * 2
 
 
 def test_kernel_walk_on_the_roots_only_tree():
@@ -681,25 +668,114 @@ def test_kernel_walk_on_three_node_trees():
             assert kernel_profile(tree) == reference_kernel_profile(tree)
 
 
-def test_kernel_walk_prunes_at_a_fence_node_whose_parents_are_out():
-    """The fence 1a|2b joins nodes with different parents, and its rule
-    reads 1a's, which are the roots; it is decided at 2b, whose b-parent
-    1b may be out.  With 1a and 1b both out the rule must still prune,
-    although 2b itself can only stay out."""
+def test_a_fence_off_shared_parents_is_refused_however_it_is_spelled():
+    """The fence 1a|2b joins nodes with different b-parents (0b and 1b).
+    The walk once read the rule from the parents of whichever node the
+    fence stored first, and listed 4 subtrees for (1a, 2b) but 5 for
+    (2b, 1a); now both spellings fail the fence check, in its words."""
     a1, b1, b2 = bp("1a"), bp("1b"), bp("2b")
-    tree = BetaTree(
-        a_parent={a1: ROOT_A, b1: ROOT_A, b2: ROOT_A},
-        b_parent={a1: ROOT_B, b1: ROOT_B, b2: b1},
-        major_side={a1: B_SIDE, b1: A_SIDE, b2: A_SIDE},
-        fences=frozenset({(a1, b2)}),
-    )
-    listed = enumerate_beta_subtrees(tree)
-    assert listed == reference_subtrees(tree)
-    assert frozenset({ROOT_A, ROOT_B}) not in listed
-    assert len(listed) == 4
-    assert profile_or_error(kernel_profile, tree) == profile_or_error(
-        reference_kernel_profile, tree
-    )
+    for fence in ((a1, b2), (b2, a1)):
+        tree = BetaTree(
+            a_parent={a1: ROOT_A, b1: ROOT_A, b2: ROOT_A},
+            b_parent={a1: ROOT_B, b1: ROOT_B, b2: b1},
+            major_side={a1: B_SIDE, b1: A_SIDE, b2: A_SIDE},
+            fences=frozenset({fence}),
+        )
+        (failure,) = (c for c in validate_beta_tree(tree).checks if c.name == "fences")
+        assert failure.details == f"fence {fence[0]}|{fence[1]} does not share both parents"
+        for walk in (enumerate_beta_subtrees, kernel_profile):
+            with pytest.raises(ValidationError) as exc:
+                walk(tree)
+            assert str(exc.value) == failure.details
+
+
+#: One fence defect each, added to the worked tree's root fence 1a|1b.
+FENCE_DEFECTS = {
+    "node in two fences": ("1a", "2b"),
+    "same-type fence": ("2b", "3b"),
+    "node outside the tree": ("9a", "9b"),
+    "parents not shared": ("2a", "2b"),
+}
+
+FENCE_READERS = {
+    "enumerate_beta_subtrees": enumerate_beta_subtrees,
+    "kernel_profile": kernel_profile,
+    "induced_tree": lambda tree: induced_tree(tree, (ROOT_A, ROOT_B)),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(FENCE_DEFECTS))
+@pytest.mark.parametrize("reader", sorted(FENCE_READERS))
+def test_every_fence_reader_refuses_a_bad_fence_in_the_validators_words(
+    reader, defect, worked_beta_tree
+):
+    fence = tuple(map(bp, FENCE_DEFECTS[defect]))
+    broken = replace(worked_beta_tree, fences=worked_beta_tree.fences | {fence})
+    (failure,) = validate_beta_tree(broken).failures()
+    assert failure.name == "fences"
+    with pytest.raises(ValidationError) as exc:
+        FENCE_READERS[reader](broken)
+    assert str(exc.value) == failure.details
+
+
+def has_parental_cycle(tree):
+    """Whether some node is its own ancestor by a- and b-parents."""
+    nodes = tree.nodes
+    index = {v: i for i, v in enumerate(nodes)}
+    succ = [[] for _ in nodes]
+    for v in tree.major_side:
+        for p in (tree.a_parent[v], tree.b_parent[v]):
+            succ[index[p]].append(index[v])
+    return len(_topological(succ)) < len(nodes)
+
+
+def fence_rewired(tree, rng):
+    """``tree`` with its fences reversed, dropped or joined by random
+    pairs (a node outside the tree among them), and at times one parent
+    moved to another node of its type."""
+    nodes = [*tree.nodes, bp("9a"), bp("9b")]
+    fences = set(tree.fences)
+    a_parent, b_parent = dict(tree.a_parent), dict(tree.b_parent)
+    for _ in range(rng.randrange(1, 4)):
+        move = rng.randrange(4)
+        if move == 0 and fences:
+            x, y = fence = rng.choice(sorted(fences))
+            fences.symmetric_difference_update({fence, (y, x)})
+        elif move == 1 and fences:
+            fences.remove(rng.choice(sorted(fences)))
+        elif move == 2:
+            fences.add((rng.choice(nodes), rng.choice(nodes)))
+        elif tree.major_side:
+            v = rng.choice(sorted(tree.major_side))
+            parents = rng.choice((a_parent, b_parent))
+            parents[v] = rng.choice([u for u in tree.nodes if u.side == parents[v].side])
+    return BetaTree(a_parent, b_parent, dict(tree.major_side), frozenset(fences))
+
+
+def test_walk_raises_exactly_when_the_fence_check_fails():
+    """On seeded fence rewirings of random trees that pass parental-edges
+    and have no parental cycle, the walks and the rewrite raise the fence
+    check's error exactly where it fails."""
+    outcomes = {True: 0, False: 0}
+    for rate in (0.35, 1):
+        for seed in range(300):
+            rng = random.Random(seed)
+            tree = fence_rewired(random_beta_tree(seed, 3 + seed % 9, rate), rng)
+            report = validate_beta_tree(tree)
+            if not report.checks[0].passed or has_parental_cycle(tree):
+                continue
+            (fences,) = (c for c in report.checks if c.name == "fences")
+            outcomes[fences.passed] += 1
+            for reader in FENCE_READERS.values():
+                try:
+                    reader(tree)
+                except ValidationError as exc:
+                    assert not fences.passed and str(exc) == fences.details, (rate, seed)
+                except MalformedGraphError:  # a fence of a tree that fails minor-recency
+                    assert fences.passed and reader is kernel_profile, (rate, seed)
+                else:
+                    assert fences.passed, (rate, seed)
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_contracted_count_of_empty_subtree(worked_beta_tree):

@@ -206,6 +206,13 @@ def test_verify_kernel_requires_seed(capsys, monkeypatch):
     assert err == "error: verify is randomized; pass an explicit --seed\n"
 
 
+def test_verify_induction_needs_two_levels(capsys):
+    """``-n 1`` leaves no fiber level to check, and once passed checking nothing."""
+    code, out, err = run(capsys, "verify", "--suite", "induction", "-n", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: need n >= 2 for the induction suite, got 1\n"
+
+
 def test_verify_time_limit(capsys):
     code, _, err = run(
         capsys, "verify", "--suite", "structure", "-n", "4", "--time-limit", "1e-9"
