@@ -203,15 +203,16 @@ def induced_major_graph(tree: TdTree, nodeset: Iterable[BreakpointId]) -> MajorG
 def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
     """The one include/exclude walk over the admissible subtrees of ``tree``.
 
-    Returns ``(ids, index, chosen, parent, run)``: the nodes, the two
+    Returns ``(ids, fences, chosen, parent, run)``: the nodes, the two
     roots first and then in an order that puts both parents before every
-    node; each node's position in ``ids``; per position, whether the
-    node is in the subtree at hand and its :func:`induced_tree` parent
-    there; and ``run(visit)``, which calls ``visit()`` once at each
-    admissible subtree, excluding each node before including it.  A node
-    can only join once both parents have, so a node whose parents are
-    not both chosen has one branch, out under its major parent, and one
-    loop passes over a run of such nodes without a call per node.
+    node; :func:`_fences`' fences as pairs of positions in ``ids``; per
+    position, whether the node is in the subtree at hand and its
+    :func:`induced_tree` parent there; and ``run(visit)``, which calls
+    ``visit()`` once at each admissible subtree, excluding each node
+    before including it.  A node can only join once both parents have,
+    so a node whose parents are not both chosen has one branch, out
+    under its major parent, and one loop passes over a run of such nodes
+    without a call per node.
 
     A fence whose shared parents are both chosen forces at least one of
     its two nodes in.  As :func:`_fences` passes only fences whose nodes
@@ -246,8 +247,9 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
         flip.append(b if v.side == A_SIDE else a)
         major.append(index[m])
         partner.append(0)
-    for i, j in (sorted((index[x], index[y])) for x, y in _fences(tree)):
-        partner[j] = i
+    fences = [(index[x], index[y]) for x, y in _fences(tree)]
+    for i, j in fences:
+        partner[max(i, j)] = min(i, j)
 
     chosen = [True, True] + [False] * (total - 2)
     parent = [-1] * total
@@ -280,7 +282,7 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
         else:
             walk(2)
 
-    return ids, index, chosen, parent, run
+    return ids, fences, chosen, parent, run
 
 
 def enumerate_beta_subtrees(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> list[NodeSet]:
@@ -384,10 +386,9 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
     from :func:`contracted_count`, so the two sides of each identity
     are computed by different code.
     """
-    ids, index, chosen, parent, run = _subtree_walk(tree, budget)
+    ids, fences, chosen, parent, run = _subtree_walk(tree, budget)
     total = len(ids)
     rhs = contracted_count(induced_tree(tree, (ROOT_A, ROOT_B))).value
-    fences = [(index[x], index[y], f"{x}|{y}") for x, y in _fences(tree)]
     facts = [factorial(k) for k in range(total)]
     sums = [0] * total
     down = range(total - 1, 1, -1)
@@ -398,10 +399,11 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
             size[parent[v]] += size[v]
         num = facts[size[0] - 1] * facts[size[1] - 1]
         den = prod(size[2:])
-        for x, y, label in fences:
+        for x, y in fences:
             if chosen[x] and chosen[y]:
                 continue
             if parent[x] != parent[y]:
+                label = f"{ids[x]}|{ids[y]}"
                 raise MalformedGraphError(f"fence {label} does not bridge siblings or roots")
             c = comb(size[x] + size[y], size[x])
             num *= c - 1

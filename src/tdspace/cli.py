@@ -159,7 +159,7 @@ def _load_evolution(source: str) -> WordEvolution:
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read evolution file {source!r}: {exc}") from exc
     return parse_evolution(text)
 

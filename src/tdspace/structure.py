@@ -24,7 +24,7 @@ exactly the admissible reference layouts.
 
 Two private readers, :func:`_edges` for the parents and :func:`_fences` for
 the fences, give the validators' ``parental-edges`` and ``fences`` verdicts;
-a reader that relies on one raises its :class:`ValidationError`.
+every other reader reads through them and raises their :class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -94,9 +94,8 @@ class BetaTree:
     enough: a five-node chain with one minor edge skipping past a nearer
     ancestor already breaks the subtree counting identity.
 
-    Readers take each node's parents from :func:`_edges` (and the subtree
-    walk, ``kernel_profile`` and ``induced_tree`` the fences from
-    :func:`_fences`), so a malformed node or fence raises
+    Readers take the parents from :func:`_edges` and the fences from
+    :func:`_fences`, so a malformed node or fence raises
     :class:`ValidationError` in the validator's words.
     """
 
@@ -120,8 +119,8 @@ class BetaTree:
 class TdTree(BetaTree):
     """Breakpoint double tree of one word evolution with ``n`` TDs.
 
-    ``fence_tds`` lists the TDs whose breakpoint pair is fenced (the
-    inherited ``fences`` are derived from it).
+    ``fence_tds`` lists the TDs whose breakpoint pair is fenced; the
+    inherited ``fences``, derived from it, are read by :func:`_fences` only.
     """
 
     n: int
@@ -194,25 +193,27 @@ def _edges(tree: BetaTree) -> list[tuple[BreakpointId, BreakpointId, BreakpointI
 
 
 def _fences(tree: BetaTree) -> list[tuple[BreakpointId, BreakpointId]]:
-    """The fences other than the root pair, normalised and sorted;
+    """Every fence, the root pair included, normalised and sorted;
     :class:`ValidationError` for the first bad one in stored sorted order.
     The parents are read as given, so call :func:`_edges` first."""
     fenced: set[BreakpointId] = set()
-    inner = []
-    for x, y in sorted(tree.fences):
+    pairs = []
+    for fence in sorted(tree.fences):
+        if len(fence) != 2:
+            raise ValidationError(f"fence {'|'.join(map(str, fence))} is not a pair of nodes")
+        x, y = fence
         if x in fenced or y in fenced:
             raise ValidationError(f"{x} or {y} sits in two fences")
-        fenced.update((x, y))
+        fenced.update(fence)
         if {x.side, y.side} != {A_SIDE, B_SIDE}:
             raise ValidationError(f"fence {x}|{y} joins same-type nodes")
-        if {x, y} == {ROOT_A, ROOT_B}:
-            continue
-        if x not in tree.major_side or y not in tree.major_side:
-            raise ValidationError(f"fence {x}|{y} references missing nodes")
-        if tree.a_parent[x] != tree.a_parent[y] or tree.b_parent[x] != tree.b_parent[y]:
-            raise ValidationError(f"fence {x}|{y} does not share both parents")
-        inner.append(normalize_fence((x, y)))
-    return sorted(inner)
+        if {x, y} != {ROOT_A, ROOT_B}:
+            if x not in tree.major_side or y not in tree.major_side:
+                raise ValidationError(f"fence {x}|{y} references missing nodes")
+            if tree.a_parent[x] != tree.a_parent[y] or tree.b_parent[x] != tree.b_parent[y]:
+                raise ValidationError(f"fence {x}|{y} does not share both parents")
+        pairs.append((x, y) if x < y else (y, x))
+    return sorted(pairs)
 
 
 @dataclass
@@ -224,10 +225,12 @@ class HasseDiagram:
 
 
 def _order_diagram(rows: list[tuple], fences: Iterable) -> HasseDiagram:
-    """:func:`hasse_diagram` from :func:`_edges`' rows, without its acyclicity check."""
+    """:func:`hasse_diagram` from :func:`_edges`' rows and :func:`_fences`'
+    fences, without its acyclicity check."""
     edges = [(pa, v) for v, pa, _, _ in rows] + [(v, pb) for v, _, pb, _ in rows]
+    edges += ((x, y) if x.side == A_SIDE else (y, x) for x, y in fences)
     nodes = (ROOT_A, ROOT_B, *(v for v, _, _, _ in rows))
-    return HasseDiagram(nodes=nodes, edges=frozenset(edges).union(fences))
+    return HasseDiagram(nodes=nodes, edges=frozenset(edges))
 
 
 def _successors(diagram: HasseDiagram) -> list[list[int]]:
@@ -262,10 +265,9 @@ def hasse_diagram(tree: TdTree) -> HasseDiagram:
     """Order diagram: type-a edges kept, type-b edges reversed, fences a -> b.
 
     Raises :class:`ValidationError` where the validators' parental-edges
-    check fails, :class:`MalformedGraphError` for a fence outside the tree
-    and :class:`CycleDetectedError` for a cycle.
+    or fences check fails and :class:`CycleDetectedError` for a cycle.
     """
-    diagram = _order_diagram(_edges(tree), tree.fences)
+    diagram = _order_diagram(_edges(tree), _fences(tree))
     if len(_topological(_successors(diagram))) < len(diagram.nodes):
         raise CycleDetectedError("order diagram contains a directed cycle")
     return diagram
@@ -286,15 +288,10 @@ class MajorGraph:
     fences: frozenset[tuple[BreakpointId, BreakpointId]]
 
 
-def normalize_fence(pair: Iterable[BreakpointId]) -> tuple[BreakpointId, BreakpointId]:
-    x, y = sorted(pair)
-    return (x, y)
-
-
 def major_graph(tree: TdTree) -> MajorGraph:
     """Restrict a breakpoint tree to its major edges and fences."""
     parent = {v: major for v, _, _, major in _edges(tree)}
-    fences = frozenset(normalize_fence(pair) for pair in tree.fences)
+    fences = frozenset(_fences(tree))
     return MajorGraph(nodes=(ROOT_A, ROOT_B, *parent), parent=parent, fences=fences)
 
 
@@ -327,12 +324,12 @@ class StructureReport:
 def _check_double_tree(tree: BetaTree, report: StructureReport) -> tuple | None:
     """Add the double-tree axiom checks to ``report``.
 
-    Returns ``(rows, ids, index, major, recent)``: :func:`_edges`' rows,
-    the nodes (the two roots first, then sorted) and their positions,
-    and per position the major parent's position (-1 at the roots) and
-    the first opposite-type node on the major chain (None if none).
-    Returns None when parental-edges or rooted-majors fails or a fence
-    names a node outside the tree.
+    Returns ``(rows, fences, ids, index, major, recent)``: :func:`_edges`'
+    rows, :func:`_fences`' fences, the nodes (the two roots first, then
+    sorted) and their positions, and per position the major parent's
+    position (-1 at the roots) and the first opposite-type node on the
+    major chain (None if none).  Returns None when parental-edges,
+    rooted-majors or fences fails.
     """
     try:
         rows = _edges(tree)
@@ -371,14 +368,12 @@ def _check_double_tree(tree: BetaTree, report: StructureReport) -> tuple | None:
     report.add("minor-recency", ok, details)
 
     try:
-        _fences(tree)
-        details = ""
+        fences = _fences(tree)
     except ValidationError as exc:
-        details = str(exc)
-    report.add("fences", not details, details)
-    if details and not index.keys() >= {v for fence in tree.fences for v in fence}:
-        return None  # a fence that passed has its nodes in the tree
-    return rows, ids, index, major, recent
+        report.add("fences", False, str(exc))
+        return None
+    report.add("fences", True, "")
+    return rows, fences, ids, index, major, recent
 
 
 def validate_beta_tree(tree: BetaTree) -> StructureReport:
@@ -396,7 +391,8 @@ def validate_beta_tree(tree: BetaTree) -> StructureReport:
 def validate_structure(tree: TdTree) -> StructureReport:
     """The double-tree axioms plus the invariants of breakpoint trees.
 
-    Checks, in report order: the four of :func:`validate_beta_tree`,
+    Checks, in report order: the four of :func:`validate_beta_tree`
+    (a failure of any but minor-recency ends the report),
     first-td-convention, order-diagram (acyclic; a cycle ends the
     report) and segment-connectivity.  Each segment but the initial one
     joins a node to its opposite-type parent (see :func:`build_2d_tree`);
@@ -427,7 +423,7 @@ def validate_structure(tree: TdTree) -> StructureReport:
     indexed = _check_double_tree(tree, report)
     if indexed is None:
         return report
-    rows, ids, index, major, recent = indexed
+    rows, fences, ids, index, major, recent = indexed
 
     # First-TD convention.
     one_a, one_b = _bp(1, A_SIDE), _bp(1, B_SIDE)
@@ -436,11 +432,11 @@ def validate_structure(tree: TdTree) -> StructureReport:
         and tree.major_side.get(one_b) == A_SIDE
         and tree.a_parent.get(one_a) == ROOT_A
         and tree.b_parent.get(one_b) == ROOT_B
-        and 1 in tree.fence_tds
+        and (one_a, one_b) in fences
     )
     report.add("first-td-convention", ok, "" if ok else "TD 1 breaks the root convention")
 
-    if len(_topological(_successors(_order_diagram(rows, tree.fences)))) < len(ids):
+    if len(_topological(_successors(_order_diagram(rows, fences)))) < len(ids):
         report.add("order-diagram", False, "order diagram contains a directed cycle")
         return report
     report.add("order-diagram", True, "")
@@ -498,7 +494,7 @@ def tree_to_dot(tree: BetaTree) -> str:
         for p, color in ((pa, "red"), (pb, "blue")):
             style = "solid" if p == major else "dashed"
             edges.append((p, v, f"style={style}, color={color}"))
-    return _to_dot("td_tree", tree.nodes, edges, tree.fences)
+    return _to_dot("td_tree", tree.nodes, edges, _fences(tree))
 
 
 def hasse_to_dot(diagram: HasseDiagram) -> str:
@@ -518,7 +514,7 @@ def tree_to_json(tree: TdTree) -> str:
             str(v): {"a": str(pa), "b": str(pb), "major": major.side}
             for v, pa, pb, major in _edges(tree)
         },
-        "fences": sorted(tree.fence_tds),
+        "fences": [x.td for x, _ in _fences(tree)],
     }
     return json.dumps(doc, indent=2)
 

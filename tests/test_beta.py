@@ -495,6 +495,45 @@ def test_every_reader_refuses_bad_parents_in_the_validators_words(
             PARENTAL_READERS[reader](broken)
 
 
+#: A fence that is not a pair, in place of the root fence 1a|1b.
+NON_PAIR_FENCES = {"one node": ("1a",), "three nodes": ("1a", "1b", "1a")}
+
+
+@pytest.mark.parametrize("spelling", sorted(NON_PAIR_FENCES))
+@pytest.mark.parametrize("reader", sorted(PARENTAL_READERS))
+def test_every_reader_refuses_a_fence_that_is_not_a_pair(
+    reader, spelling, ev_540, worked_beta_tree
+):
+    """Each reader once unpacked such a fence itself and raised a bare
+    ``ValueError``; now each raises the fence check's error."""
+    fence = tuple(map(bp, NON_PAIR_FENCES[spelling]))
+    message = f"fence {'|'.join(NON_PAIR_FENCES[spelling])} is not a pair of nodes"
+    for tree in (build_2d_tree(ev_540), worked_beta_tree):
+        if reader == "tree_to_json" and not isinstance(tree, TdTree):
+            continue
+        broken = replace(tree)
+        broken.fences = tree.fences - {(bp("1a"), bp("1b"))} | {fence}
+        failures = validate_beta_tree(broken).failures()
+        assert [(c.name, c.details) for c in failures] == [("fences", message)]
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            PARENTAL_READERS[reader](broken)
+
+
+def test_both_routes_refuse_a_fence_off_shared_parents(ev_540):
+    """With TD 2 of the 540 tree fenced, though its breakpoints sit on
+    different segments, the oracle once counted 705 and the formula raised
+    ``MalformedGraphError``; both now raise the fence check's error."""
+    broken = replace(build_2d_tree(ev_540), fence_tds=frozenset({1, 2}))
+    message = "fence 2a|2b does not share both parents"
+    assert validate_structure(broken).failures()[-1].details == message
+    for count in (
+        lambda t: count_extensions_bruteforce(hasse_diagram(t)),
+        lambda t: count_extensions_formula(major_graph(t)).value,
+    ):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            count(broken)
+
+
 def test_the_oracle_counts_no_tree_missing_a_parent(ev_540):
     """The order diagram once dropped a missing parent's edge without a
     word, and the oracle counted 700 without 1a's a-parent and 1,660

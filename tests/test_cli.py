@@ -99,6 +99,17 @@ def test_count_from_file(tmp_path, capsys):
     assert "= 3" in out
 
 
+@pytest.mark.parametrize("command", ["count", "export", "induce"])
+def test_an_evolution_file_that_is_not_utf8_is_exit_1(tmp_path, capsys, command):
+    path = tmp_path / "ev.json"
+    path.write_bytes(b'{"steps":[[1,0]]}\xff')
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read evolution file {str(path)!r}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_count_oracle_mismatch_is_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "count_extensions_bruteforce", lambda *a, **k: 7)
     code, _, err = run(capsys, "count", '{"steps":[[1,1]]}', "--oracle")

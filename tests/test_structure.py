@@ -1,16 +1,20 @@
 """Breakpoint trees, order diagrams, major graphs and their validators."""
 
+import ast
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import tdspace
 from tdspace import (
     A_SIDE,
     B_SIDE,
     ROOT_A,
     ROOT_B,
+    BetaTree,
     BreakpointId,
     CycleDetectedError,
     ValidationError,
@@ -164,16 +168,45 @@ def test_hasse_unique_source_and_sink():
 
 
 def test_hasse_diagram_orients_replaced_fences():
-    """``fences`` is derived from ``fence_tds`` on construction, so a tree
-    copied with other fenced TDs orients exactly those."""
+    """``fences`` is derived from ``fence_tds`` on construction.  A tree
+    copied with other fenced TDs, each fence stored either way round,
+    orients every fence a -> b where the fence check passes, and raises
+    that check's error where it fails."""
+    outcomes = {True: 0, False: 0}
     for n in range(1, 4):
         for ev in enumerate_word_evolutions(n):
             tree = build_2d_tree(ev)
             kept = {(p, v) for v, p in tree.a_parent.items()} | set(tree.b_parent.items())
             for tds in (frozenset(range(1, n + 1)), frozenset({1})):
-                diagram = hasse_diagram(replace(tree, fence_tds=tds))
+                refenced = replace(tree, fence_tds=tds)
                 fences = {(BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)) for k in tds}
-                assert diagram.edges == kept | fences, str(ev)
+                for spelled in (fences, {(y, x) for x, y in fences}):
+                    refenced.fences = frozenset(spelled)
+                    details = reference_fence_failure(refenced)
+                    outcomes[not details] += 1
+                    if not details:
+                        assert hasse_diagram(refenced).edges == kept | fences, str(ev)
+                        continue
+                    with pytest.raises(ValidationError) as exc:
+                        hasse_diagram(refenced)
+                    assert str(exc.value) == details, str(ev)
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_hasse_diagram_orients_a_fence_whose_b_node_sorts_first():
+    """The fence 1b|2a of a beta tree sorts b-node first, either way it is
+    stored; the order diagram still runs it from 2a to 1b."""
+    b1, a2 = bp("1b"), bp("2a")
+    for fence in ((b1, a2), (a2, b1)):
+        tree = BetaTree(
+            a_parent={b1: ROOT_A, a2: ROOT_A},
+            b_parent={b1: ROOT_B, a2: ROOT_B},
+            major_side={b1: A_SIDE, a2: B_SIDE},
+            fences=frozenset({fence}),
+        )
+        assert validate_beta_tree(tree).ok
+        edges = hasse_diagram(tree).edges
+        assert (a2, b1) in edges and (b1, a2) not in edges
 
 
 def test_validators_pass_exhaustively():
@@ -226,17 +259,32 @@ def test_negative_control_major_cycle(ev_540):
 
 def test_a_fence_outside_the_tree_ends_the_report(ev_540):
     """A fenced TD with no nodes in the tree fails the fence check, and the
-    report stops there, also when an earlier fence fails first."""
+    report stops there, as it does for any fence that fails the check."""
     tree = build_2d_tree(ev_540)
     for tds, details in (
         ({1, 9}, "fence 9a|9b references missing nodes"),
         ({1, 2, 9}, "fence 2a|2b does not share both parents"),
+        ({1, 2}, "fence 2a|2b does not share both parents"),
     ):
         broken = replace(tree, fence_tds=frozenset(tds))
         report = validate_structure(broken)
         assert report == reference_validate_structure(broken)
         assert [c.details for c in report.failures()] == [details]
         assert report.checks[-1].name == "fences"
+
+
+def test_first_td_convention_needs_the_first_fence(ev_540):
+    """TD 1's fence may be stored either way round, but not left out."""
+    tree = build_2d_tree(ev_540)
+    unfenced = replace(tree, fence_tds=frozenset())
+    report = validate_structure(unfenced)
+    assert report == reference_validate_structure(unfenced)
+    assert [(c.name, c.details) for c in report.failures()] == [
+        ("first-td-convention", "TD 1 breaks the root convention")
+    ]
+    flipped = replace(tree)
+    flipped.fences = frozenset((y, x) for x, y in tree.fences)
+    assert validate_structure(flipped).ok
 
 
 @pytest.mark.parametrize(
@@ -413,26 +461,31 @@ def reference_check_double_tree(tree, report):
             break
     report.add("minor-recency", ok, details)
 
-    ok, details = True, ""
+    details = reference_fence_failure(tree)
+    report.add("fences", not details, details)
+    return not details
+
+
+def reference_fence_failure(tree):
+    """The details of the first fence, in stored sorted order, that the
+    fence check refuses, or ""; the parents must pass parental-edges."""
     fenced = set()
-    for x, y in sorted(tree.fences):
+    for fence in sorted(tree.fences):
+        if len(fence) != 2:
+            return f"fence {'|'.join(map(str, fence))} is not a pair of nodes"
+        x, y = fence
         if x in fenced or y in fenced:
-            ok, details = False, f"{x} or {y} sits in two fences"
-            break
+            return f"{x} or {y} sits in two fences"
         fenced.update((x, y))
         if {x.side, y.side} != {A_SIDE, B_SIDE}:
-            ok, details = False, f"fence {x}|{y} joins same-type nodes"
-            break
+            return f"fence {x}|{y} joins same-type nodes"
         if {x, y} == {ROOT_A, ROOT_B}:
             continue
-        if x not in nodes or y not in nodes:
-            ok, details = False, f"fence {x}|{y} references missing nodes"
-            break
+        if x not in tree.major_side or y not in tree.major_side:
+            return f"fence {x}|{y} references missing nodes"
         if tree.a_parent[x] != tree.a_parent[y] or tree.b_parent[x] != tree.b_parent[y]:
-            ok, details = False, f"fence {x}|{y} does not share both parents"
-            break
-    report.add("fences", ok, details)
-    return all(v in nodes or v in (ROOT_A, ROOT_B) for fence in tree.fences for v in fence)
+            return f"fence {x}|{y} does not share both parents"
+    return ""
 
 
 def reference_validate_beta_tree(tree):
@@ -739,11 +792,21 @@ def test_long_evolution_past_the_interned_ids():
 
 
 def test_hasse_diagram_refuses_exactly_the_cyclic_corruptions():
+    """Among corruptions that pass the fence check, the order diagram is
+    refused exactly where it has a cycle; where the fence check fails, it
+    is refused first, with that check's error."""
     rng = random.Random(10)
     trees = [build_2d_tree(ev) for n in range(1, 5) for ev in enumerate_word_evolutions(n)]
-    cyclic = 0
+    cyclic = fenced_off = 0
     for _ in range(500):
         tree = scrambled(rng.choice(trees), rng)
+        details = reference_fence_failure(tree)
+        if details:
+            fenced_off += 1
+            with pytest.raises(ValidationError) as exc:
+                hasse_diagram(tree)
+            assert str(exc.value) == details
+            continue
         try:
             reference_reachability(order_diagram(tree))
         except CycleDetectedError:
@@ -752,7 +815,7 @@ def test_hasse_diagram_refuses_exactly_the_cyclic_corruptions():
                 hasse_diagram(tree)
         else:
             assert hasse_diagram(tree) == order_diagram(tree)
-    assert cyclic
+    assert cyclic and fenced_off
 
 
 def test_beta_validator_matches_reference_on_random_trees():
@@ -762,3 +825,37 @@ def test_beta_validator_matches_reference_on_random_trees():
         assert validate_beta_tree(tree) == reference_validate_beta_tree(tree), seed
         broken = scrambled(tree, rng)
         assert validate_beta_tree(broken) == reference_validate_beta_tree(broken), seed
+
+
+def _fence_reads(node, scope):
+    """``(scope, attribute)`` for each read of ``fences`` or ``fence_tds``
+    below ``node`` off anything but a major graph, which the package
+    always names ``graph``; ``scope`` is the dotted path of the enclosing
+    classes and functions."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif (
+            isinstance(child, ast.Attribute)
+            and child.attr in ("fences", "fence_tds")
+            and isinstance(child.ctx, ast.Load)
+            and not (isinstance(child.value, ast.Name) and child.value.id == "graph")
+        ):
+            yield scope, child.attr
+        yield from _fence_reads(child, inner)
+
+
+def test_only_the_fence_reader_reads_stored_fences():
+    """In the package, a tree's stored fences are read by ``_fences``,
+    which refuses a bad fence in the validators' words, and by
+    ``TdTree.__post_init__``, which derives them from ``fence_tds``;
+    every other reader takes its fences from ``_fences``."""
+    reads = set()
+    for path in sorted(Path(tdspace.__file__).parent.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        reads.update(_fence_reads(module, path.stem))
+    assert reads == {
+        ("structure._fences", "fences"),
+        ("structure.TdTree.__post_init__", "fence_tds"),
+    }
