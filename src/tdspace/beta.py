@@ -35,7 +35,6 @@ from typing import Callable, Iterable, Iterator
 from .errors import (
     BudgetExceededError,
     Deadline,
-    MalformedGraphError,
     NotInducedError,
     ValidationError,
     _fan_out,
@@ -384,7 +383,10 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
     ``(C - 1) / C`` with ``C = C(s_x + s_y, s_x)`` for each surviving
     fence; it is added to the sum for ``r = s_A``.  ``rhs`` still comes
     from :func:`contracted_count`, so the two sides of each identity
-    are computed by different code.
+    are computed by different code.  It runs first and raises
+    :class:`MalformedGraphError` for a fence whose nodes differ in major
+    side under shared parents other than the two roots, the one fence a
+    leaf could find bridging no siblings.
     """
     ids, fences, chosen, parent, run = _subtree_walk(tree, budget)
     total = len(ids)
@@ -402,9 +404,6 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
         for x, y in fences:
             if chosen[x] and chosen[y]:
                 continue
-            if parent[x] != parent[y]:
-                label = f"{ids[x]}|{ids[y]}"
-                raise MalformedGraphError(f"fence {label} does not bridge siblings or roots")
             c = comb(size[x] + size[y], size[x])
             num *= c - 1
             den *= c

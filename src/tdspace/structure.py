@@ -324,12 +324,8 @@ class StructureReport:
 def _check_double_tree(tree: BetaTree, report: StructureReport) -> tuple | None:
     """Add the double-tree axiom checks to ``report``.
 
-    Returns ``(rows, fences, ids, index, major, recent)``: :func:`_edges`'
-    rows, :func:`_fences`' fences, the nodes (the two roots first, then
-    sorted) and their positions, and per position the major parent's
-    position (-1 at the roots) and the first opposite-type node on the
-    major chain (None if none).  Returns None when parental-edges,
-    rooted-majors or fences fails.
+    Returns ``(rows, fences)``, :func:`_edges`' rows and :func:`_fences`'
+    fences, or None when parental-edges, rooted-majors or fences fails.
     """
     try:
         rows = _edges(tree)
@@ -352,6 +348,7 @@ def _check_double_tree(tree: BetaTree, report: StructureReport) -> tuple | None:
         report.add("rooted-majors", False, f"major chain from {stray} does not reach a root")
         return None
     report.add("rooted-majors", True, "")
+    # per position, the first opposite-type node on the major chain (None if none)
     recent: list[BreakpointId | None] = [None] * len(ids)
     for k in order[2:]:  # the roots come first, then each node after its major parent
         p = major[k]
@@ -373,7 +370,7 @@ def _check_double_tree(tree: BetaTree, report: StructureReport) -> tuple | None:
         report.add("fences", False, str(exc))
         return None
     report.add("fences", True, "")
-    return rows, fences, ids, index, major, recent
+    return rows, fences
 
 
 def validate_beta_tree(tree: BetaTree) -> StructureReport:
@@ -393,37 +390,44 @@ def validate_structure(tree: TdTree) -> StructureReport:
 
     Checks, in report order: the four of :func:`validate_beta_tree`
     (a failure of any but minor-recency ends the report),
-    first-td-convention, order-diagram (acyclic; a cycle ends the
-    report) and segment-connectivity.  Each segment but the initial one
-    joins a node to its opposite-type parent (see :func:`build_2d_tree`);
-    its end with the lower TD must sit on the major chain of the other,
-    ``hi``, with only nodes of hi's type between them and TD numbers
-    falling all the way up.  Four invariants need no check, as they
-    fail only with one above:
+    first-td-convention and segment-connectivity: each breakpoint hangs
+    on a segment bounded by connections of earlier TDs (see
+    :func:`build_2d_tree`), so both parents of a node come from earlier
+    TDs, and a node on the two roots is major on the root of the other
+    side.  By rooted-majors and minor-recency every parent is a major
+    ancestor, so this rule agrees with walking each segment's major
+    chain.  Five invariants need no check, as they fail only with one
+    above:
 
+    - The order diagram is acyclic.  Insert the nodes parents first, each
+      a-node just after its a-parent and each b-node just before its
+      b-parent: minor-recency puts every node's a-parent left of its
+      b-parent, so every edge and fence runs left to right.
     - Chain order (a-nodes ascend, b-nodes descend along a major chain)
       pairs each node k with the nearest node of its type above it: the
-      major parent if it has k's type, else ``recent[major]``, which is
-      k's minor parent by minor-recency, or None (no pair) for a node on
-      both roots.  So each pair is an edge of k's, which only a cycle breaks.
+      major parent if it has k's type, else the first opposite-type node
+      above the major parent, which is k's minor parent by minor-recency,
+      or None (no pair) for a node on both roots.  So each pair is an
+      edge of k's, which only a cycle breaks.
     - Sources and sinks: every non-root node has an edge in, from its
       a-parent, and one out, to its b-parent; as parents are typed and
       fences run from a to b, 0a has no edge in and 0b none out.  The
       first-TD convention hangs 1a on 0a and 1b on 0b, so where it
       passes the one source is 0a and the one sink 0b.
-    - A segment's minor edge: where nodes of hi's type sit between the
-      ends, the lower end is ``recent[hi]``, so ``recent[major]``, hi's
-      minor parent by minor-recency (a node on both roots has no
-      opposite-type node above it).
+    - A segment's minor edge: where nodes of the upper end hi's type sit
+      between the ends on hi's major chain, the lower end is the first
+      opposite-type node above hi's major parent, hi's minor parent by
+      minor-recency (a node on both roots has no opposite-type node
+      above it).
     - One major side per fence off the roots: with x major on the shared
       parent pa and y on pb, minor-recency puts each first above the
       other, which only a major loop allows.
     """
     report = StructureReport()
-    indexed = _check_double_tree(tree, report)
-    if indexed is None:
+    checked = _check_double_tree(tree, report)
+    if checked is None:
         return report
-    rows, fences, ids, index, major, recent = indexed
+    rows, fences = checked
 
     # First-TD convention.
     one_a, one_b = _bp(1, A_SIDE), _bp(1, B_SIDE)
@@ -436,31 +440,15 @@ def validate_structure(tree: TdTree) -> StructureReport:
     )
     report.add("first-td-convention", ok, "" if ok else "TD 1 breaks the root convention")
 
-    if len(_topological(_successors(_order_diagram(rows, fences)))) < len(ids):
-        report.add("order-diagram", False, "order diagram contains a directed cycle")
-        return report
-    report.add("order-diagram", True, "")
-
-    # Segment connectivity.  Each segment is checked on its own, so the
-    # least failure is the least failing segment's.  ``recent`` is where
-    # a major chain first changes type, and TD numbers fall along it
-    # unless some node's major edge climbs.
-    climbing = {k for k in range(2, len(ids)) if ids[major[k]].td >= ids[k].td}
-    failures = []
-    for v, pa, pb, _ in rows:
-        left, right = (v, pb) if v.side == A_SIDE else (pa, v)
-        lo, hi = (left, right) if left.td < right.td else (right, left)
-        low, chain = index[lo], [index[hi]]
-        while chain[-1] not in (low, -1):
-            chain.append(major[chain[-1]])
-        if chain[-1] != low:
-            failures.append((left, right, f"no major chain {lo} to {hi}"))
-        elif recent[chain[0]] != lo:
-            failures.append((left, right, "mixed-type chain"))
-        elif not climbing.isdisjoint(chain[:-1]):
-            failures.append((left, right, "chain not ascending"))
-    left, right, why = min(failures, default=(None, None, ""))
-    report.add("segment-connectivity", not failures, why and f"segment {left}..{right}: {why}")
+    ok, details = True, ""
+    for v, pa, pb, m in rows:
+        if not pa.td < v.td > pb.td:
+            ok, details = False, f"{v} hangs on {pa}..{pb}, not on earlier TDs"
+            break
+        if (pa, pb) == (ROOT_A, ROOT_B) and m.side == v.side:
+            ok, details = False, f"{v} hangs on both roots but is major on {m}"
+            break
+    report.add("segment-connectivity", ok, details)
     return report
 
 

@@ -296,6 +296,8 @@ def parse_evolution(text: str) -> WordEvolution:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", position=exc.pos) from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or "steps" not in doc:
         raise ValidationError("expected an object with a 'steps' field")
     steps = doc["steps"]

@@ -685,6 +685,47 @@ def test_kernel_walk_keeps_the_malformed_fence_error():
     assert errors == ["fence 2a|2b does not bridge siblings or roots"] * 2
 
 
+def major_flipped(tree, rng):
+    """``tree`` with the major sides of one or two seeded nodes flipped."""
+    major_side = dict(tree.major_side)
+    for v in rng.sample(sorted(major_side), min(len(major_side), rng.choice((1, 2)))):
+        major_side[v] = A_SIDE if major_side[v] == B_SIDE else B_SIDE
+    return replace(tree, major_side=major_side)
+
+
+def test_the_kernel_walk_meets_no_fence_the_rhs_lets_through():
+    """On seeded random trees at fence rates 0.35 and 1 with flipped major
+    sides: wherever some subtree's rewrite has a fence that bridges no
+    siblings, or ``kernel_profile`` raises, the ``rhs`` count raises the
+    same :class:`MalformedGraphError` first."""
+    raised = 0
+    for rate in (0.35, 1):
+        for seed in range(150):
+            tree = major_flipped(random_beta_tree(seed, 4 + seed % 13, rate), random.Random(seed))
+            if has_parental_cycle(tree):
+                continue
+            try:
+                contracted_count(induced_tree(tree, (ROOT_A, ROOT_B)))
+            except MalformedGraphError as exc:
+                rhs_error = str(exc)
+            else:
+                rhs_error = None
+            for tau in enumerate_beta_subtrees(tree):
+                try:
+                    two_tree_count(induced_tree(tree, tau))
+                except MalformedGraphError:
+                    assert rhs_error, (rate, seed)
+                    break
+            try:
+                kernel_profile(tree)
+            except MalformedGraphError as exc:
+                assert str(exc) == rhs_error, (rate, seed)
+                raised += 1
+            else:
+                assert rhs_error is None, (rate, seed)
+    assert raised >= 50, raised
+
+
 def test_kernel_walk_on_the_roots_only_tree():
     """Two roots and nothing to decide: one subtree, one identity."""
     for seed in range(5):

@@ -110,6 +110,14 @@ def test_an_evolution_file_that_is_not_utf8_is_exit_1(tmp_path, capsys, command)
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("command", ["count", "export", "induce"])
+def test_deeply_nested_json_is_exit_1(tmp_path, capsys, command):
+    path = tmp_path / "ev.json"
+    path.write_text('{"steps": ' + "[" * 5000, encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (1, "", "error: invalid JSON: nested too deeply\n")
+
+
 def test_count_oracle_mismatch_is_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "count_extensions_bruteforce", lambda *a, **k: 7)
     code, _, err = run(capsys, "count", '{"steps":[[1,1]]}', "--oracle")

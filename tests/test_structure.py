@@ -509,46 +509,61 @@ def reference_validate_structure(tree):
     )
     report.add("first-td-convention", ok, "" if ok else "TD 1 breaks the root convention")
 
-    try:
-        reference_reachability(order_diagram(tree))
-    except CycleDetectedError as exc:
-        report.add("order-diagram", False, str(exc))
-        return report
-    report.add("order-diagram", True)
-
-    ok, details = True, ""
-    for left, right in sorted(derived_segments(tree)):
-        if left == ROOT_A and right == ROOT_B:
-            continue
-        lo, hi = (left, right) if left.td < right.td else (right, left)
-        walk = [hi]
-        reached = False
-        for anc in reference_major_ancestors(tree, hi):
-            walk.append(anc)
-            if anc == lo:
-                reached = True
-                break
-        if not reached:
-            ok, details = False, f"segment {left}..{right}: no major chain {lo} to {hi}"
-            break
-        internal = walk[1:-1]
-        if any(v.side != hi.side for v in internal):
-            ok, details = False, f"segment {left}..{right}: mixed-type chain"
-            break
-        tds = [v.td for v in walk]
-        if any(x <= y for x, y in zip(tds, tds[1:])):
-            ok, details = False, f"segment {left}..{right}: chain not ascending"
-            break
-    report.add("segment-connectivity", ok, details)
+    details = reference_segment_failure(tree)
+    report.add("segment-connectivity", not details, details)
     return report
 
 
-# Four checks the validators omit because they cannot fail alone (the
+def reference_segment_failure(tree):
+    """The details of the least node with a parent from its own TD or a
+    later one, or on both roots and major on its own side's root; or ""."""
+    for v in sorted(tree.major_side):
+        pa, pb = tree.a_parent[v], tree.b_parent[v]
+        if max(pa.td, pb.td) >= v.td:
+            return f"{v} hangs on {pa}..{pb}, not on earlier TDs"
+        if (pa, pb) == (ROOT_A, ROOT_B) and tree.major_side[v] == v.side:
+            return f"{v} hangs on both roots but is major on {tree.major_parent(v)}"
+    return ""
+
+
+# Checks the validators omit because they cannot fail alone (the
 # docstring of ``validate_structure`` gives the reasons; the property test
-# below checks them).  The first two would run once the double-tree checks
-# pass and the order diagram is acyclic, where the report's order-diagram
-# check passes; ``above`` is the diagram's :func:`reachability`.  The last
-# two need only major chains that reach a root.
+# below checks them).  The order-diagram check ran once the double-tree
+# checks passed; the chain-order and source/sink checks ran once it passed
+# too, and ``above`` is the diagram's :func:`reachability`.  The minor-edge
+# and fence major-side checks need only major chains that reach a root.
+# The segment walk is the old form of segment-connectivity, a referee for
+# its rule.
+
+
+def old_order_diagram(tree):
+    """The details of a cycle in the order diagram, or ""."""
+    try:
+        reference_reachability(order_diagram(tree))
+    except CycleDetectedError as exc:
+        return str(exc)
+    return ""
+
+
+def old_segment_walk(tree):
+    """Each segment's lower end must sit on the major chain of its upper
+    end, with only nodes of the upper end's type between them and TD
+    numbers falling all the way up; the details of the least segment
+    that breaks this, or ""."""
+    for left, right in sorted(derived_segments(tree) - {(ROOT_A, ROOT_B)}):
+        lo, hi = (left, right) if left.td < right.td else (right, left)
+        walk = [hi]
+        for anc in reference_major_ancestors(tree, hi):
+            walk.append(anc)
+            if anc == lo:
+                break
+        else:
+            return f"segment {left}..{right}: no major chain {lo} to {hi}"
+        if any(v.side != hi.side for v in walk[1:-1]):
+            return f"segment {left}..{right}: mixed-type chain"
+        if any(x.td <= y.td for x, y in zip(walk, walk[1:])):
+            return f"segment {left}..{right}: chain not ascending"
+    return ""
 
 
 def old_chain_order(tree, above):
@@ -668,25 +683,29 @@ def seeded_corruptions(pools):
 def test_validators_match_reference_on_seeded_corruptions(random_evolution):
     """1000 corruptions of each pool of :func:`corruption_pools`."""
     for corruptions in seeded_corruptions(corruption_pools(random_evolution)):
-        failed = set()
+        failed, cyclic = set(), 0
         for tree in corruptions:
             report = validate_structure(tree)
             assert report == reference_validate_structure(tree), tree
             assert validate_beta_tree(tree) == reference_validate_beta_tree(tree), tree
-            failed.update(c.details for c in report.failures())
-        # major loops and order-diagram cycles are among the corruptions
-        assert any("does not reach a root" in d for d in failed)
-        assert "order diagram contains a directed cycle" in failed
+            failed.update(c.name for c in report.failures())
+            cyclic += report.checks[0].passed and bool(old_order_diagram(tree))
+        # major loops, segment failures and order-diagram cycles are among
+        # the corruptions
+        assert {"rooted-majors", "segment-connectivity"} <= failed
+        assert cyclic
 
 
 def test_dropped_checks_fail_only_with_a_kept_one(random_evolution):
-    """Wherever the old chain-order check fails, minor-recency fails too,
-    and wherever the old source/sink test fails, first-td-convention
-    does: on every clean tree with n <= 5, on the seeded corruptions of
-    the three pools and on the empty tree, which has no edge at all.
-    Wherever the old minor-edge or fence major-side test fails,
-    minor-recency fails too: on the same trees and on seeded beta trees
-    at fence rates 0, 0.35 and 1, each also scrambled."""
+    """Wherever the old order-diagram or chain-order check fails,
+    minor-recency fails too, and wherever the old source/sink test fails,
+    first-td-convention does: on every tree of the three pools, on their
+    seeded corruptions and on the empty tree, which has no edge at all.
+    Wherever minor-recency passes, the old segment walk fails exactly
+    where the segment rule does.  Wherever the old minor-edge or fence
+    major-side test fails, minor-recency fails too.  The checks that the
+    beta validator shares also run on seeded beta trees at fence rates 0,
+    0.35 and 1, each also scrambled."""
     pools = corruption_pools(random_evolution)
     empty = TdTree(n=0, a_parent={}, b_parent={}, major_side={}, fence_tds=frozenset())
     corruptions = [tree for part in seeded_corruptions(pools) for tree in part]
@@ -698,8 +717,8 @@ def test_dropped_checks_fail_only_with_a_kept_one(random_evolution):
         for tree in [random_beta_tree(seed, 4 + seed % 13, rate)]
         for beta in (tree, scrambled(tree, rng))
     ]
-    trees = [*pools[0], *pools[1], *corruptions, empty, *betas]
-    failures = {"chain": [], "sink": [], "edge": [], "sides": []}
+    trees = [*pools[0], *pools[1], *pools[2], *corruptions, empty, *betas]
+    failures = {name: [] for name in ("cycle", "walk", "chain", "sink", "edge", "sides")}
     for tree in trees:
         breakpoint_tree = isinstance(tree, TdTree)
         validate = validate_structure if breakpoint_tree else validate_beta_tree
@@ -710,8 +729,18 @@ def test_dropped_checks_fail_only_with_a_kept_one(random_evolution):
             if old_check(tree):
                 assert not passed["minor-recency"], tree
                 failures[name].append(tree)
-        if not passed.get("order-diagram"):
-            continue  # where the old checks did not run
+        if breakpoint_tree and passed["minor-recency"]:
+            walk = old_segment_walk(tree)
+            assert bool(walk) == bool(reference_segment_failure(tree)), tree
+            failures["walk"] += [tree] if walk else []
+        if not passed.get("fences"):
+            continue  # where the old order-diagram check did not run
+        if old_order_diagram(tree):
+            assert not passed["minor-recency"], tree
+            failures["cycle"].append(tree)
+            continue
+        if not breakpoint_tree:
+            continue  # where the old chain checks did not run
         above = reachability(order_diagram(tree))
         if old_chain_order(tree, above):
             assert not passed["minor-recency"], tree
@@ -719,9 +748,32 @@ def test_dropped_checks_fail_only_with_a_kept_one(random_evolution):
         if old_sources_and_sinks(tree, above):
             assert not passed["first-td-convention"], tree
             failures["sink"].append(tree)
-    assert failures["chain"] and failures["edge"] and failures["sides"]
+    assert all(failures[name] for name in ("walk", "chain", "edge", "sides"))
     assert any(tree is empty for tree in failures["sink"])
     assert any(not isinstance(tree, TdTree) for tree in failures["edge"] + failures["sides"])
+    assert {isinstance(tree, TdTree) for tree in failures["cycle"]} == {True, False}
+
+
+def test_segment_connectivity_fails_alone():
+    """A parent from a later TD, and a node on both roots that is major
+    on the root of its own side: segment-connectivity is the one check
+    that fails, and the old segment walk refuses the tree too."""
+    a2 = bp("2a")
+    for steps, changes, details in (
+        (((1, 1), (1, 0)), {"b_parent": {a2: bp("3b")}}, "2a hangs on 0a..3b, not on earlier TDs"),
+        (
+            ((1, 1),),
+            {"a_parent": {a2: ROOT_A}, "b_parent": {a2: ROOT_B}, "major_side": {a2: A_SIDE}},
+            "2a hangs on both roots but is major on 0a",
+        ),
+    ):
+        broken = corrupt(build_2d_tree(WordEvolution(steps=steps)), **changes)
+        report = validate_structure(broken)
+        assert report == reference_validate_structure(broken)
+        assert [(c.name, c.details) for c in report.failures()] == [
+            ("segment-connectivity", details)
+        ]
+        assert old_segment_walk(broken)
 
 
 def test_clean_report_lists_its_checks_in_order(ev_540):
@@ -733,7 +785,6 @@ def test_clean_report_lists_its_checks_in_order(ev_540):
         "minor-recency",
         "fences",
         "first-td-convention",
-        "order-diagram",
         "segment-connectivity",
     ]
 
