@@ -79,7 +79,6 @@ from .structure import (
     HasseDiagram,
     MajorGraph,
     StructureReport,
-    TdTree,
     build_2d_tree,
     hasse_diagram,
     hasse_to_dot,

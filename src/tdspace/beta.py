@@ -48,8 +48,8 @@ from .structure import (
     BetaTree,
     BreakpointId,
     MajorGraph,
-    TdTree,
-    _bp,
+    _ONE_A,
+    _ONE_B,
     _edges,
     _fences,
     _ids,
@@ -72,8 +72,6 @@ SUBTREE_NODE_BUDGET = 20
 
 #: A one-nodeset or beta-subtree is just a set of breakpoint nodes.
 NodeSet = frozenset[BreakpointId]
-
-_ONE_A, _ONE_B = _bp(1, A_SIDE), _bp(1, B_SIDE)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +167,7 @@ def _shift(bp: BreakpointId, by: int) -> BreakpointId:
     return BreakpointId(td, bp.side)
 
 
-def induced_major_graph(tree: TdTree, nodeset: Iterable[BreakpointId]) -> MajorGraph:
+def induced_major_graph(tree: BetaTree, nodeset: Iterable[BreakpointId]) -> MajorGraph:
     """Rewrite a breakpoint tree's major graph for one inserted first TD.
 
     ``nodeset`` uses the shifted labels of :func:`one_nodeset_of`.  All
@@ -184,15 +182,15 @@ def induced_major_graph(tree: TdTree, nodeset: Iterable[BreakpointId]) -> MajorG
     members = frozenset(nodeset)
     if not members >= {_ONE_A, _ONE_B}:
         raise ValidationError("a one-nodeset always contains both breakpoints of 1")
-    if any(bp.td < 1 or bp.td > tree.n + 1 for bp in members):
-        raise ValidationError(f"nodeset labels outside 1..{tree.n + 1}")
+    top = tree.nodes[-1].td + 1  # the sorted nodes end on the highest TD
+    if any(bp.td < 1 or bp.td > top for bp in members):
+        raise ValidationError(f"nodeset labels outside 1..{top}")
 
     graph = induced_tree(tree, (_shift(bp, -1) for bp in members))
     parent = {_ONE_A: ROOT_B, _ONE_B: ROOT_A}
     parent.update((_shift(v, 1), _shift(p, 1)) for v, p in graph.parent.items())
     fences = {(_ONE_A, _ONE_B)} | {(_shift(x, 1), _shift(y, 1)) for x, y in graph.fences}
-    nodes = (ROOT_A, ROOT_B) + tuple(sorted(parent))
-    return MajorGraph(nodes=nodes, parent=parent, fences=frozenset(fences))
+    return MajorGraph(parent=parent, fences=frozenset(fences))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +322,7 @@ def induced_tree(tree: BetaTree, tau: Iterable[BreakpointId]) -> MajorGraph:
             parent[v] = major
 
     fences = frozenset(f for f in fences if not chosen.issuperset(f))
-    return MajorGraph(nodes=(ROOT_A, ROOT_B, *parent), parent=parent, fences=fences)
+    return MajorGraph(parent=parent, fences=fences)
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +332,8 @@ def induced_tree(tree: BetaTree, tau: Iterable[BreakpointId]) -> MajorGraph:
 def root_component_size(graph: MajorGraph) -> int:
     """Number of nodes whose parent chain ends at ``ROOT_A``, root included."""
     members = {ROOT_A}
-    changed = True
-    while changed:
-        changed = False
-        for v, p in graph.parent.items():
-            if p in members and v not in members:
-                members.add(v)
-                changed = True
+    for _ in graph.parent:  # after pass k, every node at most k levels down is in
+        members.update(v for v, p in graph.parent.items() if p in members)
     return len(members)
 
 

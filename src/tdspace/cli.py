@@ -127,9 +127,9 @@ def _validate(cfg: argparse.Namespace) -> None:
 _BATCH = 4096
 
 
-def _emit(pieces: Iterable[str], output: str | None) -> None:
+def _emit(pieces: Iterable[str], output: str | None) -> bool:
     """Write ``pieces`` as they come, in batches, then a newline unless
-    the output already ends with one."""
+    the output already ends with one; False when stdout's reader left."""
 
     def write(fh) -> None:
         rest, last = iter(pieces), ""
@@ -141,13 +141,21 @@ def _emit(pieces: Iterable[str], output: str | None) -> None:
             fh.write("\n")
 
     if output is None:
-        write(sys.stdout)
-        return
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            if sys.stdout is not sys.__stdout__:
+                raise  # a stream that a caller put in place is the caller's
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+            return False
+        return True
     try:
         with open(output, "w", encoding="utf-8") as fh:
             write(fh)
     except OSError as exc:
         raise TdSpaceError(f"cannot write {output!r}: {exc}") from exc
+    return True
 
 
 def _load_evolution(source: str) -> WordEvolution:
@@ -671,7 +679,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _validate(cfg)
         result = cfg.run(cfg)
-        _emit(_render(result, cfg.fmt), cfg.output)
+        if not _emit(_render(result, cfg.fmt), cfg.output):
+            return EXIT_ERROR
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Sequence
 
-from .errors import BudgetExceededError, MalformedGraphError
+from .errors import BudgetExceededError, CycleDetectedError, MalformedGraphError
 from .structure import BreakpointId, HasseDiagram, MajorGraph, _successors
 
 BRUTEFORCE_NODE_BUDGET = 26
@@ -143,7 +143,8 @@ def count_extensions_bruteforce(
     it can take next.  Placing ``e`` removes it from that mask and adds
     each successor of ``e`` whose predecessors are then all placed, so a
     step only visits addable elements.  Exponential in the width of the
-    order in general, hence the node budget.
+    order in general, hence the node budget; :class:`CycleDetectedError`
+    where a cycle leaves a level empty.
     """
     nodes = diagram.nodes
     if len(nodes) > budget:
@@ -175,6 +176,7 @@ def count_extensions_bruteforce(
                     if pred_mask[j] & grown == pred_mask[j]:
                         reach |= 1 << j
                 grown_level[grown] = [count, reach]
+        if not grown_level:
+            raise CycleDetectedError("order diagram contains a directed cycle")
         level = grown_level
-    # the full set, or nothing when a cycle keeps some element unaddable
-    return sum(count for count, _ in level.values())
+    return sum(count for count, _ in level.values())  # of the full set alone

@@ -3,9 +3,9 @@
 A *double tree* hangs every node below two typed roots ``0a`` and ``0b``
 by two parental edges, a type-a edge and a type-b edge, one of which is
 *major* and the other *minor*; *fences* tie opposite-type nodes that
-share both parents.  :class:`BetaTree` is the free-standing form, and
-:class:`TdTree` is the breakpoint tree of one word evolution: a beta
-tree whose nodes are the breakpoint pairs of TDs ``1..n``.
+share both parents.  :class:`BetaTree` is the one double-tree type: the
+breakpoint tree of a word evolution, built by :func:`build_2d_tree`, is
+a beta tree whose nodes are the breakpoint pairs of TDs ``1..n``.
 
 Every tandem duplication ``n`` leaves two breakpoints on the reference
 genome: ``n_a`` (duplication start) and ``n_b`` (duplication end).  Each
@@ -61,13 +61,7 @@ def _ids(side: str, n: int) -> tuple[BreakpointId, ...]:
     return table[: n + 1] + tuple(BreakpointId(k, side) for k in range(len(table), n + 1))
 
 
-def _bp(td: int, side: str) -> BreakpointId:
-    """One id, from the table where it reaches."""
-    table = _INTERNED[side]
-    return table[td] if 0 <= td < len(table) else BreakpointId(td, side)
-
-
-ROOT_A, ROOT_B = _bp(0, A_SIDE), _bp(0, B_SIDE)
+(ROOT_A, _ONE_A), (ROOT_B, _ONE_B) = _INTERNED[A_SIDE][:2], _INTERNED[B_SIDE][:2]
 
 
 def parse_breakpoint(text: str) -> BreakpointId:
@@ -108,30 +102,8 @@ class BetaTree:
     def nodes(self) -> tuple[BreakpointId, ...]:
         return (ROOT_A, ROOT_B) + tuple(sorted(self.major_side))
 
-    def major_parent(self, node: BreakpointId) -> BreakpointId:
-        return self.a_parent[node] if self.major_side[node] == A_SIDE else self.b_parent[node]
 
-    def minor_parent(self, node: BreakpointId) -> BreakpointId:
-        return self.b_parent[node] if self.major_side[node] == A_SIDE else self.a_parent[node]
-
-
-@dataclass
-class TdTree(BetaTree):
-    """Breakpoint double tree of one word evolution with ``n`` TDs.
-
-    ``fence_tds`` lists the TDs whose breakpoint pair is fenced; the
-    inherited ``fences``, derived from it, are read by :func:`_fences` only.
-    """
-
-    n: int
-    fence_tds: frozenset[int]
-    fences: frozenset[tuple[BreakpointId, BreakpointId]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.fences = frozenset((_bp(k, A_SIDE), _bp(k, B_SIDE)) for k in self.fence_tds)
-
-
-def build_2d_tree(ev: WordEvolution) -> TdTree:
+def build_2d_tree(ev: WordEvolution) -> BetaTree:
     """Construct the breakpoint double tree of a word evolution.
 
     Step ``(a, b)`` on a word ``c_1 .. c_m`` (``c_0 = c_{m+1} = 0``) hangs
@@ -146,7 +118,7 @@ def build_2d_tree(ev: WordEvolution) -> TdTree:
     a_parent = {ida[1]: ROOT_A, idb[1]: ROOT_A}
     b_parent = {ida[1]: ROOT_B, idb[1]: ROOT_B}
     major_side = {ida[1]: B_SIDE, idb[1]: A_SIDE}
-    fence_tds = {1}
+    fences = [(ida[1], idb[1])]
 
     def attach(node: BreakpointId, left: int, right: int) -> None:
         if left == right:
@@ -160,15 +132,9 @@ def build_2d_tree(ev: WordEvolution) -> TdTree:
         attach(ida[k], word[a - 2] if a > 1 else 0, word[a - 1] if a <= m else 0)
         attach(idb[k], word[b - 1] if b else 0, word[b] if b < m else 0)
         if b == a - 1:
-            fence_tds.add(k)
+            fences.append((ida[k], idb[k]))
 
-    return TdTree(
-        n=ev.n,
-        a_parent=a_parent,
-        b_parent=b_parent,
-        major_side=major_side,
-        fence_tds=frozenset(fence_tds),
-    )
+    return BetaTree(a_parent, b_parent, major_side, frozenset(fences))
 
 
 def _edges(tree: BetaTree) -> list[tuple[BreakpointId, BreakpointId, BreakpointId, BreakpointId]]:
@@ -235,8 +201,11 @@ def _order_diagram(rows: list[tuple], fences: Iterable) -> HasseDiagram:
 
 def _successors(diagram: HasseDiagram) -> list[list[int]]:
     """The successors of each node, named by their positions in
-    ``diagram.nodes``; :class:`MalformedGraphError` for an edge off them."""
+    ``diagram.nodes``; :class:`MalformedGraphError` for a node listed
+    twice or an edge off them."""
     index = {v: i for i, v in enumerate(diagram.nodes)}
+    if len(index) < len(diagram.nodes):
+        raise MalformedGraphError("a node is listed twice among the diagram's nodes")
     succ: list[list[int]] = [[] for _ in diagram.nodes]
     try:
         for u, v in diagram.edges:
@@ -261,7 +230,7 @@ def _topological(succ: list[list[int]]) -> list[int]:
     return order
 
 
-def hasse_diagram(tree: TdTree) -> HasseDiagram:
+def hasse_diagram(tree: BetaTree) -> HasseDiagram:
     """Order diagram: type-a edges kept, type-b edges reversed, fences a -> b.
 
     Raises :class:`ValidationError` where the validators' parental-edges
@@ -277,22 +246,24 @@ def hasse_diagram(tree: TdTree) -> HasseDiagram:
 class MajorGraph:
     """Major parental edges plus fences; the input to the counting formula.
 
-    ``nodes`` lists the two roots and then the other nodes sorted, so
-    comparing the tuples compares the node sets.  ``parent``
-    maps each non-root node to its single major parent.  Fences are
-    unordered pairs stored as sorted tuples.
+    ``parent`` maps each non-root node to its single major parent;
+    ``nodes`` lists the two roots and then its keys sorted, so comparing
+    the tuples compares the node sets.  Fences are unordered pairs stored
+    as sorted tuples.
     """
 
-    nodes: tuple[BreakpointId, ...]
     parent: dict[BreakpointId, BreakpointId]
     fences: frozenset[tuple[BreakpointId, BreakpointId]]
 
+    @property
+    def nodes(self) -> tuple[BreakpointId, ...]:
+        return (ROOT_A, ROOT_B) + tuple(sorted(self.parent))
 
-def major_graph(tree: TdTree) -> MajorGraph:
-    """Restrict a breakpoint tree to its major edges and fences."""
+
+def major_graph(tree: BetaTree) -> MajorGraph:
+    """Restrict a double tree to its major edges and fences."""
     parent = {v: major for v, _, _, major in _edges(tree)}
-    fences = frozenset(_fences(tree))
-    return MajorGraph(nodes=(ROOT_A, ROOT_B, *parent), parent=parent, fences=fences)
+    return MajorGraph(parent=parent, fences=frozenset(_fences(tree)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +356,7 @@ def validate_beta_tree(tree: BetaTree) -> StructureReport:
     return report
 
 
-def validate_structure(tree: TdTree) -> StructureReport:
+def validate_structure(tree: BetaTree) -> StructureReport:
     """The double-tree axioms plus the invariants of breakpoint trees.
 
     Checks, in report order: the four of :func:`validate_beta_tree`
@@ -430,13 +401,12 @@ def validate_structure(tree: TdTree) -> StructureReport:
     rows, fences = checked
 
     # First-TD convention.
-    one_a, one_b = _bp(1, A_SIDE), _bp(1, B_SIDE)
     ok = (
-        tree.major_side.get(one_a) == B_SIDE
-        and tree.major_side.get(one_b) == A_SIDE
-        and tree.a_parent.get(one_a) == ROOT_A
-        and tree.b_parent.get(one_b) == ROOT_B
-        and (one_a, one_b) in fences
+        tree.major_side.get(_ONE_A) == B_SIDE
+        and tree.major_side.get(_ONE_B) == A_SIDE
+        and tree.a_parent.get(_ONE_A) == ROOT_A
+        and tree.b_parent.get(_ONE_B) == ROOT_B
+        and (_ONE_A, _ONE_B) in fences
     )
     report.add("first-td-convention", ok, "" if ok else "TD 1 breaks the root convention")
 
@@ -494,9 +464,10 @@ def major_to_dot(graph: MajorGraph) -> str:
     return _to_dot("major_graph", graph.nodes, edges, graph.fences)
 
 
-def tree_to_json(tree: TdTree) -> str:
+def tree_to_json(tree: BetaTree) -> str:
+    """JSON form of any double tree; ``"n"`` is the TD of its last node."""
     doc = {
-        "n": tree.n,
+        "n": tree.nodes[-1].td,
         "nodes": [str(v) for v in tree.nodes],
         "parents": {
             str(v): {"a": str(pa), "b": str(pb), "major": major.side}

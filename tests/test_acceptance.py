@@ -180,7 +180,7 @@ def test_criterion_8_structure_suite(ev_540):
     corrupted = [
         replace(tree, b_parent={**tree.b_parent, parse_breakpoint("4a"): ROOT_B}),
         replace(tree, major_side={**tree.major_side, parse_breakpoint("1a"): A_SIDE}),
-        replace(tree, fence_tds=frozenset({1, 2})),
+        replace(tree, fences=tree.fences | {(parse_breakpoint("2a"), parse_breakpoint("2b"))}),
     ]
     flagged = sum(1 for bad in corrupted if not validate_structure(bad).ok)
     assert flagged == len(corrupted)

@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "FIRST_WORD", "GenomeState", "HasseDiagram", "IndexOutOfRangeError", "KernelCheck",
     "MajorGraph", "MalformedGraphError", "NotInducedError", "ParseError", "ROOT_A", "ROOT_B",
     "StructureReport", "TableRow", "TdChoice", "TdEvolutionRecord", "TdGraph", "TdSpaceError",
-    "TdTree", "ValidationError", "Word", "WordEvolution", "apply_td", "build_2d_tree",
+    "ValidationError", "Word", "WordEvolution", "apply_td", "build_2d_tree",
     "choice_count", "choices_for", "closed_form", "contracted_count",
     "count_extensions_bruteforce", "count_extensions_formula", "delete_first_td",
     "distinct_words", "enumerate_beta_subtrees", "enumerate_choices", "enumerate_process",
@@ -33,7 +33,7 @@ def test_public_names_are_pinned():
         for name, value in vars(tdspace).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     )
-    assert len(names) == 76
+    assert len(names) == 75
     assert names == PUBLIC_NAMES
 
 
@@ -47,13 +47,12 @@ RECORD_FIELDS = {
     "GenomeState": ("genome", "positions", "steps"),
     "HasseDiagram": ("nodes", "edges"),
     "KernelCheck": ("r", "lhs", "rhs"),
-    "MajorGraph": ("nodes", "parent", "fences"),
+    "MajorGraph": ("parent", "fences"),
     "StructureReport": ("checks",),
     "TableRow": ("n", "words", "cnvs", "td_graphs", "evolutions", "paths"),
     "TdChoice": ("g1", "g2", "order_flag"),
     "TdEvolutionRecord": ("genomes", "graphs", "word_evolution"),
     "TdGraph": ("cnv", "connections"),
-    "TdTree": ("a_parent", "b_parent", "major_side", "fences", "n", "fence_tds"),
     "WordEvolution": ("steps", "words"),
 }
 

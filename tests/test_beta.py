@@ -48,7 +48,7 @@ from tdspace import (
 )
 from tdspace.beta import SUBTREE_NODE_BUDGET
 from tdspace.errors import Deadline
-from tdspace.structure import TdTree, _topological
+from tdspace.structure import _topological
 from tdspace.words import DEFAULT_MAX_N, _evolution_unchecked, choices_for, td_step
 
 FIRST = WordEvolution(steps=())
@@ -275,7 +275,7 @@ def test_beta_view_of_breakpoint_trees_validates():
         for ev in enumerate_word_evolutions(n):
             tree = build_2d_tree(ev)
             assert validate_beta_tree(tree).ok
-            assert {x.td for x, _ in tree.fences} == set(tree.fence_tds)
+            assert all(x.td == y.td for x, y in tree.fences)
 
 
 def test_subtrees_of_the_first_tree():
@@ -482,11 +482,8 @@ def test_every_reader_refuses_bad_parents_in_the_validators_words(
     reader, defect, ev_540, worked_beta_tree
 ):
     """On the 540 tree (2a major on b) and the worked beta tree (2a major
-    on a), each reader raises the validator's first failure.
-    :func:`tree_to_json` takes breakpoint trees only."""
+    on a), each reader raises the validator's first failure."""
     for tree in (build_2d_tree(ev_540), worked_beta_tree):
-        if reader == "tree_to_json" and not isinstance(tree, TdTree):
-            continue
         broken = copied(tree)
         PARENTAL_DEFECTS[defect](broken)
         message = validate_beta_tree(broken).failures()[0].details
@@ -509,10 +506,7 @@ def test_every_reader_refuses_a_fence_that_is_not_a_pair(
     fence = tuple(map(bp, NON_PAIR_FENCES[spelling]))
     message = f"fence {'|'.join(NON_PAIR_FENCES[spelling])} is not a pair of nodes"
     for tree in (build_2d_tree(ev_540), worked_beta_tree):
-        if reader == "tree_to_json" and not isinstance(tree, TdTree):
-            continue
-        broken = replace(tree)
-        broken.fences = tree.fences - {(bp("1a"), bp("1b"))} | {fence}
+        broken = replace(tree, fences=tree.fences - {(bp("1a"), bp("1b"))} | {fence})
         failures = validate_beta_tree(broken).failures()
         assert [(c.name, c.details) for c in failures] == [("fences", message)]
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -523,7 +517,8 @@ def test_both_routes_refuse_a_fence_off_shared_parents(ev_540):
     """With TD 2 of the 540 tree fenced, though its breakpoints sit on
     different segments, the oracle once counted 705 and the formula raised
     ``MalformedGraphError``; both now raise the fence check's error."""
-    broken = replace(build_2d_tree(ev_540), fence_tds=frozenset({1, 2}))
+    tree = build_2d_tree(ev_540)
+    broken = replace(tree, fences=tree.fences | {(bp("2a"), bp("2b"))})
     message = "fence 2a|2b does not share both parents"
     assert validate_structure(broken).failures()[-1].details == message
     for count in (
@@ -636,7 +631,7 @@ def test_kernel_walk_matches_reference_on_evolution_trees():
     trees = [build_2d_tree(ev) for n in range(1, 5) for ev in enumerate_word_evolutions(n)]
     assert len(trees) == 403
     for tree in trees:
-        assert kernel_profile(tree) == reference_kernel_profile(tree), tree.n
+        assert kernel_profile(tree) == reference_kernel_profile(tree), tree
 
 
 def test_kernel_walk_matches_reference_on_fixtures(worked_beta_tree, skewed_minor_tree):

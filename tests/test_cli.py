@@ -10,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from tdspace import KernelCheck, TdTree, cli, format_evolution, kernel_profile, parse_evolution
+from tdspace import (
+    KernelCheck,
+    build_2d_tree,
+    cli,
+    format_evolution,
+    kernel_profile,
+    parse_evolution,
+)
 from tdspace.structure import StructureReport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -296,6 +303,12 @@ INDUCTION = ["verify", "--suite", "induction", "-n", "2"]
 FIRST_EVOLUTION = '{"steps":[]}'
 
 
+def first_tree(tree):
+    """Whether ``tree`` is the tree of the first evolution, the one
+    evolution tree that the kernel suite checks at n = 1."""
+    return tree == build_2d_tree(parse_evolution(FIRST_EVOLUTION))
+
+
 @pytest.mark.parametrize(
     "argv, target, stand_in, check, detail",
     [
@@ -304,14 +317,14 @@ FIRST_EVOLUTION = '{"steps":[]}'
             "validate_structure", failing_report, "trees-validate", FIRST_EVOLUTION,
         ),
         (
-            KERNEL, "kernel_profile", unequal_where(lambda t: isinstance(t, TdTree)),
+            KERNEL, "kernel_profile", unequal_where(first_tree),
             "evolution-trees", FIRST_EVOLUTION,
         ),
         (KERNEL, "validate_beta_tree", failing_report, "random-trees", "seeds [5, 6]"),
         (
             KERNEL,
             "kernel_profile",
-            unequal_where(lambda t: not isinstance(t, TdTree) and t != cli._worked_kernel_tree()),
+            unequal_where(lambda t: not first_tree(t) and t != cli._worked_kernel_tree()),
             "random-trees",
             "seeds [5, 6]",
         ),
@@ -506,6 +519,36 @@ def test_importing_the_cli_loads_no_pool_module():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_a_reader_that_leaves_early_ends_the_cli_quietly():
+    """``tdspace words -n 18 | head -1``: once the reader closes the pipe
+    the CLI exits 1 with nothing on stderr, not with a traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tdspace.cli", "words", "-n", "18"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"words after 18 TDs (recursion)\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+def test_a_broken_pipe_on_a_callers_stream_is_the_callers(monkeypatch):
+    """In process, the CLI leaves a stdout that its caller put in place
+    as it is and lets the error through."""
+
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    with pytest.raises(BrokenPipeError):
+        cli.main(["words", "-n", "3"])
 
 
 def joined_output(text):

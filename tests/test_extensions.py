@@ -7,10 +7,9 @@ import pytest
 
 from tdspace import (
     B_SIDE,
-    ROOT_A,
-    ROOT_B,
     BreakpointId,
     BudgetExceededError,
+    CycleDetectedError,
     HasseDiagram,
     MajorGraph,
     MalformedGraphError,
@@ -139,12 +138,31 @@ def test_oracle_matches_reference_on_seeded_evolutions(n, random_evolution):
         ), seed
 
 
-def test_oracle_counts_zero_on_a_cycle(ev_540):
+def test_oracle_refuses_a_cycle(ev_540):
+    """A cycle leaves some level of down-sets empty; the reference, which
+    tries every permutation, finds no extension either."""
     diagram = hasse_diagram(build_2d_tree(ev_540))
     top, bottom = diagram.nodes[:2]
     looped = HasseDiagram(nodes=diagram.nodes, edges=diagram.edges | {(bottom, top)})
-    assert count_extensions_bruteforce(looped) == 0
+    with pytest.raises(CycleDetectedError, match="^order diagram contains a directed cycle$"):
+        count_extensions_bruteforce(looped)
     assert reference_count_extensions_bruteforce(looped) == 0
+
+
+def test_oracle_refuses_a_cycle_through_every_node():
+    """With no minimal element the first level is already empty."""
+    one, two, three = map(parse_breakpoint, ("1a", "2a", "3a"))
+    edges = frozenset({(one, two), (two, three), (three, one)})
+    ring = HasseDiagram(nodes=(one, two, three), edges=edges)
+    with pytest.raises(CycleDetectedError, match="^order diagram contains a directed cycle$"):
+        count_extensions_bruteforce(ring)
+
+
+def test_oracle_refuses_a_node_listed_twice():
+    one, two = parse_breakpoint("1a"), parse_breakpoint("2a")
+    doubled = HasseDiagram(nodes=(one, two, one), edges=frozenset())
+    with pytest.raises(MalformedGraphError, match="^a node is listed twice among the diagram's nodes$"):
+        count_extensions_bruteforce(doubled)
 
 
 def test_oracle_refuses_an_edge_off_the_diagram(ev_540):
@@ -170,7 +188,6 @@ def test_oracle_refuses_an_edge_off_the_diagram(ev_540):
 def test_formula_refuses_a_malformed_forest(parent, fences, message):
     bp = parse_breakpoint
     graph = MajorGraph(
-        nodes=(ROOT_A, ROOT_B, bp("1a"), bp("1b"), bp("2b")),
         parent={bp(v): bp(p) for v, p in parent.items()},
         fences=frozenset((bp(x), bp(y)) for x, y in fences),
     )

@@ -840,5 +840,5 @@ def test_the_subtree_walk_and_the_rewrite_read_parents_through_one_reader():
     refuses malformed parental data in the validator's words."""
     with open(tdspace.beta.__file__, encoding="utf-8") as f:
         tree = ast.parse(f.read())
-    names = {"a_parent", "b_parent", "major_parent", "minor_parent"}
+    names = {"a_parent", "b_parent"}
     assert not [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in names]

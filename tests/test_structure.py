@@ -1,6 +1,7 @@
 """Breakpoint trees, order diagrams, major graphs and their validators."""
 
 import ast
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -20,6 +21,7 @@ from tdspace import (
     ValidationError,
     WordEvolution,
     build_2d_tree,
+    count_extensions_formula,
     enumerate_word_evolutions,
     hasse_diagram,
     hasse_to_dot,
@@ -36,7 +38,6 @@ from tdspace import (
 )
 from tdspace.structure import (
     StructureReport,
-    TdTree,
     _edges,
     _order_diagram,
     _successors,
@@ -82,6 +83,20 @@ def derived_segments(tree):
     return segments
 
 
+def fenced(tree, tds):
+    """A copy of ``tree`` whose fences join the breakpoint pairs of ``tds``."""
+    pairs = ((BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)) for k in tds)
+    return replace(tree, fences=frozenset(pairs))
+
+
+def major_parent(tree, v):
+    return tree.a_parent[v] if tree.major_side[v] == A_SIDE else tree.b_parent[v]
+
+
+def minor_parent(tree, v):
+    return tree.b_parent[v] if tree.major_side[v] == A_SIDE else tree.a_parent[v]
+
+
 def order_diagram(tree):
     """The order diagram of any tree whose parental edges pass, cyclic or not."""
     return _order_diagram(_edges(tree), tree.fences)
@@ -95,12 +110,12 @@ def test_word_segments_of_single_connection():
 
 def test_first_td_tree():
     tree = build_2d_tree(WordEvolution(steps=()))
-    assert tree.n == 1
+    assert json.loads(tree_to_json(tree))["n"] == 1
     assert tree.a_parent[bp("1a")] == ROOT_A
     assert tree.b_parent[bp("1a")] == ROOT_B
     assert tree.major_side[bp("1a")] == B_SIDE
     assert tree.major_side[bp("1b")] == A_SIDE
-    assert tree.fence_tds == frozenset({1})
+    assert tree.fences == frozenset({(bp("1a"), bp("1b"))})
 
 
 def test_tree_of_121(ev_121):
@@ -116,7 +131,7 @@ def test_tree_of_121(ev_121):
         "2a": ("0a", "1b", "b"),
         "2b": ("1a", "0b", "a"),
     }
-    assert tree.fence_tds == frozenset({1})
+    assert tree.fences == frozenset({(bp("1a"), bp("1b"))})
 
 
 def test_major_graph_of_121(ev_121):
@@ -168,20 +183,18 @@ def test_hasse_unique_source_and_sink():
 
 
 def test_hasse_diagram_orients_replaced_fences():
-    """``fences`` is derived from ``fence_tds`` on construction.  A tree
-    copied with other fenced TDs, each fence stored either way round,
-    orients every fence a -> b where the fence check passes, and raises
-    that check's error where it fails."""
+    """A tree copied with other fenced TDs, each fence stored either way
+    round, orients every fence a -> b where the fence check passes, and
+    raises that check's error where it fails."""
     outcomes = {True: 0, False: 0}
     for n in range(1, 4):
         for ev in enumerate_word_evolutions(n):
             tree = build_2d_tree(ev)
             kept = {(p, v) for v, p in tree.a_parent.items()} | set(tree.b_parent.items())
-            for tds in (frozenset(range(1, n + 1)), frozenset({1})):
-                refenced = replace(tree, fence_tds=tds)
-                fences = {(BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)) for k in tds}
+            for tds in (range(1, n + 1), {1}):
+                fences = fenced(tree, tds).fences
                 for spelled in (fences, {(y, x) for x, y in fences}):
-                    refenced.fences = frozenset(spelled)
+                    refenced = replace(tree, fences=frozenset(spelled))
                     details = reference_fence_failure(refenced)
                     outcomes[not details] += 1
                     if not details:
@@ -240,7 +253,7 @@ def test_negative_control_skipped_minor(ev_540):
     tree = build_2d_tree(ev_540)
     # 4a's minor parent is 1b, the first b-type node above its major 3a;
     # rewiring the minor to 0b must trip the recency check
-    assert tree.minor_parent(bp("4a")) == bp("1b")
+    assert minor_parent(tree, bp("4a")) == bp("1b")
     broken = corrupt(tree, b_parent={bp("4a"): ROOT_B})
     report = validate_structure(broken)
     assert not report.ok
@@ -266,7 +279,7 @@ def test_a_fence_outside_the_tree_ends_the_report(ev_540):
         ({1, 2, 9}, "fence 2a|2b does not share both parents"),
         ({1, 2}, "fence 2a|2b does not share both parents"),
     ):
-        broken = replace(tree, fence_tds=frozenset(tds))
+        broken = fenced(tree, tds)
         report = validate_structure(broken)
         assert report == reference_validate_structure(broken)
         assert [c.details for c in report.failures()] == [details]
@@ -276,14 +289,13 @@ def test_a_fence_outside_the_tree_ends_the_report(ev_540):
 def test_first_td_convention_needs_the_first_fence(ev_540):
     """TD 1's fence may be stored either way round, but not left out."""
     tree = build_2d_tree(ev_540)
-    unfenced = replace(tree, fence_tds=frozenset())
+    unfenced = replace(tree, fences=frozenset())
     report = validate_structure(unfenced)
     assert report == reference_validate_structure(unfenced)
     assert [(c.name, c.details) for c in report.failures()] == [
         ("first-td-convention", "TD 1 breaks the root convention")
     ]
-    flipped = replace(tree)
-    flipped.fences = frozenset((y, x) for x, y in tree.fences)
+    flipped = replace(tree, fences=frozenset((y, x) for x, y in tree.fences))
     assert validate_structure(flipped).ok
 
 
@@ -308,8 +320,7 @@ def test_fenced_tds_are_always_reversed():
         for ev in enumerate_word_evolutions(n):
             tree = build_2d_tree(ev)
             above = reachability(hasse_diagram(tree))
-            for k in tree.fence_tds:
-                ka, kb = BreakpointId(k, A_SIDE), BreakpointId(k, B_SIDE)
+            for ka, kb in tree.fences:
                 assert kb in above[ka]
 
 
@@ -333,6 +344,36 @@ def test_json_exports(ev_121):
     assert len(hasse_doc["edges"]) == 9
 
 
+#: sha256 over the exports and the factor trace of every evolution with n <= 5
+EXPORT_DIGEST = "2066821b1ee08d7d0e0d5ce5acbbb945a7150f435ac82098174728ab45f60b7b"
+
+
+def test_exports_and_factor_traces_up_to_5_are_pinned():
+    """``tree_to_json``, ``tree_to_dot``, ``major_to_json``, ``hasse_to_json``
+    and the formula's factor trace of all 15,718 evolutions with n <= 5,
+    each text closed by a NUL, hash to one digest; each tree's ``"n"`` is
+    the TD count of its evolution."""
+    digest, count = hashlib.sha256(), 0
+    for n in range(1, 6):
+        for ev in enumerate_word_evolutions(n):
+            tree = build_2d_tree(ev)
+            graph = major_graph(tree)
+            tree_json = tree_to_json(tree)
+            assert json.loads(tree_json)["n"] == ev.n, str(ev)
+            trace = count_extensions_formula(graph).factor_trace
+            for text in (
+                tree_json,
+                tree_to_dot(tree),
+                major_to_json(graph),
+                hasse_to_json(hasse_diagram(tree)),
+                repr(trace),
+            ):
+                digest.update(text.encode() + b"\0")
+            count += 1
+    assert count == 15718
+    assert digest.hexdigest() == EXPORT_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # The replay-based tree builder and the walk-per-check validator, kept as
 # references for the incremental builder and the index-based validator
@@ -342,9 +383,9 @@ def reference_build_2d_tree(ev):
     """Replay every word and hang each breakpoint on its host segment;
     returns the tree and every segment the replay met."""
     a_parent, b_parent, major_side = {}, {}, {}
-    fence_tds = {1}
-    segments = {(ROOT_A, ROOT_B)}
     one_a, one_b = BreakpointId(1, A_SIDE), BreakpointId(1, B_SIDE)
+    fences = {(one_a, one_b)}
+    segments = {(ROOT_A, ROOT_B)}
     a_parent[one_a] = ROOT_A
     b_parent[one_a] = ROOT_B
     major_side[one_a] = B_SIDE
@@ -367,16 +408,9 @@ def reference_build_2d_tree(ev):
         attach(BreakpointId(td, A_SIDE), segs[a - 1])
         attach(BreakpointId(td, B_SIDE), segs[b])
         if b == a - 1:
-            fence_tds.add(td)
+            fences.add((BreakpointId(td, A_SIDE), BreakpointId(td, B_SIDE)))
     segments.update(word_segments(ev.words[-1]))
-    tree = TdTree(
-        n=ev.n,
-        a_parent=a_parent,
-        b_parent=b_parent,
-        major_side=major_side,
-        fence_tds=frozenset(fence_tds),
-    )
-    return tree, frozenset(segments)
+    return BetaTree(a_parent, b_parent, major_side, frozenset(fences)), frozenset(segments)
 
 
 def reference_reachability(diagram):
@@ -410,7 +444,7 @@ def reference_reachability(diagram):
 def reference_major_ancestors(tree, node):
     seen = {node}
     while node in tree.major_side:
-        node = tree.major_parent(node)
+        node = major_parent(tree, node)
         if node in seen:
             return
         seen.add(node)
@@ -451,13 +485,13 @@ def reference_check_double_tree(tree, report):
     for v in sorted(nodes):
         if (tree.a_parent[v], tree.b_parent[v]) == (ROOT_A, ROOT_B):
             continue
-        major = tree.major_parent(v)
+        major = major_parent(tree, v)
         expected = next(
             (a for a in reference_major_ancestors(tree, major) if a.side != major.side), None
         )
-        if tree.minor_parent(v) != expected:
+        if minor_parent(tree, v) != expected:
             ok = False
-            details = f"{v}: minor parent {tree.minor_parent(v)}, expected {expected}"
+            details = f"{v}: minor parent {minor_parent(tree, v)}, expected {expected}"
             break
     report.add("minor-recency", ok, details)
 
@@ -505,7 +539,7 @@ def reference_validate_structure(tree):
         and tree.major_side.get(one_b) == A_SIDE
         and tree.a_parent.get(one_a) == ROOT_A
         and tree.b_parent.get(one_b) == ROOT_B
-        and 1 in tree.fence_tds
+        and not tree.fences.isdisjoint({(one_a, one_b), (one_b, one_a)})
     )
     report.add("first-td-convention", ok, "" if ok else "TD 1 breaks the root convention")
 
@@ -522,7 +556,7 @@ def reference_segment_failure(tree):
         if max(pa.td, pb.td) >= v.td:
             return f"{v} hangs on {pa}..{pb}, not on earlier TDs"
         if (pa, pb) == (ROOT_A, ROOT_B) and tree.major_side[v] == v.side:
-            return f"{v} hangs on both roots but is major on {tree.major_parent(v)}"
+            return f"{v} hangs on both roots but is major on {major_parent(tree, v)}"
     return ""
 
 
@@ -571,7 +605,7 @@ def old_chain_order(tree, above):
     the details of the first contradiction of the order diagram, or ""."""
     children = {v: [] for v in tree.nodes}
     for v in tree.major_side:
-        children[tree.major_parent(v)].append(v)
+        children[major_parent(tree, v)].append(v)
     for leaf in [v for v in tree.nodes if not children[v]]:
         chain = [leaf] + list(reference_major_ancestors(tree, leaf))
         chain.reverse()
@@ -603,7 +637,7 @@ def old_minor_edge(tree):
         lo, hi = (left, right) if left.td < right.td else (right, left)
         walk = [hi, *reference_major_ancestors(tree, hi)]
         internal = walk[1 : walk.index(lo)] if lo in walk else []
-        if internal and all(v.side == hi.side for v in internal) and tree.minor_parent(hi) != lo:
+        if internal and all(v.side == hi.side for v in internal) and minor_parent(tree, hi) != lo:
             return f"segment {left}..{right}: minor edge missing"
     return ""
 
@@ -623,13 +657,11 @@ def old_fence_major_sides(tree):
 
 def test_builder_matches_reference():
     """Every tree with n <= 4 and every fifth at n = 5, field by field."""
-    fields = ("n", "a_parent", "b_parent", "major_side", "fence_tds", "fences")
     evs = [ev for n in range(1, 5) for ev in enumerate_word_evolutions(n)]
     evs += list(enumerate_word_evolutions(5))[::5]
     assert len(evs) == 403 + 3063
     for ev in evs:
-        new, (old, _) = build_2d_tree(ev), reference_build_2d_tree(ev)
-        assert all(getattr(new, f) == getattr(old, f) for f in fields), str(ev)
+        assert build_2d_tree(ev) == reference_build_2d_tree(ev)[0], str(ev)
 
 
 def test_segments_derived_from_parents_match_the_replay(random_evolution):
@@ -707,7 +739,7 @@ def test_dropped_checks_fail_only_with_a_kept_one(random_evolution):
     beta validator shares also run on seeded beta trees at fence rates 0,
     0.35 and 1, each also scrambled."""
     pools = corruption_pools(random_evolution)
-    empty = TdTree(n=0, a_parent={}, b_parent={}, major_side={}, fence_tds=frozenset())
+    empty = BetaTree(a_parent={}, b_parent={}, major_side={}, fences=frozenset())
     corruptions = [tree for part in seeded_corruptions(pools) for tree in part]
     rng = random.Random(11)
     betas = [
@@ -717,10 +749,11 @@ def test_dropped_checks_fail_only_with_a_kept_one(random_evolution):
         for tree in [random_beta_tree(seed, 4 + seed % 13, rate)]
         for beta in (tree, scrambled(tree, rng))
     ]
-    trees = [*pools[0], *pools[1], *pools[2], *corruptions, empty, *betas]
+    # each tree with whether it is a breakpoint tree or one of its corruptions
+    trees = [(tree, True) for tree in (*pools[0], *pools[1], *pools[2], *corruptions, empty)]
+    trees += [(tree, False) for tree in betas]
     failures = {name: [] for name in ("cycle", "walk", "chain", "sink", "edge", "sides")}
-    for tree in trees:
-        breakpoint_tree = isinstance(tree, TdTree)
+    for tree, breakpoint_tree in trees:
         validate = validate_structure if breakpoint_tree else validate_beta_tree
         passed = {c.name: c.passed for c in validate(tree).checks}
         if not passed.get("rooted-majors"):
@@ -728,30 +761,30 @@ def test_dropped_checks_fail_only_with_a_kept_one(random_evolution):
         for name, old_check in (("edge", old_minor_edge), ("sides", old_fence_major_sides)):
             if old_check(tree):
                 assert not passed["minor-recency"], tree
-                failures[name].append(tree)
+                failures[name].append((tree, breakpoint_tree))
         if breakpoint_tree and passed["minor-recency"]:
             walk = old_segment_walk(tree)
             assert bool(walk) == bool(reference_segment_failure(tree)), tree
-            failures["walk"] += [tree] if walk else []
+            failures["walk"] += [(tree, True)] if walk else []
         if not passed.get("fences"):
             continue  # where the old order-diagram check did not run
         if old_order_diagram(tree):
             assert not passed["minor-recency"], tree
-            failures["cycle"].append(tree)
+            failures["cycle"].append((tree, breakpoint_tree))
             continue
         if not breakpoint_tree:
             continue  # where the old chain checks did not run
         above = reachability(order_diagram(tree))
         if old_chain_order(tree, above):
             assert not passed["minor-recency"], tree
-            failures["chain"].append(tree)
+            failures["chain"].append((tree, True))
         if old_sources_and_sinks(tree, above):
             assert not passed["first-td-convention"], tree
-            failures["sink"].append(tree)
+            failures["sink"].append((tree, True))
     assert all(failures[name] for name in ("walk", "chain", "edge", "sides"))
-    assert any(tree is empty for tree in failures["sink"])
-    assert any(not isinstance(tree, TdTree) for tree in failures["edge"] + failures["sides"])
-    assert {isinstance(tree, TdTree) for tree in failures["cycle"]} == {True, False}
+    assert any(tree is empty for tree, _ in failures["sink"])
+    assert not all(kind for _, kind in failures["edge"] + failures["sides"])
+    assert {kind for _, kind in failures["cycle"]} == {True, False}
 
 
 def test_segment_connectivity_fails_alone():
@@ -833,10 +866,9 @@ def test_long_evolution_past_the_interned_ids():
     """300 empty duplications: ids past the interned table, chains 300 deep."""
     ev = WordEvolution(steps=((1, 0),) * 299)
     tree = build_2d_tree(ev)
-    assert tree.n == 300 and BreakpointId(300, B_SIDE) in tree.major_side
-    old, _ = reference_build_2d_tree(ev)
-    fields = ("n", "a_parent", "b_parent", "major_side", "fence_tds", "fences")
-    assert all(getattr(tree, f) == getattr(old, f) for f in fields)
+    assert BreakpointId(300, B_SIDE) in tree.major_side
+    assert json.loads(tree_to_json(tree))["n"] == 300
+    assert tree == reference_build_2d_tree(ev)[0]
     report = validate_structure(tree)
     assert report.ok and report == reference_validate_structure(tree)
     assert hasse_diagram(tree) == order_diagram(tree)
@@ -879,34 +911,29 @@ def test_beta_validator_matches_reference_on_random_trees():
 
 
 def _fence_reads(node, scope):
-    """``(scope, attribute)`` for each read of ``fences`` or ``fence_tds``
-    below ``node`` off anything but a major graph, which the package
-    always names ``graph``; ``scope`` is the dotted path of the enclosing
-    classes and functions."""
+    """The scope of each read of ``fences`` below ``node`` off anything but
+    a major graph, which the package always names ``graph``; ``scope`` is
+    the dotted path of the enclosing classes and functions."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{child.name}"
         elif (
             isinstance(child, ast.Attribute)
-            and child.attr in ("fences", "fence_tds")
+            and child.attr == "fences"
             and isinstance(child.ctx, ast.Load)
             and not (isinstance(child.value, ast.Name) and child.value.id == "graph")
         ):
-            yield scope, child.attr
+            yield scope
         yield from _fence_reads(child, inner)
 
 
 def test_only_the_fence_reader_reads_stored_fences():
-    """In the package, a tree's stored fences are read by ``_fences``,
-    which refuses a bad fence in the validators' words, and by
-    ``TdTree.__post_init__``, which derives them from ``fence_tds``;
-    every other reader takes its fences from ``_fences``."""
+    """In the package, a tree's stored fences are read by ``_fences`` only,
+    which refuses a bad fence in the validators' words; every other
+    reader takes its fences from it."""
     reads = set()
     for path in sorted(Path(tdspace.__file__).parent.glob("*.py")):
         module = ast.parse(path.read_text(encoding="utf-8"))
         reads.update(_fence_reads(module, path.stem))
-    assert reads == {
-        ("structure._fences", "fences"),
-        ("structure.TdTree.__post_init__", "fence_tds"),
-    }
+    assert reads == {"structure._fences"}
