@@ -27,8 +27,9 @@ dict-based forest count, so the two sides are computed independently.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, combinations_with_replacement, compress
 from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator
 
@@ -39,7 +40,7 @@ from .errors import (
     ValidationError,
     _fan_out,
 )
-from .extensions import ExtensionCount, _forest_count, count_extensions_formula
+from .extensions import ExtensionCount, _forest_count
 from .structure import (
     A_SIDE,
     B_SIDE,
@@ -54,8 +55,6 @@ from .structure import (
     _fences,
     _ids,
     _topological,
-    build_2d_tree,
-    major_graph,
     validate_beta_tree,
 )
 from .words import (
@@ -65,6 +64,7 @@ from .words import (
     Word,
     WordEvolution,
     _derive,
+    choices_for,
     enumerate_word_evolutions,
 )
 
@@ -481,32 +481,98 @@ def closed_form(n: int) -> int:
     return value
 
 
-def _sum_partition(n: int, prefix: tuple, deadline: Deadline) -> int:
-    total = 0
-    for ev in enumerate_word_evolutions(n, prefix=prefix):
+# A derivation's hook-length state is ``(parent, fenced)``: each node's major
+# parent as a position, ``k_a`` at ``2k`` and ``k_b`` at ``2k + 1``, after the
+# roots' unused entries; and its fenced TDs.  TD 1 hangs 1a on 0b, 1b on 0a.
+_FIRST_STATE = ((0, 0, 1, 0), (1,))
+
+
+def _segment_parent(word: Word, j: int) -> int:
+    """Major parent of a node on the segment after ``c_j``, ``c_0 = c_{m+1} = 0``
+    (:func:`build_2d_tree`): the left end's a if its TD is larger, else the right end's b."""
+    left = word[j - 1] if j else 0
+    right = word[j] if j < len(word) else 0
+    return 2 * left if left > right else 2 * right + 1
+
+
+def _hook_step(state: tuple, choice: tuple[int, int], word: Word) -> tuple:
+    """The state after ``choice``: ``k_a`` hangs on the segment after
+    ``c_{a-1}``, ``k_b`` on the one after ``c_b``, fenced when ``b = a - 1``."""
+    parent, fenced = state
+    a, b = choice
+    parent += (_segment_parent(word, a - 1), _segment_parent(word, b))
+    return parent, fenced + (len(parent) // 2 - 1,) if b == a - 1 else fenced
+
+
+def _hook_value(parent: tuple, fenced: tuple) -> int:
+    """The extension count of a state from its subtree sizes ``s``:
+    ``s_1a! s_1b! / ∏ s_v`` over the non-root nodes, times ``(C - 1) / C``,
+    ``C = C(s_ka + s_kb, s_ka)``, per fenced TD k, but ``C - 1`` for TD 1,
+    whose two trees merge under no parent."""
+    size = [1] * len(parent)
+    for v in range(len(parent) - 1, 1, -1):  # every parent sits before its child
+        size[parent[v]] += size[v]
+    num, den = factorial(size[2]) * factorial(size[3]), prod(size[2:])
+    for k in fenced:
+        x, y = size[2 * k], size[2 * k + 1]
+        c = comb(x + y, x)
+        num *= c - 1
+        den *= c
+    return num * comb(size[2] + size[3], size[2]) // den
+
+
+def _hook_count(ev: WordEvolution) -> int:
+    """``count_extensions_formula(major_graph(build_2d_tree(ev))).value`` in integers."""
+    state = _FIRST_STATE
+    for choice, word in zip(ev.steps, ev.words):
+        state = _hook_step(state, choice, word)
+    return _hook_value(*state)
+
+
+def _word_sum(n: int, prefix: tuple, deadline: Deadline) -> int:
+    """Σ counts of the ``n``-TD derivations that extend ``prefix``, valued
+    in groups per parent of the last level: its step ``(a, b)`` hangs the new
+    a and b on segments ``a - 1 <= b``, and the leaves swapped give the same
+    sizes.  With ``cnt[x]`` segments under ``x``, the unfenced steps take
+    ``cnt[x] cnt[y]`` (``C(cnt[x], 2)`` for ``x = y``) times a value
+    ``V(x, y)``, the ``cnt[x]`` fenced ones ``V(x, x) / 2`` each: half of
+    ``Σ cnt[x] cnt[y] V(x, y)`` over ordered pairs."""
+    base = WordEvolution(steps=prefix)
+    if base.n == n:  # n = 1, or a part of n = 3
+        return _hook_count(base)
+
+    def follow(depth: int, word: Word) -> Iterable[DupChoice]:  # the prefix, then every step
+        return base.steps[depth - 1 : depth] if depth < base.n else choices_for(word)
+
+    twice = 0
+    for ev, (parent, fenced) in _derive((), (FIRST_WORD,), n - 1, follow, _hook_step, _FIRST_STATE):
         deadline.check()
-        total += count_extensions_formula(major_graph(build_2d_tree(ev))).value
-    return total
+        word = ev.words[-1]
+        cnt = Counter(_segment_parent(word, j) for j in range(len(word) + 1))
+        for x, y in combinations_with_replacement(cnt, 2):
+            twice += cnt[x] * cnt[y] * (1 + (x != y)) * _hook_value(parent + (x, y), fenced)
+    return twice // 2
 
 
 def total_evolutions_via_words(
-    n: int,
-    workers: int = 1,
-    deadline: Deadline | None = None,
+    n: int, workers: int = 1, deadline: Deadline | None = None, max_n: int = DEFAULT_MAX_N
 ) -> int:
     """Evolution total summed word by word: Σ extensions of each tree.
 
-    This is the enumeration route the closed form is checked against.
-    One worker sums in this process; more split the word-evolution stream
-    by its first two steps, one process per part at most.  Partial sums
-    are independent, so worker count never changes the result.
-    ``deadline`` is checked before each evolution, in every worker, and
-    raises :class:`BudgetExceededError`.
+    This is the enumeration route the closed form is checked against; it
+    values the last level per parent, by :func:`_word_sum`.  One worker
+    sums in this process; more split the derivations by their first two
+    steps, one process per part at most.  Partial sums are independent,
+    so worker count never changes the result.  ``deadline``, checked once
+    per last-level parent in every worker, and ``n > max_n`` raise
+    :class:`BudgetExceededError`.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
+    if n > max_n:
+        raise BudgetExceededError(f"enumeration of {n} TDs exceeds the budget of {max_n}")
     deadline = deadline if deadline is not None else Deadline(None)
     prefixes: list[tuple] = [()]
     if workers > 1 and n >= 3:
         prefixes = [tuple(ev.steps) for ev in enumerate_word_evolutions(3)]
-    return sum(_fan_out(_sum_partition, [(n, p, deadline) for p in prefixes], workers))
+    return sum(_fan_out(_word_sum, [(n, p, deadline) for p in prefixes], workers))

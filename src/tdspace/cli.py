@@ -21,12 +21,14 @@ import itertools
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .beta import (
     SUBTREE_NODE_BUDGET,
     BetaTree,
+    _hook_count,
     _induction_factor,
     closed_form,
     induced_evolutions,
@@ -223,9 +225,7 @@ def cmd_words(cfg: argparse.Namespace) -> Result:
     if cfg.recursion or not cfg.enumerate_:
         routes["recursion"] = word_count_row(n)
     if cfg.enumerate_:
-        counts: dict[int, int] = {}
-        for w in distinct_words(n, max_n=_depth_cap(cfg, n, ENUMERATION_MAX_N)):
-            counts[len(w)] = counts.get(len(w), 0) + 1
+        counts = Counter(map(len, distinct_words(n, max_n=_depth_cap(cfg, n, ENUMERATION_MAX_N))))
         routes["enumeration"] = dict(sorted(counts.items()))
     agree = all(row == next(iter(routes.values())) for row in routes.values())
     totals = {route: sum(row.values()) for route, row in routes.items()}
@@ -412,12 +412,8 @@ def _random_sweep(
 def _fiber(ev: WordEvolution, max_n: int) -> tuple[list[tuple[WordEvolution, int]], int, int]:
     """The one-step fiber over ``ev`` with each member's extension count,
     then ``ev``'s own count and the fiber sum the recurrence predicts."""
-
-    def count(e: WordEvolution) -> int:
-        return count_extensions_formula(major_graph(build_2d_tree(e))).value
-
-    members = [(e2, count(e2)) for e2 in induced_evolutions(ev, max_n=max_n)]
-    base_count = count(ev)
+    members = [(e2, _hook_count(e2)) for e2 in induced_evolutions(ev, max_n=max_n)]
+    base_count = _hook_count(ev)
     return members, base_count, base_count * _induction_factor(ev.n)
 
 

@@ -139,11 +139,13 @@ def build_2d_tree(ev: WordEvolution) -> BetaTree:
 
 def _edges(tree: BetaTree) -> list[tuple[BreakpointId, BreakpointId, BreakpointId, BreakpointId]]:
     """The rows ``(node, a_parent, b_parent, major_parent)``, sorted by node;
-    :class:`ValidationError` for the first node missing parental data, with
-    a major side other than a or b, or with mistyped or outside parents."""
+    :class:`ValidationError` for the first node that is a root, lacks parental
+    data, has a major side other than a or b, or has mistyped or outside parents."""
     nodes, a_parent, b_parent = tree.major_side, tree.a_parent, tree.b_parent
-    rows = []
-    for v in sorted({*nodes, *a_parent, *b_parent}):
+    rows, keys = [], {*nodes, *a_parent, *b_parent}
+    if ROOT_A in keys or ROOT_B in keys:
+        raise ValidationError(f"root {min(keys & {ROOT_A, ROOT_B})} has parental data")
+    for v in sorted(keys):
         pa, pb = a_parent.get(v), b_parent.get(v)
         if pa is None or pb is None or v not in nodes:
             raise ValidationError(f"{v} missing parental data")

@@ -133,22 +133,28 @@ def _evolution_unchecked(steps: tuple[DupChoice, ...], words: tuple[Word, ...]) 
     return ev
 
 
-def _derive(steps: tuple, words: tuple, n: int, choices: Callable) -> Iterator[WordEvolution]:
+def _derive(
+    steps: tuple, words: tuple, n: int, choices: Callable, fold: Callable | None = None, state=None
+) -> Iterator:
     """Yield every derivation of ``n`` TDs that extends ``steps``/``words``.
 
     On word ``depth`` (1-based, the last of ``words`` so far) the walk
     takes the steps ``choices(depth, word)`` in the order given, each
     with every derivation below it before the next.  The choices come
-    from :func:`choices_for` or the fiber rule, so each is valid on its
-    word and is stepped by the unchecked :func:`_step`, as
+    from :func:`choices_for`, a prefix or the fiber rule, so each is
+    valid on its word and is stepped by the unchecked :func:`_step`, as
     ``W(1:b) + n + W(a:end)``; only the replay of a given prefix checks.
+    A ``fold`` carries ``state`` down the walk, as ``fold(state, choice,
+    word)`` per step, and the walk then yields ``(evolution, state)``.
     """
     if len(words) == n:
-        yield _evolution_unchecked(steps, words)
+        ev = _evolution_unchecked(steps, words)
+        yield ev if fold is None else (ev, state)
         return
     depth, word = len(words), words[-1]
     for c in choices(depth, word):
-        yield from _derive(steps + (c,), words + (_step(word, c, depth + 1),), n, choices)
+        child = (steps + (c,), words + (_step(word, c, depth + 1),), n, choices)
+        yield from _derive(*child) if fold is None else _derive(*child, fold, fold(state, c, word))
 
 
 def enumerate_word_evolutions(

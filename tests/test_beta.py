@@ -46,10 +46,23 @@ from tdspace import (
     validate_beta_tree,
     validate_structure,
 )
-from tdspace.beta import SUBTREE_NODE_BUDGET
+from tdspace.beta import (
+    SUBTREE_NODE_BUDGET,
+    _FIRST_STATE,
+    _hook_count,
+    _hook_step,
+    _word_sum,
+)
 from tdspace.errors import Deadline
 from tdspace.structure import _topological
-from tdspace.words import DEFAULT_MAX_N, _evolution_unchecked, choices_for, td_step
+from tdspace.words import (
+    DEFAULT_MAX_N,
+    FIRST_WORD,
+    _derive,
+    _evolution_unchecked,
+    choices_for,
+    td_step,
+)
 
 FIRST = WordEvolution(steps=())
 EV_PRIME = WordEvolution(steps=((2, 1), (1, 2), (1, 1), (4, 5)))
@@ -513,6 +526,35 @@ def test_every_reader_refuses_a_fence_that_is_not_a_pair(
             PARENTAL_READERS[reader](broken)
 
 
+#: Each root keyed as a node: alone, and beside the 540 tree's nodes.
+ROOTS_AS_NODES = {
+    "0a alone": (lambda _tree: BetaTree(
+        {ROOT_A: ROOT_A}, {ROOT_A: ROOT_B}, {ROOT_A: A_SIDE}, frozenset()
+    ), "0a"),
+    "0b in the 540 tree": (lambda tree: replace(
+        tree,
+        a_parent={**tree.a_parent, ROOT_B: ROOT_A},
+        b_parent={**tree.b_parent, ROOT_B: ROOT_B},
+        major_side={**tree.major_side, ROOT_B: B_SIDE},
+    ), "0b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROOTS_AS_NODES))
+@pytest.mark.parametrize("reader", sorted(PARENTAL_READERS))
+def test_every_reader_refuses_a_root_given_parents(reader, case, ev_540):
+    """A root keyed as a node once passed parental-edges: ``major_graph``
+    hung 0a on itself, ``tree_to_json`` listed 0a twice and
+    ``hasse_diagram`` raised ``MalformedGraphError``."""
+    make, root = ROOTS_AS_NODES[case]
+    broken = make(build_2d_tree(ev_540))
+    message = f"root {root} has parental data"
+    failures = validate_beta_tree(broken).failures()
+    assert [(c.name, c.details) for c in failures] == [("parental-edges", message)]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        PARENTAL_READERS[reader](broken)
+
+
 def test_both_routes_refuse_a_fence_off_shared_parents(ev_540):
     """With TD 2 of the 540 tree fenced, though its breakpoints sit on
     different segments, the oracle once counted 705 and the formula raised
@@ -945,22 +987,78 @@ def test_closed_form_values():
         closed_form(-1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_totals_match_closed_form(n):
     assert total_evolutions_via_words(n) == closed_form(n)
 
 
 def test_totals_worker_partition_is_exact():
     assert total_evolutions_via_words(4, workers=2) == closed_form(4)
+    assert total_evolutions_via_words(5, workers=2) == total_evolutions_via_words(5, workers=1)
+
+
+def test_totals_keep_the_depth_budget():
+    with pytest.raises(BudgetExceededError, match="budget of 6"):
+        total_evolutions_via_words(7)
+    with pytest.raises(BudgetExceededError, match="budget of 4"):
+        total_evolutions_via_words(5, max_n=4)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_totals_stop_at_the_deadline(workers):
     start = time.monotonic()
     with pytest.raises(BudgetExceededError, match="time limit"):
-        total_evolutions_via_words(5, workers=workers, deadline=Deadline(0.05))
+        total_evolutions_via_words(6, workers=workers, deadline=Deadline(0.05))
     assert time.monotonic() - start < 1
     assert total_evolutions_via_words(3, workers=workers, deadline=Deadline(None)) == 627
+
+
+def _sum_partition(n, prefix, deadline):
+    """The per-leaf reference of the word sum: every derivation's tree,
+    major graph and formula, with the deadline checked before each."""
+    total = 0
+    for ev in enumerate_word_evolutions(n, prefix=prefix):
+        deadline.check()
+        total += count_extensions_formula(major_graph(build_2d_tree(ev))).value
+    return total
+
+
+def position(node):
+    """A node's place in the hook-length state: ``k_a`` at 2k, ``k_b`` at 2k + 1."""
+    return 2 * node.td + (node.side == B_SIDE)
+
+
+def test_the_hook_count_is_the_formula_up_to_5():
+    checked = 0
+    for n in range(1, 6):
+        for ev in enumerate_word_evolutions(n):
+            checked += 1
+            assert _hook_count(ev) == count_extensions_formula(major_graph(build_2d_tree(ev))).value
+    assert checked == 15718
+
+
+def test_the_walk_carries_each_derivations_major_forest():
+    """The state the walk folds down to each derivation holds its tree's
+    major parents by position and its fenced TDs."""
+    every = lambda _depth, word: choices_for(word)  # noqa: E731
+    for n in range(1, 6):
+        walked = list(_derive((), (FIRST_WORD,), n, every, _hook_step, _FIRST_STATE))
+        assert [ev for ev, _ in walked] == list(enumerate_word_evolutions(n))
+        for ev, (parent, fenced) in walked:
+            graph = major_graph(build_2d_tree(ev))
+            assert {v: parent[position(v)] for v in graph.parent} == {
+                v: position(p) for v, p in graph.parent.items()
+            }
+            assert fenced == tuple(x.td for x, _ in sorted(graph.fences) if x.td > 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_grouped_sums_match_the_per_leaf_reference(n):
+    """Every prefix of fewer than n steps for n <= 4, every 3-step prefix for n = 5."""
+    none = Deadline(None)
+    for k in range(n) if n <= 4 else (3,):
+        for base in enumerate_word_evolutions(k + 1):
+            assert _word_sum(n, base.steps, none) == _sum_partition(n, base.steps, none)
 
 
 def test_fiber_sums_follow_the_recurrence():
