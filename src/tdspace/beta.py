@@ -504,14 +504,19 @@ def _hook_step(state: tuple, choice: tuple[int, int], word: Word) -> tuple:
     return parent, fenced + (len(parent) // 2 - 1,) if b == a - 1 else fenced
 
 
-def _hook_value(parent: tuple, fenced: tuple) -> int:
+def _hook_sizes(parent: tuple) -> list[int]:
+    """Subtree size of each position of a major forest."""
+    size = [1] * len(parent)
+    for v in range(len(parent) - 1, 1, -1):  # every parent sits before its child
+        size[parent[v]] += size[v]
+    return size
+
+
+def _hook_value(size: list[int], fenced: tuple) -> int:
     """The extension count of a state from its subtree sizes ``s``:
     ``s_1a! s_1b! / ∏ s_v`` over the non-root nodes, times ``(C - 1) / C``,
     ``C = C(s_ka + s_kb, s_ka)``, per fenced TD k, but ``C - 1`` for TD 1,
     whose two trees merge under no parent."""
-    size = [1] * len(parent)
-    for v in range(len(parent) - 1, 1, -1):  # every parent sits before its child
-        size[parent[v]] += size[v]
     num, den = factorial(size[2]) * factorial(size[3]), prod(size[2:])
     for k in fenced:
         x, y = size[2 * k], size[2 * k + 1]
@@ -526,7 +531,8 @@ def _hook_count(ev: WordEvolution) -> int:
     state = _FIRST_STATE
     for choice, word in zip(ev.steps, ev.words):
         state = _hook_step(state, choice, word)
-    return _hook_value(*state)
+    parent, fenced = state
+    return _hook_value(_hook_sizes(parent), fenced)
 
 
 def _word_sum(n: int, prefix: tuple, deadline: Deadline) -> int:
@@ -536,7 +542,8 @@ def _word_sum(n: int, prefix: tuple, deadline: Deadline) -> int:
     sizes.  With ``cnt[x]`` segments under ``x``, the unfenced steps take
     ``cnt[x] cnt[y]`` (``C(cnt[x], 2)`` for ``x = y``) times a value
     ``V(x, y)``, the ``cnt[x]`` fenced ones ``V(x, x) / 2`` each: half of
-    ``Σ cnt[x] cnt[y] V(x, y)`` over ordered pairs."""
+    ``Σ cnt[x] cnt[y] V(x, y)`` over ordered pairs.  A group's sizes are
+    the parent's plus one along the ancestor chains of x and y."""
     base = WordEvolution(steps=prefix)
     if base.n == n:  # n = 1, or a part of n = 3
         return _hook_count(base)
@@ -549,8 +556,15 @@ def _word_sum(n: int, prefix: tuple, deadline: Deadline) -> int:
         deadline.check()
         word = ev.words[-1]
         cnt = Counter(_segment_parent(word, j) for j in range(len(word) + 1))
+        sizes = _hook_sizes(parent) + [1, 1]
+        up = [(), ()]  # each position's non-root ancestors, itself first
+        for v in range(2, len(parent)):
+            up.append((v, *up[parent[v]]))
         for x, y in combinations_with_replacement(cnt, 2):
-            twice += cnt[x] * cnt[y] * (1 + (x != y)) * _hook_value(parent + (x, y), fenced)
+            size = sizes.copy()
+            for v in up[x] + up[y]:
+                size[v] += 1
+            twice += cnt[x] * cnt[y] * (1 + (x != y)) * _hook_value(size, fenced)
     return twice // 2
 
 

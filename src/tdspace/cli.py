@@ -181,8 +181,9 @@ class Result:
     ``json`` is the JSON document (an export passes its JSON text as
     is), ``text`` the lines of the text or DOT form and ``csv`` the
     header and rows where the command offers CSV.  ``words``, whose rows
-    grow as 2^n, generates its lines and rows as they are written and
-    builds its JSON document only for JSON.  A failed cross-check exits 3
+    grow as 2^n, and ``induce`` generate their lines and rows as they are
+    written; they and ``export`` build their JSON document only for JSON,
+    and ``export`` its DOT lines only for DOT.  A failed cross-check exits 3
     and prints ``error``, if any, on stderr after the output.
     """
 
@@ -504,14 +505,14 @@ def cmd_verify(cfg: argparse.Namespace) -> Result:
 def cmd_export(cfg: argparse.Namespace) -> Result:
     tree = build_2d_tree(_load_evolution(cfg.evolution))
     if cfg.what == "tree":
-        dot, doc = tree_to_dot(tree), tree_to_json(tree)
+        subject, to_dot, to_json = tree, tree_to_dot, tree_to_json
     elif cfg.what == "hasse":
-        diagram = hasse_diagram(tree)
-        dot, doc = hasse_to_dot(diagram), hasse_to_json(diagram)
+        subject, to_dot, to_json = hasse_diagram(tree), hasse_to_dot, hasse_to_json
     else:
-        graph = major_graph(tree)
-        dot, doc = major_to_dot(graph), major_to_json(graph)
-    return Result(json=doc, text=dot.split("\n"))
+        subject, to_dot, to_json = major_graph(tree), major_to_dot, major_to_json
+    if cfg.fmt == "json":
+        return Result(json=to_json(subject), text=())
+    return Result(json=None, text=to_dot(subject).split("\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -528,15 +529,17 @@ def cmd_induce(cfg: argparse.Namespace) -> Result:
         entries.append((e2, word_to_text(e2.terminal_word), labels, value))
     fiber_sum = sum(value for _, value in members)
 
-    text = [f"base {ev} (count {base_count})", f"fiber size {len(entries)}"]
-    text += (
-        f"  {format_evolution(e2)}  word {word}  nodeset {','.join(labels)}  count {value}"
-        for e2, word, labels, value in entries
-    )
-    verdict = "matches" if fiber_sum == predicted else "MISMATCH"
-    text.append(f"fiber sum {fiber_sum} = {base_count} * {_induction_factor(ev.n)} [{verdict}]")
-    return Result(
-        json={
+    def text() -> Iterator[str]:
+        yield f"base {ev} (count {base_count})"
+        yield f"fiber size {len(entries)}"
+        for e2, word, labels, value in entries:
+            yield f"  {format_evolution(e2)}  word {word}  nodeset {','.join(labels)}  count {value}"
+        verdict = "matches" if fiber_sum == predicted else "MISMATCH"
+        yield f"fiber sum {fiber_sum} = {base_count} * {_induction_factor(ev.n)} [{verdict}]"
+
+    doc = None
+    if cfg.fmt == "json":
+        doc = {
             "command": "induce",
             "base": [[c.a, c.b] for c in ev.steps],
             "fiber": [
@@ -550,15 +553,15 @@ def cmd_induce(cfg: argparse.Namespace) -> Result:
             ],
             "fiber_sum": fiber_sum,
             "predicted": predicted,
-        },
-        text=text,
-        csv=(
-            ("steps", "word", "nodeset", "count"),
-            [
-                (format_evolution(e2).replace(",", ";"), word, " ".join(labels), value)
-                for e2, word, labels, value in entries
-            ],
-        ),
+        }
+    rows = (
+        (format_evolution(e2).replace(",", ";"), word, " ".join(labels), value)
+        for e2, word, labels, value in entries
+    )
+    return Result(
+        json=doc,
+        text=text(),
+        csv=(("steps", "word", "nodeset", "count"), rows),
         passed=fiber_sum == predicted,
         error="fiber sum disagrees with the one-step recurrence",
     )
@@ -602,12 +605,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+#: the subcommands, in the order the help lists them
+_COMMANDS = ("words", "count", "table", "verify", "export", "induce", "beta")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone if it is one:
+    an invocation parses one, and building all seven takes 1-2 ms."""
     parser = _Parser(
         prog="tdspace",
         description="Exact enumeration and counting of tandem-duplication evolutions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = (command,) if command in _COMMANDS else _COMMANDS
+    # usage lines name all seven; the full parser's errors say "argument command"
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def common(p: argparse.ArgumentParser, run: Callable, formats: Sequence[str]) -> None:
         p.add_argument("--format", choices=formats, default=formats[0], dest="fmt")
@@ -622,56 +634,66 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fence-rate", type=float, default=0.35, dest="fence_rate")
         p.add_argument("--node-budget", type=int, default=SUBTREE_NODE_BUDGET, dest="node_budget")
 
-    p = sub.add_parser("words", help="word counts per length, by recursion and/or enumeration")
-    p.add_argument("-n", type=int, default=6, help="number of TDs (default 6)")
-    p.add_argument("--recursion", action="store_true", help="use the exact recursion (default)")
-    p.add_argument("--enumerate", action="store_true", dest="enumerate_",
-                   help="enumerate distinct words (n <= 5 is fast)")
-    p.add_argument("--deep", action="store_true", help="lift the enumeration depth budget")
-    common(p, cmd_words, ("text", "csv", "json"))
+    if "words" in names:
+        p = sub.add_parser("words", help="word counts per length, by recursion and/or enumeration")
+        p.add_argument("-n", type=int, default=6, help="number of TDs (default 6)")
+        p.add_argument("--recursion", action="store_true", help="use the exact recursion (default)")
+        p.add_argument("--enumerate", action="store_true", dest="enumerate_",
+                       help="enumerate distinct words (n <= 5 is fast)")
+        p.add_argument("--deep", action="store_true", help="lift the enumeration depth budget")
+        common(p, cmd_words, ("text", "csv", "json"))
 
-    p = sub.add_parser("count", help="extension count of one evolution, with factor trace")
-    p.add_argument("evolution", help='file path, "-" for stdin, or inline {"steps": [[a,b], ...]}')
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check against the linear-extension oracle")
-    p.add_argument("--node-budget", type=int, default=BRUTEFORCE_NODE_BUDGET, dest="node_budget")
-    common(p, cmd_count, ("text", "json"))
+    if "count" in names:
+        p = sub.add_parser("count", help="extension count of one evolution, with factor trace")
+        p.add_argument("evolution",
+                       help='file path, "-" for stdin, or inline {"steps": [[a,b], ...]}')
+        p.add_argument("--oracle", action="store_true",
+                       help="cross-check against the linear-extension oracle")
+        p.add_argument("--node-budget", type=int, default=BRUTEFORCE_NODE_BUDGET,
+                       dest="node_budget")
+        common(p, cmd_count, ("text", "json"))
 
-    p = sub.add_parser("table", help="distinct words/CNVs/graphs/evolutions after n TDs")
-    p.add_argument("-n", type=int, default=4)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--deep", action="store_true", help="allow n=5 (long; consider TD_MAX_MEM)")
-    common(p, cmd_table, ("text", "csv", "json"))
+    if "table" in names:
+        p = sub.add_parser("table", help="distinct words/CNVs/graphs/evolutions after n TDs")
+        p.add_argument("-n", type=int, default=4)
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--deep", action="store_true", help="allow n=5 (long; consider TD_MAX_MEM)")
+        common(p, cmd_table, ("text", "csv", "json"))
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    p.add_argument("-n", type=int, default=4, help="depth bound (default 4)")
-    sweep(p, required=False)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--time-limit", type=float, default=None, dest="time_limit",
-                   help="seconds; exceeded sweeps exit with code 2")
-    p.add_argument("--deep", action="store_true")
-    common(p, cmd_verify, ("text", "json"))
+    if "verify" in names:
+        p = sub.add_parser("verify", help="run a verification suite")
+        p.add_argument("--suite", choices=sorted(_SUITES), required=True)
+        p.add_argument("-n", type=int, default=4, help="depth bound (default 4)")
+        sweep(p, required=False)
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--time-limit", type=float, default=None, dest="time_limit",
+                       help="seconds; exceeded sweeps exit with code 2")
+        p.add_argument("--deep", action="store_true")
+        common(p, cmd_verify, ("text", "json"))
 
-    p = sub.add_parser("export", help="evolution structures as DOT or JSON")
-    p.add_argument("evolution")
-    p.add_argument("--what", choices=("tree", "hasse", "major"), default="tree")
-    common(p, cmd_export, ("dot", "json"))
+    if "export" in names:
+        p = sub.add_parser("export", help="evolution structures as DOT or JSON")
+        p.add_argument("evolution")
+        p.add_argument("--what", choices=("tree", "hasse", "major"), default="tree")
+        common(p, cmd_export, ("dot", "json"))
 
-    p = sub.add_parser("induce", help="list the one-step fiber over an evolution")
-    p.add_argument("evolution")
-    p.add_argument("--deep", action="store_true", help="lift the default depth budget")
-    common(p, cmd_induce, ("text", "csv", "json"))
+    if "induce" in names:
+        p = sub.add_parser("induce", help="list the one-step fiber over an evolution")
+        p.add_argument("evolution")
+        p.add_argument("--deep", action="store_true", help="lift the default depth budget")
+        common(p, cmd_induce, ("text", "csv", "json"))
 
-    p = sub.add_parser("beta", help="kernel-identity sweep over random two-trees")
-    sweep(p, required=True)
-    common(p, cmd_beta, ("text", "json"))
+    if "beta" in names:
+        p = sub.add_parser("beta", help="kernel-identity sweep over random two-trees")
+        sweep(p, required=True)
+        common(p, cmd_beta, ("text", "json"))
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    cfg = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    cfg = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         _validate(cfg)
         result = cfg.run(cfg)

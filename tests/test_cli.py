@@ -582,3 +582,84 @@ def test_streamed_json_equals_the_joined_json(capsys, doc):
 def test_the_trailing_newline_rule_holds_across_batches(capsys):
     cli._emit(["x\n"] * cli._BATCH + [""], None)
     assert capsys.readouterr().out == "x\n" * cli._BATCH
+
+
+EV = '{"steps":[[1,1],[1,0],[2,3]]}'
+
+#: per command: a valid line, a bad option value, and a line that misses
+#: a required argument (an option's value where the command needs none)
+PARSER_LINES = {
+    "words": (["-n", "3"], ["-n", "x"], ["-n"]),
+    "count": ([EV], [EV, "--node-budget", "x"], []),
+    "table": (["-n", "2"], ["--format", "xml"], ["--workers"]),
+    "verify": (["--suite", "structure", "-n", "2"], ["--suite", "nope"], ["-n", "2"]),
+    "export": ([EV, "--what", "major"], [EV, "--what", "x"], []),
+    "induce": ([EV], [EV, "--format", "xml"], []),
+    "beta": (["--seed", "3", "--trees", "4"], ["--seed", "x"], ["--trees", "4"]),
+}
+
+
+def outcome(capsys, argv):
+    """Exit code, or ``SystemExit`` code, with stdout and stderr."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def subcommands(parser):
+    (sub,) = (a for a in parser._actions if a.dest == "command")
+    return list(sub.choices)
+
+
+def recorded_builds(monkeypatch):
+    """The subcommands of each parser that ``main`` builds from now on."""
+    built, build = [], cli._build_parser
+
+    def spy(command=None):
+        parser = build(command)
+        built.append(subcommands(parser))
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    return built
+
+
+@pytest.mark.parametrize("command", list(PARSER_LINES))
+def test_the_one_command_parser_behaves_like_the_full_one(capsys, monkeypatch, command):
+    valid, bad_value, missing = PARSER_LINES[command]
+    lines = [valid, ["-h"], [*valid, "--bogus"], bad_value, missing, [*valid, "extra"]]
+    build = cli._build_parser
+    built = recorded_builds(monkeypatch)
+    one = [outcome(capsys, [command, *line]) for line in lines]
+    assert built == [[command]] * len(lines)
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
+    assert [outcome(capsys, [command, *line]) for line in lines] == one
+    assert one[0][0] == 0 and one[1][0] == ("SystemExit", 0)
+    assert all(code == ("SystemExit", 1) for code, _, _ in one[2:])
+    # a usage error names all seven commands, as the full parser does
+    assert "{words,count,table,verify,export,induce,beta}" in one[2][2]
+
+
+@pytest.mark.parametrize(
+    "argv,code,says",
+    [
+        ([], 1, "error: the following arguments are required: command\n"),
+        (["-h"], 0, "{words,count,table,verify,export,induce,beta}\n"),
+        (["frobnicate"], 1, "error: argument command: invalid choice: 'frobnicate'"),
+    ],
+)
+def test_no_known_command_goes_through_the_full_parser(capsys, monkeypatch, argv, code, says):
+    built = recorded_builds(monkeypatch)
+    exit_code, out, err = outcome(capsys, argv)
+    assert built == [list(PARSER_LINES)]
+    assert exit_code == ("SystemExit", code)
+    assert says in out + err
+
+
+def test_main_without_argv_reads_the_command_line(capsys, monkeypatch):
+    expected = outcome(capsys, ["words", "-n", "3"])
+    monkeypatch.setattr(sys, "argv", ["tdspace", "words", "-n", "3"])
+    assert outcome(capsys, None) == expected
