@@ -69,6 +69,7 @@ from .words import (
 )
 
 SUBTREE_NODE_BUDGET = 20
+FENCE_RATE = 0.35
 
 #: A one-nodeset or beta-subtree is just a set of breakpoint nodes.
 NodeSet = frozenset[BreakpointId]
@@ -410,7 +411,7 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
 # Random beta trees (coverage generator for the kernel property test)
 
 
-def random_beta_tree(seed: int, size: int, fence_rate: float = 0.35) -> BetaTree:
+def random_beta_tree(seed: int, size: int, fence_rate: float = FENCE_RATE) -> BetaTree:
     """Grow a valid beta tree of ``size`` nodes, deterministically per seed.
 
     Valid parent pairs are anchored: besides the root pair, each node
@@ -483,16 +484,14 @@ def closed_form(n: int) -> int:
 
 # A derivation's hook-length state is ``(parent, fenced)``: each node's major
 # parent as a position, ``k_a`` at ``2k`` and ``k_b`` at ``2k + 1``, after the
-# roots' unused entries; and its fenced TDs.  TD 1 hangs 1a on 0b, 1b on 0a.
-_FIRST_STATE = ((0, 0, 1, 0), (1,))
-
-
-def _segment_parent(word: Word, j: int) -> int:
+# roots' unused entries; and its fenced TDs.
+def _segment_parent(word: Word, j: int, own: int = 0) -> int:
     """Major parent of a node on the segment after ``c_j``, ``c_0 = c_{m+1} = 0``
-    (:func:`build_2d_tree`): the left end's a if its TD is larger, else the right end's b."""
+    (:func:`build_2d_tree`): the end of the node's own side, a (``own = 0``) or
+    b (``own = 1``), if that end's TD is the larger, else the other end."""
     left = word[j - 1] if j else 0
     right = word[j] if j < len(word) else 0
-    return 2 * left if left > right else 2 * right + 1
+    return 2 * left if left + own > right else 2 * right + 1
 
 
 def _hook_step(state: tuple, choice: tuple[int, int], word: Word) -> tuple:
@@ -500,8 +499,11 @@ def _hook_step(state: tuple, choice: tuple[int, int], word: Word) -> tuple:
     ``c_{a-1}``, ``k_b`` on the one after ``c_b``, fenced when ``b = a - 1``."""
     parent, fenced = state
     a, b = choice
-    parent += (_segment_parent(word, a - 1), _segment_parent(word, b))
+    parent += (_segment_parent(word, a - 1), _segment_parent(word, b, 1))
     return parent, fenced + (len(parent) // 2 - 1,) if b == a - 1 else fenced
+
+
+_FIRST_STATE = _hook_step(((0, 0), ()), (1, 0), ())  # TD 1: (1, 0) on the empty word
 
 
 def _hook_sizes(parent: tuple) -> list[int]:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .beta import (
+    FENCE_RATE,
     SUBTREE_NODE_BUDGET,
     BetaTree,
     _hook_count,
@@ -631,12 +632,12 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, required=required, help="seed for the random portions")
         p.add_argument("--trees", type=int, default=200, help="random trees in the kernel sweep")
         p.add_argument("--size", type=int, default=12, help="max random-tree size")
-        p.add_argument("--fence-rate", type=float, default=0.35, dest="fence_rate")
+        p.add_argument("--fence-rate", type=float, default=FENCE_RATE, dest="fence_rate")
         p.add_argument("--node-budget", type=int, default=SUBTREE_NODE_BUDGET, dest="node_budget")
 
     if "words" in names:
         p = sub.add_parser("words", help="word counts per length, by recursion and/or enumeration")
-        p.add_argument("-n", type=int, default=6, help="number of TDs (default 6)")
+        p.add_argument("-n", type=int, default=6, help="number of TDs (default %(default)s)")
         p.add_argument("--recursion", action="store_true", help="use the exact recursion (default)")
         p.add_argument("--enumerate", action="store_true", dest="enumerate_",
                        help="enumerate distinct words (n <= 5 is fast)")
@@ -663,7 +664,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if "verify" in names:
         p = sub.add_parser("verify", help="run a verification suite")
         p.add_argument("--suite", choices=sorted(_SUITES), required=True)
-        p.add_argument("-n", type=int, default=4, help="depth bound (default 4)")
+        p.add_argument("-n", type=int, default=4, help="depth bound (default %(default)s)")
         sweep(p, required=False)
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--time-limit", type=float, default=None, dest="time_limit",

@@ -13,9 +13,9 @@ breakpoint lands inside one genome segment ``[u_a, v_b]`` bounded by the
 connections written next to it in the word, and inherits two parental
 edges: a type-a edge from ``u_a`` and a type-b edge from ``v_b``.  The
 edge from the parent with the larger TD number is *major*, the other
-*minor*; a TD whose two breakpoints share a segment ties them with a
-*fence*.  The first TD is the one ambiguous case and follows a fixed
-convention (``1_a`` major from ``0_b``, ``1_b`` major from ``0_a``).
+*minor*, and a tie (TD 1, step ``(1, 0)`` on the initial segment
+``[0_a, 0_b]``) goes to the parent of the other type; a TD whose two
+breakpoints share a segment ties them with a *fence*.
 
 The resulting double tree orders the breakpoints along the reference:
 keeping type-a edges, reversing type-b edges and directing fences
@@ -106,34 +106,24 @@ class BetaTree:
 def build_2d_tree(ev: WordEvolution) -> BetaTree:
     """Construct the breakpoint double tree of a word evolution.
 
-    Step ``(a, b)`` on a word ``c_1 .. c_m`` (``c_0 = c_{m+1} = 0``) hangs
-    ``k_a`` on segment ``[(c_{a-1})_a, (c_a)_b]`` and ``k_b`` on
-    ``[(c_b)_a, (c_{b+1})_b]``, and adds exactly two segments,
-    ``[(c_b)_a, k_b]`` and ``[k_a, (c_a)_b]``; no segment ever leaves.
-    Those are ``[a_parent(k_b), k_b]`` and ``[k_a, b_parent(k_a)]``, so
-    the parents record every segment but the initial ``[0_a, 0_b]``.
+    Step ``(a, b)`` on a word ``c_1 .. c_m`` (``c_0 = c_{m+1} = 0``; TD 1 is
+    ``(1, 0)`` on the empty word) hangs ``k_a`` on ``[(c_{a-1})_a, (c_a)_b]``
+    and ``k_b`` on ``[(c_b)_a, (c_{b+1})_b]``, each major on the end of its
+    own type only if that end's TD is the larger.  It adds exactly two
+    segments, ``[(c_b)_a, k_b]`` and ``[k_a, (c_a)_b]``, and no segment ever
+    leaves; those are ``[a_parent(k_b), k_b]`` and ``[k_a, b_parent(k_a)]``,
+    so the parents record every segment but the initial ``[0_a, 0_b]``.
     """
     ida, idb = _ids(A_SIDE, ev.n), _ids(B_SIDE, ev.n)
-    # First TD: both breakpoints on the initial interval; fixed convention.
-    a_parent = {ida[1]: ROOT_A, idb[1]: ROOT_A}
-    b_parent = {ida[1]: ROOT_B, idb[1]: ROOT_B}
-    major_side = {ida[1]: B_SIDE, idb[1]: A_SIDE}
-    fences = [(ida[1], idb[1])]
-
-    def attach(node: BreakpointId, left: int, right: int) -> None:
-        if left == right:
-            raise ValidationError(f"segment {ida[left]}..{idb[right]} has equal endpoint TDs")
-        a_parent[node] = ida[left]
-        b_parent[node] = idb[right]
-        major_side[node] = A_SIDE if left > right else B_SIDE
-
-    for k, ((a, b), word) in enumerate(zip(ev.steps, ev.words), start=2):
-        m = len(word)
-        attach(ida[k], word[a - 2] if a > 1 else 0, word[a - 1] if a <= m else 0)
-        attach(idb[k], word[b - 1] if b else 0, word[b] if b < m else 0)
+    a_parent, b_parent, major_side, fences = {}, {}, {}, []
+    for k, ((a, b), word) in enumerate(zip(((1, 0), *ev.steps), ((), *ev.words)), start=1):
+        c, ka, kb = (0, *word, 0), ida[k], idb[k]
+        a_parent[ka], b_parent[ka] = ida[c[a - 1]], idb[c[a]]
+        a_parent[kb], b_parent[kb] = ida[c[b]], idb[c[b + 1]]
+        major_side[ka] = A_SIDE if c[a - 1] > c[a] else B_SIDE
+        major_side[kb] = B_SIDE if c[b + 1] > c[b] else A_SIDE
         if b == a - 1:
-            fences.append((ida[k], idb[k]))
-
+            fences.append((ka, kb))
     return BetaTree(a_parent, b_parent, major_side, frozenset(fences))
 
 
@@ -363,15 +353,17 @@ def validate_structure(tree: BetaTree) -> StructureReport:
 
     Checks, in report order: the four of :func:`validate_beta_tree`
     (a failure of any but minor-recency ends the report),
-    first-td-convention and segment-connectivity: each breakpoint hangs
-    on a segment bounded by connections of earlier TDs (see
-    :func:`build_2d_tree`), so both parents of a node come from earlier
-    TDs, and a node on the two roots is major on the root of the other
-    side.  By rooted-majors and minor-recency every parent is a major
-    ancestor, so this rule agrees with walking each segment's major
-    chain.  Five invariants need no check, as they fail only with one
+    first-td-convention (1a and 1b are fenced) and segment-connectivity:
+    each breakpoint hangs on a segment bounded by connections of earlier
+    TDs (see :func:`build_2d_tree`), so both parents of a node come from
+    earlier TDs, and a node on the two roots is major on the root of the
+    other side.  By rooted-majors and minor-recency every parent is a
+    major ancestor, so this rule agrees with walking each segment's major
+    chain.  Six invariants need no check, as they fail only with one
     above:
 
+    - TD 1's parents and major sides: the fenced 1a and 1b share both
+      parents, which segment-connectivity puts on the roots.
     - The order diagram is acyclic.  Insert the nodes parents first, each
       a-node just after its a-parent and each b-node just before its
       b-parent: minor-recency puts every node's a-parent left of its
@@ -384,9 +376,9 @@ def validate_structure(tree: BetaTree) -> StructureReport:
       edge of k's, which only a cycle breaks.
     - Sources and sinks: every non-root node has an edge in, from its
       a-parent, and one out, to its b-parent; as parents are typed and
-      fences run from a to b, 0a has no edge in and 0b none out.  The
-      first-TD convention hangs 1a on 0a and 1b on 0b, so where it
-      passes the one source is 0a and the one sink 0b.
+      fences run from a to b, 0a has no edge in and 0b none out.  Where
+      first-td-convention and segment-connectivity pass, 1a hangs on 0a
+      and 1b on 0b, so the one source is 0a and the one sink 0b.
     - A segment's minor edge: where nodes of the upper end hi's type sit
       between the ends on hi's major chain, the lower end is the first
       opposite-type node above hi's major parent, hi's minor parent by
@@ -402,14 +394,7 @@ def validate_structure(tree: BetaTree) -> StructureReport:
         return report
     rows, fences = checked
 
-    # First-TD convention.
-    ok = (
-        tree.major_side.get(_ONE_A) == B_SIDE
-        and tree.major_side.get(_ONE_B) == A_SIDE
-        and tree.a_parent.get(_ONE_A) == ROOT_A
-        and tree.b_parent.get(_ONE_B) == ROOT_B
-        and (_ONE_A, _ONE_B) in fences
-    )
+    ok = (_ONE_A, _ONE_B) in fences
     report.add("first-td-convention", ok, "" if ok else "TD 1 breaks the root convention")
 
     ok, details = True, ""

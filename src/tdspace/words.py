@@ -164,10 +164,10 @@ def enumerate_word_evolutions(
 ) -> Iterator[WordEvolution]:
     """Yield every derivation with ``n`` TDs, in lexicographic step order.
 
-    ``prefix`` restricts the stream to derivations extending the given
-    choice sequence, which is how sweeps are partitioned across workers.
-    Enumeration beyond ``max_n`` raises :class:`BudgetExceededError`
-    (the level sizes grow faster than exponentially).
+    ``prefix``, a choice sequence replayed with its checks, restricts the
+    stream to the derivations that extend it.  Enumeration beyond
+    ``max_n`` raises :class:`BudgetExceededError` (the level sizes grow
+    faster than exponentially).
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")

@@ -1037,9 +1037,26 @@ def test_the_hook_count_is_the_formula_up_to_5():
     assert checked == 15718
 
 
+def test_kernel_sums_are_the_derivation_count_up_to_4():
+    """On a breakpoint tree both sides of every kernel entry equal the
+    tree's extension count: the contracted right-hand side already counts
+    the ways 1a and 1b interleave."""
+    checked = 0
+    for n in range(1, 5):
+        for ev in enumerate_word_evolutions(n):
+            tree = build_2d_tree(ev)
+            value = count_extensions_formula(major_graph(tree)).value
+            profile = kernel_profile(tree)
+            assert profile and all(c.lhs == c.rhs == value for c in profile), str(ev)
+            checked += 1
+    assert checked == 403
+
+
 def test_the_walk_carries_each_derivations_major_forest():
     """The state the walk folds down to each derivation holds its tree's
-    major parents by position and its fenced TDs."""
+    major parents by position and its fenced TDs.  TD 1 is step (1, 0)
+    on the empty word from the bare roots: 1a under 0b, 1b under 0a, fenced."""
+    assert _FIRST_STATE == ((0, 0, 1, 0), (1,))
     every = lambda _depth, word: choices_for(word)  # noqa: E731
     for n in range(1, 6):
         walked = list(_derive((), (FIRST_WORD,), n, every, _hook_step, _FIRST_STATE))

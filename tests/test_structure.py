@@ -534,13 +534,7 @@ def reference_validate_structure(tree):
         return report
 
     one_a, one_b = BreakpointId(1, A_SIDE), BreakpointId(1, B_SIDE)
-    ok = (
-        tree.major_side.get(one_a) == B_SIDE
-        and tree.major_side.get(one_b) == A_SIDE
-        and tree.a_parent.get(one_a) == ROOT_A
-        and tree.b_parent.get(one_b) == ROOT_B
-        and not tree.fences.isdisjoint({(one_a, one_b), (one_b, one_a)})
-    )
+    ok = not tree.fences.isdisjoint({(one_a, one_b), (one_b, one_a)})
     report.add("first-td-convention", ok, "" if ok else "TD 1 breaks the root convention")
 
     details = reference_segment_failure(tree)
@@ -567,7 +561,22 @@ def reference_segment_failure(tree):
 # too, and ``above`` is the diagram's :func:`reachability`.  The minor-edge
 # and fence major-side checks need only major chains that reach a root.
 # The segment walk is the old form of segment-connectivity, a referee for
-# its rule.
+# its rule.  The old first-TD convention also asked for TD 1's parents and
+# major sides, which segment-connectivity fixes once 1a and 1b are fenced.
+
+
+def old_first_td_convention(tree):
+    """1a major on 0b, 1b major on 0a, 1a's a-parent 0a, 1b's b-parent
+    0b, and the two fenced; the details of a failure, or ""."""
+    one_a, one_b = BreakpointId(1, A_SIDE), BreakpointId(1, B_SIDE)
+    ok = (
+        tree.major_side.get(one_a) == B_SIDE
+        and tree.major_side.get(one_b) == A_SIDE
+        and tree.a_parent.get(one_a) == ROOT_A
+        and tree.b_parent.get(one_b) == ROOT_B
+        and not tree.fences.isdisjoint({(one_a, one_b), (one_b, one_a)})
+    )
+    return "" if ok else "TD 1 breaks the root convention"
 
 
 def old_order_diagram(tree):
@@ -730,9 +739,11 @@ def test_validators_match_reference_on_seeded_corruptions(random_evolution):
 
 def test_dropped_checks_fail_only_with_a_kept_one(random_evolution):
     """Wherever the old order-diagram or chain-order check fails,
-    minor-recency fails too, and wherever the old source/sink test fails,
-    first-td-convention does: on every tree of the three pools, on their
-    seeded corruptions and on the empty tree, which has no edge at all.
+    minor-recency fails too; wherever the old source/sink test fails, the
+    old first-TD convention does; and wherever that fails but 1a and 1b
+    are fenced, segment-connectivity fails: on every tree of the three
+    pools, on their seeded corruptions and on the empty tree, which has
+    no edge at all.
     Wherever minor-recency passes, the old segment walk fails exactly
     where the segment rule does.  Wherever the old minor-edge or fence
     major-side test fails, minor-recency fails too.  The checks that the
@@ -752,7 +763,7 @@ def test_dropped_checks_fail_only_with_a_kept_one(random_evolution):
     # each tree with whether it is a breakpoint tree or one of its corruptions
     trees = [(tree, True) for tree in (*pools[0], *pools[1], *pools[2], *corruptions, empty)]
     trees += [(tree, False) for tree in betas]
-    failures = {name: [] for name in ("cycle", "walk", "chain", "sink", "edge", "sides")}
+    failures = {name: [] for name in ("cycle", "walk", "chain", "sink", "first", "edge", "sides")}
     for tree, breakpoint_tree in trees:
         validate = validate_structure if breakpoint_tree else validate_beta_tree
         passed = {c.name: c.passed for c in validate(tree).checks}
@@ -768,6 +779,9 @@ def test_dropped_checks_fail_only_with_a_kept_one(random_evolution):
             failures["walk"] += [(tree, True)] if walk else []
         if not passed.get("fences"):
             continue  # where the old order-diagram check did not run
+        if breakpoint_tree and old_first_td_convention(tree) and passed["first-td-convention"]:
+            assert not passed["segment-connectivity"], tree
+            failures["first"].append((tree, True))
         if old_order_diagram(tree):
             assert not passed["minor-recency"], tree
             failures["cycle"].append((tree, breakpoint_tree))
@@ -779,9 +793,9 @@ def test_dropped_checks_fail_only_with_a_kept_one(random_evolution):
             assert not passed["minor-recency"], tree
             failures["chain"].append((tree, True))
         if old_sources_and_sinks(tree, above):
-            assert not passed["first-td-convention"], tree
+            assert old_first_td_convention(tree), tree
             failures["sink"].append((tree, True))
-    assert all(failures[name] for name in ("walk", "chain", "edge", "sides"))
+    assert all(failures[name] for name in ("walk", "chain", "first", "edge", "sides"))
     assert any(tree is empty for tree, _ in failures["sink"])
     assert not all(kind for _, kind in failures["edge"] + failures["sides"])
     assert {kind for _, kind in failures["cycle"]} == {True, False}

@@ -161,6 +161,19 @@ def test_level_sizes_and_word_bijection():
         assert len(words) == WORD_TOTALS[n]
 
 
+def test_words_have_distinct_neighbours_and_no_zero_up_to_5():
+    """Padded with the roots' 0 at each end, every word of every level
+    n <= 5 has distinct neighbours and a 0 only at its ends: only TD 1's
+    empty word puts a breakpoint on a segment whose two ends tie."""
+    checked = 0
+    for n in range(1, 6):
+        for word in distinct_words(n):
+            padded = (0, *word, 0)
+            assert 0 not in word and all(x != y for x, y in zip(padded, padded[1:])), word
+            checked += 1
+    assert checked == 15718
+
+
 def test_enumeration_with_prefix_partitions_level():
     level = {tuple(ev.steps) for ev in enumerate_word_evolutions(3)}
     seen = set()
