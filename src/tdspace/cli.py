@@ -39,7 +39,10 @@ from .beta import (
     total_evolutions_via_words,
     validate_beta_tree,
 )
-from .errors import BudgetExceededError, Deadline, ParseError, TdSpaceError, ValidationError
+from .errors import (
+    BudgetExceededError, Deadline, DerivationCollisionError, ParseError, TdSpaceError,
+    ValidationError,
+)
 from .extensions import (
     BRUTEFORCE_NODE_BUDGET,
     count_extensions_bruteforce,
@@ -65,8 +68,9 @@ from .structure import (
 )
 from .words import (
     DEFAULT_MAX_N,
+    WORD_COUNT_MAX_N,
     WordEvolution,
-    distinct_words,
+    _distinct_words,
     enumerate_word_evolutions,
     format_evolution,
     parse_evolution,
@@ -223,11 +227,13 @@ def _render(result: Result, fmt: str) -> Iterable[str]:
 
 def cmd_words(cfg: argparse.Namespace) -> Result:
     n = cfg.n
+    if n > WORD_COUNT_MAX_N:  # --enumerate --deep alone would run until memory runs out
+        raise BudgetExceededError(f"word count of {n} TDs exceeds the budget of {WORD_COUNT_MAX_N}")
     routes: dict[str, dict[int, int]] = {}
     if cfg.recursion or not cfg.enumerate_:
         routes["recursion"] = word_count_row(n)
     if cfg.enumerate_:
-        counts = Counter(map(len, distinct_words(n, max_n=_depth_cap(cfg, n, ENUMERATION_MAX_N))))
+        counts = Counter(map(len, _distinct_words(n, _depth_cap(cfg, n, ENUMERATION_MAX_N))))
         routes["enumeration"] = dict(sorted(counts.items()))
     agree = all(row == next(iter(routes.values())) for row in routes.values())
     totals = {route: sum(row.values()) for route, row in routes.items()}
@@ -705,7 +711,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_BUDGET
     except TdSpaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        # a collision of derivations is a failed cross-check
+        return EXIT_MISMATCH if isinstance(exc, DerivationCollisionError) else EXIT_ERROR
     if not result.passed and result.error:
         print(result.error, file=sys.stderr)
     return result.code

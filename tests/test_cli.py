@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import tdspace.words
 from tdspace import (
     KernelCheck,
     build_2d_tree,
@@ -64,7 +65,9 @@ def test_words_enumeration_budget(capsys):
     assert "budget" in err
 
 
-@pytest.mark.parametrize("extra", [[], ["--deep"], ["--recursion", "--enumerate", "--deep"]])
+@pytest.mark.parametrize(
+    "extra", [[], ["--deep"], ["--enumerate", "--deep"], ["--recursion", "--enumerate", "--deep"]]
+)
 def test_words_count_budget(capsys, extra):
     start = time.monotonic()
     code, out, err = run(capsys, "words", "-n", "21", *extra)
@@ -72,6 +75,23 @@ def test_words_count_budget(capsys, extra):
     assert out == ""
     assert err.startswith("budget exceeded: word count of 21 TDs")
     assert time.monotonic() - start < 1
+
+
+def test_words_collision_is_exit_3(capsys, monkeypatch):
+    choices = tdspace.words.choice_count
+    monkeypatch.setattr(tdspace.words, "choice_count", lambda length: choices(length) + 1)
+    code, out, err = run(capsys, "words", "-n", "3", "--enumerate")
+    assert (code, out) == (3, "")
+    assert err == "error: 4 derivations produced only 3 distinct words at 2 TDs\n"
+
+
+def test_words_compares_the_walk_it_runs(capsys, monkeypatch):
+    walk = cli._distinct_words
+    monkeypatch.setattr(cli, "_distinct_words", lambda n, max_n: set(sorted(walk(n, max_n))[1:]))
+    code, out, err = run(capsys, "words", "-n", "3", "--enumerate", "--recursion")
+    assert code == 3
+    assert out.endswith("total 21\nROUTES DISAGREE\n")
+    assert err == "word-count routes disagree\n"
 
 
 def test_count_worked_example(capsys):

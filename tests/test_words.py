@@ -7,6 +7,7 @@ import pytest
 import tdspace.words
 from tdspace import (
     BudgetExceededError,
+    DerivationCollisionError,
     IndexOutOfRangeError,
     ParseError,
     ValidationError,
@@ -183,6 +184,14 @@ def test_enumeration_with_prefix_partitions_level():
         assert not part & seen
         seen |= part
     assert seen == level
+
+
+def test_a_collision_of_derivations_raises(monkeypatch):
+    """One derivation too many per word is a collision, never deduped."""
+    choices = tdspace.words.choice_count
+    monkeypatch.setattr(tdspace.words, "choice_count", lambda length: choices(length) + 1)
+    with pytest.raises(DerivationCollisionError, match="4 derivations produced only 3 distinct"):
+        distinct_words(3)
 
 
 def test_enumeration_budget():
