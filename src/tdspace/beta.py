@@ -38,7 +38,7 @@ from .errors import (
     Deadline,
     NotInducedError,
     ValidationError,
-    _fan_out,
+    _check_depth,
 )
 from .extensions import ExtensionCount, _forest_count
 from .structure import (
@@ -65,7 +65,6 @@ from .words import (
     WordEvolution,
     _derive,
     choices_for,
-    enumerate_word_evolutions,
 )
 
 SUBTREE_NODE_BUDGET = 20
@@ -125,8 +124,7 @@ def induced_evolutions(ev: WordEvolution, max_n: int = DEFAULT_MAX_N) -> list[Wo
     longer evolution shows up for exactly one ``ev``.
     """
     target_n = ev.n + 1
-    if target_n > max_n:
-        raise BudgetExceededError(f"inducing {target_n} TDs exceeds the budget of {max_n}")
+    _check_depth("inducing", target_n, max_n)
     base_steps = (DupChoice(1, 0),) + ev.steps
 
     def fiber_steps(depth: int, word: Word) -> Iterator[DupChoice]:
@@ -537,24 +535,21 @@ def _hook_count(ev: WordEvolution) -> int:
     return _hook_value(_hook_sizes(parent), fenced)
 
 
-def _word_sum(n: int, prefix: tuple, deadline: Deadline) -> int:
-    """Σ counts of the ``n``-TD derivations that extend ``prefix``, valued
-    in groups per parent of the last level: its step ``(a, b)`` hangs the new
-    a and b on segments ``a - 1 <= b``, and the leaves swapped give the same
-    sizes.  With ``cnt[x]`` segments under ``x``, the unfenced steps take
-    ``cnt[x] cnt[y]`` (``C(cnt[x], 2)`` for ``x = y``) times a value
-    ``V(x, y)``, the ``cnt[x]`` fenced ones ``V(x, x) / 2`` each: half of
-    ``Σ cnt[x] cnt[y] V(x, y)`` over ordered pairs.  A group's sizes are
-    the parent's plus one along the ancestor chains of x and y."""
-    base = WordEvolution(steps=prefix)
-    if base.n == n:  # n = 1, or a part of n = 3
-        return _hook_count(base)
-
-    def follow(depth: int, word: Word) -> Iterable[DupChoice]:  # the prefix, then every step
-        return base.steps[depth - 1 : depth] if depth < base.n else choices_for(word)
-
+def _word_sum(n: int, deadline: Deadline) -> int:
+    """Σ counts of the ``n``-TD derivations, valued in groups per parent of
+    the last level: its step ``(a, b)`` hangs the new a and b on segments
+    ``a - 1 <= b``, and the leaves swapped give the same sizes.  With
+    ``cnt[x]`` segments under ``x``, the unfenced steps take ``cnt[x]
+    cnt[y]`` (``C(cnt[x], 2)`` for ``x = y``) times a value ``V(x, y)``, the
+    ``cnt[x]`` fenced ones ``V(x, x) / 2`` each: half of ``Σ cnt[x] cnt[y]
+    V(x, y)`` over ordered pairs.  A group's sizes are the parent's plus one
+    along the ancestor chains of x and y.  One TD has no parent level: its
+    one derivation counts 1."""
+    if n == 1:
+        return 1
+    every = lambda _depth, word: choices_for(word)  # noqa: E731
     twice = 0
-    for ev, (parent, fenced) in _derive((), (FIRST_WORD,), n - 1, follow, _hook_step, _FIRST_STATE):
+    for ev, (parent, fenced) in _derive((), (FIRST_WORD,), n - 1, every, _hook_step, _FIRST_STATE):
         deadline.check()
         word = ev.words[-1]
         cnt = Counter(_segment_parent(word, j) for j in range(len(word) + 1))
@@ -571,24 +566,14 @@ def _word_sum(n: int, prefix: tuple, deadline: Deadline) -> int:
 
 
 def total_evolutions_via_words(
-    n: int, workers: int = 1, deadline: Deadline | None = None, max_n: int = DEFAULT_MAX_N
+    n: int, *, deadline: Deadline | None = None, max_n: int = DEFAULT_MAX_N
 ) -> int:
     """Evolution total summed word by word: Σ extensions of each tree.
 
     This is the enumeration route the closed form is checked against; it
-    values the last level per parent, by :func:`_word_sum`.  One worker
-    sums in this process; more split the derivations by their first two
-    steps, one process per part at most.  Partial sums are independent,
-    so worker count never changes the result.  ``deadline``, checked once
-    per last-level parent in every worker, and ``n > max_n`` raise
-    :class:`BudgetExceededError`.
+    values the last level per parent, by :func:`_word_sum`, in this
+    process.  ``deadline``, checked once per last-level parent, and
+    ``n > max_n`` raise :class:`BudgetExceededError`.
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    if n > max_n:
-        raise BudgetExceededError(f"enumeration of {n} TDs exceeds the budget of {max_n}")
-    deadline = deadline if deadline is not None else Deadline(None)
-    prefixes: list[tuple] = [()]
-    if workers > 1 and n >= 3:
-        prefixes = [tuple(ev.steps) for ev in enumerate_word_evolutions(3)]
-    return sum(_fan_out(_word_sum, [(n, p, deadline) for p in prefixes], workers))
+    _check_depth("enumeration of", n, max_n)
+    return _word_sum(n, deadline if deadline is not None else Deadline(None))

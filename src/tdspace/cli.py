@@ -41,7 +41,7 @@ from .beta import (
 )
 from .errors import (
     BudgetExceededError, Deadline, DerivationCollisionError, ParseError, TdSpaceError,
-    ValidationError,
+    ValidationError, _check_depth,
 )
 from .extensions import (
     BRUTEFORCE_NODE_BUDGET,
@@ -227,8 +227,7 @@ def _render(result: Result, fmt: str) -> Iterable[str]:
 
 def cmd_words(cfg: argparse.Namespace) -> Result:
     n = cfg.n
-    if n > WORD_COUNT_MAX_N:  # --enumerate --deep alone would run until memory runs out
-        raise BudgetExceededError(f"word count of {n} TDs exceeds the budget of {WORD_COUNT_MAX_N}")
+    _check_depth("word count of", n, WORD_COUNT_MAX_N)  # also caps --enumerate --deep alone
     routes: dict[str, dict[int, int]] = {}
     if cfg.recursion or not cfg.enumerate_:
         routes["recursion"] = word_count_row(n)
@@ -457,7 +456,7 @@ def _suite_grand_total(cfg: argparse.Namespace, deadline: Deadline) -> list[Chec
         deadline=deadline,
     )
     deadline.check()
-    sigma = total_evolutions_via_words(cfg.n, workers=cfg.workers, deadline=deadline)
+    sigma = total_evolutions_via_words(cfg.n, deadline=deadline)
     deadline.check()
     expected = closed_form(cfg.n)
     return [
@@ -480,9 +479,8 @@ _SUITES: dict[str, Callable[[argparse.Namespace, Deadline], list[Check]]] = {
 
 def cmd_verify(cfg: argparse.Namespace) -> Result:
     # every suite but the simulator's enumerates evolutions of up to n TDs
-    cap = _depth_cap(cfg, cfg.n, DEFAULT_MAX_N)
-    if cfg.suite != "grand-total" and cfg.n > cap:
-        raise BudgetExceededError(f"enumeration of {cfg.n} TDs exceeds the budget of {cap}")
+    if cfg.suite != "grand-total":
+        _check_depth("enumeration of", cfg.n, _depth_cap(cfg, cfg.n, DEFAULT_MAX_N))
     checks = _SUITES[cfg.suite](cfg, Deadline(cfg.time_limit))
     passed = all(ok for _, ok, _ in checks)
     text = [f"suite={cfg.suite}"]

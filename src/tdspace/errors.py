@@ -1,5 +1,5 @@
-"""Exception types shared across tdspace modules, the wall-clock budget
-and the one process fan-out of the long sweeps."""
+"""Exception types shared across tdspace modules, the depth rule of the
+sweeps, the wall-clock budget and the process fan-out of ``tabulate``."""
 
 import time
 from typing import Callable, Iterator, Sequence
@@ -32,6 +32,15 @@ class BudgetExceededError(TdSpaceError, RuntimeError):
     """An enumeration or memory budget was exceeded."""
 
 
+def _check_depth(sweep: str, n: int, cap: int) -> None:
+    """The depth rule of every sweep: ``n`` TDs must be at least 1 and at
+    most ``cap``; ``sweep`` names the sweep in the budget's message."""
+    if n < 1:
+        raise ValidationError(f"need n >= 1, got {n}")
+    if n > cap:
+        raise BudgetExceededError(f"{sweep} {n} TDs exceeds the budget of {cap}")
+
+
 class Deadline:
     """Wall-clock budget of ``limit`` seconds from creation (``None``: none).
 
@@ -52,7 +61,9 @@ def _fan_out(worker: Callable, parts: Sequence[tuple], workers: int) -> Iterator
     """``worker(*part)`` for each of ``parts``, in this process for a lone
     part, else on at most ``min(workers, len(parts))`` processes; yields the
     results in order, so the caller can check its budgets between them
-    while the pool lives.  Only a pool imports the pool module."""
+    while the pool lives.  Only a pool imports the pool module.  It serves
+    :func:`~tdspace.simulator.tabulate` alone: the word-by-word total sums
+    in its caller's process."""
     if len(parts) == 1:
         yield worker(*parts[0])
         return

@@ -49,7 +49,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BudgetExceededError, Deadline, ValidationError, _fan_out
+from .errors import BudgetExceededError, Deadline, ValidationError, _check_depth, _fan_out
 from .words import Word, WordEvolution, _step
 
 DEFAULT_MAX_N = 4
@@ -140,8 +140,7 @@ def apply_td(state: GenomeState, choice: TdChoice) -> GenomeState:
     ``0..2n-1``, and :class:`BudgetExceededError` past the depth budget.
     """
     n = state.n
-    if n >= DEEP_MAX_N:
-        raise BudgetExceededError(f"simulating {n + 1} TDs exceeds the budget of {DEEP_MAX_N}")
+    _check_depth("simulating", n + 1, DEEP_MAX_N)
     if not all(0 <= r <= 2 * n for r in state.genome):
         raise ValidationError(f"genome {state.genome} names an interval outside 0..{2 * n}")
     flat = [j for pair in state.positions for j in pair]
@@ -360,11 +359,7 @@ def _families(n: int, prefix: Sequence[TdChoice], deep: bool) -> Iterator[list[_
     :func:`_children`.  ``prefix`` fixes the leading choices (from the
     second TD on; the first admits a single choice), which is how
     :func:`tabulate` partitions the sweep."""
-    limit = DEEP_MAX_N if deep else DEFAULT_MAX_N
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    if n > limit:
-        raise BudgetExceededError(f"simulating {n} TDs exceeds the budget of {limit}")
+    _check_depth("simulating", n, DEEP_MAX_N if deep else DEFAULT_MAX_N)
     if len(prefix) >= n:
         raise ValidationError(f"prefix of {len(prefix)} choices too long for n={n}")
 

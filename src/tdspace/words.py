@@ -25,6 +25,7 @@ from .errors import (
     IndexOutOfRangeError,
     ParseError,
     ValidationError,
+    _check_depth,
 )
 
 #: A word is a tuple of connection numbers, e.g. ``(3, 1, 2, 1)``.
@@ -138,14 +139,16 @@ def _derive(
 ) -> Iterator:
     """Yield every derivation of ``n`` TDs that extends ``steps``/``words``.
 
-    On word ``depth`` (1-based, the last of ``words`` so far) the walk
-    takes the steps ``choices(depth, word)`` in the order given, each
-    with every derivation below it before the next.  The choices come
-    from :func:`choices_for`, a prefix or the fiber rule, so each is
-    valid on its word and is stepped by the unchecked :func:`_step`, as
-    ``W(1:b) + n + W(a:end)``; only the replay of a given prefix checks.
-    A ``fold`` carries ``state`` down the walk, as ``fold(state, choice,
-    word)`` per step, and the walk then yields ``(evolution, state)``.
+    Every caller enters at the root, ``steps = ()`` and ``words =
+    (FIRST_WORD,)``; the walk recurses below it.  On word ``depth``
+    (1-based, the last of ``words`` so far) it takes the steps
+    ``choices(depth, word)`` in the order given, each with every
+    derivation below it before the next.  The choices come from
+    :func:`choices_for` or the fiber rule, so each is valid on its word
+    and is stepped by the unchecked :func:`_step`, as ``W(1:b) + n +
+    W(a:end)``.  A ``fold`` carries ``state`` down the walk, as
+    ``fold(state, choice, word)`` per step, and the walk then yields
+    ``(evolution, state)``.
     """
     if len(words) == n:
         ev = _evolution_unchecked(steps, words)
@@ -157,26 +160,15 @@ def _derive(
         yield from _derive(*child) if fold is None else _derive(*child, fold, fold(state, c, word))
 
 
-def enumerate_word_evolutions(
-    n: int,
-    prefix: Sequence[tuple[int, int]] = (),
-    max_n: int = DEFAULT_MAX_N,
-) -> Iterator[WordEvolution]:
-    """Yield every derivation with ``n`` TDs, in lexicographic step order.
+def enumerate_word_evolutions(n: int, *, max_n: int = DEFAULT_MAX_N) -> Iterator[WordEvolution]:
+    """Every derivation with ``n`` TDs, in lexicographic step order.
 
-    ``prefix``, a choice sequence replayed with its checks, restricts the
-    stream to the derivations that extend it.  Enumeration beyond
-    ``max_n`` raises :class:`BudgetExceededError` (the level sizes grow
-    faster than exponentially).
+    ``n < 1`` raises :class:`ValidationError` and ``n > max_n``
+    :class:`BudgetExceededError` (the level sizes grow faster than
+    exponentially), both at the call, before the walk starts.
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    if n > max_n:
-        raise BudgetExceededError(f"enumeration of {n} TDs exceeds the budget of {max_n}")
-    base = WordEvolution(steps=tuple(DupChoice(*p) for p in prefix))
-    if base.n > n:
-        raise ValidationError(f"prefix of {base.n - 1} steps is too long for n={n}")
-    yield from _derive(base.steps, base.words, n, lambda _depth, word: choices_for(word))
+    _check_depth("enumeration of", n, max_n)
+    return _derive((), (FIRST_WORD,), n, lambda _depth, word: choices_for(word))
 
 
 def distinct_words(n: int, max_n: int = DEFAULT_MAX_N) -> set[Word]:
@@ -199,10 +191,7 @@ def _distinct_words(n: int, max_n: int) -> set[bytes]:
     concatenation.  Bytes concatenate and hash about twice as fast as
     tuples; a symbol, a TD number ``<= n``, fits a byte at any depth reached.
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    if n > max_n:
-        raise BudgetExceededError(f"word sweep for {n} TDs exceeds the budget of {max_n}")
+    _check_depth("word sweep for", n, max_n)
     level = {bytes(FIRST_WORD)}
     for depth in range(2, n + 1):
         expected = sum(choice_count(len(w)) for w in level)
@@ -274,12 +263,7 @@ def word_count_recursion(m: int, n: int) -> int:
 
 def _row(n: int) -> list[int]:
     """``w(m, n)`` for every length ``m < 2**n``, after the checks of the row."""
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    if n > WORD_COUNT_MAX_N:
-        raise BudgetExceededError(
-            f"word count of {n} TDs exceeds the budget of {WORD_COUNT_MAX_N}"
-        )
+    _check_depth("word count of", n, WORD_COUNT_MAX_N)
     return _count_level(n, 2**n - 1)
 
 

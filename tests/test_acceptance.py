@@ -100,8 +100,7 @@ def test_criterion_4_formula_equals_oracle_everywhere():
 def test_criterion_5_closed_form_and_totals():
     start = time.monotonic()
     for n in range(1, 6):
-        workers = 4 if n >= 5 else 1
-        assert total_evolutions_via_words(n, workers=workers) == EVOLUTION_TOTALS[n - 1]
+        assert total_evolutions_via_words(n) == EVOLUTION_TOTALS[n - 1]
         assert closed_form(n) == EVOLUTION_TOTALS[n - 1]
     elapsed = time.monotonic() - start
     assert elapsed < 300.0

@@ -992,32 +992,36 @@ def test_totals_match_closed_form(n):
     assert total_evolutions_via_words(n) == closed_form(n)
 
 
-def test_totals_worker_partition_is_exact():
-    assert total_evolutions_via_words(4, workers=2) == closed_form(4)
-    assert total_evolutions_via_words(5, workers=2) == total_evolutions_via_words(5, workers=1)
-
-
 def test_totals_keep_the_depth_budget():
     with pytest.raises(BudgetExceededError, match="budget of 6"):
         total_evolutions_via_words(7)
     with pytest.raises(BudgetExceededError, match="budget of 4"):
         total_evolutions_via_words(5, max_n=4)
+    with pytest.raises(ValidationError, match="need n >= 1, got 0"):
+        total_evolutions_via_words(0)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_totals_stop_at_the_deadline(workers):
+def test_totals_stop_at_the_deadline():
     start = time.monotonic()
     with pytest.raises(BudgetExceededError, match="time limit"):
-        total_evolutions_via_words(6, workers=workers, deadline=Deadline(0.05))
+        total_evolutions_via_words(6, deadline=Deadline(0.05))
     assert time.monotonic() - start < 1
-    assert total_evolutions_via_words(3, workers=workers, deadline=Deadline(None)) == 627
+    assert total_evolutions_via_words(3, deadline=Deadline(None)) == 627
 
 
-def _sum_partition(n, prefix, deadline):
+def test_totals_take_their_budgets_by_keyword_only():
+    """A second positional argument is a TypeError, never read as a budget."""
+    with pytest.raises(TypeError):
+        total_evolutions_via_words(6, 2)
+    with pytest.raises(TypeError):
+        enumerate_word_evolutions(5, ((1, 1),))
+
+
+def _sum_partition(n, deadline):
     """The per-leaf reference of the word sum: every derivation's tree,
     major graph and formula, with the deadline checked before each."""
     total = 0
-    for ev in enumerate_word_evolutions(n, prefix=prefix):
+    for ev in enumerate_word_evolutions(n):
         deadline.check()
         total += count_extensions_formula(major_graph(build_2d_tree(ev))).value
     return total
@@ -1071,11 +1075,8 @@ def test_the_walk_carries_each_derivations_major_forest():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_grouped_sums_match_the_per_leaf_reference(n):
-    """Every prefix of fewer than n steps for n <= 4, every 3-step prefix for n = 5."""
     none = Deadline(None)
-    for k in range(n) if n <= 4 else (3,):
-        for base in enumerate_word_evolutions(k + 1):
-            assert _word_sum(n, base.steps, none) == _sum_partition(n, base.steps, none)
+    assert _word_sum(n, none) == _sum_partition(n, none)
 
 
 def test_fiber_sums_follow_the_recurrence():

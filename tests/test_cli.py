@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
+import io
 import json
 import os
 import re
@@ -102,6 +103,14 @@ def test_count_worked_example(capsys):
     assert "site=node(1b) factor=10" in out
     assert "27 * 2 * 10 = 540" in out
     assert "oracle 540 agrees" in out
+
+
+def test_count_reads_the_evolution_from_stdin(capsys, monkeypatch):
+    evolution = '{"steps":[[1,1],[1,0],[2,3]]}'
+    inline = run(capsys, "count", evolution)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(evolution + "\n"))
+    assert run(capsys, "count", "-") == inline
+    assert inline[0] == 0 and "27 * 2 * 10 = 540" in inline[1]
 
 
 def test_count_trivial_evolution(capsys):
@@ -207,6 +216,11 @@ def test_table_memory_budget_is_the_same_on_any_workers(capsys, monkeypatch, wor
         f"budget exceeded: dedup sets hold {held} bytes, "
         f"over the memory budget of {held - 1} bytes\n"
     )
+
+
+def test_table_memory_budget_of_zero_is_exit_1(capsys, monkeypatch):
+    monkeypatch.setenv("TD_MAX_MEM", "0")
+    assert run(capsys, "table", "-n", "2") == (1, "", "error: TD_MAX_MEM must be positive, got 0\n")
 
 
 def test_table_bad_mem_env(capsys, monkeypatch):
@@ -486,6 +500,18 @@ def test_fence_rate_outside_unit_interval_is_rejected(capsys, command, rate):
     assert code == 1
     assert out == ""
     assert err == f"error: need 0 <= fence_rate <= 1, got {float(rate)}\n"
+
+
+def test_beta_node_budget_of_zero_is_exit_1(capsys):
+    code, out, err = run(capsys, "beta", "--seed", "1", "--node-budget", "0")
+    assert (code, out, err) == (1, "", "error: need a positive node budget, got 0\n")
+
+
+def test_deep_grand_total_warns_on_stderr(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "grand-total", "-n", "2", "--deep")
+    assert code == 0
+    assert out.endswith("pass formula-vs-closed-form (11 vs 11)\nsuite passed\n")
+    assert err == "grand total sweep for n=2; this can take minutes\n"
 
 
 @pytest.mark.parametrize("limit", ["0", "-1", "nan"])

@@ -27,7 +27,6 @@ from tdspace import (
     apply_td,
     enumerate_choices,
     enumerate_process,
-    enumerate_word_evolutions,
     initial_state,
     tabulate,
     total_evolutions_via_words,
@@ -159,6 +158,10 @@ def test_depth_budget():
         tabulate(5)
     with pytest.raises(BudgetExceededError):
         list(enumerate_process(5))
+    with pytest.raises(ValidationError, match="need n >= 1, got 0"):
+        tabulate(0)
+    with pytest.raises(ValidationError, match="need n >= 1, got 0"):
+        list(enumerate_process(0))
 
 
 def test_memory_budget():
@@ -513,6 +516,9 @@ def test_a_prefix_choice_at_the_leaf_is_checked():
         list(_walk(2, (TdChoice(0, 0, True),), False))
     with pytest.raises(ValidationError):
         list(_walk(2, (TdChoice(0, 4, None),), False))
+    two = enumerate_choices(after_first_td())[:2]
+    with pytest.raises(ValidationError, match="prefix of 2 choices too long for n=2"):
+        list(_walk(2, two, False))
 
 
 def test_a_prefix_choice_at_an_inner_node_is_checked():
@@ -810,13 +816,10 @@ def test_pools_are_capped_at_the_partitions(monkeypatch):
     assert RecordingExecutor.sizes == [11]
     assert tabulate(3, workers=4) == tabulate(3)
     assert RecordingExecutor.sizes == [11, 4]
-    prefixes = len(list(enumerate_word_evolutions(3)))
-    assert total_evolutions_via_words(4, workers=500) == 154869
-    assert RecordingExecutor.sizes == [11, 4, prefixes]
-    # one worker sweeps in this process
+    # one worker sweeps in this process, and the word sum always does
     assert row_tuple(tabulate(3, workers=1)) == TABLE[3]
-    assert total_evolutions_via_words(4, workers=1) == 154869
-    assert RecordingExecutor.sizes == [11, 4, prefixes]
+    assert total_evolutions_via_words(4) == 154869
+    assert RecordingExecutor.sizes == [11, 4]
 
 
 def test_the_simulator_shares_no_code_with_the_double_tree_model():

@@ -94,7 +94,7 @@ def test_every_sweep_reaches_the_reference_level():
 
 
 def test_sweeps_make_no_checked_step(monkeypatch):
-    """Only the replay of a given prefix goes through ``td_step``."""
+    """Neither sweep goes through ``td_step``: each starts at the root."""
     calls = []
 
     def counted(*args):
@@ -105,11 +105,6 @@ def test_sweeps_make_no_checked_step(monkeypatch):
     assert len(distinct_words(4)) == WORD_TOTALS[4]
     assert len(list(enumerate_word_evolutions(4))) == WORD_TOTALS[4]
     assert calls == []
-    for prefix in [((1, 1),), ((1, 1), (1, 0)), ((1, 0), (3, 2), (2, 3))]:
-        calls.clear()
-        evolutions = list(enumerate_word_evolutions(5, prefix=prefix))
-        assert evolutions and all(ev.steps[: len(prefix)] == prefix for ev in evolutions)
-        assert len(calls) == len(prefix)
 
 
 @pytest.mark.parametrize("choice", [(0, 0), (1, 2), (3, 1), (2, 0), (-1, -1)])
@@ -175,17 +170,6 @@ def test_words_have_distinct_neighbours_and_no_zero_up_to_5():
     assert checked == 15718
 
 
-def test_enumeration_with_prefix_partitions_level():
-    level = {tuple(ev.steps) for ev in enumerate_word_evolutions(3)}
-    seen = set()
-    for first in choices_for((1,)):
-        part = {tuple(ev.steps) for ev in enumerate_word_evolutions(3, prefix=(first,))}
-        assert all(steps[0] == first for steps in part)
-        assert not part & seen
-        seen |= part
-    assert seen == level
-
-
 def test_a_collision_of_derivations_raises(monkeypatch):
     """One derivation too many per word is a collision, never deduped."""
     choices = tdspace.words.choice_count
@@ -201,6 +185,15 @@ def test_enumeration_budget():
         distinct_words(6, max_n=5)
     with pytest.raises(ValidationError):
         list(enumerate_word_evolutions(0))
+    with pytest.raises(ValidationError, match="need n >= 1, got 0"):
+        distinct_words(0)
+
+
+def test_enumeration_raises_at_the_call():
+    with pytest.raises(BudgetExceededError, match="enumeration of 7 TDs exceeds the budget of 6"):
+        enumerate_word_evolutions(7)
+    with pytest.raises(ValidationError, match="need n >= 1, got 0"):
+        enumerate_word_evolutions(0)
 
 
 def test_word_count_recursion_against_enumeration():
