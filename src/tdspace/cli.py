@@ -55,6 +55,8 @@ from .structure import (
     ROOT_A,
     ROOT_B,
     BreakpointId,
+    CheckResult,
+    StructureReport,
     build_2d_tree,
     hasse_diagram,
     hasse_to_dot,
@@ -194,13 +196,9 @@ class Result:
 
     json: object
     text: Iterable[str]
-    csv: tuple[Sequence[str], Iterable[Sequence[object]]] | None = None
+    csv: tuple[Iterable[str], Iterable[Iterable[object]]] | None = None
     passed: bool = True
     error: str = ""
-
-    @property
-    def code(self) -> int:
-        return EXIT_OK if self.passed else EXIT_MISMATCH
 
 
 def _joined(lines: Iterable[str]) -> Iterator[str]:
@@ -300,16 +298,15 @@ def cmd_count(cfg: argparse.Namespace) -> Result:
 
 def cmd_table(cfg: argparse.Namespace) -> Result:
     row = tabulate(cfg.n, workers=cfg.workers, deep=cfg.deep, max_mem_bytes=cfg.max_mem_bytes)
-    columns = ("n", "words", "cnvs", "td_graphs", "evolutions", "paths")
-    values = (row.n, row.words, row.cnvs, row.td_graphs, row.evolutions, row.paths)
+    fields = vars(row)  # TableRow's fields, in order
     return Result(
-        json={"command": "table", **dict(zip(columns, values))},
+        json={"command": "table", **fields},
         text=[
             "n      words      cnvs  td_graphs  evolutions       paths",
             f"{row.n}  {row.words:9d}  {row.cnvs:8d}  {row.td_graphs:9d}  "
             f"{row.evolutions:10d}  {row.paths:10d}",
         ],
-        csv=(columns, [values]),
+        csv=(fields, [fields.values()]),
     )
 
 
@@ -317,12 +314,9 @@ def cmd_table(cfg: argparse.Namespace) -> Result:
 # verify
 
 
-Check = tuple[str, bool, str]
-
-
-def _check(name: str, bad: list[str], summary: str) -> Check:
+def _check(name: str, bad: list[str], summary: str) -> CheckResult:
     """A check that passes with ``summary`` unless ``bad`` names a failure."""
-    return (name, not bad, bad[0] if bad else summary)
+    return CheckResult(name, not bad, bad[0] if bad else summary)
 
 
 def _evolutions(n_max: int, deadline: Deadline) -> Iterator[WordEvolution]:
@@ -333,7 +327,7 @@ def _evolutions(n_max: int, deadline: Deadline) -> Iterator[WordEvolution]:
             yield ev
 
 
-def _suite_structure(cfg: argparse.Namespace, deadline: Deadline) -> list[Check]:
+def _suite_structure(cfg: argparse.Namespace, deadline: Deadline) -> list[CheckResult]:
     bad_valid: list[str] = []
     bad_count: list[str] = []
     trees = 0
@@ -366,7 +360,7 @@ def _worked_kernel_tree() -> BetaTree:
     )
 
 
-def _suite_kernel(cfg: argparse.Namespace, deadline: Deadline) -> list[Check]:
+def _suite_kernel(cfg: argparse.Namespace, deadline: Deadline) -> list[CheckResult]:
     worked = kernel_profile(_worked_kernel_tree(), budget=cfg.node_budget)
     broken = [] if all(c.equal for c in worked) else ["kernel broken"]
     checks = [_check("worked-example", broken, f"all r give {worked[0].rhs}")]
@@ -424,8 +418,8 @@ def _fiber(ev: WordEvolution, max_n: int) -> tuple[list[tuple[WordEvolution, int
     return members, base_count, base_count * _induction_factor(ev.n)
 
 
-def _suite_induction(cfg: argparse.Namespace, deadline: Deadline) -> list[Check]:
-    checks: list[Check] = []
+def _suite_induction(cfg: argparse.Namespace, deadline: Deadline) -> list[CheckResult]:
+    checks: list[CheckResult] = []
     for n in range(1, cfg.n):
         bases = 0
         fiber_total = 0
@@ -444,7 +438,7 @@ def _suite_induction(cfg: argparse.Namespace, deadline: Deadline) -> list[Check]
     return checks
 
 
-def _suite_grand_total(cfg: argparse.Namespace, deadline: Deadline) -> list[Check]:
+def _suite_grand_total(cfg: argparse.Namespace, deadline: Deadline) -> list[CheckResult]:
     if cfg.deep:
         print(f"grand total sweep for n={cfg.n}; this can take minutes", file=sys.stderr)
     deadline.check()
@@ -460,16 +454,12 @@ def _suite_grand_total(cfg: argparse.Namespace, deadline: Deadline) -> list[Chec
     deadline.check()
     expected = closed_form(cfg.n)
     return [
-        (
-            "simulator-vs-formula",
-            row.evolutions == sigma,
-            f"{row.evolutions} vs {sigma}",
-        ),
-        ("formula-vs-closed-form", sigma == expected, f"{sigma} vs {expected}"),
+        CheckResult("simulator-vs-formula", row.evolutions == sigma, f"{row.evolutions} vs {sigma}"),
+        CheckResult("formula-vs-closed-form", sigma == expected, f"{sigma} vs {expected}"),
     ]
 
 
-_SUITES: dict[str, Callable[[argparse.Namespace, Deadline], list[Check]]] = {
+_SUITES: dict[str, Callable[[argparse.Namespace, Deadline], list[CheckResult]]] = {
     "structure": _suite_structure,
     "kernel": _suite_kernel,
     "induction": _suite_induction,
@@ -481,25 +471,21 @@ def cmd_verify(cfg: argparse.Namespace) -> Result:
     # every suite but the simulator's enumerates evolutions of up to n TDs
     if cfg.suite != "grand-total":
         _check_depth("enumeration of", cfg.n, _depth_cap(cfg, cfg.n, DEFAULT_MAX_N))
-    checks = _SUITES[cfg.suite](cfg, Deadline(cfg.time_limit))
-    passed = all(ok for _, ok, _ in checks)
+    report = StructureReport(_SUITES[cfg.suite](cfg, Deadline(cfg.time_limit)))
     text = [f"suite={cfg.suite}"]
-    for name, ok, details in checks:
-        status = "pass" if ok else "FAIL"
-        text.append(f"{status} {name} ({details})" if details else f"{status} {name}")
-    text.append("suite passed" if passed else "suite FAILED")
+    for c in report.checks:
+        status = "pass" if c.passed else "FAIL"
+        text.append(f"{status} {c.name} ({c.details})" if c.details else f"{status} {c.name}")
+    text.append("suite passed" if report.ok else "suite FAILED")
     return Result(
         json={
             "command": "verify",
             "suite": cfg.suite,
-            "checks": [
-                {"name": name, "passed": ok, "details": details}
-                for name, ok, details in checks
-            ],
-            "passed": passed,
+            "checks": list(map(vars, report.checks)),
+            "passed": report.ok,
         },
         text=text,
-        passed=passed,
+        passed=report.ok,
     )
 
 
@@ -713,7 +699,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_MISMATCH if isinstance(exc, DerivationCollisionError) else EXIT_ERROR
     if not result.passed and result.error:
         print(result.error, file=sys.stderr)
-    return result.code
+    return EXIT_OK if result.passed else EXIT_MISMATCH
 
 
 if __name__ == "__main__":

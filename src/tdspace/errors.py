@@ -1,8 +1,7 @@
 """Exception types shared across tdspace modules, the depth rule of the
-sweeps, the wall-clock budget and the process fan-out of ``tabulate``."""
+sweeps and the wall-clock budget."""
 
 import time
-from typing import Callable, Iterator, Sequence
 
 
 class TdSpaceError(Exception):
@@ -55,22 +54,6 @@ class Deadline:
     def check(self) -> None:
         if self._expires is not None and time.monotonic() > self._expires:
             raise BudgetExceededError("time limit exceeded")
-
-
-def _fan_out(worker: Callable, parts: Sequence[tuple], workers: int) -> Iterator:
-    """``worker(*part)`` for each of ``parts``, in this process for a lone
-    part, else on at most ``min(workers, len(parts))`` processes; yields the
-    results in order, so the caller can check its budgets between them
-    while the pool lives.  Only a pool imports the pool module.  It serves
-    :func:`~tdspace.simulator.tabulate` alone: the word-by-word total sums
-    in its caller's process."""
-    if len(parts) == 1:
-        yield worker(*parts[0])
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(workers, len(parts))) as pool:
-        yield from pool.map(worker, *zip(*parts))
 
 
 class CycleDetectedError(TdSpaceError):

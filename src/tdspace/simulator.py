@@ -49,7 +49,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BudgetExceededError, Deadline, ValidationError, _check_depth, _fan_out
+from .errors import BudgetExceededError, Deadline, ValidationError, _check_depth
 from .words import Word, WordEvolution, _step
 
 DEFAULT_MAX_N = 4
@@ -482,24 +482,28 @@ def tabulate(
     """Count distinct words, copy-number profiles, graphs and evolutions.
 
     One worker sweeps in this process.  More partition the sweep by the
-    first TD choice after the forced one, one process per partition at
-    most, and the first partition's sets take in the rest through
-    :func:`_take`, so the budget's verdict, like the results, is the
-    same for any worker count.  ``max_mem_bytes``
-    caps the dedup sets' measured size and ``deadline`` the time; both are
-    checked every 4096 paths, in every worker, and raise
+    first TD choice after the forced one, on a pool of one process per
+    partition at most, and the first partition's sets take in the rest,
+    in order, through :func:`_take`, so the budget's verdict, like the
+    results, is the same for any worker count.  ``max_mem_bytes`` caps the
+    dedup sets' measured size and ``deadline`` the time; both are checked
+    every 4096 paths in every worker and after each merge, and raise
     :class:`BudgetExceededError`.
     """
     deadline = deadline if deadline is not None else Deadline(None)
-    prefixes: list[tuple] = [()]
-    if workers > 1 and n > 1:
-        first = apply_td(initial_state(), TdChoice(0, 0, None))
-        prefixes = [(c,) for c in enumerate_choices(first)]
-    results = _fan_out(_collect, [(n, p, deep, max_mem_bytes, deadline) for p in prefixes], workers)
-    sets, entry_bytes, paths = next(results)
-    for part, _part_bytes, part_paths in results:
-        entry_bytes += _take(sets, part, max_mem_bytes)
-        paths += part_paths
-        deadline.check()
-        _check_budget(sets, entry_bytes, max_mem_bytes)
+    if workers < 2 or n < 2:
+        sets, _entry_bytes, paths = _collect(n, (), deep, max_mem_bytes, deadline)
+        return TableRow(n, *map(len, sets), paths=paths)
+    first = apply_td(initial_state(), TdChoice(0, 0, None))
+    parts = [(n, (c,), deep, max_mem_bytes, deadline) for c in enumerate_choices(first)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(workers, len(parts))) as pool:
+        results = pool.map(_collect, *zip(*parts))
+        sets, entry_bytes, paths = next(results)
+        for part, _part_bytes, part_paths in results:
+            entry_bytes += _take(sets, part, max_mem_bytes)
+            paths += part_paths
+            deadline.check()
+            _check_budget(sets, entry_bytes, max_mem_bytes)
     return TableRow(n, *map(len, sets), paths=paths)

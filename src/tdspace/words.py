@@ -51,8 +51,10 @@ def td_step(word: Sequence[int], choice: DupChoice | tuple[int, int], symbol: in
 
     ``choice`` gives the duplicated subword bounds; ``symbol`` is the new
     connection number inserted between the two copies.  Raises
-    :class:`IndexOutOfRangeError` when the bounds leave the word
-    (valid: ``1 <= a <= len + 1`` and ``a - 1 <= b <= len``).  The
+    :class:`IndexOutOfRangeError` when the bounds leave the word (valid:
+    ``1 <= a <= len + 1`` and ``a - 1 <= b <= len``), and
+    :class:`BudgetExceededError` before it builds a word of
+    ``2**WORD_COUNT_MAX_N`` symbols or more, which no word of as many TDs reaches.  The
     result is built as ``W(1:b) + symbol + W(a:end)``, which equals the
     four-part definition.  This is the checked entry point, used by the
     replay of :class:`WordEvolution`.  :func:`_derive`, the byte walk
@@ -67,6 +69,9 @@ def td_step(word: Sequence[int], choice: DupChoice | tuple[int, int], symbol: in
         raise IndexOutOfRangeError(f"start index a={a} outside 1..{m + 1} for word of length {m}")
     if not (a - 1 <= b <= m):
         raise IndexOutOfRangeError(f"end index b={b} outside {a - 1}..{m} for a={a}")
+    if m + b - a + 2 >= 2**WORD_COUNT_MAX_N:
+        raise BudgetExceededError(f"a word of {m + b - a + 2} symbols exceeds the budget "
+                                  f"of {2**WORD_COUNT_MAX_N - 1}")
     return _step(w, choice, symbol)
 
 

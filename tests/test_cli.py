@@ -154,6 +154,29 @@ def test_deeply_nested_json_is_exit_1(tmp_path, capsys, command):
     assert (code, out, err) == (1, "", "error: invalid JSON: nested too deeply\n")
 
 
+def doubling(tds):
+    """The evolution of ``tds`` TDs whose every step duplicates the whole
+    word, so that word ``k`` has 2**k - 1 symbols."""
+    return json.dumps({"steps": [[1, 2**k - 1] for k in range(1, tds)]})
+
+
+@pytest.mark.parametrize("command", ["count", "export", "induce"])
+def test_a_word_past_the_budget_is_exit_2_before_it_is_built(capsys, command):
+    """30 doubling steps, a 377-byte input, would replay to a word of
+    2**31 - 1 symbols; the replay stops at the first word past the budget."""
+    start = time.monotonic()
+    code, out, err = run(capsys, command, doubling(31))
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: a word of 2097151 symbols exceeds the budget of 1048575\n"
+    assert time.monotonic() - start < 1
+
+
+def test_the_longest_words_in_the_budget_still_count(capsys):
+    code, out, err = run(capsys, "count", doubling(20), "--format", "json")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["steps"]) == 19
+
+
 def test_count_oracle_mismatch_is_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "count_extensions_bruteforce", lambda *a, **k: 7)
     code, _, err = run(capsys, "count", '{"steps":[[1,1]]}', "--oracle")
@@ -303,6 +326,18 @@ def test_verify_failure_is_exit_3(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "grand-total", "-n", "2")
     assert code == 3
     assert "FAIL formula-vs-closed-form" in out
+
+
+def test_verify_failure_is_exit_3_in_json(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "closed_form", lambda n: -1)
+    code, out, err = run(capsys, "verify", "--suite", "grand-total", "-n", "2", "--format", "json")
+    doc = json.loads(out)
+    assert (code, err, doc["passed"]) == (3, "", False)
+    assert doc["checks"] == [
+        {"name": "simulator-vs-formula", "passed": True, "details": "11 vs 11"},
+        {"name": "formula-vs-closed-form", "passed": False, "details": "11 vs -1"},
+    ]
+    assert [list(check) for check in doc["checks"]] == [["name", "passed", "details"]] * 2
 
 
 def test_verify_mismatch_is_replayable(capsys, monkeypatch):

@@ -137,6 +137,23 @@ def test_evolution_rejects_invalid_step():
         WordEvolution(steps=((1, 1), (9, 9)))
 
 
+def test_replay_stops_before_a_word_past_the_budget():
+    """A word of n TDs has at most 2**n - 1 symbols, so every word of
+    WORD_COUNT_MAX_N TDs replays, and a longer one is refused before it
+    is built: doubling the word at each step reaches 2**k - 1 symbols at
+    k TDs, and 30 such steps would need 2**31 - 1."""
+    doubling = tuple((1, 2**k - 1) for k in range(1, 31))
+    message = "^a word of 2097151 symbols exceeds the budget of 1048575$"
+    with pytest.raises(BudgetExceededError, match=message):
+        WordEvolution(steps=doubling)
+    longest = WordEvolution(steps=doubling[: WORD_COUNT_MAX_N - 1])
+    assert (longest.n, len(longest.terminal_word)) == (WORD_COUNT_MAX_N, 2**WORD_COUNT_MAX_N - 1)
+    # the first word of 2**WORD_COUNT_MAX_N symbols is the first refused
+    assert len(td_step(longest.terminal_word[1:], (1, 0), 2)) == 2**WORD_COUNT_MAX_N - 1
+    with pytest.raises(BudgetExceededError, match="a word of 1048576 symbols"):
+        td_step(longest.terminal_word, (1, 0), 2)
+
+
 def test_evolution_checks_given_words():
     """Words passed in are replayed from the steps, never trusted."""
     ev = WordEvolution(steps=((1, 1), (1, 0), (2, 3)))
