@@ -410,16 +410,20 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
 
 
 def random_beta_tree(seed: int, size: int, fence_rate: float = FENCE_RATE) -> BetaTree:
-    """Grow a valid beta tree of ``size`` nodes, deterministically per seed.
+    """Grow a valid beta tree of ``size`` nodes in linear time, fixed by its seed.
 
     Valid parent pairs are anchored: besides the root pair, each node
     whose major chain carries an opposite-type node defines exactly one
     pair — itself as major and that nearest ancestor as minor.  Each
-    round picks an anchor and hangs a single node or a fenced pair under
-    it.  No uniformity is claimed over the space of trees — diversity is
-    the point.  A ``size`` that is not a whole number of at least 2, or a
-    ``fence_rate`` outside [0, 1], raises :class:`ValidationError`.
+    round picks an anchor, kept in hanging order, which is sorted order,
+    and hangs a single node or a fenced pair under it.  No uniformity is
+    claimed over the space of trees — diversity is the point.  Python
+    seeds an int by its absolute value; any other ``seed``, a ``size``
+    that is not a whole number of at least 2, or a ``fence_rate`` outside
+    [0, 1] raises :class:`ValidationError`.
     """
+    if not isinstance(seed, int):
+        raise ValidationError(f"a seed is a whole number, got {seed!r}")
     if not isinstance(size, int):
         raise ValidationError(f"a tree size is a whole number of nodes, got {size!r}")
     if size < 2:
@@ -433,29 +437,30 @@ def random_beta_tree(seed: int, size: int, fence_rate: float = FENCE_RATE) -> Be
     # each node's nearest opposite-type node up its major chain
     recent: dict[BreakpointId, BreakpointId | None] = {ROOT_A: None, ROOT_B: None}
     fences: set[tuple[BreakpointId, BreakpointId]] = set()
-    count, next_id = 2, 1
+    ids = {side: _ids(side, size) for side in (A_SIDE, B_SIDE)}
+    anchors: list[BreakpointId] = []  # hung in id order, so always sorted
+    next_id = 1
 
-    while count < size:
-        anchors = [q for q in sorted(major_side) if recent[q] is not None]
+    while (count := len(major_side) + 2) < size:  # the roots are not in major_side
         pick = rng.randrange(len(anchors) + 1)
         if pick == len(anchors):
-            pa, pb = ROOT_A, ROOT_B
-            side = rng.choice((A_SIDE, B_SIDE))
+            pa, pb, side = ROOT_A, ROOT_B, rng.choice((A_SIDE, B_SIDE))
         else:
             q = anchors[pick]
             side = q.side
             pa, pb = (q, recent[q]) if side == A_SIDE else (recent[q], q)
 
         if size - count >= 2 and rng.random() < fence_rate:
-            pair = (BreakpointId(next_id, A_SIDE), BreakpointId(next_id, B_SIDE))
+            pair = (ids[A_SIDE][next_id], ids[B_SIDE][next_id])
             fences.add(pair)
         else:
-            pair = (BreakpointId(next_id, rng.choice((A_SIDE, B_SIDE))),)
+            pair = (ids[rng.choice((A_SIDE, B_SIDE))][next_id],)
         major = pa if side == A_SIDE else pb
         for z in pair:
             a_parent[z], b_parent[z], major_side[z] = pa, pb, side
             recent[z] = major if major.side != z.side else recent[major]
-        count += len(pair)
+            if recent[z] is not None:
+                anchors.append(z)
         next_id += 1
 
     return BetaTree(a_parent, b_parent, major_side, frozenset(fences))

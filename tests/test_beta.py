@@ -47,6 +47,7 @@ from tdspace import (
     validate_structure,
 )
 from tdspace.beta import (
+    FENCE_RATE,
     SUBTREE_NODE_BUDGET,
     _FIRST_STATE,
     _hook_count,
@@ -943,12 +944,28 @@ def test_random_trees_are_pinned():
     )
 
 
+def test_random_trees_past_the_digest_are_pinned():
+    """sha256 of 4,800 trees at the sizes and rates the digest above leaves
+    out: the smallest sizes, 17–24, and 65, past the interned-id table."""
+    digest = hashlib.sha256()
+    for rate in (0, 0.35, 0.7, 1):
+        for size in (2, 3, *range(17, 25), 65):
+            for seed in range(100):
+                t = random_beta_tree(seed, size, rate)
+                fields = (t.a_parent.items(), t.b_parent.items(), t.major_side.items(), t.fences)
+                digest.update(repr(tuple(map(sorted, fields))).encode())
+    assert digest.hexdigest() == (
+        "9ddf695558cd319699d6c4c9d7463430addfa8142d37b1d6bd7a328c4c666222"
+    )
+
+
 def test_random_tree_sizes_and_validity():
-    for seed in range(60):
-        size = 4 + seed % 9
-        tree = random_beta_tree(seed, size)
+    """Sizes 4–12 at the default rate, and 2,000-node trees at three rates."""
+    cases = [(seed, 4 + seed % 9, FENCE_RATE) for seed in range(60)]
+    for seed, size, rate in cases + [(0, 2000, 0.35), (1, 2000, 0), (2, 2000, 1)]:
+        tree = random_beta_tree(seed, size, rate)
         assert len(tree.major_side) + 2 == size
-        assert validate_beta_tree(tree).ok, seed
+        assert validate_beta_tree(tree).ok, (seed, size, rate)
 
 
 def test_random_tree_kernel_sweep():
@@ -966,14 +983,26 @@ def test_random_tree_fence_rate_extremes():
 
 
 @pytest.mark.parametrize(
-    "size, rate, shown",
-    [(5.5, 0.35, "5.5"), (5, 2.0, "2.0"), (5, -1, "-1"), (5, float("nan"), "nan")],
+    "seed, size, rate, shown",
+    [
+        (1, 5.5, 0.35, "5.5"),
+        (1, 5, 2.0, "2.0"),
+        (1, 5, -1, "-1"),
+        (1, 5, float("nan"), "nan"),
+        (None, 5, 0.35, "None"),
+        (1.5, 5, 0.35, "1.5"),
+    ],
 )
-def test_random_tree_refuses_bad_inputs(size, rate, shown):
-    """A fractional size once built a tree anyway, and a rate outside
-    [0, 1] acted as 0 or 1."""
+def test_random_tree_refuses_bad_inputs(seed, size, rate, shown):
+    """A fractional size once built a tree anyway, a rate outside [0, 1]
+    acted as 0 or 1, and a ``None`` seed drew a new tree on every call."""
     with pytest.raises(ValidationError, match=f"got {shown}$"):
-        random_beta_tree(1, size, rate)
+        random_beta_tree(seed, size, rate)
+
+
+def test_random_tree_seeds_a_negative_int_by_its_absolute_value():
+    assert random_beta_tree(-7, 9) == random_beta_tree(7, 9)
+    assert validate_beta_tree(random_beta_tree(-7, 9)).ok
 
 
 # ---------------------------------------------------------------------------
