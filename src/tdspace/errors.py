@@ -32,8 +32,11 @@ class BudgetExceededError(TdSpaceError, RuntimeError):
 
 
 def _check_depth(sweep: str, n: int, cap: int) -> None:
-    """The depth rule of every sweep: ``n`` TDs must be at least 1 and at
-    most ``cap``; ``sweep`` names the sweep in the budget's message."""
+    """The depth rule of every sweep: ``n`` TDs must be an ``int`` (not a
+    ``bool``), at least 1 and at most ``cap``; ``sweep`` names the sweep
+    in the budget's message."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValidationError(f"need a whole number of TDs, got {n!r}")
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     if n > cap:

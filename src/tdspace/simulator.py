@@ -16,29 +16,38 @@ words and linear extensions — by a completely different route, which
 shares no code with the double-tree model.
 
 The walk has one node type, the tuple :func:`_children` yields: record
-key, word, steps, copy numbers, graph key and positions, the last one
-flat bytes ``end, start, ...`` in TD order.  The key holds the genomes
-so far, each followed by ``0xff``, so a node's genome is its last
-segment, and at depth ``n`` the key is exactly
-:meth:`TdEvolutionRecord.canonical_key`.  The choices at a node fall
-into a few classes: the host intervals, plus the order of the two
-breakpoints when both cuts share a host.  What a class renumbers
-depends only on the parent's depth and the class, so it is looked up in
-:data:`_CLASS_STEPS`, filled on first use.  Once per class,
-:func:`_split` renumbers the key and the genome with one
+key, word, steps, graph key (copy numbers, then the sorted positions)
+and positions, the last one flat bytes ``end, start, ...`` in TD order.
+An inner node's key holds the genomes so far, each followed by ``0xff``,
+so its genome is its last segment.  A leaf's key ends instead in its
+last TD's cut ``(start, end)``, two indices into the genome before it
+that fix the leaf's own genome; :func:`_children` shows why the cut is
+unique, and :func:`_record_key` decodes the key to the record's
+:meth:`TdEvolutionRecord.canonical_key`.  The genome before a leaf of
+``n`` TDs holds at most ``2^(n - 1)`` copies of each of ``2n + 1``
+intervals, under the depth budget fewer than ``0xff`` in all, so each
+cut index fits a byte.
+
+The choices at a node fall into a few classes: the host intervals, plus
+the order of the two breakpoints when both cuts share a host.  What a
+class renumbers depends only on the parent's depth and the class, so it
+is looked up in :data:`_CLASS_STEPS`, filled on first use.  Once per
+class, :func:`_split` renumbers the key and the genome with one
 ``bytes.replace`` per host and one ``bytes.translate`` (each host becomes
 two or three pieces and every later interval moves up) and moves the
 positions with one more ``translate``.  Each choice then costs four
 lookups in the parent's prefix counts of each interval for its cut
-offsets, two slices of the renumbered genome and one subtraction of the
-class's prefix sums of byte weights for its copy numbers; the parent's
-word is stepped once per distinct step.  :func:`_families` yields the
-children of each leaf parent as one list, and :func:`tabulate` dedups
-each such family with one ``set.update`` per set.  Each entry it dedups
-is one flat byte string, so ``sys.getsizeof`` gives its whole size.
-:func:`apply_td` is the step for one choice, and both consumers,
-:func:`tabulate` and :func:`enumerate_process`, read the leaves of one
-walk.
+offsets, two slices of the renumbered genome (two one-byte lookups at a
+leaf) and one subtraction of the class's prefix sums of byte weights for
+its copy numbers; the parent's word is stepped once per distinct step.
+:func:`_families` yields the children of each leaf parent as one list,
+and :func:`tabulate` dedups each such family with one ``set.update``
+into each of three sets: words, graph keys and record keys.  A
+copy-number profile is the head of its graph key, so the profiles are
+counted off the graph keys at the end.  Each entry it dedups is one flat
+byte string, so ``sys.getsizeof`` gives its whole size.  :func:`apply_td`
+is the step for one choice, and both consumers, :func:`tabulate` and
+:func:`enumerate_process`, read the leaves of one walk.
 """
 
 from __future__ import annotations
@@ -49,7 +58,9 @@ from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BudgetExceededError, Deadline, ValidationError, _check_depth
+from .errors import (
+    BudgetExceededError, Deadline, DerivationCollisionError, ValidationError, _check_depth,
+)
 from .words import Word, WordEvolution, _step
 
 DEFAULT_MAX_N = 4
@@ -147,8 +158,8 @@ def apply_td(state: GenomeState, choice: TdChoice) -> GenomeState:
     if len(flat) != 2 * n or not all(0 <= j < 2 * n for j in flat):
         raise ValidationError(f"positions {state.positions} are not pairs in 0..{2 * n - 1}")
     _hosts(state.genome, choice)
-    node = (bytes(state.genome) + b"\xff", bytes(state.word), state.steps, b"", b"", bytes(flat))
-    key, _word, steps, _cnv, _graph, positions = next(_children(node, (choice,)))
+    node = (bytes(state.genome) + b"\xff", bytes(state.word), state.steps, b"", bytes(flat))
+    key, _word, steps, _graph, positions = next(_children(node, (choice,)))
     return GenomeState(tuple(_genome(key)), _pairs(positions), steps)
 
 
@@ -206,17 +217,20 @@ class TdEvolutionRecord:
 
 
 _IDENTITY = bytes(range(256))
+#: each byte value as a one-byte string: two concatenations cost less than
+#: one ``bytes((start, end))``
+_BYTES = tuple(_IDENTITY[i : i + 1] for i in range(256))
 #: ``256**i`` for every interval index under the depth budget
 _WEIGHTS = tuple(256**i for i in range(2 * DEEP_MAX_N + 1))
 
 #: connection positions ``(end, start)`` or word steps ``(a, b)``
 _Pairs = tuple[tuple[int, int], ...]
-#: a node of the walk: record key, word, steps, copy numbers, graph key
-#: (copy numbers then sorted positions), positions in TD order as one
-#: flat byte string ``end, start, end, start, ...``
-_Node = tuple[bytes, bytes, _Pairs, bytes, bytes, bytes]
+#: a node of the walk: record key, word, steps, graph key (copy numbers
+#: then sorted positions), positions in TD order as one flat byte string
+#: ``end, start, end, start, ...``
+_Node = tuple[bytes, bytes, _Pairs, bytes, bytes]
 #: the node before the first TD; its key is empty and its genome interval 0
-_ROOT: _Node = (b"", b"", (), b"", b"", b"")
+_ROOT: _Node = (b"", b"", (), b"", b"")
 
 #: :func:`_class_step` by ``(parent depth, r1, r2, reverse)``, filled on
 #: first use, so importing builds nothing.  Each entry is a pure function
@@ -287,8 +301,9 @@ def _split(
     )
 
 
-def _children(node: _Node, choices: Iterable[tuple]) -> Iterator[_Node]:
-    """The child of ``node`` for each of ``choices``, in order.
+def _children(node: _Node, choices: Iterable[tuple], leaf: bool = False) -> Iterator[_Node]:
+    """The child of ``node`` for each of ``choices``, in order; ``leaf``
+    children get the short record key of :func:`_record_key`.
 
     The choices are ``(g1, g2, order_flag)`` triples and are not checked:
     they come from :func:`_choices` or have been checked by the caller.
@@ -301,8 +316,20 @@ def _children(node: _Node, choices: Iterable[tuple]) -> Iterator[_Node]:
     interval ``i`` in byte ``i``.  A TD copies each genome segment at
     most once, so after ``n`` TDs every count is at most ``2^n``; under
     the depth budget each fits in a byte and never carries into the next.
+
+    A leaf's key ends in its cut ``(start, end)`` instead of its genome
+    ``expanded[:end + 1] + expanded[start:]``.  The class step turns every
+    copy of a split host into its consecutive pieces.  The piece
+    ``expanded[end]`` ends at the new end breakpoint, so it is never its
+    host's last piece, and in ``expanded`` it is always followed by the
+    next one, which starts at that breakpoint, never by
+    ``expanded[start]``, which starts at the start breakpoint.  So the
+    seam ``(expanded[end], expanded[start])`` is the one junction of the
+    leaf's genome that ``expanded`` lacks, and the genome names its cut.
+    One search per class checks this and raises
+    :class:`DerivationCollisionError` if it ever fails.
     """
-    key, word, parent_steps, _cnv, _graph, positions = node
+    key, word, parent_steps, _graph, positions = node
     genome = _genome(key)
     word, td = tuple(word), len(positions) // 2 + 1
     width = 2 * td + 1
@@ -324,6 +351,13 @@ def _children(node: _Node, choices: Iterable[tuple]) -> Iterator[_Node]:
                 key, genome, positions, r1, r2, reverse
             )
             weights = list(accumulate(map(_WEIGHTS.__getitem__, expanded), initial=0))
+            if leaf:  # the seam joins the piece ending at the end breakpoint to the start's
+                seam = bytes((child_positions[-2], child_positions[-1] + 1))
+                if seam in expanded:
+                    raise DerivationCollisionError(
+                        f"seam {seam[0]}|{seam[1]} of TD {td} already joins its parent genome,"
+                        " so a record key's cut is not unique"
+                    )
             offsets = (1, 0) if r1 != r2 else (2, 0) if reverse else (1, 1)
             # The genome keeps its separator, so a child's tail slice ends the key.
             cls = classes[r1, r2, reverse] = (
@@ -349,8 +383,11 @@ def _children(node: _Node, choices: Iterable[tuple]) -> Iterator[_Node]:
             after = stepped[step] = steps, bytes(_step(word, step, td))
         steps, child_word = after
         cnv = (weights[end + 1] + weights[-1] - weights[start]).to_bytes(width, "little")
-        child_key = prefix + expanded[: end + 1] + expanded[start:]
-        yield child_key, child_word, steps, cnv, cnv + graph_conns, child_positions
+        if leaf:
+            child_key = prefix + _BYTES[start] + _BYTES[end]
+        else:
+            child_key = prefix + expanded[: end + 1] + expanded[start:]
+        yield child_key, child_word, steps, cnv + graph_conns, child_positions
 
 
 def _families(n: int, prefix: Sequence[TdChoice], deep: bool) -> Iterator[list[_Node]]:
@@ -368,8 +405,9 @@ def _families(n: int, prefix: Sequence[TdChoice], deep: bool) -> Iterator[list[_
         genome = _genome(node[0])
         for choice in fixed[:1]:
             _hosts(genome, choice)
-        children = _children(node, fixed[:1] or _choices(genome))
-        if len(node[-1]) == 2 * (n - 1):
+        leaf_parent = len(node[-1]) == 2 * (n - 1)
+        children = _children(node, fixed[:1] or _choices(genome), leaf_parent)
+        if leaf_parent:
             return (list(children),)
         return chain.from_iterable(families(child, fixed[1:]) for child in children)
 
@@ -381,8 +419,17 @@ def _walk(n: int, prefix: Sequence[TdChoice], deep: bool) -> Iterator[_Node]:
     return chain.from_iterable(_families(n, prefix, deep))
 
 
+def _record_key(key: bytes) -> bytes:
+    """A leaf's :meth:`TdEvolutionRecord.canonical_key` from its key
+    ``P + bytes((start, end))``, cut in ``P``'s last genome (in the
+    reference ``0, 1, 2`` when ``P`` is empty, after one TD)."""
+    parent, (start, end) = key[:-2], key[-2:]
+    expanded = _genome(parent) if parent else _IDENTITY[:3]
+    return parent + expanded[: end + 1] + expanded[start:] + b"\xff"
+
+
 def _record(key: bytes, steps: _Pairs, positions: bytes) -> TdEvolutionRecord:
-    genomes = key[:-1].split(b"\xff")
+    genomes = _record_key(key)[:-1].split(b"\xff")
     width = len(positions) + 1
     conns = tuple(Connection(f, t, "reversed" if t < f else "forward") for f, t in _pairs(positions))
     graphs = tuple(
@@ -398,7 +445,7 @@ def _record(key: bytes, steps: _Pairs, positions: bytes) -> TdEvolutionRecord:
 
 def enumerate_process(n: int) -> Iterator[TdEvolutionRecord]:
     """Enumerate every choice path of ``n`` TDs and yield its record."""
-    for key, _word, steps, _cnv, _graph, positions in _walk(n, (), deep=False):
+    for key, _word, steps, _graph, positions in _walk(n, (), deep=False):
         yield _record(key, steps, positions)
 
 
@@ -450,26 +497,39 @@ def _collect(
     deep: bool,
     max_mem_bytes: int | None,
     deadline: Deadline,
-) -> tuple[tuple[set, set, set, set], int, int]:
-    """The sets of words, copy numbers, graph keys and record keys below
-    ``prefix``, their entries' bytes and the path count.  Each family of
+) -> tuple[tuple[set, set, set], int, int]:
+    """The three sets of words, graph keys and short record keys (each
+    ending in its leaf's cut, see :func:`_children`) below ``prefix``,
+    their entries' bytes and the path count.  Each family of
     siblings enters the sets through one :func:`_take`; under a budget,
     each entry's ``sys.getsizeof`` is counted once, when it enters its
     set: a flat byte string, it shares nothing.  The deadline and the
     budget are checked whenever the path count crosses a multiple of
     :data:`_CHECK_EVERY`."""
-    sets = set(), set(), set(), set()
+    sets = set(), set(), set()
     entry_bytes = paths = 0
     deadline.check()
     for family in _families(n, prefix, deep):
         paths += len(family)
-        keys, words, _steps, cnvs, graphs, _positions = zip(*family)
-        entry_bytes += _take(sets, (words, cnvs, graphs, keys), max_mem_bytes)
+        keys, words, _steps, graphs, _positions = zip(*family)
+        entry_bytes += _take(sets, (words, graphs, keys), max_mem_bytes)
         if paths % _CHECK_EVERY < len(family):  # the family passed a multiple
             deadline.check()
             _check_budget(sets, entry_bytes, max_mem_bytes)
     _check_budget(sets, entry_bytes, max_mem_bytes)
     return sets, entry_bytes, paths
+
+
+def _table_row(n: int, sets: tuple[set, set, set], paths: int) -> TableRow:
+    """The row of :func:`_collect`'s sets.  A copy-number profile is the
+    first ``2n + 1`` bytes of its graph key, so the profiles go into a set
+    of their own once the record keys have been counted and cleared: the
+    smaller set reuses their memory."""
+    words, graphs, keys = sets
+    evolutions = len(keys)
+    keys.clear()
+    cnvs = len({graph[: 2 * n + 1] for graph in graphs})
+    return TableRow(n, len(words), cnvs, len(graphs), evolutions, paths)
 
 
 def tabulate(
@@ -481,19 +541,25 @@ def tabulate(
 ) -> TableRow:
     """Count distinct words, copy-number profiles, graphs and evolutions.
 
-    One worker sweeps in this process.  More partition the sweep by the
-    first TD choice after the forced one, on a pool of one process per
-    partition at most, and the first partition's sets take in the rest,
-    in order, through :func:`_take`, so the budget's verdict, like the
-    results, is the same for any worker count.  ``max_mem_bytes`` caps the
-    dedup sets' measured size and ``deadline`` the time; both are checked
-    every 4096 paths in every worker and after each merge, and raise
-    :class:`BudgetExceededError`.
+    The dedup holds three sets, of words, graph keys and record keys; the
+    profiles are counted off the graph keys at the end, by
+    :func:`_table_row`.  One worker sweeps in this process.  More
+    partition the sweep by the first TD choice after the forced one, on a
+    pool of one process per partition at most, and the first partition's
+    sets take in the rest, in order, through :func:`_take`, so the
+    budget's verdict, like the results, is the same for any worker count.
+    ``max_mem_bytes`` caps the three sets' measured size and ``deadline``
+    the time; both are checked every 4096 paths in every worker and after
+    each merge, and raise :class:`BudgetExceededError`.  A depth or
+    worker count out of range raises before any work.
     """
+    if workers < 1:
+        raise ValidationError(f"need workers >= 1, got {workers}")
+    _check_depth("simulating", n, DEEP_MAX_N if deep else DEFAULT_MAX_N)
     deadline = deadline if deadline is not None else Deadline(None)
     if workers < 2 or n < 2:
         sets, _entry_bytes, paths = _collect(n, (), deep, max_mem_bytes, deadline)
-        return TableRow(n, *map(len, sets), paths=paths)
+        return _table_row(n, sets, paths)
     first = apply_td(initial_state(), TdChoice(0, 0, None))
     parts = [(n, (c,), deep, max_mem_bytes, deadline) for c in enumerate_choices(first)]
     from concurrent.futures import ProcessPoolExecutor
@@ -506,4 +572,4 @@ def tabulate(
             paths += part_paths
             deadline.check()
             _check_budget(sets, entry_bytes, max_mem_bytes)
-    return TableRow(n, *map(len, sets), paths=paths)
+    return _table_row(n, sets, paths)

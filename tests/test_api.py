@@ -4,6 +4,8 @@ shows up here."""
 import dataclasses
 import inspect
 
+import pytest
+
 import tdspace
 
 PUBLIC_NAMES = [
@@ -66,3 +68,22 @@ def test_record_fields_are_pinned():
         elif inspect.isclass(value) and issubclass(value, tuple) and hasattr(value, "_fields"):
             fields[name] = value._fields
     assert fields == RECORD_FIELDS
+
+
+#: every public sweep that takes a depth, as a call that runs it to the end
+SWEEPS = {
+    "enumerate_word_evolutions": lambda n: list(tdspace.enumerate_word_evolutions(n)),
+    "distinct_words": tdspace.distinct_words,
+    "word_count_row": tdspace.word_count_row,
+    "word_count_total": tdspace.word_count_total,
+    "total_evolutions_via_words": tdspace.total_evolutions_via_words,
+    "tabulate": tdspace.tabulate,
+    "enumerate_process": lambda n: list(tdspace.enumerate_process(n)),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "3"])
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_every_sweep_refuses_a_depth_that_is_not_a_whole_number(sweep, n):
+    with pytest.raises(tdspace.ValidationError, match=f"need a whole number of TDs, got {n!r}"):
+        SWEEPS[sweep](n)
