@@ -39,6 +39,7 @@ from .errors import (
     NotInducedError,
     ValidationError,
     _check_depth,
+    _check_whole,
 )
 from .extensions import ExtensionCount, _forest_count
 from .structure import (
@@ -424,8 +425,7 @@ def random_beta_tree(seed: int, size: int, fence_rate: float = FENCE_RATE) -> Be
     """
     if not isinstance(seed, int):
         raise ValidationError(f"a seed is a whole number, got {seed!r}")
-    if not isinstance(size, int):
-        raise ValidationError(f"a tree size is a whole number of nodes, got {size!r}")
+    _check_whole("nodes", size)
     if size < 2:
         raise ValidationError(f"a beta tree has at least its two roots, got size {size}")
     if not 0 <= fence_rate <= 1:  # NaN fails too
@@ -477,12 +477,10 @@ def _induction_factor(n: int) -> int:
 
 def closed_form(n: int) -> int:
     """Exact number of evolutions with ``n`` TDs: ∏ (4^k − (2k+1))."""
+    _check_whole("TDs", n)
     if n < 0:
         raise ValidationError(f"need n >= 0, got {n}")
-    value = 1
-    for k in range(n):
-        value *= _induction_factor(k)
-    return value
+    return prod(map(_induction_factor, range(n)))
 
 
 # A derivation's hook-length state is ``(parent, fenced)``: each node's major

@@ -185,16 +185,16 @@ def _load_evolution(source: str) -> WordEvolution:
 class Result:
     """What one subcommand produced, in every format it offers.
 
-    ``json`` is the JSON document (an export passes its JSON text as
-    is), ``text`` the lines of the text or DOT form and ``csv`` the
-    header and rows where the command offers CSV.  ``words``, whose rows
-    grow as 2^n, and ``induce`` generate their lines and rows as they are
-    written; they and ``export`` build their JSON document only for JSON,
-    and ``export`` its DOT lines only for DOT.  A failed cross-check exits 3
-    and prints ``error``, if any, on stderr after the output.
+    ``json`` returns the JSON document (an export's JSON text as is) and
+    is called only for ``--format json``; ``text`` is the lines of the
+    text or DOT form and ``csv`` the header and rows where the command
+    offers CSV.  ``words``, whose rows grow as 2^n, and ``induce``
+    generate their lines and rows as they are written, and ``export``
+    builds its DOT text only as it is written.  A failed cross-check
+    exits 3 and prints ``error``, if any, on stderr after the output.
     """
 
-    json: object
+    json: Callable[[], object]
     text: Iterable[str]
     csv: tuple[Iterable[str], Iterable[Iterable[object]]] | None = None
     passed: bool = True
@@ -211,7 +211,7 @@ def _joined(lines: Iterable[str]) -> Iterator[str]:
 
 def _render(result: Result, fmt: str) -> Iterable[str]:
     if fmt == "json":
-        doc = result.json
+        doc = result.json()
         return [doc] if isinstance(doc, str) else json.JSONEncoder(indent=2).iterencode(doc)
     if fmt == "csv":
         header, rows = result.csv
@@ -244,9 +244,8 @@ def cmd_words(cfg: argparse.Namespace) -> Result:
         if len(routes) > 1:
             yield "routes agree" if agree else "ROUTES DISAGREE"
 
-    doc = None
-    if cfg.fmt == "json":
-        doc = {
+    def doc() -> dict[str, object]:
+        return {
             "command": "words",
             "n": n,
             "routes": {
@@ -255,6 +254,7 @@ def cmd_words(cfg: argparse.Namespace) -> Result:
             },
             "agree": agree,
         }
+
     rows = ((n, route, m, c) for route, row in routes.items() for m, c in row.items())
     return Result(json=doc, text=text(), csv=(("n", "route", "length", "count"), rows),
                   passed=agree, error="word-count routes disagree")
@@ -279,7 +279,7 @@ def cmd_count(cfg: argparse.Namespace) -> Result:
         verdict = "agrees" if oracle_value == result.value else "DISAGREES"
         text.append(f"oracle {oracle_value} {verdict}")
     return Result(
-        json={
+        json=lambda: {
             "command": "count",
             "steps": [[c.a, c.b] for c in ev.steps],
             "value": result.value,
@@ -300,7 +300,7 @@ def cmd_table(cfg: argparse.Namespace) -> Result:
     row = tabulate(cfg.n, workers=cfg.workers, deep=cfg.deep, max_mem_bytes=cfg.max_mem_bytes)
     fields = vars(row)  # TableRow's fields, in order
     return Result(
-        json={"command": "table", **fields},
+        json=lambda: {"command": "table", **fields},
         text=[
             "n      words      cnvs  td_graphs  evolutions       paths",
             f"{row.n}  {row.words:9d}  {row.cnvs:8d}  {row.td_graphs:9d}  "
@@ -478,7 +478,7 @@ def cmd_verify(cfg: argparse.Namespace) -> Result:
         text.append(f"{status} {c.name} ({c.details})" if c.details else f"{status} {c.name}")
     text.append("suite passed" if report.ok else "suite FAILED")
     return Result(
-        json={
+        json=lambda: {
             "command": "verify",
             "suite": cfg.suite,
             "checks": list(map(vars, report.checks)),
@@ -501,9 +501,7 @@ def cmd_export(cfg: argparse.Namespace) -> Result:
         subject, to_dot, to_json = hasse_diagram(tree), hasse_to_dot, hasse_to_json
     else:
         subject, to_dot, to_json = major_graph(tree), major_to_dot, major_to_json
-    if cfg.fmt == "json":
-        return Result(json=to_json(subject), text=())
-    return Result(json=None, text=to_dot(subject).split("\n"))
+    return Result(json=lambda: to_json(subject), text=map(to_dot, [subject]))
 
 
 # ---------------------------------------------------------------------------
@@ -512,45 +510,36 @@ def cmd_export(cfg: argparse.Namespace) -> Result:
 
 def cmd_induce(cfg: argparse.Namespace) -> Result:
     ev = _load_evolution(cfg.evolution)
-    budget = _depth_cap(cfg, ev.n + 1, DEFAULT_MAX_N)
-    members, base_count, predicted = _fiber(ev, budget)
-    entries = []
-    for e2, value in members:
-        labels = [str(v) for v in sorted(one_nodeset_of(ev, e2))]
-        entries.append((e2, word_to_text(e2.terminal_word), labels, value))
+    members, base_count, predicted = _fiber(ev, _depth_cap(cfg, ev.n + 1, DEFAULT_MAX_N))
+    # each member's JSON entry, which its text line and CSV row read too
+    fiber = [
+        (e2, dict(steps=[[c.a, c.b] for c in e2.steps], word=word_to_text(e2.terminal_word),
+                  nodeset=[str(v) for v in sorted(one_nodeset_of(ev, e2))], count=value))
+        for e2, value in members
+    ]
     fiber_sum = sum(value for _, value in members)
 
     def text() -> Iterator[str]:
         yield f"base {ev} (count {base_count})"
-        yield f"fiber size {len(entries)}"
-        for e2, word, labels, value in entries:
-            yield f"  {format_evolution(e2)}  word {word}  nodeset {','.join(labels)}  count {value}"
+        yield f"fiber size {len(fiber)}"
+        for e2, m in fiber:
+            word, nodeset, value = m["word"], ",".join(m["nodeset"]), m["count"]
+            yield f"  {format_evolution(e2)}  word {word}  nodeset {nodeset}  count {value}"
         verdict = "matches" if fiber_sum == predicted else "MISMATCH"
         yield f"fiber sum {fiber_sum} = {base_count} * {_induction_factor(ev.n)} [{verdict}]"
 
-    doc = None
-    if cfg.fmt == "json":
-        doc = {
-            "command": "induce",
-            "base": [[c.a, c.b] for c in ev.steps],
-            "fiber": [
-                {
-                    "steps": [[c.a, c.b] for c in e2.steps],
-                    "word": word,
-                    "nodeset": labels,
-                    "count": value,
-                }
-                for e2, word, labels, value in entries
-            ],
-            "fiber_sum": fiber_sum,
-            "predicted": predicted,
-        }
     rows = (
-        (format_evolution(e2).replace(",", ";"), word, " ".join(labels), value)
-        for e2, word, labels, value in entries
+        (format_evolution(e2).replace(",", ";"), m["word"], " ".join(m["nodeset"]), m["count"])
+        for e2, m in fiber
     )
     return Result(
-        json=doc,
+        json=lambda: {
+            "command": "induce",
+            "base": [[c.a, c.b] for c in ev.steps],
+            "fiber": [m for _, m in fiber],
+            "fiber_sum": fiber_sum,
+            "predicted": predicted,
+        },
         text=text(),
         csv=(("steps", "word", "nodeset", "count"), rows),
         passed=fiber_sum == predicted,
@@ -571,7 +560,7 @@ def cmd_beta(cfg: argparse.Namespace) -> Result:
     ]
     text += (f"  FAIL {f}" for f in failures[:10])
     return Result(
-        json={
+        json=lambda: {
             "command": "beta",
             "seed": cfg.seed,
             "trees": cfg.trees,

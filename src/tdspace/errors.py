@@ -31,12 +31,17 @@ class BudgetExceededError(TdSpaceError, RuntimeError):
     """An enumeration or memory budget was exceeded."""
 
 
+def _check_whole(what: str, value: object) -> None:
+    """Refuse a count of ``what`` that is not an ``int``, or is a ``bool``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"need a whole number of {what}, got {value!r}")
+
+
 def _check_depth(sweep: str, n: int, cap: int) -> None:
-    """The depth rule of every sweep: ``n`` TDs must be an ``int`` (not a
-    ``bool``), at least 1 and at most ``cap``; ``sweep`` names the sweep
-    in the budget's message."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValidationError(f"need a whole number of TDs, got {n!r}")
+    """The depth rule of every sweep: ``n`` TDs must be a whole number, at
+    least 1 and at most ``cap``; ``sweep`` names the sweep in the budget's
+    message."""
+    _check_whole("TDs", n)
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     if n > cap:

@@ -60,6 +60,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceededError, Deadline, DerivationCollisionError, ValidationError, _check_depth,
+    _check_whole,
 )
 from .words import Word, WordEvolution, _step
 
@@ -550,9 +551,10 @@ def tabulate(
     budget's verdict, like the results, is the same for any worker count.
     ``max_mem_bytes`` caps the three sets' measured size and ``deadline``
     the time; both are checked every 4096 paths in every worker and after
-    each merge, and raise :class:`BudgetExceededError`.  A depth or
-    worker count out of range raises before any work.
+    each merge, and raise :class:`BudgetExceededError`.  A depth or worker
+    count out of range, or not an ``int``, raises before any work.
     """
+    _check_whole("workers", workers)
     if workers < 1:
         raise ValidationError(f"need workers >= 1, got {workers}")
     _check_depth("simulating", n, DEEP_MAX_N if deep else DEFAULT_MAX_N)

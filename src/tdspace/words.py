@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     ValidationError,
     _check_depth,
+    _check_whole,
 )
 
 #: A word is a tuple of connection numbers, e.g. ``(3, 1, 2, 1)``.
@@ -250,10 +251,13 @@ def word_count_recursion(m: int, n: int) -> int:
     so ``w(m, n) = sum_k (2k - m + 2) * w(k, n-1)`` over
     ``k = m // 2 .. m - 1``, anchored at ``w(0, 0) = 1``.  Costs
     ``O(n * min(m, 2**n))``.  A word after ``n`` TDs has length ``n`` to
-    ``2**n - 1``, so other lengths give 0 at once; a query whose levels
-    hold more entries than ``word_count_row(WORD_COUNT_MAX_N)`` builds
-    raises :class:`BudgetExceededError` before any work.
+    ``2**n - 1``, so other lengths give 0 at once.  Before any work, a
+    non-``int`` argument raises :class:`ValidationError`, and a query whose
+    levels hold more entries than ``word_count_row(WORD_COUNT_MAX_N)`` builds
+    raises :class:`BudgetExceededError`.
     """
+    _check_whole("symbols", m)
+    _check_whole("TDs", n)
     if m < n or m.bit_length() > n:
         return 0
     # level k holds min(2**k, m + 1) entries, all 2**k up to level ``full``;

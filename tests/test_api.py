@@ -87,3 +87,23 @@ SWEEPS = {
 def test_every_sweep_refuses_a_depth_that_is_not_a_whole_number(sweep, n):
     with pytest.raises(tdspace.ValidationError, match=f"need a whole number of TDs, got {n!r}"):
         SWEEPS[sweep](n)
+
+
+#: every other count argument of the API: (unit, a call on it, a whole
+#: number it takes, the answer to that)
+COUNTS = {
+    "closed_form": ("TDs", tdspace.closed_form, 0, 1),
+    "tabulate-workers": ("workers", lambda v: tdspace.tabulate(1, workers=v).evolutions, 2, 1),
+    "word_count_recursion-m": ("symbols", lambda v: tdspace.word_count_recursion(v, -1), 0, 0),
+    "word_count_recursion-n": ("TDs", lambda v: tdspace.word_count_recursion(3, v), 40, 0),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+@pytest.mark.parametrize("count", sorted(COUNTS))
+def test_every_count_refuses_what_is_not_a_whole_number(count, value):
+    unit, call, whole, answer = COUNTS[count]
+    assert call(whole) == answer
+    message = f"need a whole number of {unit}, got {value!r}"
+    with pytest.raises(tdspace.ValidationError, match=message):
+        call(value)

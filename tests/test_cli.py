@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
+import ast
 import io
 import json
 import os
@@ -149,7 +150,8 @@ def test_an_evolution_file_that_is_not_utf8_is_exit_1(tmp_path, capsys, command)
 @pytest.mark.parametrize("command", ["count", "export", "induce"])
 def test_deeply_nested_json_is_exit_1(tmp_path, capsys, command):
     path = tmp_path / "ev.json"
-    path.write_text('{"steps": ' + "[" * 5000, encoding="utf-8")
+    # deeper than the JSON parser of every supported Python accepts
+    path.write_text('{"steps": ' + "[" * 100_000, encoding="utf-8")
     code, out, err = run(capsys, command, str(path))
     assert (code, out, err) == (1, "", "error: invalid JSON: nested too deeply\n")
 
@@ -662,7 +664,7 @@ def test_streamed_text_equals_the_joined_text(capsys, tmp_path, lines):
     "doc", [{}, [], '{"as": "is"}\n', {"rows": {str(m): m for m in range(10_000)}}]
 )
 def test_streamed_json_equals_the_joined_json(capsys, doc):
-    cli._emit(cli._render(cli.Result(json=doc, text=[]), "json"), None)
+    cli._emit(cli._render(cli.Result(json=lambda: doc, text=[]), "json"), None)
     expected = doc if isinstance(doc, str) else json.dumps(doc, indent=2)
     assert capsys.readouterr().out == joined_output(expected)
 
@@ -751,3 +753,37 @@ def test_main_without_argv_reads_the_command_line(capsys, monkeypatch):
     expected = outcome(capsys, ["words", "-n", "3"])
     monkeypatch.setattr(sys, "argv", ["tdspace", "words", "-n", "3"])
     assert outcome(capsys, None) == expected
+
+
+def test_only_main_reads_the_format():
+    """Every command offers all its formats; only ``main`` picks one."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    readers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "fmt"
+    }
+    assert readers == {"main"}
+
+
+@pytest.mark.parametrize(
+    "argv,fmt",
+    [
+        *((["words", "-n", "3", "--enumerate"], fmt) for fmt in ("text", "csv", "json")),
+        *((["induce", EV], fmt) for fmt in ("text", "csv", "json")),
+        *((["export", EV, "--what", what], fmt)
+          for what in ("tree", "hasse", "major") for fmt in ("dot", "json")),
+    ],
+)
+def test_the_json_document_is_built_only_for_json(capsys, monkeypatch, argv, fmt):
+    calls, result = [], cli.Result
+
+    def spy(json, **fields):
+        return result(json=lambda: calls.append(fmt) or json(), **fields)
+
+    monkeypatch.setattr(cli, "Result", spy)
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert (code, len(calls)) == (0, fmt == "json")
+    assert out.startswith("{") == (fmt == "json")

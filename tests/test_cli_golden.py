@@ -86,6 +86,14 @@ def test_cli_golden(capsys, name, argv, code):
     assert err == ""
 
 
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_cli_golden_through_output_file(capsys, tmp_path, name, argv, code):
+    target = tmp_path / name
+    assert cli.main([*argv, "-o", str(target)]) == code
+    assert capsys.readouterr() == ("", "")
+    assert target.read_bytes() == (GOLDENS / name).read_bytes()
+
+
 @pytest.mark.parametrize("name,argv,attr,fake,stderr", MISMATCHES,
                          ids=[c[0] for c in MISMATCHES])
 def test_cli_mismatch_golden(capsys, monkeypatch, name, argv, attr, fake, stderr):
