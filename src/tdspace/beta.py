@@ -538,16 +538,27 @@ def _hook_count(ev: WordEvolution) -> int:
     return _hook_value(_hook_sizes(parent), fenced)
 
 
-def _word_sum(n: int, deadline: Deadline) -> int:
-    """Σ counts of the ``n``-TD derivations, valued in groups per parent of
-    the last level: its step ``(a, b)`` hangs the new a and b on segments
+def total_evolutions_via_words(
+    n: int, *, deadline: Deadline | None = None, max_n: int = DEFAULT_MAX_N
+) -> int:
+    """Evolution total summed word by word: Σ extensions of each tree.
+
+    This is the enumeration route the closed form is checked against, run
+    in this process.  ``deadline``, checked once per last-level parent,
+    and ``n > max_n`` raise :class:`BudgetExceededError`.
+
+    The ``n``-TD derivations are valued in groups per parent of the last
+    level: its step ``(a, b)`` hangs the new a and b on segments
     ``a - 1 <= b``, and the leaves swapped give the same sizes.  With
-    ``cnt[x]`` segments under ``x``, the unfenced steps take ``cnt[x]
-    cnt[y]`` (``C(cnt[x], 2)`` for ``x = y``) times a value ``V(x, y)``, the
-    ``cnt[x]`` fenced ones ``V(x, x) / 2`` each: half of ``Σ cnt[x] cnt[y]
-    V(x, y)`` over ordered pairs.  A group's sizes are the parent's plus one
-    along the ancestor chains of x and y.  One TD has no parent level: its
-    one derivation counts 1."""
+    ``cnt[x]`` segments under ``x``, the unfenced steps take
+    ``cnt[x] cnt[y]`` (``C(cnt[x], 2)`` for ``x = y``) times a value
+    ``V(x, y)``, the ``cnt[x]`` fenced ones ``V(x, x) / 2`` each: half of
+    ``Σ cnt[x] cnt[y] V(x, y)`` over ordered pairs.  A group's sizes are
+    the parent's plus one along the ancestor chains of x and y.  One TD
+    has no parent level: its one derivation counts 1.
+    """
+    _check_depth("enumeration of", n, max_n)
+    deadline = deadline if deadline is not None else Deadline(None)
     if n == 1:
         return 1
     every = lambda _depth, word: choices_for(word)  # noqa: E731
@@ -566,17 +577,3 @@ def _word_sum(n: int, deadline: Deadline) -> int:
                 size[v] += 1
             twice += cnt[x] * cnt[y] * (1 + (x != y)) * _hook_value(size, fenced)
     return twice // 2
-
-
-def total_evolutions_via_words(
-    n: int, *, deadline: Deadline | None = None, max_n: int = DEFAULT_MAX_N
-) -> int:
-    """Evolution total summed word by word: Σ extensions of each tree.
-
-    This is the enumeration route the closed form is checked against; it
-    values the last level per parent, by :func:`_word_sum`, in this
-    process.  ``deadline``, checked once per last-level parent, and
-    ``n > max_n`` raise :class:`BudgetExceededError`.
-    """
-    _check_depth("enumeration of", n, max_n)
-    return _word_sum(n, deadline if deadline is not None else Deadline(None))

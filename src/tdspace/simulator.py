@@ -15,46 +15,43 @@ reference resolution) reproduces the evolution counts obtained from
 words and linear extensions — by a completely different route, which
 shares no code with the double-tree model.
 
-The walk has one node type, the tuple :func:`_children` yields: record
-key, word, steps, graph key (copy numbers, then the sorted positions)
-and positions, the last one flat bytes ``end, start, ...`` in TD order.
-An inner node's key holds the genomes so far, each followed by ``0xff``,
-so its genome is its last segment.  A leaf's key ends instead in its
-last TD's cut ``(start, end)``, two indices into the genome before it
-that fix the leaf's own genome; :func:`_children` shows why the cut is
-unique, and :func:`_record_key` decodes the key to the record's
-:meth:`TdEvolutionRecord.canonical_key`.  The genome before a leaf of
-``n`` TDs holds at most ``2^(n - 1)`` copies of each of ``2n + 1``
-intervals, under the depth budget fewer than ``0xff`` in all, so each
-cut index fits a byte.
+The walk has one node type, :data:`_Node`, which :func:`_children`
+yields.  An inner node's key holds the genomes so far, each followed by
+``0xff``, so its genome is its last segment.  A leaf's key ends instead
+in its last TD's cut ``(start, end)``, two indices into the genome
+before it that fix the leaf's own genome; :func:`_children` shows why
+the cut is unique, and :func:`_record_key` decodes the key to the
+record's :meth:`TdEvolutionRecord.canonical_key`.  The genome before a
+leaf of ``n`` TDs holds at most ``2^(n - 1)`` copies of each of
+``2n + 1`` intervals, under the depth budget fewer than ``0xff`` in
+all, so each cut index fits a byte.
 
 The choices at a node fall into a few classes: the host intervals, plus
 the order of the two breakpoints when both cuts share a host.  What a
-class renumbers depends only on the parent's depth and the class, so it
-is looked up in :data:`_CLASS_STEPS`, filled on first use.  Once per
-class, :func:`_split` renumbers the key and the genome with one
-``bytes.replace`` per host and one ``bytes.translate`` (each host becomes
-two or three pieces and every later interval moves up) and moves the
-positions with one more ``translate``.  Each choice then costs four
-lookups in the parent's prefix counts of each interval for its cut
-offsets, two slices of the renumbered genome (two one-byte lookups at a
-leaf) and one subtraction of the class's prefix sums of byte weights for
-its copy numbers; the parent's word is stepped once per distinct step.
-:func:`_families` yields the children of each leaf parent as one list,
-and :func:`tabulate` dedups each such family with one ``set.update``
-into each of three sets: words, graph keys and record keys.  A
-copy-number profile is the head of its graph key, so the profiles are
-counted off the graph keys at the end.  Each entry it dedups is one flat
-byte string, so ``sys.getsizeof`` gives its whole size.  :func:`apply_td`
-is the step for one choice, and both consumers, :func:`tabulate` and
-:func:`enumerate_process`, read the leaves of one walk.
+class renumbers depends only on the parent's depth and the class, so
+:func:`_class_step` is memoized, and :func:`_split` applies it once per
+class of each node.  :func:`_families` yields the children of each leaf
+parent as one list, and :func:`tabulate` dedups each such family with
+one ``set.update`` into each of three sets: words, graph keys and record
+keys.  A copy-number profile is the head of its graph key, so the
+profiles are counted off the graph keys at the end.  Each entry it
+dedups is one flat byte string, so ``sys.getsizeof`` gives its whole
+size.  :func:`apply_td` is the step for one choice, and both consumers,
+:func:`tabulate` and :func:`enumerate_process`, read the leaves of one
+walk.
+
+The depth rules are split by what they guard: the byte bound of the
+encoding, ``DEEP_MAX_N``, is checked in :func:`apply_td` and
+:func:`_families`, and each sweep's budget in :func:`tabulate` and
+:func:`enumerate_process`.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -233,12 +230,6 @@ _Node = tuple[bytes, bytes, _Pairs, bytes, bytes]
 #: the node before the first TD; its key is empty and its genome interval 0
 _ROOT: _Node = (b"", b"", (), b"", b"")
 
-#: :func:`_class_step` by ``(parent depth, r1, r2, reverse)``, filled on
-#: first use, so importing builds nothing.  Each entry is a pure function
-#: of its key; under the depth budget there are at most 190, one per depth
-#: ``d < DEEP_MAX_N`` and ordered host pair plus one per reversed host.
-_CLASS_STEPS: dict[tuple[int, int, int, bool], tuple] = {}
-
 
 def _pairs(positions: bytes) -> _Pairs:
     """Flat positions ``end, start, end, start, ...`` as ``(end, start)`` pairs."""
@@ -250,12 +241,17 @@ def _genome(key: bytes) -> bytes:
     return key[:-1].rsplit(b"\xff", 1)[-1] or b"\x00"
 
 
+@cache
 def _class_step(depth: int, r1: int, r2: int, reverse: bool) -> tuple:
     """The tables of one class at one parent depth: ``(host, pieces)``
     byte pairs to replace, the ``maketrans`` table from those pieces and
     the old indices to the child's, the table moving each old position
     ``j`` to ``j + (j >= r1) + (j >= r2)``, the new TD's ``(end, start)``
-    pair, and the slices of the child's positions, one per pair."""
+    pair, and the slices of the child's positions, one per pair.
+
+    Memoized and filled on first use, so importing builds nothing; under the depth budget there
+    are at most 190 entries, one per depth ``d < DEEP_MAX_N`` and ordered
+    host pair plus one per reversed host."""
     ids = bytearray(_IDENTITY[: 2 * depth + 1])
     fresh = len(ids)
     pieces = []
@@ -284,15 +280,11 @@ def _split(
     Returns ``key`` and ``genome`` renumbered to the child's intervals,
     the child's flat positions in TD order, and its sorted positions as
     one byte string of ``(end, start)`` pairs, by the tables of
-    :data:`_CLASS_STEPS`.  Indices stay below ``2n + 1`` and the fresh
+    :func:`_class_step`.  Indices stay below ``2n + 1`` and the fresh
     ids below ``2n + 4``, so under the depth budget each fits in a byte
     and never reaches the ``0xff`` separator.
     """
-    class_key = (len(positions) // 2, r1, r2, reverse)
-    step = _CLASS_STEPS.get(class_key)
-    if step is None:
-        step = _CLASS_STEPS[class_key] = _class_step(*class_key)
-    pieces, table, shift, new, pairs = step
+    pieces, table, shift, new, pairs = _class_step(len(positions) // 2, r1, r2, reverse)
     for host, piece in pieces:
         key, genome = key.replace(host, piece), genome.replace(host, piece)
     moved = positions.translate(shift) + new
@@ -391,13 +383,14 @@ def _children(node: _Node, choices: Iterable[tuple], leaf: bool = False) -> Iter
         yield child_key, child_word, steps, cnv + graph_conns, child_positions
 
 
-def _families(n: int, prefix: Sequence[TdChoice], deep: bool) -> Iterator[list[_Node]]:
+def _families(n: int, prefix: Sequence[TdChoice]) -> Iterator[list[_Node]]:
     """Every choice path of ``n`` TDs, in choice order, as the list of the
     children of each leaf parent (a family of siblings), each a node of
     :func:`_children`.  ``prefix`` fixes the leading choices (from the
     second TD on; the first admits a single choice), which is how
-    :func:`tabulate` partitions the sweep."""
-    _check_depth("simulating", n, DEEP_MAX_N if deep else DEFAULT_MAX_N)
+    :func:`tabulate` partitions the sweep.  Only the byte bound of the
+    encoding is checked here; the sweeps check their own budgets."""
+    _check_depth("simulating", n, DEEP_MAX_N)
     if len(prefix) >= n:
         raise ValidationError(f"prefix of {len(prefix)} choices too long for n={n}")
 
@@ -415,9 +408,9 @@ def _families(n: int, prefix: Sequence[TdChoice], deep: bool) -> Iterator[list[_
     yield from families(_ROOT, tuple(TdChoice(*c) for c in (TdChoice(0, 0, None), *prefix)))
 
 
-def _walk(n: int, prefix: Sequence[TdChoice], deep: bool) -> Iterator[_Node]:
+def _walk(n: int, prefix: Sequence[TdChoice]) -> Iterator[_Node]:
     """The leaves of :func:`_families`, one at a time, in choice order."""
-    return chain.from_iterable(_families(n, prefix, deep))
+    return chain.from_iterable(_families(n, prefix))
 
 
 def _record_key(key: bytes) -> bytes:
@@ -446,7 +439,8 @@ def _record(key: bytes, steps: _Pairs, positions: bytes) -> TdEvolutionRecord:
 
 def enumerate_process(n: int) -> Iterator[TdEvolutionRecord]:
     """Enumerate every choice path of ``n`` TDs and yield its record."""
-    for key, _word, steps, _graph, positions in _walk(n, (), deep=False):
+    _check_depth("simulating", n, DEFAULT_MAX_N)
+    for key, _word, steps, _graph, positions in _walk(n, ()):
         yield _record(key, steps, positions)
 
 
@@ -495,7 +489,6 @@ def _take(sets: Sequence[set], columns: Iterable[Iterable], max_mem_bytes: int |
 def _collect(
     n: int,
     prefix: Sequence[TdChoice],
-    deep: bool,
     max_mem_bytes: int | None,
     deadline: Deadline,
 ) -> tuple[tuple[set, set, set], int, int]:
@@ -510,7 +503,7 @@ def _collect(
     sets = set(), set(), set()
     entry_bytes = paths = 0
     deadline.check()
-    for family in _families(n, prefix, deep):
+    for family in _families(n, prefix):
         paths += len(family)
         keys, words, _steps, graphs, _positions = zip(*family)
         entry_bytes += _take(sets, (words, graphs, keys), max_mem_bytes)
@@ -542,28 +535,31 @@ def tabulate(
 ) -> TableRow:
     """Count distinct words, copy-number profiles, graphs and evolutions.
 
-    The dedup holds three sets, of words, graph keys and record keys; the
-    profiles are counted off the graph keys at the end, by
-    :func:`_table_row`.  One worker sweeps in this process.  More
-    partition the sweep by the first TD choice after the forced one, on a
-    pool of one process per partition at most, and the first partition's
-    sets take in the rest, in order, through :func:`_take`, so the
-    budget's verdict, like the results, is the same for any worker count.
-    ``max_mem_bytes`` caps the three sets' measured size and ``deadline``
-    the time; both are checked every 4096 paths in every worker and after
-    each merge, and raise :class:`BudgetExceededError`.  A depth or worker
-    count out of range, or not an ``int``, raises before any work.
+    The dedup holds three sets, of words, graph keys and record keys;
+    the profiles are counted off the graph keys at the end, by
+    :func:`_table_row`.  One worker sweeps in this process, and so does
+    any worker count while other threads run, since forking a process
+    that runs threads may deadlock the child.  More partition the sweep
+    by the first TD choice after the forced one, on a pool of one
+    process per partition at most, and the first partition's sets take
+    in the rest, in order, through :func:`_take`, so the budget's
+    verdict, like the results, is the same for any worker count.
+    ``max_mem_bytes`` caps the three sets' measured size and
+    ``deadline`` the time; both are checked every 4096 paths in every
+    worker and after each merge, and raise :class:`BudgetExceededError`.
+    A depth or worker count out of range, or not an ``int``, raises
+    before any work.
     """
     _check_whole("workers", workers)
     if workers < 1:
         raise ValidationError(f"need workers >= 1, got {workers}")
     _check_depth("simulating", n, DEEP_MAX_N if deep else DEFAULT_MAX_N)
     deadline = deadline if deadline is not None else Deadline(None)
-    if workers < 2 or n < 2:
-        sets, _entry_bytes, paths = _collect(n, (), deep, max_mem_bytes, deadline)
+    if workers < 2 or n < 2 or threading.active_count() > 1:
+        sets, _entry_bytes, paths = _collect(n, (), max_mem_bytes, deadline)
         return _table_row(n, sets, paths)
     first = apply_td(initial_state(), TdChoice(0, 0, None))
-    parts = [(n, (c,), deep, max_mem_bytes, deadline) for c in enumerate_choices(first)]
+    parts = [(n, (c,), max_mem_bytes, deadline) for c in enumerate_choices(first)]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(workers, len(parts))) as pool:

@@ -52,7 +52,6 @@ from tdspace.beta import (
     _FIRST_STATE,
     _hook_count,
     _hook_step,
-    _word_sum,
 )
 from tdspace.errors import Deadline
 from tdspace.structure import _topological
@@ -1105,7 +1104,7 @@ def test_the_walk_carries_each_derivations_major_forest():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_grouped_sums_match_the_per_leaf_reference(n):
     none = Deadline(None)
-    assert _word_sum(n, none) == _sum_partition(n, none)
+    assert total_evolutions_via_words(n, deadline=none) == _sum_partition(n, none)
 
 
 def test_fiber_sums_follow_the_recurrence():

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
@@ -164,14 +165,20 @@ def test_a_worker_count_below_one_is_refused(workers):
 
 
 def test_depth_budget():
-    with pytest.raises(BudgetExceededError):
+    """The sweeps check their budgets, and the walk only the byte bound of
+    its encoding, so a walk below a prefix still reaches n = 5."""
+    with pytest.raises(BudgetExceededError, match="simulating 5 TDs exceeds the budget of 4"):
         tabulate(5)
-    with pytest.raises(BudgetExceededError):
-        list(enumerate_process(5))
+    with pytest.raises(BudgetExceededError, match="simulating 5 TDs exceeds the budget of 4"):
+        next(enumerate_process(5))
     with pytest.raises(ValidationError, match="need n >= 1, got 0"):
         tabulate(0)
     with pytest.raises(ValidationError, match="need n >= 1, got 0"):
         list(enumerate_process(0))
+    prefix = reference_prefix(lambda state: enumerate_choices(state)[0], 3)
+    assert {len(positions) // 2 for *_, positions in _walk(5, prefix)} == {5}
+    with pytest.raises(BudgetExceededError, match="simulating 6 TDs exceeds the budget of 5"):
+        next(_walk(6, ()))
 
 
 def test_memory_budget():
@@ -211,18 +218,18 @@ def test_memory_budget_agrees_with_tracemalloc():
     live size under tracemalloc.  A deep size of tuple entries, which
     counted the objects they share once per entry, read 2.1 times it.  A
     first sweep fills the class-step table, which is not in the sets."""
-    _collect(3, (), False, None, Deadline(None))
+    _collect(3, (), None, Deadline(None))
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sets, _entry_bytes, _paths = _collect(3, (), False, None, Deadline(None))
+        sets, _entry_bytes, _paths = _collect(3, (), None, Deadline(None))
         gc.collect()
         live = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     with pytest.raises(BudgetExceededError) as exceeded:
-        _collect(3, (), False, 1, Deadline(None))
+        _collect(3, (), 1, Deadline(None))
     held = int(re.search(r"hold (\d+) bytes", str(exceeded.value)).group(1))
     words, _cnvs, graphs, evolutions = TABLE[3]
     assert tuple(map(len, sets)) == (words, graphs, evolutions)
@@ -509,9 +516,9 @@ def test_prefixes_partition_the_walk():
     sharded = [
         leaf
         for choice in enumerate_choices(after_first_td())
-        for leaf in _walk(3, (choice,), False)
+        for leaf in _walk(3, (choice,))
     ]
-    assert sharded == list(_walk(3, (), False))
+    assert sharded == list(_walk(3, ()))
 
 
 def test_prefixes_partition_the_walk_at_the_leaf():
@@ -519,25 +526,25 @@ def test_prefixes_partition_the_walk_at_the_leaf():
     sharded = [
         leaf
         for choice in enumerate_choices(after_first_td())
-        for leaf in _walk(2, (choice,), False)
+        for leaf in _walk(2, (choice,))
     ]
-    assert sharded == list(_walk(2, (), False))
+    assert sharded == list(_walk(2, ()))
 
 
 def test_a_prefix_choice_at_the_leaf_is_checked():
     with pytest.raises(ValidationError):
-        list(_walk(2, (TdChoice(0, 0, True),), False))
+        list(_walk(2, (TdChoice(0, 0, True),)))
     with pytest.raises(ValidationError):
-        list(_walk(2, (TdChoice(0, 4, None),), False))
+        list(_walk(2, (TdChoice(0, 4, None),)))
     two = enumerate_choices(after_first_td())[:2]
     with pytest.raises(ValidationError, match="prefix of 2 choices too long for n=2"):
-        list(_walk(2, two, False))
+        list(_walk(2, two))
 
 
 def test_a_prefix_choice_at_an_inner_node_is_checked():
     for bad in (TdChoice(0, 0, True), TdChoice(1, 2, None), TdChoice(0, 4, None)):
         with pytest.raises(ValidationError):
-            list(_walk(3, (bad,), False))
+            list(_walk(3, (bad,)))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -623,8 +630,8 @@ def as_old_leaf(leaf):
     )
 
 
-def old_leaves(n, prefix=(), deep=False):
-    return list(map(as_old_leaf, _walk(n, prefix, deep)))
+def old_leaves(n, prefix=()):
+    return list(map(as_old_leaf, _walk(n, prefix)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -650,7 +657,7 @@ def reference_prefix(choose, length):
 def test_deep_leaves_match_the_reference_under_seeded_prefixes(seed):
     rng = random.Random(seed)
     prefix = reference_prefix(lambda state: rng.choice(enumerate_choices(state)), 3)
-    leaves = old_leaves(5, prefix, True)
+    leaves = old_leaves(5, prefix)
     assert leaves and leaves == reference_leaves(5, prefix)
 
 
@@ -659,13 +666,13 @@ def test_deep_leaves_match_the_reference_at_the_largest_copy_numbers():
     # last leaf's: the middle piece of the first TD's interval doubles its
     # count at each of the five TDs.
     prefix = reference_prefix(lambda state: TdChoice(0, len(state.genome) - 1, None), 3)
-    leaves = old_leaves(5, prefix, True)
+    leaves = old_leaves(5, prefix)
     assert leaves == reference_leaves(5, prefix)
     cnvs = [cnv for _key, _word, _steps, (cnv, _conns), _positions in leaves]
     assert {len(cnv) for cnv in cnvs} == {11}
     assert max(map(max, cnvs)) == 2**5
     # the cuts index the genome before the leaf, 2^4 copies of 11 intervals at most
-    cuts = [max(key[-2:]) for key, *_ in _walk(5, prefix, True)]
+    cuts = [max(key[-2:]) for key, *_ in _walk(5, prefix)]
     assert max(cuts) < (2 * DEEP_MAX_N + 1) * 2 ** (DEEP_MAX_N - 1)
 
 
@@ -740,19 +747,19 @@ def test_class_steps_match_the_arithmetic_step_under_seeded_prefixes(seed):
 
 
 def test_the_class_step_table_is_filled_on_first_use():
-    """Nothing is built at import, and the table stays within one entry per
-    parent depth under the budget and class."""
+    """Nothing is built at import, and the memoized class steps stay within
+    one entry per parent depth under the budget and class."""
     probe = """
 import tdspace
 from tdspace import simulator as s
-assert not s._CLASS_STEPS, len(s._CLASS_STEPS)
+assert not s._class_step.cache_info().currsize, s._class_step.cache_info()
 s.tabulate(4)
 state, prefix = s.apply_td(s.initial_state(), s.TdChoice(0, 0, None)), []
 for _ in range(3):
     prefix.append(s.TdChoice(0, len(state.genome) - 1, None))
     state = s.apply_td(state, prefix[-1])
-assert any(True for _ in s._walk(5, prefix, True))
-print(len(s._CLASS_STEPS))
+assert any(True for _ in s._walk(5, prefix))
+print(s._class_step.cache_info().currsize)
 """
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -762,7 +769,7 @@ print(len(s._CLASS_STEPS))
     )
     assert done.returncode == 0, done.stderr
     entries = int(done.stdout)
-    assert 0 < entries <= sum((2 * d + 1) * (2 * d + 2) for d in range(DEEP_MAX_N)) <= 330
+    assert 0 < entries <= sum((2 * d + 1) * (2 * d + 2) for d in range(DEEP_MAX_N)) == 190
 
 
 def test_byte_bounds_hold_up_to_the_depth_cap():
@@ -784,7 +791,7 @@ N4_KEY_DIGEST = "409748c579552838179bb406e895310ac04070ccdd9b98349e0f3e42460b251
 
 
 def test_record_keys_are_pinned_at_n4():
-    short = [key for key, *_ in _walk(4, (), False)]
+    short = [key for key, *_ in _walk(4, ())]
     keys = list(map(full_key, short))
     assert keys == list(map(_record_key, short))
     assert len(set(short)) == len(set(keys)) == len(keys) == 154869
@@ -796,7 +803,7 @@ def test_record_keys_are_pinned_at_n4():
 def test_leaf_keys_decode_to_the_record_keys(n):
     """Each short key stands for its record's ``canonical_key()``, and
     distinct short keys for distinct record keys, one to one."""
-    short = [key for key, *_ in _walk(n, (), False)]
+    short = [key for key, *_ in _walk(n, ())]
     keys = list(map(full_key, short))
     assert keys == [rec.canonical_key() for rec in enumerate_process(n)]
     assert len(set(short)) == len(set(keys)) == len(set(zip(short, keys)))
@@ -813,7 +820,6 @@ def test_a_class_step_whose_pieces_are_not_consecutive_fails_the_seam_check(monk
         return (tuple((host, piece[:1] + piece[2:] + piece[1:2]) for host, piece in pieces), *tables)
 
     monkeypatch.setattr(tdspace.simulator, "_class_step", shuffled)
-    monkeypatch.setattr(tdspace.simulator, "_CLASS_STEPS", {})
     with pytest.raises(DerivationCollisionError, match=r"seam \d+\|\d+ of TD 2 already joins"):
         tabulate(2)
     assert main(["table", "-n", "2"]) == 3
@@ -823,7 +829,7 @@ def test_a_class_step_whose_pieces_are_not_consecutive_fails_the_seam_check(monk
 def test_copy_numbers_counted_off_the_graph_keys_match_a_collected_set(n):
     """The profiles counted off the graph keys are as many as those counted
     off each leaf's genome."""
-    genomes = (full_key(key)[:-1].rsplit(b"\xff", 1)[-1] for key, *_ in _walk(n, (), False))
+    genomes = (full_key(key)[:-1].rsplit(b"\xff", 1)[-1] for key, *_ in _walk(n, ()))
     direct = len({tuple(map(genome.count, range(2 * n + 1))) for genome in genomes})
     for workers, budget in ((1, None), (2, None), (1, 10**9), (2, 10**9)):
         assert tabulate(n, workers=workers, max_mem_bytes=budget).cnvs == direct
@@ -838,7 +844,7 @@ N4_LEAF_DIGEST = "cba37b336e6ddbb61947869f156a1da0d2e25e132704d32e6eb9a1b5a6ff38
 def test_leaf_stream_is_pinned_at_n4():
     digest = hashlib.sha256()
     leaves = 0
-    for leaf in _walk(4, (), False):
+    for leaf in _walk(4, ()):
         digest.update(repr(as_old_leaf(leaf)).encode() + b"\n")
         leaves += 1
     assert leaves == 154869
@@ -849,7 +855,7 @@ def test_memory_budget_measures_what_the_old_leaves_measured():
     """The sets hold the reference leaves' words and graph keys as flat
     byte strings, and short keys of their record keys, as many as the old
     tuples, and the budget counts each entry's ``sys.getsizeof`` once."""
-    sets, entry_bytes, paths = _collect(3, (), False, 10**9, Deadline(None))
+    sets, entry_bytes, paths = _collect(3, (), 10**9, Deadline(None))
     flat = [
         (bytes(word), bytes(cnv) + bytes(i for pair in conns for i in pair), key)
         for key, word, _steps, (cnv, conns), _positions in reference_leaves(3)
@@ -895,6 +901,26 @@ def test_pools_are_capped_at_the_partitions(monkeypatch):
     assert row_tuple(tabulate(3, workers=1)) == TABLE[3]
     assert total_evolutions_via_words(4) == 154869
     assert RecordingExecutor.sizes == [11, 4]
+
+
+def test_a_caller_with_other_threads_sweeps_in_process(monkeypatch):
+    """Forking a process that runs threads may deadlock the child, so while
+    another thread runs, ``tabulate`` builds no pool and returns the
+    one-worker row."""
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        row = tabulate(3, workers=2)
+    finally:
+        release.set()
+        waiter.join()
+    assert RecordingExecutor.sizes == []
+    assert row == tabulate(3)
 
 
 def test_the_simulator_shares_no_code_with_the_double_tree_model():
