@@ -419,11 +419,11 @@ def random_beta_tree(seed: int, size: int, fence_rate: float = FENCE_RATE) -> Be
     round picks an anchor, kept in hanging order, which is sorted order,
     and hangs a single node or a fenced pair under it.  No uniformity is
     claimed over the space of trees — diversity is the point.  Python
-    seeds an int by its absolute value; any other ``seed``, a ``size``
-    that is not a whole number of at least 2, or a ``fence_rate`` outside
+    seeds an int by its absolute value; a ``bool`` or any other ``seed``, a
+    ``size`` not a whole number of at least 2, or a ``fence_rate`` outside
     [0, 1] raises :class:`ValidationError`.
     """
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValidationError(f"a seed is a whole number, got {seed!r}")
     _check_whole("nodes", size)
     if size < 2:

@@ -31,11 +31,12 @@ the order of the two breakpoints when both cuts share a host.  What a
 class renumbers depends only on the parent's depth and the class, so
 :func:`_class_step` is memoized, and :func:`_split` applies it once per
 class of each node.  :func:`_families` yields the children of each leaf
-parent as one list, and :func:`tabulate` dedups each such family with
-one ``set.update`` into each of three sets: words, graph keys and record
-keys.  A copy-number profile is the head of its graph key, so the
-profiles are counted off the graph keys at the end.  Each entry it
-dedups is one flat byte string, so ``sys.getsizeof`` gives its whole
+parent as one list, and :func:`tabulate` dedups each such family into
+sets of words and graph keys and a dict from each record-key prefix to
+the sorted distinct cuts below it, packed in one byte string.  A
+copy-number profile is the head of its graph key, so the profiles are
+counted off the graph keys at the end.  Each entry, prefix and packed
+string is one flat byte string, so ``sys.getsizeof`` gives its whole
 size.  :func:`apply_td` is the step for one choice, and both consumers,
 :func:`tabulate` and :func:`enumerate_process`, read the leaves of one
 walk.
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, chain
@@ -225,7 +227,7 @@ _WEIGHTS = tuple(256**i for i in range(2 * DEEP_MAX_N + 1))
 _Pairs = tuple[tuple[int, int], ...]
 #: a node of the walk: record key, word, steps, graph key (copy numbers
 #: then sorted positions), positions in TD order as one flat byte string
-#: ``end, start, end, start, ...``
+#: ``end, start, end, start, ...`` (a leaf's key split as ``(prefix, cut)``)
 _Node = tuple[bytes, bytes, _Pairs, bytes, bytes]
 #: the node before the first TD; its key is empty and its genome interval 0
 _ROOT: _Node = (b"", b"", (), b"", b"")
@@ -296,7 +298,8 @@ def _split(
 
 def _children(node: _Node, choices: Iterable[tuple], leaf: bool = False) -> Iterator[_Node]:
     """The child of ``node`` for each of ``choices``, in order; ``leaf``
-    children get the short record key of :func:`_record_key`.
+    children get the short record key of :func:`_record_key` as the pair
+    ``(prefix, cut)``, the prefix one object per class.
 
     The choices are ``(g1, g2, order_flag)`` triples and are not checked:
     they come from :func:`_choices` or have been checked by the caller.
@@ -377,7 +380,7 @@ def _children(node: _Node, choices: Iterable[tuple], leaf: bool = False) -> Iter
         steps, child_word = after
         cnv = (weights[end + 1] + weights[-1] - weights[start]).to_bytes(width, "little")
         if leaf:
-            child_key = prefix + _BYTES[start] + _BYTES[end]
+            child_key = prefix, _BYTES[start] + _BYTES[end]
         else:
             child_key = prefix + expanded[: end + 1] + expanded[start:]
         yield child_key, child_word, steps, cnv + graph_conns, child_positions
@@ -409,8 +412,11 @@ def _families(n: int, prefix: Sequence[TdChoice]) -> Iterator[list[_Node]]:
 
 
 def _walk(n: int, prefix: Sequence[TdChoice]) -> Iterator[_Node]:
-    """The leaves of :func:`_families`, one at a time, in choice order."""
-    return chain.from_iterable(_families(n, prefix))
+    """The leaves of :func:`_families`, one at a time, in choice order,
+    each key joined back into one byte string."""
+    for family in _families(n, prefix):
+        for (head, cut), word, steps, graph, positions in family:
+            yield head + cut, word, steps, graph, positions
 
 
 def _record_key(key: bytes) -> bytes:
@@ -456,9 +462,12 @@ class TableRow:
     paths: int = 0  # raw choice paths; equals evolutions when records never collide
 
 
-def _check_budget(sets: Sequence[set], entry_bytes: int, max_mem_bytes: int | None) -> None:
+_Held = tuple[set, set, dict]  # words, graph keys, packed cuts by record-key prefix
+
+
+def _check_budget(sets: _Held, entry_bytes: int, max_mem_bytes: int | None) -> None:
     """Raise :class:`BudgetExceededError` when ``entry_bytes`` plus the
-    sets' own tables exceed ``max_mem_bytes`` (``None``: no budget)."""
+    tables exceed ``max_mem_bytes`` (``None``: no budget)."""
     if max_mem_bytes is None:
         return
     held = entry_bytes + sum(map(sys.getsizeof, sets))
@@ -468,22 +477,32 @@ def _check_budget(sets: Sequence[set], entry_bytes: int, max_mem_bytes: int | No
         )
 
 
-def _take(sets: Sequence[set], columns: Iterable[Iterable], max_mem_bytes: int | None) -> int:
-    """Add each column to its set.  Under a budget, return the bytes of
-    the entries that were new, which go in from an iterator one at a time
-    (a set would presize the table), so a set's table does not depend on
-    how its entries were batched, nor the budget's verdict on the worker
-    count; without one, return 0."""
-    if max_mem_bytes is None:
-        for held, column in zip(sets, columns):
-            held.update(column)
-        return 0
+def _take(sets: _Held, columns: tuple, max_mem_bytes: int | None) -> int:
+    """Add words and graph keys to their sets, and each prefix's packed
+    cuts to the record keys, unioned with any held.  Under a budget,
+    return the bytes of new entries, prefixes and packed growth; entries
+    go in one at a time (a set would presize its table), so neither a
+    table nor the verdict depends on the batching or the worker count."""
+    *flat, keys = sets
     added = 0
-    for held, column in zip(sets, columns):
-        new = set(column).difference(held)
-        held.update(iter(new))
-        added += sum(map(sys.getsizeof, new))
-    return added
+    for held, column in zip(flat, columns):
+        if max_mem_bytes is None:
+            held.update(column)
+        else:
+            new = set(column).difference(held)
+            held.update(iter(new))
+            added += sum(map(sys.getsizeof, new))
+    for head, packed in columns[2].items():
+        old = keys.get(head)
+        if old is None:
+            added += sys.getsizeof(head)
+        else:
+            cuts = {p[i : i + 2] for p in (old, packed) for i in range(0, len(p), 2)}
+            packed = b"".join(sorted(cuts))
+            added -= sys.getsizeof(old)
+        keys[head] = packed
+        added += sys.getsizeof(packed)
+    return 0 if max_mem_bytes is None else added
 
 
 def _collect(
@@ -491,22 +510,28 @@ def _collect(
     prefix: Sequence[TdChoice],
     max_mem_bytes: int | None,
     deadline: Deadline,
-) -> tuple[tuple[set, set, set], int, int]:
-    """The three sets of words, graph keys and short record keys (each
-    ending in its leaf's cut, see :func:`_children`) below ``prefix``,
-    their entries' bytes and the path count.  Each family of
-    siblings enters the sets through one :func:`_take`; under a budget,
-    each entry's ``sys.getsizeof`` is counted once, when it enters its
-    set: a flat byte string, it shares nothing.  The deadline and the
-    budget are checked whenever the path count crosses a multiple of
-    :data:`_CHECK_EVERY`."""
-    sets = set(), set(), set()
+) -> tuple[_Held, int, int]:
+    """The sets of words and graph keys below ``prefix``, the dict from
+    each short record key's prefix to its leaves' cuts (see
+    :func:`_children`), their entries' bytes and the path count.  Each
+    family of siblings packs its cuts by prefix and enters through one
+    :func:`_take`; under a budget, each flat byte string's
+    ``sys.getsizeof`` is counted when it enters or grows.  The deadline
+    and the budget are checked whenever the path count crosses a multiple
+    of :data:`_CHECK_EVERY`."""
+    sets: _Held = set(), set(), {}
     entry_bytes = paths = 0
     deadline.check()
     for family in _families(n, prefix):
         paths += len(family)
         keys, words, _steps, graphs, _positions = zip(*family)
-        entry_bytes += _take(sets, (words, graphs, keys), max_mem_bytes)
+        pairs = set(keys)  # one set of all pairs dedups faster than one per prefix
+        cuts = defaultdict(list)
+        # choice order keeps each prefix's cuts nearly sorted: walk it unless a pair repeats
+        for head, cut in keys if len(pairs) == len(keys) else pairs:
+            cuts[head].append(cut)
+        packed = {head: b"".join(sorted(group)) for head, group in cuts.items()}
+        entry_bytes += _take(sets, (words, graphs, packed), max_mem_bytes)
         if paths % _CHECK_EVERY < len(family):  # the family passed a multiple
             deadline.check()
             _check_budget(sets, entry_bytes, max_mem_bytes)
@@ -514,13 +539,14 @@ def _collect(
     return sets, entry_bytes, paths
 
 
-def _table_row(n: int, sets: tuple[set, set, set], paths: int) -> TableRow:
-    """The row of :func:`_collect`'s sets.  A copy-number profile is the
-    first ``2n + 1`` bytes of its graph key, so the profiles go into a set
-    of their own once the record keys have been counted and cleared: the
-    smaller set reuses their memory."""
+def _table_row(n: int, sets: _Held, paths: int) -> TableRow:
+    """The row of :func:`_collect`'s sets; a record key splits into its
+    prefix and cut one to one, so the evolutions are the cuts held.  A
+    copy-number profile is the first ``2n + 1`` bytes of its graph key, so
+    the profiles go into a set of their own once the record keys have been
+    counted and cleared: the smaller set reuses their memory."""
     words, graphs, keys = sets
-    evolutions = len(keys)
+    evolutions = sum(map(len, keys.values())) // 2
     keys.clear()
     cnvs = len({graph[: 2 * n + 1] for graph in graphs})
     return TableRow(n, len(words), cnvs, len(graphs), evolutions, paths)
@@ -535,24 +561,28 @@ def tabulate(
 ) -> TableRow:
     """Count distinct words, copy-number profiles, graphs and evolutions.
 
-    The dedup holds three sets, of words, graph keys and record keys;
-    the profiles are counted off the graph keys at the end, by
-    :func:`_table_row`.  One worker sweeps in this process, and so does
+    The dedup holds sets of words and graph keys and the record keys'
+    cuts by prefix; the profiles are counted off the graph keys at the end,
+    by :func:`_table_row`.  One worker sweeps in this process, and so does
     any worker count while other threads run, since forking a process
     that runs threads may deadlock the child.  More partition the sweep
     by the first TD choice after the forced one, on a pool of one
     process per partition at most, and the first partition's sets take
     in the rest, in order, through :func:`_take`, so the budget's
     verdict, like the results, is the same for any worker count.
-    ``max_mem_bytes`` caps the three sets' measured size and
+    ``max_mem_bytes`` caps the dedup's measured size and
     ``deadline`` the time; both are checked every 4096 paths in every
     worker and after each merge, and raise :class:`BudgetExceededError`.
-    A depth or worker count out of range, or not an ``int``, raises
-    before any work.
+    A depth, worker count or ``max_mem_bytes`` out of range, or not an
+    ``int``, raises before any work.
     """
     _check_whole("workers", workers)
     if workers < 1:
         raise ValidationError(f"need workers >= 1, got {workers}")
+    if max_mem_bytes is not None:
+        _check_whole("bytes", max_mem_bytes)
+        if max_mem_bytes < 1:
+            raise ValidationError(f"need max_mem_bytes >= 1, got {max_mem_bytes}")
     _check_depth("simulating", n, DEEP_MAX_N if deep else DEFAULT_MAX_N)
     deadline = deadline if deadline is not None else Deadline(None)
     if workers < 2 or n < 2 or threading.active_count() > 1:

@@ -94,6 +94,9 @@ def test_every_sweep_refuses_a_depth_that_is_not_a_whole_number(sweep, n):
 COUNTS = {
     "closed_form": ("TDs", tdspace.closed_form, 0, 1),
     "tabulate-workers": ("workers", lambda v: tdspace.tabulate(1, workers=v).evolutions, 2, 1),
+    "tabulate-max_mem_bytes": (
+        "bytes", lambda v: tdspace.tabulate(1, max_mem_bytes=v).evolutions, 10**6, 1,
+    ),
     "word_count_recursion-m": ("symbols", lambda v: tdspace.word_count_recursion(v, -1), 0, 0),
     "word_count_recursion-n": ("TDs", lambda v: tdspace.word_count_recursion(3, v), 40, 0),
 }

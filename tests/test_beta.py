@@ -990,11 +990,13 @@ def test_random_tree_fence_rate_extremes():
         (1, 5, float("nan"), "nan"),
         (None, 5, 0.35, "None"),
         (1.5, 5, 0.35, "1.5"),
+        (True, 5, 0.35, "True"),
     ],
 )
 def test_random_tree_refuses_bad_inputs(seed, size, rate, shown):
     """A fractional size once built a tree anyway, a rate outside [0, 1]
-    acted as 0 or 1, and a ``None`` seed drew a new tree on every call."""
+    acted as 0 or 1, a ``None`` seed drew a new tree on every call, and a
+    ``True`` seed quietly grew the tree of seed 1."""
     with pytest.raises(ValidationError, match=f"got {shown}$"):
         random_beta_tree(seed, size, rate)
 

@@ -37,7 +37,8 @@ from tdspace import (
 from tdspace.errors import Deadline
 from tdspace.cli import main
 from tdspace.simulator import (
-    DEEP_MAX_N, _ROOT, _choices, _children, _collect, _genome, _record_key, _split, _walk,
+    DEEP_MAX_N, _ROOT, _choices, _children, _collect, _genome, _record_key, _split, _table_row,
+    _take, _walk,
 )
 from tdspace.structure import A_SIDE, B_SIDE, BreakpointId
 from tdspace.words import FIRST_WORD, td_step
@@ -188,11 +189,27 @@ def test_memory_budget():
 
 
 def test_memory_budget_is_measured_in_every_worker_count():
-    # the n=3 dedup sets hold about 97,000 bytes
+    # the n=3 dedup holds about 46,000 bytes
     for workers in (1, 3):
         with pytest.raises(BudgetExceededError):
-            tabulate(3, workers=workers, max_mem_bytes=90_000)
-        assert tabulate(3, workers=workers, max_mem_bytes=100_000) == tabulate(3)
+            tabulate(3, workers=workers, max_mem_bytes=42_000)
+        assert tabulate(3, workers=workers, max_mem_bytes=50_000) == tabulate(3)
+
+
+def test_the_n4_dedup_fits_in_ten_million_bytes():
+    """The packed record keys hold the n = 4 dedup to about 7.2 MB; with a
+    set of short record keys it measured 24.3 MB."""
+    assert tabulate(4, max_mem_bytes=10**7) == tabulate(4)
+
+
+@pytest.mark.parametrize("bad", [0, -5])
+def test_memory_budget_out_of_range_is_refused_before_any_work(monkeypatch, bad):
+    def no_sweep(*args):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(tdspace.simulator, "_families", no_sweep)
+    with pytest.raises(ValidationError, match=f"need max_mem_bytes >= 1, got {bad}$"):
+        tabulate(3, max_mem_bytes=bad)
 
 
 def smallest_passing_budget(n):
@@ -215,9 +232,11 @@ def test_memory_budget_does_not_depend_on_the_worker_count(workers):
 
 def test_memory_budget_agrees_with_tracemalloc():
     """The bytes the budget compares at n = 3 are within 5% of the sets'
-    live size under tracemalloc.  A deep size of tuple entries, which
-    counted the objects they share once per entry, read 2.1 times it.  A
-    first sweep fills the class-step table, which is not in the sets."""
+    live size under tracemalloc: the set entries, the record keys'
+    prefixes and packed cuts, and the tables.  A deep size of tuple
+    entries, which counted the objects they share once per entry, read
+    2.1 times it.  A first sweep fills the class-step table, which is not
+    in the sets."""
     _collect(3, (), None, Deadline(None))
     gc.collect()
     tracemalloc.start()
@@ -232,8 +251,70 @@ def test_memory_budget_agrees_with_tracemalloc():
         _collect(3, (), 1, Deadline(None))
     held = int(re.search(r"hold (\d+) bytes", str(exceeded.value)).group(1))
     words, _cnvs, graphs, evolutions = TABLE[3]
-    assert tuple(map(len, sets)) == (words, graphs, evolutions)
+    assert tuple(map(len, sets[:2])) == (words, graphs)
+    assert sum(map(len, sets[2].values())) == 2 * evolutions
     assert abs(held - live) <= 0.05 * live, (held, live)
+
+
+def repeating(families):
+    """A stand-in for ``_families`` that passes each family through
+    ``families(family)``."""
+    real = tdspace.simulator._families
+
+    def patched(n, prefix):
+        for family in real(n, prefix):
+            yield from families(family)
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "families, extra",
+    [
+        (lambda family: [family + family[:1]], lambda family: 1),
+        (lambda family: [family, family], len),
+    ],
+    ids=["a family repeats a leaf", "a family comes twice"],
+)
+def test_the_packed_record_keys_dedup_a_repeated_path(monkeypatch, families, extra):
+    """A leaf that comes again, in its own family or in a second copy of
+    it, counts once in ``evolutions`` and again in ``paths``, and the
+    dedup holds no more bytes than without it."""
+    budget = smallest_passing_budget(3)
+    paths = 627 + sum(extra(family) for family in tdspace.simulator._families(3, ()))
+    monkeypatch.setattr(tdspace.simulator, "_families", repeating(families))
+    row = tabulate(3, max_mem_bytes=budget)
+    assert (row_tuple(row), row.paths) == (TABLE[3], paths)
+    assert row_tuple(tabulate(3)) == TABLE[3]
+    with pytest.raises(BudgetExceededError, match=f"hold {budget} bytes"):
+        tabulate(3, max_mem_bytes=budget - 1)
+
+
+def test_merging_a_prefix_that_is_held_unions_its_cuts():
+    """The merge of a partition's record keys unions the cuts of a prefix
+    both hold, and counts the growth of its packed string."""
+    sets = set(), set(), {b"P\xff": b"\x01\x02\x03\x04"}
+    added = _take(sets, ((), (), {b"P\xff": b"\x03\x04\x05\x06", b"Q\xff": b"\x00\x01"}), 10**9)
+    assert sets[2] == {b"P\xff": b"\x01\x02\x03\x04\x05\x06", b"Q\xff": b"\x00\x01"}
+    assert added == 2 + sys.getsizeof(b"Q\xff") + sys.getsizeof(b"\x00\x01")
+    assert _table_row(1, sets, 4).evolutions == 4
+
+
+def test_partitions_that_share_a_prefix_merge_to_the_one_worker_keys():
+    """At n = 2 every partition is one second TD, so partitions of one
+    class share a prefix, and merging their record keys unions the cuts
+    into the dict that one worker builds."""
+    whole, _bytes, _paths = _collect(2, (), None, Deadline(None))
+    parts = [
+        _collect(2, (choice,), None, Deadline(None))[0]
+        for choice in enumerate_choices(after_first_td())
+    ]
+    assert sum(len(part[2]) for part in parts) > len(whole[2])
+    merged = parts[0]
+    for part in parts[1:]:
+        _take(merged, part, None)
+    assert merged == whole
+    assert _table_row(2, merged, 11).evolutions == 11
 
 
 class CountingClock:
@@ -853,8 +934,10 @@ def test_leaf_stream_is_pinned_at_n4():
 
 def test_memory_budget_measures_what_the_old_leaves_measured():
     """The sets hold the reference leaves' words and graph keys as flat
-    byte strings, and short keys of their record keys, as many as the old
-    tuples, and the budget counts each entry's ``sys.getsizeof`` once."""
+    byte strings, and the record keys as each prefix's packed cuts, which
+    join back to as many short keys as the old tuples, and the budget
+    counts each entry's, prefix's and packed string's ``sys.getsizeof``
+    once."""
     sets, entry_bytes, paths = _collect(3, (), 10**9, Deadline(None))
     flat = [
         (bytes(word), bytes(cnv) + bytes(i for pair in conns for i in pair), key)
@@ -863,9 +946,13 @@ def test_memory_budget_measures_what_the_old_leaves_measured():
     assert paths == len(flat) == 627
     words, graphs, keys = map(set, zip(*flat))
     assert sets[:2] == (words, graphs)
-    assert set(map(full_key, sets[2])) == keys
-    assert tuple(map(len, sets)) == (len(words), len(graphs), len(keys)) == (22, 288, 627)
-    sizes = sum(sys.getsizeof(entry) for held in sets for entry in held)
+    short = [
+        head + cuts[i : i + 2] for head, cuts in sets[2].items() for i in range(0, len(cuts), 2)
+    ]
+    assert set(map(full_key, short)) == keys
+    assert (len(sets[0]), len(sets[1]), len(short)) == (len(words), len(graphs), len(keys))
+    assert (len(words), len(graphs), len(keys)) == (22, 288, 627)
+    sizes = sum(map(sys.getsizeof, [*sets[0], *sets[1], *sets[2], *sets[2].values()]))
     assert entry_bytes == sizes
 
 
