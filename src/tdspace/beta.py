@@ -39,6 +39,7 @@ from .errors import (
     NotInducedError,
     ValidationError,
     _check_depth,
+    _check_positive,
     _check_whole,
 )
 from .extensions import ExtensionCount, _forest_count
@@ -200,16 +201,19 @@ def induced_major_graph(tree: BetaTree, nodeset: Iterable[BreakpointId]) -> Majo
 def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
     """The one include/exclude walk over the admissible subtrees of ``tree``.
 
-    Returns ``(ids, fences, chosen, parent, run)``: the nodes, the two
-    roots first and then in an order that puts both parents before every
-    node; :func:`_fences`' fences as pairs of positions in ``ids``; per
-    position, whether the node is in the subtree at hand and its
-    :func:`induced_tree` parent there; and ``run(visit)``, which calls
-    ``visit()`` once at each admissible subtree, excluding each node
-    before including it.  A node can only join once both parents have,
-    so a node whose parents are not both chosen has one branch, out
-    under its major parent, and one loop passes over a run of such nodes
-    without a call per node.
+    Returns ``(rows, ids, fences, chosen, parent, run)``: :func:`_edges`'
+    rows; the nodes, the two roots first and then in an order that puts
+    both parents before every node; :func:`_fences`' fences as pairs of
+    positions in ``ids``; per position, whether the node is in the
+    subtree at hand and its :func:`induced_tree` parent there; and
+    ``run(visit)``, which calls ``visit()`` once at each admissible
+    subtree, excluding each node before including it.  A node can only
+    join once both parents have, so a node whose parents are not both
+    chosen has one branch, out under its major parent, and one loop
+    passes over a run of such nodes without a call per node.  ``run``
+    frees its walk, ``visit`` included, when it returns or raises, not
+    at the next cyclic collection.  A ``budget`` below 1 or not an
+    ``int`` raises :class:`ValidationError` before any work.
 
     A fence whose shared parents are both chosen forces at least one of
     its two nodes in.  As :func:`_fences` passes only fences whose nodes
@@ -218,6 +222,7 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
     needs only its ``partner``, the fence's earlier node (else the root
     0a, always in), to be in.
     """
+    _check_positive("nodes", "budget", budget)
     total = 2 + len(tree.major_side)
     if total > budget:
         raise BudgetExceededError(f"{total} nodes exceed the subtree budget of {budget}")
@@ -274,17 +279,20 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
                 walk(v + 1)
             chosen[v] = False
 
-        if total == 2:
-            visit()
-        else:
-            walk(2)
+        try:
+            if total == 2:
+                visit()
+            else:
+                walk(2)
+        finally:
+            del walk  # the walk names itself: free it now, not at the next collection
 
-    return ids, fences, chosen, parent, run
+    return rows, ids, fences, chosen, parent, run
 
 
 def enumerate_beta_subtrees(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> list[NodeSet]:
     """Every admissible node subset, in the order of the walk :func:`kernel_profile` shares."""
-    ids, _, chosen, _, run = _subtree_walk(tree, budget)
+    _, ids, _, chosen, _, run = _subtree_walk(tree, budget)
     results: list[NodeSet] = []
     run(lambda: results.append(frozenset(compress(ids, chosen))))
     return results
@@ -308,7 +316,13 @@ def induced_tree(tree: BetaTree, tau: Iterable[BreakpointId]) -> MajorGraph:
     stray = chosen - {ROOT_A, ROOT_B, *tree.major_side}
     if stray:
         raise ValidationError(f"{min(stray)} is not a node of the tree")
+    parent, kept = _reselect(rows, fences, chosen)
+    return MajorGraph(parent=parent, fences=frozenset(kept))
 
+
+def _reselect(rows: list[tuple], fences: list[tuple], chosen: frozenset) -> tuple[dict, list]:
+    """:func:`induced_tree`'s rewrite of :func:`_edges`' rows and :func:`_fences`'
+    pairs: each node's parent, in row order, and the surviving fences."""
     parent = {}
     for v, pa, pb, major in rows:
         both = pa in chosen and pb in chosen
@@ -320,9 +334,7 @@ def induced_tree(tree: BetaTree, tau: Iterable[BreakpointId]) -> MajorGraph:
             parent[v] = pb if v.side == A_SIDE else pa
         else:
             parent[v] = major
-
-    fences = frozenset(f for f in fences if not chosen.issuperset(f))
-    return MajorGraph(parent=parent, fences=fences)
+    return parent, [f for f in fences if not chosen.issuperset(f)]
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +386,20 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
     :func:`two_tree_count` of the rewrite is the hook-length value
     ``(s_A - 1)! (s_B - 1)! / ∏ s_v`` over the non-root nodes, times
     ``(C - 1) / C`` with ``C = C(s_x + s_y, s_x)`` for each surviving
-    fence; it is added to the sum for ``r = s_A``.  ``rhs`` still comes
-    from :func:`contracted_count`, so the two sides of each identity
-    are computed by different code.  It runs first and raises
-    :class:`MalformedGraphError` for a fence whose nodes differ in major
-    side under shared parents other than the two roots, the one fence a
-    leaf could find bridging no siblings.
+    fence; it is added to the sum for ``r = s_A``.  ``rhs``, the
+    :func:`contracted_count` of the empty subset, is valued from the
+    walk's own rows by the dict-based :func:`_forest_count`, so the two
+    sides of each identity are computed by different code.  It runs
+    before the walk and raises :class:`MalformedGraphError` for a fence
+    whose nodes differ in major side under shared parents other than the
+    two roots, the one fence a leaf could find bridging no siblings.
     """
-    ids, fences, chosen, parent, run = _subtree_walk(tree, budget)
+    rows, ids, fences, chosen, parent, run = _subtree_walk(tree, budget)
     total = len(ids)
-    rhs = contracted_count(induced_tree(tree, (ROOT_A, ROOT_B))).value
+    pairs = [(ids[x], ids[y]) for x, y in fences]
+    empty, kept = _reselect(rows, pairs, frozenset((ROOT_A, ROOT_B)))
+    fused = {v: (ROOT_A if p.td == 0 else p) for v, p in empty.items()}  # sorted, as the rows
+    rhs = _forest_count((ROOT_A, *fused), fused, kept).value
     facts = [factorial(k) for k in range(total)]
     sums = [0] * total
     down = range(total - 1, 1, -1)

@@ -37,13 +37,18 @@ def _check_whole(what: str, value: object) -> None:
         raise ValidationError(f"need a whole number of {what}, got {value!r}")
 
 
+def _check_positive(what: str, name: str, value: object) -> None:
+    """:func:`_check_whole`, then refuse a ``value`` below 1 by its ``name``."""
+    _check_whole(what, value)
+    if value < 1:
+        raise ValidationError(f"need {name} >= 1, got {value}")
+
+
 def _check_depth(sweep: str, n: int, cap: int) -> None:
     """The depth rule of every sweep: ``n`` TDs must be a whole number, at
     least 1 and at most ``cap``; ``sweep`` names the sweep in the budget's
     message."""
-    _check_whole("TDs", n)
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    _check_positive("TDs", "n", n)
     if n > cap:
         raise BudgetExceededError(f"{sweep} {n} TDs exceeds the budget of {cap}")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Sequence
 
-from .errors import BudgetExceededError, CycleDetectedError, MalformedGraphError
+from .errors import BudgetExceededError, CycleDetectedError, MalformedGraphError, _check_positive
 from .structure import BreakpointId, HasseDiagram, MajorGraph, _successors
 
 BRUTEFORCE_NODE_BUDGET = 26
@@ -143,9 +143,11 @@ def count_extensions_bruteforce(
     it can take next.  Placing ``e`` removes it from that mask and adds
     each successor of ``e`` whose predecessors are then all placed, so a
     step only visits addable elements.  Exponential in the width of the
-    order in general, hence the node budget; :class:`CycleDetectedError`
-    where a cycle leaves a level empty.
+    order in general, hence the node budget, a whole number of at least 1
+    (else :class:`ValidationError`, before any work);
+    :class:`CycleDetectedError` where a cycle leaves a level empty.
     """
+    _check_positive("nodes", "budget", budget)
     nodes = diagram.nodes
     if len(nodes) > budget:
         raise BudgetExceededError(

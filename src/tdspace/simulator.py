@@ -59,7 +59,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceededError, Deadline, DerivationCollisionError, ValidationError, _check_depth,
-    _check_whole,
+    _check_positive,
 )
 from .words import Word, WordEvolution, _step
 
@@ -408,7 +408,10 @@ def _families(n: int, prefix: Sequence[TdChoice]) -> Iterator[list[_Node]]:
             return (list(children),)
         return chain.from_iterable(families(child, fixed[1:]) for child in children)
 
-    yield from families(_ROOT, tuple(TdChoice(*c) for c in (TdChoice(0, 0, None), *prefix)))
+    try:
+        yield from families(_ROOT, tuple(TdChoice(*c) for c in (TdChoice(0, 0, None), *prefix)))
+    finally:
+        del families  # it names itself: free it now, not at the next collection
 
 
 def _walk(n: int, prefix: Sequence[TdChoice]) -> Iterator[_Node]:
@@ -576,13 +579,9 @@ def tabulate(
     A depth, worker count or ``max_mem_bytes`` out of range, or not an
     ``int``, raises before any work.
     """
-    _check_whole("workers", workers)
-    if workers < 1:
-        raise ValidationError(f"need workers >= 1, got {workers}")
+    _check_positive("workers", "workers", workers)
     if max_mem_bytes is not None:
-        _check_whole("bytes", max_mem_bytes)
-        if max_mem_bytes < 1:
-            raise ValidationError(f"need max_mem_bytes >= 1, got {max_mem_bytes}")
+        _check_positive("bytes", "max_mem_bytes", max_mem_bytes)
     _check_depth("simulating", n, DEEP_MAX_N if deep else DEFAULT_MAX_N)
     deadline = deadline if deadline is not None else Deadline(None)
     if workers < 2 or n < 2 or threading.active_count() > 1:

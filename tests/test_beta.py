@@ -4,10 +4,12 @@ import hashlib
 import random
 import re
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+import tdspace.beta as beta_module
 from tdspace import (
     A_SIDE,
     B_SIDE,
@@ -619,6 +621,33 @@ def test_subtree_budget(worked_beta_tree):
         enumerate_beta_subtrees(worked_beta_tree, budget=3)
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (None, "need a whole number of nodes, got None"),
+        (0, "need budget >= 1, got 0"),
+        (-1, "need budget >= 1, got -1"),
+    ],
+)
+@pytest.mark.parametrize("sweep", [enumerate_beta_subtrees, kernel_profile])
+def test_subtree_budget_out_of_range_is_refused_before_any_work(sweep, budget, message):
+    """Checked before the tree is read: a tree with a parental cycle
+    would fail later, with another message.  ``tests/test_api.py`` tries
+    the other values that are not whole numbers."""
+    a1, b1 = bp("1a"), bp("1b")
+    cyclic = BetaTree(
+        a_parent={a1: ROOT_A, b1: a1},
+        b_parent={a1: b1, b1: ROOT_B},
+        major_side={a1: A_SIDE, b1: B_SIDE},
+        fences=frozenset(),
+    )
+    with pytest.raises(ValidationError, match="^parental edges contain a cycle$"):
+        sweep(cyclic)
+    for tree in (cyclic, random_beta_tree(1, 6)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sweep(tree, budget)
+
+
 # ---------------------------------------------------------------------------
 # kernel identity
 
@@ -700,6 +729,26 @@ def test_kernel_walk_keeps_the_budget_error(worked_beta_tree):
             profile(worked_beta_tree, budget=5)
         errors.append(str(exc.value))
     assert errors == ["7 nodes exceed the subtree budget of 5"] * 2
+
+
+def test_kernel_profile_reads_its_tree_once(monkeypatch, worked_beta_tree):
+    """The walk reads the rows and fences, and the ``rhs`` is valued on
+    the same rows: one :func:`_edges` and one :func:`_fences` per call."""
+    calls = Counter()
+
+    def counted(name, read):
+        def wrapper(tree):
+            calls[name] += 1
+            return read(tree)
+
+        monkeypatch.setattr(beta_module, name, wrapper)
+
+    counted("_edges", beta_module._edges)
+    counted("_fences", beta_module._fences)
+    for tree in (worked_beta_tree, random_beta_tree(3, 12), random_beta_tree(4, 2)):
+        calls.clear()
+        kernel_profile(tree)
+        assert calls == {"_edges": 1, "_fences": 1}, tree
 
 
 def test_kernel_walk_keeps_the_malformed_fence_error():

@@ -13,6 +13,7 @@ from tdspace import (
     HasseDiagram,
     MajorGraph,
     MalformedGraphError,
+    ValidationError,
     WordEvolution,
     build_2d_tree,
     count_extensions_bruteforce,
@@ -88,6 +89,18 @@ def test_bruteforce_budget(ev_540):
     diagram = hasse_diagram(build_2d_tree(ev_540))
     with pytest.raises(BudgetExceededError):
         count_extensions_bruteforce(diagram, budget=3)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_bruteforce_budget_below_one_is_refused_before_any_work(ev_540, budget):
+    """Even a diagram that the budget would otherwise pass, or one with a
+    cycle, is refused for its budget first."""
+    diagram = hasse_diagram(build_2d_tree(ev_540))
+    a, b = diagram.nodes[2:4]
+    cyclic = HasseDiagram(nodes=diagram.nodes, edges=diagram.edges | {(a, b), (b, a)})
+    for d in (diagram, cyclic):
+        with pytest.raises(ValidationError, match=f"^need budget >= 1, got {budget}$"):
+            count_extensions_bruteforce(d, budget=budget)
 
 
 def reference_count_extensions_bruteforce(diagram, budget=BRUTEFORCE_NODE_BUDGET):
