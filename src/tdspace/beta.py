@@ -16,17 +16,20 @@ admissible node subsets whose rewritten graph hangs a fixed number of
 nodes under the first root, the extension products all equal the count
 of the root-contracted rewrite of the empty subset.  That identity is
 checked here directly: :func:`kernel_profile` walks every admissible
-subset once, fixing each node's rewritten parent as it decides the
-node, and values each subset by the hook-length form of its extension
-product (factorials over the induced subtree sizes, with one correction
-per surviving fence).  :func:`enumerate_beta_subtrees` lists the
-subsets of that same walk.  The right-hand side still comes from the
-dict-based forest count, so the two sides are computed independently.
+subset once, adding each node under its rewritten parent to subtree
+sizes packed in one integer, and values each subset by the hook-length
+form of its extension product (factorials over the induced subtree
+sizes, with one correction per surviving fence).
+:func:`enumerate_beta_subtrees` lists the subsets of that same walk.
+The right-hand side still comes from the dict-based forest count, so
+the two sides are computed independently.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement, compress
@@ -198,19 +201,28 @@ def induced_major_graph(tree: BetaTree, nodeset: Iterable[BreakpointId]) -> Majo
 # Beta trees, subtrees and the induced rewrite
 
 
+#: lane widths of the walk's packed sizes, in bytes, with their array codes
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _lane_width(total: int) -> int:
+    """Bytes per node in the walk's packed sizes: the fewest that hold ``total``."""
+    return next(w for w in _LANE_CODES if total < 256**w)
+
+
 def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
     """The one include/exclude walk over the admissible subtrees of ``tree``.
 
-    Returns ``(rows, ids, fences, chosen, parent, run)``: :func:`_edges`'
+    Returns ``(rows, ids, fences, chosen, acc, run)``: :func:`_edges`'
     rows; the nodes, the two roots first and then in an order that puts
     both parents before every node; :func:`_fences`' fences as pairs of
     positions in ``ids``; per position, whether the node is in the
-    subtree at hand and its :func:`induced_tree` parent there; and
-    ``run(visit)``, which calls ``visit()`` once at each admissible
-    subtree, excluding each node before including it.  A node can only
-    join once both parents have, so a node whose parents are not both
-    chosen has one branch, out under its major parent, and one loop
-    passes over a run of such nodes without a call per node.  ``run``
+    subtree at hand; the packed sizes ``acc``; and ``run(visit)``, which
+    calls ``visit()`` once at each admissible subtree, excluding each
+    node before including it.  A node can only join once both parents
+    have, so a node whose parents are not both chosen has one branch,
+    out under its major parent, and one loop passes over a run of such
+    nodes without a call per node.  ``run``
     frees its walk, ``visit`` included, when it returns or raises, not
     at the next cyclic collection.  A ``budget`` below 1 or not an
     ``int`` raises :class:`ValidationError` before any work.
@@ -221,6 +233,17 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
     where that node's parents are both chosen, so leaving that node out
     needs only its ``partner``, the fence's earlier node (else the root
     0a, always in), to be in.
+
+    The walk carries the subtree sizes of the :func:`induced_tree`
+    rewrite packed in one integer, one lane of ``w`` bytes per position:
+    ``w`` is 1 below 256 nodes and the fewest bytes that hold the node
+    count beyond.  As it hangs node ``v`` under its induced parent, it
+    sets ``up[v]``, the sum of the lanes of ``v`` and its ancestors, to
+    ``up[parent] + lane[v]``, and ``acc[v]`` to ``acc[v - 1] + up[v]``.
+    So at each subtree lane ``u`` of ``acc[-1]`` counts the nodes with
+    ``u`` on their chain, the size of ``u``'s induced subtree.  A size is
+    at most the node count, which fits its lane, so no lane carries into
+    the next.
     """
     _check_positive("nodes", "budget", budget)
     total = 2 + len(tree.major_side)
@@ -254,25 +277,30 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
         partner[max(i, j)] = min(i, j)
 
     chosen = [True, True] + [False] * (total - 2)
-    parent = [-1] * total
+    lane = [1 << (8 * _lane_width(total) * v) for v in range(total)]
+    up = lane[:2] + [0] * (total - 2)  # per node: its lane plus its ancestors'
+    acc = [lane[0], lane[0] + lane[1]] + [0] * (total - 2)  # running sums of ``up``
     last = total - 1
 
     def run(visit: Callable[[], None]) -> None:
         def walk(v: int) -> None:
             while not (chosen[pa[v]] and chosen[pb[v]]):
-                parent[v] = major[v]
+                up[v] = up[major[v]] + lane[v]
+                acc[v] = acc[v - 1] + up[v]
                 if v == last:
                     visit()
                     return
                 v += 1
             if chosen[partner[v]]:
-                parent[v] = flip[v]
+                up[v] = up[flip[v]] + lane[v]
+                acc[v] = acc[v - 1] + up[v]
                 if v == last:
                     visit()
                 else:
                     walk(v + 1)
             chosen[v] = True
-            parent[v] = same[v]
+            up[v] = up[same[v]] + lane[v]
+            acc[v] = acc[v - 1] + up[v]
             if v == last:
                 visit()
             else:
@@ -287,7 +315,7 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
         finally:
             del walk  # the walk names itself: free it now, not at the next collection
 
-    return rows, ids, fences, chosen, parent, run
+    return rows, ids, fences, chosen, acc, run
 
 
 def enumerate_beta_subtrees(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> list[NodeSet]:
@@ -379,11 +407,12 @@ class KernelCheck:
 def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[KernelCheck, ...]:
     """Kernel sums for every feasible first-root size, in one subtree walk.
 
-    The walk is the one behind :func:`enumerate_beta_subtrees`; it fixes
-    each node's :func:`induced_tree` parent as it decides the node, so no
-    subtree is ever materialised.  At each admissible subtree one
-    reverse pass gives the induced subtree sizes ``s``, and the
-    :func:`two_tree_count` of the rewrite is the hook-length value
+    The walk is the one behind :func:`enumerate_beta_subtrees`; it adds
+    each node to the packed sizes under its :func:`induced_tree` parent
+    as it decides the node, so no subtree is ever materialised.  At each
+    admissible subtree one decode of the packed integer gives the
+    induced subtree sizes ``s``, and the :func:`two_tree_count` of the
+    rewrite is the hook-length value
     ``(s_A - 1)! (s_B - 1)! / ∏ s_v`` over the non-root nodes, times
     ``(C - 1) / C`` with ``C = C(s_x + s_y, s_x)`` for each surviving
     fence; it is added to the sum for ``r = s_A``.  ``rhs``, the
@@ -394,7 +423,7 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
     whose nodes differ in major side under shared parents other than the
     two roots, the one fence a leaf could find bridging no siblings.
     """
-    rows, ids, fences, chosen, parent, run = _subtree_walk(tree, budget)
+    rows, ids, fences, chosen, acc, run = _subtree_walk(tree, budget)
     total = len(ids)
     pairs = [(ids[x], ids[y]) for x, y in fences]
     empty, kept = _reselect(rows, pairs, frozenset((ROOT_A, ROOT_B)))
@@ -402,12 +431,16 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
     rhs = _forest_count((ROOT_A, *fused), fused, kept).value
     facts = [factorial(k) for k in range(total)]
     sums = [0] * total
-    down = range(total - 1, 1, -1)
+    width = _lane_width(total)
+    nbytes, code, swap = width * total, _LANE_CODES[width], sys.byteorder == "big"
+    last = total - 1
 
     def leaf() -> None:
-        size = [1] * total
-        for v in down:
-            size[parent[v]] += size[v]
+        size = acc[last].to_bytes(nbytes, "little")  # lane u: u's induced subtree size
+        if width > 1:
+            size = array(code, size)
+            if swap:
+                size.byteswap()
         num = facts[size[0] - 1] * facts[size[1] - 1]
         den = prod(size[2:])
         for x, y in fences:

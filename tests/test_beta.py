@@ -821,8 +821,21 @@ def test_kernel_walk_on_the_roots_only_tree():
         assert reference_kernel_profile(tree) == kernel_profile(tree)
 
 
+def chain_tree(length):
+    """1a on (0a, 0b), major on b, and each later ka on ((k-1)a, 0b), major on a."""
+    chain = [ROOT_A, *(BreakpointId(k, A_SIDE) for k in range(1, length + 1))]
+    return BetaTree(
+        a_parent=dict(zip(chain[1:], chain)),
+        b_parent=dict.fromkeys(chain[1:], ROOT_B),
+        major_side={v: B_SIDE if v.td == 1 else A_SIDE for v in chain[1:]},
+        fences=frozenset(),
+    )
+
+
 def test_kernel_walk_on_three_node_trees():
-    """One node under the roots: out first, then in."""
+    """One node under the roots: out first, then in.  A chain of 300 such
+    nodes has a subtree per prefix, and its sizes pass 255, the most a
+    byte-wide lane of the walk's packed sizes holds."""
     for seed in range(5):
         for rate in (0, 1):
             tree = random_beta_tree(seed, 3, rate)
@@ -832,6 +845,14 @@ def test_kernel_walk_on_three_node_trees():
                 frozenset({ROOT_A, ROOT_B, v}),
             ]
             assert kernel_profile(tree) == reference_kernel_profile(tree)
+    chain = chain_tree(300)
+    assert validate_beta_tree(chain).ok
+    profile = kernel_profile(chain, budget=400)
+    assert len(profile) == 301 and all(c.equal for c in profile)
+    nodes = sorted(chain.major_side)
+    assert enumerate_beta_subtrees(chain, budget=400) == [
+        frozenset({ROOT_A, ROOT_B, *nodes[:k]}) for k in range(301)
+    ]
 
 
 def test_a_fence_off_shared_parents_is_refused_however_it_is_spelled():

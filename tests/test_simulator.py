@@ -984,10 +984,12 @@ def test_pools_are_capped_at_the_partitions(monkeypatch):
     assert RecordingExecutor.sizes == [11]
     assert tabulate(3, workers=4) == tabulate(3)
     assert RecordingExecutor.sizes == [11, 4]
+    assert tabulate(3, workers=2) == tabulate(3)
+    assert RecordingExecutor.sizes == [11, 4, 2]
     # one worker sweeps in this process, and the word sum always does
     assert row_tuple(tabulate(3, workers=1)) == TABLE[3]
     assert total_evolutions_via_words(4) == 154869
-    assert RecordingExecutor.sizes == [11, 4]
+    assert RecordingExecutor.sizes == [11, 4, 2]
 
 
 def test_a_caller_with_other_threads_sweeps_in_process(monkeypatch):

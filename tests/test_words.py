@@ -274,6 +274,12 @@ def test_word_count_budget(monkeypatch):
         word_count_row(0)
     # past n = 20, a length whose levels fit the budget is still counted
     assert word_count_recursion(25, 21) == 4666132326325193944704000
+    # at a budget of 6, the levels of (15, 10) hold 2**5 + 6 * 16 = 128 = 2**7
+    # entries, exactly the budget; those of (15, 11) hold 144
+    on_the_budget = word_count_row(10)[15]
+    with monkeypatch.context() as patch:
+        patch.setattr(tdspace.words, "WORD_COUNT_MAX_N", 6)
+        assert word_count_recursion(15, 10) == on_the_budget == 12391892296
 
     def no_work(*args):
         raise AssertionError("the row was built")
@@ -289,6 +295,9 @@ def test_word_count_budget(monkeypatch):
     assert word_count_recursion(10**6 - 1, 10**6) == 0
     assert word_count_recursion(2**22, 22) == 0
     assert word_count_recursion(3, 40) == 0
+    monkeypatch.setattr(tdspace.words, "WORD_COUNT_MAX_N", 6)
+    with pytest.raises(BudgetExceededError):
+        word_count_recursion(15, 11)
 
 
 def test_length_five_words_at_level_three():
