@@ -224,7 +224,9 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
     out under its major parent, and one loop passes over a run of such
     nodes without a call per node.  ``run``
     frees its walk, ``visit`` included, when it returns or raises, not
-    at the next cyclic collection.  A ``budget`` below 1 or not an
+    at the next cyclic collection, and raises
+    :class:`BudgetExceededError` where the calls would pass the
+    interpreter's recursion limit.  A ``budget`` below 1 or not an
     ``int`` raises :class:`ValidationError` before any work.
 
     A fence whose shared parents are both chosen forces at least one of
@@ -312,6 +314,8 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
                 visit()
             else:
                 walk(2)
+        except RecursionError:  # a call per node whose parents are both chosen
+            raise BudgetExceededError(f"{total} nodes nest too deep for the subtree walk") from None
         finally:
             del walk  # the walk names itself: free it now, not at the next collection
 
@@ -415,9 +419,9 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
     rewrite is the hook-length value
     ``(s_A - 1)! (s_B - 1)! / ∏ s_v`` over the non-root nodes, times
     ``(C - 1) / C`` with ``C = C(s_x + s_y, s_x)`` for each surviving
-    fence; it is added to the sum for ``r = s_A``.  ``rhs``, the
-    :func:`contracted_count` of the empty subset, is valued from the
-    walk's own rows by the dict-based :func:`_forest_count`, so the two
+    fence; it is added to the sum for ``r = s_A``.  ``rhs`` is the
+    :func:`contracted_count` of the empty subset's rewrite of the walk's
+    own rows, valued by the dict-based :func:`_forest_count`, so the two
     sides of each identity are computed by different code.  It runs
     before the walk and raises :class:`MalformedGraphError` for a fence
     whose nodes differ in major side under shared parents other than the
@@ -427,8 +431,7 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
     total = len(ids)
     pairs = [(ids[x], ids[y]) for x, y in fences]
     empty, kept = _reselect(rows, pairs, frozenset((ROOT_A, ROOT_B)))
-    fused = {v: (ROOT_A if p.td == 0 else p) for v, p in empty.items()}  # sorted, as the rows
-    rhs = _forest_count((ROOT_A, *fused), fused, kept).value
+    rhs = contracted_count(MajorGraph(parent=empty, fences=frozenset(kept))).value
     facts = [factorial(k) for k in range(total)]
     sums = [0] * total
     width = _lane_width(total)

@@ -314,38 +314,44 @@ def cmd_table(cfg: argparse.Namespace) -> Result:
 # verify
 
 
-def _check(name: str, bad: list[str], summary: str) -> CheckResult:
-    """A check that passes with ``summary`` unless ``bad`` names a failure."""
-    return CheckResult(name, not bad, bad[0] if bad else summary)
-
-
-def _evolutions(n_max: int, deadline: Deadline) -> Iterator[WordEvolution]:
-    """Every evolution of 1..n_max TDs, checking the deadline before each."""
+def _evolutions(n_max: int) -> Iterator[WordEvolution]:
+    """Every evolution of 1..n_max TDs."""
     for n in range(1, n_max + 1):
-        for ev in enumerate_word_evolutions(n, max_n=n_max):
-            deadline.check()
-            yield ev
+        yield from enumerate_word_evolutions(n, max_n=n_max)
+
+
+def _sweep(units: Iterable, deadline: Deadline, check: Callable[..., tuple[str, str] | None],
+           names: Sequence[str], summary: Callable[[int], str]) -> list[CheckResult]:
+    """The checks ``names`` over ``units``, checking ``deadline`` before each unit.
+
+    ``check(unit)`` returns ``(name, detail)`` when the check ``name``
+    fails on the unit, else None.  Each check keeps the detail of its
+    first failure, or passes with ``summary`` of the number of units.
+    """
+    first: dict[str, str] = {}
+    count = 0
+    for unit in units:
+        deadline.check()
+        count += 1
+        failed = check(unit)
+        if failed is not None:
+            first.setdefault(*failed)
+    return [CheckResult(name, name not in first, first.get(name, summary(count))) for name in names]
 
 
 def _suite_structure(cfg: argparse.Namespace, deadline: Deadline) -> list[CheckResult]:
-    bad_valid: list[str] = []
-    bad_count: list[str] = []
-    trees = 0
-    for ev in _evolutions(cfg.n, deadline):
-        trees += 1
+    def check(ev: WordEvolution) -> tuple[str, str] | None:
         tree = build_2d_tree(ev)
-        report = validate_structure(tree)
-        if not report.ok:
-            bad_valid.append(format_evolution(ev))
-            continue
+        if not validate_structure(tree).ok:
+            return "trees-validate", format_evolution(ev)  # not formula-checked
         formula = count_extensions_formula(major_graph(tree)).value
-        brute = count_extensions_bruteforce(hasse_diagram(tree), budget=cfg.node_budget)
-        if formula != brute:
-            bad_count.append(f"{format_evolution(ev)}: formula {formula} vs oracle {brute}")
-    return [
-        _check("trees-validate", bad_valid, f"{trees} trees"),
-        _check("formula-vs-oracle", bad_count, f"{trees} trees"),
-    ]
+        oracle = count_extensions_bruteforce(hasse_diagram(tree), budget=cfg.node_budget)
+        if formula == oracle:
+            return None
+        return "formula-vs-oracle", f"{format_evolution(ev)}: formula {formula} vs oracle {oracle}"
+
+    names = ("trees-validate", "formula-vs-oracle")
+    return _sweep(_evolutions(cfg.n), deadline, check, names, "{} trees".format)
 
 
 def _worked_kernel_tree() -> BetaTree:
@@ -362,21 +368,19 @@ def _worked_kernel_tree() -> BetaTree:
 
 def _suite_kernel(cfg: argparse.Namespace, deadline: Deadline) -> list[CheckResult]:
     worked = kernel_profile(_worked_kernel_tree(), budget=cfg.node_budget)
-    broken = [] if all(c.equal for c in worked) else ["kernel broken"]
-    checks = [_check("worked-example", broken, f"all r give {worked[0].rhs}")]
+    equal = all(c.equal for c in worked)
+    checks = [CheckResult("worked-example", equal,
+                          f"all r give {worked[0].rhs}" if equal else "kernel broken")]
 
-    bad: list[str] = []
-    trees = 0
-    for ev in _evolutions(cfg.n, deadline):
-        trees += 1
-        if not all(c.equal for c in kernel_profile(build_2d_tree(ev), budget=cfg.node_budget)):
-            bad.append(format_evolution(ev))
-    checks.append(_check("evolution-trees", bad, f"{trees} trees"))
+    def check(ev: WordEvolution) -> tuple[str, str] | None:
+        profile = kernel_profile(build_2d_tree(ev), budget=cfg.node_budget)
+        return None if all(c.equal for c in profile) else ("evolution-trees", format_evolution(ev))
 
+    checks += _sweep(_evolutions(cfg.n), deadline, check, ("evolution-trees",), "{} trees".format)
     identities, failures = _random_sweep(cfg, deadline)
     seeds = list(dict.fromkeys(f["seed"] for f in failures))
-    bad_random = [f"seeds {seeds[:5]}"] if seeds else []
-    checks.append(_check("random-trees", bad_random, f"{cfg.trees} trees, {identities} identities"))
+    detail = f"seeds {seeds[:5]}" if seeds else f"{cfg.trees} trees, {identities} identities"
+    checks.append(CheckResult("random-trees", not seeds, detail))
     return checks
 
 
@@ -419,22 +423,24 @@ def _fiber(ev: WordEvolution, max_n: int) -> tuple[list[tuple[WordEvolution, int
 
 
 def _suite_induction(cfg: argparse.Namespace, deadline: Deadline) -> list[CheckResult]:
+    induced: Counter[int] = Counter()  # per level: the fiber members so far
+
+    def check(ev: WordEvolution) -> tuple[str, str] | None:
+        members, _, predicted = _fiber(ev, cfg.n)
+        induced[ev.n] += len(members)
+        if sum(value for _, value in members) != predicted:
+            return f"fibers-base-{ev.n}", format_evolution(ev)
+        return None
+
     checks: list[CheckResult] = []
     for n in range(1, cfg.n):
-        bases = 0
-        fiber_total = 0
-        bad: list[str] = []
-        for ev in enumerate_word_evolutions(n, max_n=cfg.n):
-            deadline.check()
-            bases += 1
-            members, _, predicted = _fiber(ev, cfg.n)
-            fiber_total += len(members)
-            if sum(value for _, value in members) != predicted:
-                bad.append(format_evolution(ev))
-        level_size = word_count_total(n + 1)
-        if fiber_total != level_size:
-            bad.append(f"fibers cover {fiber_total} of {level_size} evolutions")
-        checks.append(_check(f"fibers-base-{n}", bad, f"{bases} bases, {fiber_total} induced"))
+        name = f"fibers-base-{n}"
+        (level,) = _sweep(enumerate_word_evolutions(n, max_n=cfg.n), deadline, check, [name],
+                          lambda bases: f"{bases} bases, {induced[n]} induced")
+        total = word_count_total(n + 1)
+        if level.passed and induced[n] != total:  # a failing base shows first
+            level = CheckResult(name, False, f"fibers cover {induced[n]} of {total} evolutions")
+        checks.append(level)
     return checks
 
 

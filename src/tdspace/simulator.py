@@ -396,22 +396,20 @@ def _families(n: int, prefix: Sequence[TdChoice]) -> Iterator[list[_Node]]:
     _check_depth("simulating", n, DEEP_MAX_N)
     if len(prefix) >= n:
         raise ValidationError(f"prefix of {len(prefix)} choices too long for n={n}")
+    fixed = tuple(TdChoice(*c) for c in (TdChoice(0, 0, None), *prefix))
+    yield from _families_below(n, _ROOT, fixed)
 
-    def families(node: _Node, fixed: tuple[TdChoice, ...]) -> Iterable[list[_Node]]:
-        """The families below ``node``; ``fixed`` names its first choices."""
-        genome = _genome(node[0])
-        for choice in fixed[:1]:
-            _hosts(genome, choice)
-        leaf_parent = len(node[-1]) == 2 * (n - 1)
-        children = _children(node, fixed[:1] or _choices(genome), leaf_parent)
-        if leaf_parent:
-            return (list(children),)
-        return chain.from_iterable(families(child, fixed[1:]) for child in children)
 
-    try:
-        yield from families(_ROOT, tuple(TdChoice(*c) for c in (TdChoice(0, 0, None), *prefix)))
-    finally:
-        del families  # it names itself: free it now, not at the next collection
+def _families_below(n: int, node: _Node, fixed: tuple[TdChoice, ...]) -> Iterable[list[_Node]]:
+    """The families of :func:`_families` below ``node``; ``fixed`` names its first choices."""
+    genome = _genome(node[0])
+    for choice in fixed[:1]:
+        _hosts(genome, choice)
+    leaf_parent = len(node[-1]) == 2 * (n - 1)
+    children = _children(node, fixed[:1] or _choices(genome), leaf_parent)
+    if leaf_parent:
+        return (list(children),)
+    return chain.from_iterable(_families_below(n, child, fixed[1:]) for child in children)
 
 
 def _walk(n: int, prefix: Sequence[TdChoice]) -> Iterator[_Node]:

@@ -1,8 +1,10 @@
 """Deletion calculus, two-tree rewrites, the kernel identity, totals."""
 
+import gc
 import hashlib
 import random
 import re
+import sys
 import time
 from collections import Counter
 from dataclasses import replace
@@ -853,6 +855,24 @@ def test_kernel_walk_on_three_node_trees():
     assert enumerate_beta_subtrees(chain, budget=400) == [
         frozenset({ROOT_A, ROOT_B, *nodes[:k]}) for k in range(301)
     ]
+
+
+@pytest.mark.parametrize("sweep", [kernel_profile, enumerate_beta_subtrees])
+def test_a_chain_deeper_than_the_recursion_limit_is_a_budget_error(sweep):
+    """The walk calls itself once per node whose parents are both chosen,
+    so a chain past the interpreter's recursion limit that the node
+    budget admits raises a budget error naming its node count, not a
+    bare ``RecursionError``, and leaves no cyclic garbage behind."""
+    length = sys.getrecursionlimit() + 200
+    chain = chain_tree(length)
+    gc.disable()
+    try:
+        gc.collect()
+        with pytest.raises(BudgetExceededError, match=f"^{length + 2} nodes nest too deep"):
+            sweep(chain, budget=2 * length)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_fence_off_shared_parents_is_refused_however_it_is_spelled():

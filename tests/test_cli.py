@@ -20,6 +20,7 @@ from tdspace import (
     format_evolution,
     kernel_profile,
     parse_evolution,
+    validate_structure,
 )
 from tdspace.structure import StructureReport
 
@@ -425,6 +426,43 @@ def test_each_verify_failure_exits_3_with_its_fail_line(
     if detail.startswith('{"steps":'):
         monkeypatch.undo()
         assert run(capsys, "count", detail)[0] == 0
+
+
+def first_fails(tree):
+    """``validate_structure``, failing on the tree of the first evolution alone."""
+    return failing_report(tree) if first_tree(tree) else validate_structure(tree)
+
+
+@pytest.mark.parametrize(
+    "argv, stand_ins, fails",
+    [
+        (
+            ["verify", "--suite", "structure", "-n", "2"],
+            {"validate_structure": first_fails, "count_extensions_bruteforce": lambda d, budget: 7},
+            [
+                f"FAIL trees-validate ({FIRST_EVOLUTION})",
+                'FAIL formula-vs-oracle ({"steps":[[1,0]]}: formula 3 vs oracle 7)',
+            ],
+        ),
+        (
+            ["verify", "--suite", "induction", "-n", "3"],
+            {"_induction_factor": lambda n: 0, "word_count_total": lambda n: 0},
+            [f"FAIL fibers-base-1 ({FIRST_EVOLUTION})", 'FAIL fibers-base-2 ({"steps":[[1,0]]})'],
+        ),
+    ],
+)
+def test_two_failing_checks_each_show_their_first_failure(
+    capsys, monkeypatch, argv, stand_ins, fails
+):
+    """Each check keeps its own first failure.  A tree that fails
+    validation is not formula-checked, so the oracle's first mismatch is
+    on the next evolution; and a level's failing base shows before its
+    coverage detail."""
+    for target, stand_in in stand_ins.items():
+        monkeypatch.setattr(cli, target, stand_in)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert [ln for ln in out.splitlines() if ln.startswith("FAIL")] == fails
 
 
 @pytest.mark.parametrize(
