@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement, compress
 from math import comb, factorial, prod
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     BudgetExceededError,
@@ -213,21 +213,21 @@ def _lane_width(total: int) -> int:
 def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
     """The one include/exclude walk over the admissible subtrees of ``tree``.
 
-    Returns ``(rows, ids, fences, chosen, acc, run)``: :func:`_edges`'
+    Returns ``(rows, ids, fences, chosen, acc, subtrees)``: :func:`_edges`'
     rows; the nodes, the two roots first and then in an order that puts
     both parents before every node; :func:`_fences`' fences as pairs of
     positions in ``ids``; per position, whether the node is in the
-    subtree at hand; the packed sizes ``acc``; and ``run(visit)``, which
-    calls ``visit()`` once at each admissible subtree, excluding each
-    node before including it.  A node can only join once both parents
-    have, so a node whose parents are not both chosen has one branch,
-    out under its major parent, and one loop passes over a run of such
-    nodes without a call per node.  ``run``
-    frees its walk, ``visit`` included, when it returns or raises, not
-    at the next cyclic collection, and raises
-    :class:`BudgetExceededError` where the calls would pass the
-    interpreter's recursion limit.  A ``budget`` below 1 or not an
-    ``int`` raises :class:`ValidationError` before any work.
+    subtree at hand; the packed sizes ``acc``; and ``subtrees``, a
+    generator that yields once at each admissible subtree, with
+    ``chosen`` and ``acc`` describing it, excluding each node before
+    including it.  A node can only join once both parents have, so a
+    node whose parents are not both chosen has one branch, out under its
+    major parent.  The walk is one loop over an explicit list of the
+    branch nodes whose "in" branch is still to come, so a tree that the
+    node budget admits is walked however deep it nests, and a generator
+    dropped early holds no reference cycle.  A ``budget`` below 1 or not
+    an ``int`` raises :class:`ValidationError`, and more than ``budget``
+    nodes :class:`BudgetExceededError`, before any work.
 
     A fence whose shared parents are both chosen forces at least one of
     its two nodes in.  As :func:`_fences` passes only fences whose nodes
@@ -282,52 +282,44 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
     lane = [1 << (8 * _lane_width(total) * v) for v in range(total)]
     up = lane[:2] + [0] * (total - 2)  # per node: its lane plus its ancestors'
     acc = [lane[0], lane[0] + lane[1]] + [0] * (total - 2)  # running sums of ``up``
-    last = total - 1
 
-    def run(visit: Callable[[], None]) -> None:
-        def walk(v: int) -> None:
-            while not (chosen[pa[v]] and chosen[pb[v]]):
-                up[v] = up[major[v]] + lane[v]
-                acc[v] = acc[v - 1] + up[v]
-                if v == last:
-                    visit()
-                    return
-                v += 1
-            if chosen[partner[v]]:
-                up[v] = up[flip[v]] + lane[v]
-                acc[v] = acc[v - 1] + up[v]
-                if v == last:
-                    visit()
+    # Every step down sets ``chosen[v]``, so backtracking is one pop: a stale
+    # flag past ``v`` is rewritten before it is read, as parents and fence
+    # partners sit at earlier positions.
+    def subtrees() -> Iterator[None]:
+        pending: list[int] = []  # branch nodes whose in-branch is still to come
+        v = 2
+        while True:
+            while v < total:  # decide every later node, each branch node out first
+                if not (chosen[pa[v]] and chosen[pb[v]]):
+                    chosen[v] = False
+                    p = major[v]
+                elif chosen[partner[v]]:
+                    pending.append(v)
+                    chosen[v] = False
+                    p = flip[v]
                 else:
-                    walk(v + 1)
+                    chosen[v] = True
+                    p = same[v]
+                up[v] = up[p] + lane[v]
+                acc[v] = acc[v - 1] + up[v]
+                v += 1
+            yield
+            if not pending:
+                return
+            v = pending.pop()
             chosen[v] = True
             up[v] = up[same[v]] + lane[v]
             acc[v] = acc[v - 1] + up[v]
-            if v == last:
-                visit()
-            else:
-                walk(v + 1)
-            chosen[v] = False
+            v += 1
 
-        try:
-            if total == 2:
-                visit()
-            else:
-                walk(2)
-        except RecursionError:  # a call per node whose parents are both chosen
-            raise BudgetExceededError(f"{total} nodes nest too deep for the subtree walk") from None
-        finally:
-            del walk  # the walk names itself: free it now, not at the next collection
-
-    return rows, ids, fences, chosen, acc, run
+    return rows, ids, fences, chosen, acc, subtrees()
 
 
 def enumerate_beta_subtrees(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> list[NodeSet]:
     """Every admissible node subset, in the order of the walk :func:`kernel_profile` shares."""
-    _, ids, _, chosen, _, run = _subtree_walk(tree, budget)
-    results: list[NodeSet] = []
-    run(lambda: results.append(frozenset(compress(ids, chosen))))
-    return results
+    _, ids, _, chosen, _, subtrees = _subtree_walk(tree, budget)
+    return [frozenset(compress(ids, chosen)) for _ in subtrees]
 
 
 def induced_tree(tree: BetaTree, tau: Iterable[BreakpointId]) -> MajorGraph:
@@ -427,7 +419,7 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
     whose nodes differ in major side under shared parents other than the
     two roots, the one fence a leaf could find bridging no siblings.
     """
-    rows, ids, fences, chosen, acc, run = _subtree_walk(tree, budget)
+    rows, ids, fences, chosen, acc, subtrees = _subtree_walk(tree, budget)
     total = len(ids)
     pairs = [(ids[x], ids[y]) for x, y in fences]
     empty, kept = _reselect(rows, pairs, frozenset((ROOT_A, ROOT_B)))
@@ -437,8 +429,7 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
     width = _lane_width(total)
     nbytes, code, swap = width * total, _LANE_CODES[width], sys.byteorder == "big"
     last = total - 1
-
-    def leaf() -> None:
+    for _ in subtrees:
         size = acc[last].to_bytes(nbytes, "little")  # lane u: u's induced subtree size
         if width > 1:
             size = array(code, size)
@@ -453,8 +444,6 @@ def kernel_profile(tree: BetaTree, budget: int = SUBTREE_NODE_BUDGET) -> tuple[K
             num *= c - 1
             den *= c
         sums[size[0]] += num // den
-
-    run(leaf)
     return tuple(KernelCheck(r=r, lhs=sums[r], rhs=rhs) for r in range(1, total))
 
 

@@ -226,11 +226,14 @@ def _render(result: Result, fmt: str) -> Iterable[str]:
 def cmd_words(cfg: argparse.Namespace) -> Result:
     n = cfg.n
     _check_depth("word count of", n, WORD_COUNT_MAX_N)  # also caps --enumerate --deep alone
+    cap = _depth_cap(cfg, n, ENUMERATION_MAX_N)
+    if cfg.enumerate_:  # before the recursion row is built
+        _check_depth("word sweep for", n, cap)
     routes: dict[str, dict[int, int]] = {}
     if cfg.recursion or not cfg.enumerate_:
         routes["recursion"] = word_count_row(n)
     if cfg.enumerate_:
-        counts = Counter(map(len, _distinct_words(n, _depth_cap(cfg, n, ENUMERATION_MAX_N))))
+        counts = Counter(map(len, _distinct_words(n, cap)))
         routes["enumeration"] = dict(sorted(counts.items()))
     agree = all(row == next(iter(routes.values())) for row in routes.values())
     totals = {route: sum(row.values()) for route, row in routes.items()}

@@ -131,18 +131,13 @@ def test_every_count_refuses_what_is_not_a_whole_number(count, value):
 SWEPT_TREE = tdspace.random_beta_tree(5, 12)
 
 
-def _stopped(visit_count: int):
-    """A subtree walk whose ``visit`` raises at its ``visit_count``-th subtree."""
-    seen = []
-
-    def visit():
-        seen.append(None)
-        if len(seen) == visit_count:
-            raise RuntimeError("stop")
-
-    run = _subtree_walk(SWEPT_TREE, tdspace.beta.SUBTREE_NODE_BUDGET)[-1]
+def _stopped(count: int):
+    """A subtree walk whose consumer raises at its ``count``-th subtree."""
+    subtrees = _subtree_walk(SWEPT_TREE, tdspace.beta.SUBTREE_NODE_BUDGET)[-1]
     with pytest.raises(RuntimeError):
-        run(visit)
+        for seen, _ in enumerate(subtrees, start=1):
+            if seen == count:
+                raise RuntimeError("stop")
 
 
 def _malformed_kernel():
@@ -165,6 +160,7 @@ SWEPT = {
     "kernel_profile": lambda: tdspace.kernel_profile(SWEPT_TREE),
     "kernel_profile-raising": _malformed_kernel,
     "subtree-walk-raising": lambda: _stopped(50),
+    "subtree-walk-dropped": lambda: next(_subtree_walk(SWEPT_TREE, tdspace.beta.SUBTREE_NODE_BUDGET)[-1]),
     "tabulate": lambda: tdspace.tabulate(3),
     "enumerate_process": lambda: list(tdspace.enumerate_process(3)),
     "simulator-walk": lambda: list(_walk(3, ())),

@@ -857,19 +857,20 @@ def test_kernel_walk_on_three_node_trees():
     ]
 
 
-@pytest.mark.parametrize("sweep", [kernel_profile, enumerate_beta_subtrees])
-def test_a_chain_deeper_than_the_recursion_limit_is_a_budget_error(sweep):
-    """The walk calls itself once per node whose parents are both chosen,
-    so a chain past the interpreter's recursion limit that the node
-    budget admits raises a budget error naming its node count, not a
-    bare ``RecursionError``, and leaves no cyclic garbage behind."""
+def test_a_chain_deeper_than_the_recursion_limit_walks():
+    """The walk is one loop over an explicit list of pending branch
+    nodes, so a chain past the interpreter's recursion limit that the
+    node budget admits is walked to its end, with every identity
+    holding, and leaves no cyclic garbage behind."""
     length = sys.getrecursionlimit() + 200
     chain = chain_tree(length)
     gc.disable()
     try:
         gc.collect()
-        with pytest.raises(BudgetExceededError, match=f"^{length + 2} nodes nest too deep"):
-            sweep(chain, budget=2 * length)
+        assert len(enumerate_beta_subtrees(chain, budget=2 * length)) == length + 1
+        profile = kernel_profile(chain, budget=2 * length)
+        assert [c.r for c in profile] == list(range(1, length + 2))
+        assert all(c.equal for c in profile)
         assert gc.collect() == 0
     finally:
         gc.enable()

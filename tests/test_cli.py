@@ -68,6 +68,19 @@ def test_words_enumeration_budget(capsys):
     assert "budget" in err
 
 
+def test_words_enumeration_budget_comes_before_the_recursion_row(capsys, monkeypatch):
+    """``--enumerate --recursion`` past the enumeration cap of 5 exits 2
+    without building the recursion row (about 160 MB at n = 20)."""
+
+    def unreachable(n):
+        raise AssertionError(f"the recursion row of {n} TDs was built")
+
+    monkeypatch.setattr(cli, "word_count_row", unreachable)
+    code, out, err = run(capsys, "words", "-n", "20", "--enumerate", "--recursion")
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: word sweep for 20 TDs exceeds the budget of 5\n"
+
+
 @pytest.mark.parametrize(
     "extra", [[], ["--deep"], ["--enumerate", "--deep"], ["--recursion", "--enumerate", "--deep"]]
 )
