@@ -68,7 +68,10 @@ from .words import (
     DupChoice,
     Word,
     WordEvolution,
+    _choice,
+    _choices_from,
     _derive,
+    _evolution_unchecked,
     choices_for,
 )
 
@@ -106,11 +109,11 @@ def delete_first_td(ev: WordEvolution) -> WordEvolution:
     if ev.n < 2:
         raise ValidationError("need at least two TDs to delete the first one")
     kept = map(_kept, ev.words[1:])
-    steps = tuple(DupChoice(k[a - 1] + 1, k[b]) for (a, b), k in zip(ev.steps[1:], kept))
-    out = WordEvolution(steps=steps)
-    if out.words != tuple(map(_strip_first_symbol, ev.words[1:])):
+    steps = tuple(_choice(k[a - 1] + 1, k[b]) for (a, b), k in zip(ev.steps[1:], kept))
+    words = tuple(map(_strip_first_symbol, ev.words[1:]))
+    if WordEvolution(steps=steps).words != words:
         raise ValidationError("deletion surgery produced an inconsistent evolution")
-    return out
+    return _evolution_unchecked(steps, words)
 
 
 def induced_evolutions(ev: WordEvolution, max_n: int = DEFAULT_MAX_N) -> list[WordEvolution]:
@@ -130,7 +133,7 @@ def induced_evolutions(ev: WordEvolution, max_n: int = DEFAULT_MAX_N) -> list[Wo
     """
     target_n = ev.n + 1
     _check_depth("inducing", target_n, max_n)
-    base_steps = (DupChoice(1, 0),) + ev.steps
+    base_steps = ((1, 0),) + ev.steps
 
     def fiber_steps(depth: int, word: Word) -> Iterator[DupChoice]:
         a_base, b_base = base_steps[depth - 1]
@@ -138,7 +141,8 @@ def induced_evolutions(ev: WordEvolution, max_n: int = DEFAULT_MAX_N) -> list[Wo
         ends = [p for p, k in enumerate(kept) if k == b_base]
         for start, k in enumerate(kept):
             if k == a_base - 1:
-                yield from (DupChoice(start + 1, b) for b in ends if b >= start)
+                row = _choices_from(start + 1, len(word))
+                yield from (row[b - start] for b in ends if b >= start)
 
     return list(_derive((), (FIRST_WORD,), target_n, fiber_steps))
 
@@ -279,7 +283,8 @@ def _subtree_walk(tree: BetaTree, budget: int) -> tuple:
         partner[max(i, j)] = min(i, j)
 
     chosen = [True, True] + [False] * (total - 2)
-    lane = [1 << (8 * _lane_width(total) * v) for v in range(total)]
+    bits = 8 * _lane_width(total)
+    lane = [1 << (bits * v) for v in range(total)]
     up = lane[:2] + [0] * (total - 2)  # per node: its lane plus its ancestors'
     acc = [lane[0], lane[0] + lane[1]] + [0] * (total - 2)  # running sums of ``up``
 

@@ -543,14 +543,17 @@ def _collect(
 def _table_row(n: int, sets: _Held, paths: int) -> TableRow:
     """The row of :func:`_collect`'s sets; a record key splits into its
     prefix and cut one to one, so the evolutions are the cuts held.  A
-    copy-number profile is the first ``2n + 1`` bytes of its graph key, so
-    the profiles go into a set of their own once the record keys have been
-    counted and cleared: the smaller set reuses their memory."""
+    copy-number profile is the first ``2n + 1`` bytes of its graph key.
+    The profile set's table is a fresh block, so the record keys are
+    counted and cleared, and the graph keys moved to a list and their
+    set's table freed, before the profiles are counted from that list."""
     words, graphs, keys = sets
     evolutions = sum(map(len, keys.values())) // 2
     keys.clear()
-    cnvs = len({graph[: 2 * n + 1] for graph in graphs})
-    return TableRow(n, len(words), cnvs, len(graphs), evolutions, paths)
+    held = list(graphs)
+    graphs.clear()
+    cnvs = len({graph[: 2 * n + 1] for graph in held})
+    return TableRow(n, len(words), cnvs, len(held), evolutions, paths)
 
 
 def tabulate(

@@ -82,12 +82,36 @@ def _step(word: Word, choice: tuple[int, int], symbol: int) -> Word:
     return word[:b] + (symbol,) + word[a - 1 :]
 
 
+#: Words shorter than this many symbols, every word of up to 6 TDs, take
+#: their choices from :data:`_CHOICES`; longer words build fresh ones.
+_CHOICE_LIMIT = 64
+
+#: Row ``a - 1`` holds ``DupChoice(a, b)`` for ``b = a - 1 .. _CHOICE_LIMIT - 1``,
+#: built on its first use, so derivations share their steps.
+_CHOICES: list[tuple[DupChoice, ...] | None] = [None] * _CHOICE_LIMIT
+
+
+def _choices_from(a: int, m: int) -> tuple[DupChoice, ...]:
+    """``DupChoice(a, b)`` for ``b = a - 1, a, ...``, entry ``b - a + 1``, up
+    to ``b = m`` at least; a shared table row while ``m < _CHOICE_LIMIT``."""
+    if m >= _CHOICE_LIMIT:
+        return tuple(DupChoice(a, b) for b in range(a - 1, m + 1))
+    row = _CHOICES[a - 1]
+    if row is None:
+        row = _CHOICES[a - 1] = tuple(DupChoice(a, b) for b in range(a - 1, _CHOICE_LIMIT))
+    return row
+
+
+def _choice(a: int, b: int) -> DupChoice:
+    """``DupChoice(a, b)`` for a valid choice, from the table below its bound."""
+    return _choices_from(a, b)[b - a + 1] if b < _CHOICE_LIMIT else DupChoice(a, b)
+
+
 def choices_for(word: Sequence[int]) -> Iterator[DupChoice]:
     """All valid duplication choices on ``word``, in lexicographic (a, b) order."""
     m = len(word)
     for a in range(1, m + 2):
-        for b in range(a - 1, m + 1):
-            yield DupChoice(a, b)
+        yield from _choices_from(a, m)[: m + 2 - a]
 
 
 def choice_count(length: int) -> int:
@@ -95,7 +119,7 @@ def choice_count(length: int) -> int:
     return (length + 1) * (length + 2) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordEvolution:
     """A full derivation: the choice sequence and every intermediate word.
 

@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -198,6 +199,46 @@ def test_fibers_match_reference():
     bases += list(enumerate_word_evolutions(4))[::4]
     for base in bases:
         assert induced_evolutions(base) == reference_induced_evolutions(base), str(base)
+
+
+def _shares_choices_for(ev):
+    """Whether each step of ``ev`` is one of the objects ``choices_for`` gives on its word."""
+    return all(
+        any(step is c for c in choices_for(word)) for step, word in zip(ev.steps, ev.words)
+    )
+
+
+def test_fibers_and_deletion_take_the_shared_choices():
+    bases = [ev for n in range(1, 4) for ev in enumerate_word_evolutions(n)]
+    members = [member for base in bases for member in induced_evolutions(base)]
+    assert len(members) == 3 + 22 + 377
+    assert all(map(_shares_choices_for, members))
+    assert all(_shares_choices_for(delete_first_td(member)) for member in members)
+
+
+def test_fibers_and_deletion_past_the_choice_table():
+    """Words of 64 symbols or more take fresh choices, with the same values:
+    members of a fiber whose words pass the bound delete back to its base,
+    whose step (2, 100) passes it too."""
+    base = WordEvolution(steps=tuple((1, 2**k - 1) for k in range(1, 7)) + ((2, 100),))
+    assert [len(word) for word in base.words[-3:]] == [63, 127, 227]
+    for member in induced_evolutions(base, max_n=9)[::50]:
+        assert delete_first_td(member) == reference_delete_first_td(member) == base
+
+
+def test_fiber_steps_hold_at_most_120_bytes_per_member():
+    """The step tuples of the 15,315 members of the 377 n = 4 fibers hold
+    shared choices; with fresh ones they held 195 bytes per member."""
+    bases = list(enumerate_word_evolutions(4))
+    list(choices_for((1,) * 31))  # the table rows that n = 5 reads
+    tracemalloc.start()
+    try:
+        steps = [member.steps for base in bases for member in induced_evolutions(base)]
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == 15315
+    assert held / len(steps) <= 120, held / len(steps)
 
 
 def test_fiber_keeps_the_budget_error(ev_540):

@@ -1,6 +1,10 @@
 """Word automaton: stepping, enumeration, counting, serialization."""
 
+import copy
+import dataclasses
+import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,6 +12,7 @@ import tdspace.words
 from tdspace import (
     BudgetExceededError,
     DerivationCollisionError,
+    DupChoice,
     IndexOutOfRangeError,
     ParseError,
     ValidationError,
@@ -120,6 +125,47 @@ def test_choice_count_matches_enumeration():
         assert len(set(options)) == len(options)
     assert choice_count(1) == 3
     assert choice_count(3) == 10
+
+
+def test_choices_are_shared_below_the_table_bound():
+    """Every word shorter than 64 symbols, so every word of up to 6 TDs,
+    gets the same choice objects on every call."""
+    for m in range(64):
+        first, again = list(choices_for((1,) * m)), list(choices_for((2,) * m))
+        assert all(x is y for x, y in zip(first, again, strict=True)), m
+
+
+def test_choices_equal_fresh_ones_on_both_sides_of_the_table_bound():
+    for m in range(71):
+        fresh = [DupChoice(a, b) for a in range(1, m + 2) for b in range(a - 1, m + 1)]
+        options = list(choices_for((1,) * m))
+        assert options == fresh and all(type(c) is DupChoice for c in options), m
+
+
+def test_evolution_has_slots_and_stays_a_frozen_value():
+    ev = WordEvolution(steps=((1, 1), (1, 0), (2, 3)))
+    assert not hasattr(ev, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ev.steps = ()
+    assert hash(ev) == hash(WordEvolution(steps=ev.steps))
+    for twin in (pickle.loads(pickle.dumps(ev)), copy.deepcopy(ev), copy.copy(ev)):
+        assert twin == ev and hash(twin) == hash(ev) and twin.words == ev.words
+    derived = next(iter(enumerate_word_evolutions(4)))
+    assert pickle.loads(pickle.dumps(derived)) == copy.deepcopy(derived) == derived
+
+
+def test_derivations_hold_at_most_400_bytes_each():
+    """The 15,315 derivations of five TDs share their choices and carry no
+    instance dict; with a fresh choice per step and a dict they held 454."""
+    list(choices_for((1,) * 31))  # the table rows that n = 5 reads
+    tracemalloc.start()
+    try:
+        evolutions = list(enumerate_word_evolutions(5))
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(evolutions) == WORD_TOTALS[5]
+    assert held / len(evolutions) <= 400, held / len(evolutions)
 
 
 def test_evolution_replays_words():
