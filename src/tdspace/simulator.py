@@ -10,36 +10,32 @@ to its start.  A TD choice picks the two genome segments that receive
 the new start/end breakpoints; when the two cuts fall in distinct copies
 of the same reference interval their relative reference order is a free
 extra choice.  Enumerating all choice sequences and deduplicating the
-resulting records (every intermediate genome, re-expressed at the final
-reference resolution) reproduces the evolution counts obtained from
-words and linear extensions — by a completely different route, which
-shares no code with the double-tree model.
+resulting evolutions reproduces the evolution counts obtained from words
+and linear extensions — by a completely different route, which shares
+no code with the double-tree model.
+
+A path is fixed by its derivation, the word steps of its TDs, and its
+layout, the final positions of its breakpoints: :func:`_replay`
+rebuilds every genome of the path, at the final reference resolution,
+from those two alone.  So a derivation's evolutions are its distinct
+layouts, as the paper counts a word's evolutions by the linear
+extensions of its order diagram.
 
 The walk has one node type, :data:`_Node`, which :func:`_children`
-yields.  An inner node's key holds the genomes so far, each followed by
-``0xff``, so its genome is its last segment.  A leaf's key ends instead
-in its last TD's cut ``(start, end)``, two indices into the genome
-before it that fix the leaf's own genome; :func:`_children` shows why
-the cut is unique, and :func:`_record_key` decodes the key to the
-record's :meth:`TdEvolutionRecord.canonical_key`.  The genome before a
-leaf of ``n`` TDs holds at most ``2^(n - 1)`` copies of each of
-``2n + 1`` intervals, under the depth budget fewer than ``0xff`` in
-all, so each cut index fits a byte.
-
-The choices at a node fall into a few classes: the host intervals, plus
-the order of the two breakpoints when both cuts share a host.  What a
-class renumbers depends only on the parent's depth and the class, so
+yields: the current genome, word, steps, graph key and positions.  The
+choices at a node fall into a few classes: the host intervals, plus the
+order of the two breakpoints when both cuts share a host.  What a class
+renumbers depends only on the parent's depth and the class, so
 :func:`_class_step` is memoized, and :func:`_split` applies it once per
 class of each node.  :func:`_families` yields the children of each leaf
 parent as one list, and :func:`tabulate` dedups each such family into
-sets of words and graph keys and a dict from each record-key prefix to
-the sorted distinct cuts below it, packed in one byte string.  A
-copy-number profile is the head of its graph key, so the profiles are
-counted off the graph keys at the end.  Each entry, prefix and packed
-string is one flat byte string, so ``sys.getsizeof`` gives its whole
-size.  :func:`apply_td` is the step for one choice, and both consumers,
-:func:`tabulate` and :func:`enumerate_process`, read the leaves of one
-walk.
+sets of words and graph keys and a dict from each derivation's steps to
+its leaves' positions, packed in one byte string.  A copy-number profile
+is the head of its graph key, so the profiles are counted off the graph
+keys at the end.  Each entry, key and packed string is one flat byte
+string, so ``sys.getsizeof`` gives its whole size.  :func:`apply_td` is
+the step for one choice, and both consumers, :func:`tabulate` and
+:func:`enumerate_process`, read the leaves of one walk.
 
 The depth rules are split by what they guard: the byte bound of the
 encoding, ``DEEP_MAX_N``, is checked in :func:`apply_td` and
@@ -57,10 +53,7 @@ from functools import cache, cached_property
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (
-    BudgetExceededError, Deadline, DerivationCollisionError, ValidationError, _check_depth,
-    _check_positive,
-)
+from .errors import BudgetExceededError, Deadline, ValidationError, _check_depth, _check_positive
 from .words import Word, WordEvolution, _step
 
 DEFAULT_MAX_N = 4
@@ -158,9 +151,9 @@ def apply_td(state: GenomeState, choice: TdChoice) -> GenomeState:
     if len(flat) != 2 * n or not all(0 <= j < 2 * n for j in flat):
         raise ValidationError(f"positions {state.positions} are not pairs in 0..{2 * n - 1}")
     _hosts(state.genome, choice)
-    node = (bytes(state.genome) + b"\xff", bytes(state.word), state.steps, b"", bytes(flat))
-    key, _word, steps, _graph, positions = next(_children(node, (choice,)))
-    return GenomeState(tuple(_genome(key)), _pairs(positions), steps)
+    node = (bytes(state.genome), bytes(state.word), b"", b"", bytes(flat))
+    genome, _word, step, _graph, positions = next(_children(node, (choice,)))
+    return GenomeState(tuple(genome), _pairs(positions), state.steps + _pairs(step))
 
 
 def word_of(state: GenomeState) -> Word:
@@ -217,30 +210,20 @@ class TdEvolutionRecord:
 
 
 _IDENTITY = bytes(range(256))
-#: each byte value as a one-byte string: two concatenations cost less than
-#: one ``bytes((start, end))``
-_BYTES = tuple(_IDENTITY[i : i + 1] for i in range(256))
 #: ``256**i`` for every interval index under the depth budget
 _WEIGHTS = tuple(256**i for i in range(2 * DEEP_MAX_N + 1))
 
-#: connection positions ``(end, start)`` or word steps ``(a, b)``
-_Pairs = tuple[tuple[int, int], ...]
-#: a node of the walk: record key, word, steps, graph key (copy numbers
-#: then sorted positions), positions in TD order as one flat byte string
-#: ``end, start, end, start, ...`` (a leaf's key split as ``(prefix, cut)``)
-_Node = tuple[bytes, bytes, _Pairs, bytes, bytes]
-#: the node before the first TD; its key is empty and its genome interval 0
-_ROOT: _Node = (b"", b"", (), b"", b"")
+#: a node of the walk: genome, word, steps ``a, b, a, b, ...`` of TDs
+#: 2..n, graph key (copy numbers then sorted positions), and positions in
+#: TD order ``end, start, end, start, ...``, each one flat byte string
+_Node = tuple[bytes, bytes, bytes, bytes, bytes]
+#: the node before the first TD: its genome is interval 0
+_ROOT: _Node = (b"\x00", b"", b"", b"", b"")
 
 
-def _pairs(positions: bytes) -> _Pairs:
-    """Flat positions ``end, start, end, start, ...`` as ``(end, start)`` pairs."""
-    return tuple(zip(positions[::2], positions[1::2]))
-
-
-def _genome(key: bytes) -> bytes:
-    """The last genome of a node's key (interval 0 for the root's empty key)."""
-    return key[:-1].rsplit(b"\xff", 1)[-1] or b"\x00"
+def _pairs(flat: bytes) -> tuple[tuple[int, int], ...]:
+    """Flat bytes ``x, y, x, y, ...`` as ``(x, y)`` pairs."""
+    return tuple(zip(flat[::2], flat[1::2]))
 
 
 @cache
@@ -272,34 +255,26 @@ def _class_step(depth: int, r1: int, r2: int, reverse: bool) -> tuple:
     return tuple(pieces), bytes.maketrans(ids, _IDENTITY[: len(ids)]), shift, bytes(new), pairs
 
 
-def _split(
-    key: bytes, genome: bytes, positions: bytes, r1: int, r2: int, reverse: bool
-) -> tuple:
+def _split(genome: bytes, positions: bytes, r1: int, r2: int, reverse: bool) -> tuple:
     """The step shared by every child whose cuts land in intervals ``r1``
     and ``r2`` (end breakpoint first on the reference when ``reverse``)
-    of a parent with ``key``, ``genome`` and flat ``positions``.
+    of a parent with ``genome`` and flat ``positions``.
 
-    Returns ``key`` and ``genome`` renumbered to the child's intervals,
-    the child's flat positions in TD order, and its sorted positions as
-    one byte string of ``(end, start)`` pairs, by the tables of
+    Returns ``genome`` renumbered to the child's intervals, the child's
+    flat positions in TD order, and its sorted positions as one byte
+    string of ``(end, start)`` pairs, by the tables of
     :func:`_class_step`.  Indices stay below ``2n + 1`` and the fresh
-    ids below ``2n + 4``, so under the depth budget each fits in a byte
-    and never reaches the ``0xff`` separator.
+    ids below ``2n + 4``, so under the depth budget each fits in a byte.
     """
     pieces, table, shift, new, pairs = _class_step(len(positions) // 2, r1, r2, reverse)
     for host, piece in pieces:
-        key, genome = key.replace(host, piece), genome.replace(host, piece)
+        genome = genome.replace(host, piece)
     moved = positions.translate(shift) + new
-    return (
-        key.translate(table), genome.translate(table), moved,
-        b"".join(sorted(map(moved.__getitem__, pairs))),
-    )
+    return genome.translate(table), moved, b"".join(sorted(map(moved.__getitem__, pairs)))
 
 
-def _children(node: _Node, choices: Iterable[tuple], leaf: bool = False) -> Iterator[_Node]:
-    """The child of ``node`` for each of ``choices``, in order; ``leaf``
-    children get the short record key of :func:`_record_key` as the pair
-    ``(prefix, cut)``, the prefix one object per class.
+def _children(node: _Node, choices: Iterable[tuple]) -> Iterator[_Node]:
+    """The child of ``node`` for each of ``choices``, in order.
 
     The choices are ``(g1, g2, order_flag)`` triples and are not checked:
     they come from :func:`_choices` or have been checked by the caller.
@@ -312,21 +287,8 @@ def _children(node: _Node, choices: Iterable[tuple], leaf: bool = False) -> Iter
     interval ``i`` in byte ``i``.  A TD copies each genome segment at
     most once, so after ``n`` TDs every count is at most ``2^n``; under
     the depth budget each fits in a byte and never carries into the next.
-
-    A leaf's key ends in its cut ``(start, end)`` instead of its genome
-    ``expanded[:end + 1] + expanded[start:]``.  The class step turns every
-    copy of a split host into its consecutive pieces.  The piece
-    ``expanded[end]`` ends at the new end breakpoint, so it is never its
-    host's last piece, and in ``expanded`` it is always followed by the
-    next one, which starts at that breakpoint, never by
-    ``expanded[start]``, which starts at the start breakpoint.  So the
-    seam ``(expanded[end], expanded[start])`` is the one junction of the
-    leaf's genome that ``expanded`` lacks, and the genome names its cut.
-    One search per class checks this and raises
-    :class:`DerivationCollisionError` if it ever fails.
     """
-    key, word, parent_steps, _graph, positions = node
-    genome = _genome(key)
+    genome, word, parent_steps, _graph, positions = node
     word, td = tuple(word), len(positions) // 2 + 1
     width = 2 * td + 1
     junctions = zip(genome, genome[1:])
@@ -343,24 +305,13 @@ def _children(node: _Node, choices: Iterable[tuple], leaf: bool = False) -> Iter
             for r in (r1, r2):
                 if before[r] is None:
                     before[r] = list(accumulate(map(r.__eq__, genome), initial=0))
-            prefix, expanded, child_positions, graph_conns = _split(
-                key, genome, positions, r1, r2, reverse
-            )
+            expanded, child_positions, graph_conns = _split(genome, positions, r1, r2, reverse)
             weights = list(accumulate(map(_WEIGHTS.__getitem__, expanded), initial=0))
-            if leaf:  # the seam joins the piece ending at the end breakpoint to the start's
-                seam = bytes((child_positions[-2], child_positions[-1] + 1))
-                if seam in expanded:
-                    raise DerivationCollisionError(
-                        f"seam {seam[0]}|{seam[1]} of TD {td} already joins its parent genome,"
-                        " so a record key's cut is not unique"
-                    )
             offsets = (1, 0) if r1 != r2 else (2, 0) if reverse else (1, 1)
-            # The genome keeps its separator, so a child's tail slice ends the key.
             cls = classes[r1, r2, reverse] = (
-                prefix, expanded + b"\xff", child_positions, graph_conns,
-                before[r1], before[r2], *offsets, weights,
+                expanded, child_positions, graph_conns, before[r1], before[r2], *offsets, weights,
             )
-        prefix, expanded, child_positions, graph_conns, lo, hi, s_off, e_off, weights = cls
+        expanded, child_positions, graph_conns, lo, hi, s_off, e_off, weights = cls
         # The cuts in the renumbered genome: each earlier copy of a host has
         # grown by one piece per cut it holds (a host of both cuts is both
         # ``lo`` and ``hi``), and the cut lies after the piece that ends in
@@ -375,15 +326,12 @@ def _children(node: _Node, choices: Iterable[tuple], leaf: bool = False) -> Iter
         step = (somatic[g1] + 1, somatic[g2])
         after = stepped.get(step)
         if after is None:
-            steps = parent_steps + (step,) if td > 1 else ()
+            steps = parent_steps + bytes(step) if td > 1 else b""
             after = stepped[step] = steps, bytes(_step(word, step, td))
         steps, child_word = after
         cnv = (weights[end + 1] + weights[-1] - weights[start]).to_bytes(width, "little")
-        if leaf:
-            child_key = prefix, _BYTES[start] + _BYTES[end]
-        else:
-            child_key = prefix + expanded[: end + 1] + expanded[start:]
-        yield child_key, child_word, steps, cnv + graph_conns, child_positions
+        child = expanded[: end + 1] + expanded[start:]
+        yield child, child_word, steps, cnv + graph_conns, child_positions
 
 
 def _families(n: int, prefix: Sequence[TdChoice]) -> Iterator[list[_Node]]:
@@ -402,35 +350,46 @@ def _families(n: int, prefix: Sequence[TdChoice]) -> Iterator[list[_Node]]:
 
 def _families_below(n: int, node: _Node, fixed: tuple[TdChoice, ...]) -> Iterable[list[_Node]]:
     """The families of :func:`_families` below ``node``; ``fixed`` names its first choices."""
-    genome = _genome(node[0])
+    genome = node[0]
     for choice in fixed[:1]:
         _hosts(genome, choice)
-    leaf_parent = len(node[-1]) == 2 * (n - 1)
-    children = _children(node, fixed[:1] or _choices(genome), leaf_parent)
-    if leaf_parent:
+    children = _children(node, fixed[:1] or _choices(genome))
+    if len(node[-1]) == 2 * (n - 1):
         return (list(children),)
     return chain.from_iterable(_families_below(n, child, fixed[1:]) for child in children)
 
 
 def _walk(n: int, prefix: Sequence[TdChoice]) -> Iterator[_Node]:
-    """The leaves of :func:`_families`, one at a time, in choice order,
-    each key joined back into one byte string."""
-    for family in _families(n, prefix):
-        for (head, cut), word, steps, graph, positions in family:
-            yield head + cut, word, steps, graph, positions
+    """The leaves of :func:`_families`, one at a time, in choice order."""
+    return chain.from_iterable(_families(n, prefix))
 
 
-def _record_key(key: bytes) -> bytes:
-    """A leaf's :meth:`TdEvolutionRecord.canonical_key` from its key
-    ``P + bytes((start, end))``, cut in ``P``'s last genome (in the
-    reference ``0, 1, 2`` when ``P`` is empty, after one TD)."""
-    parent, (start, end) = key[:-2], key[-2:]
-    expanded = _genome(parent) if parent else _IDENTITY[:3]
-    return parent + expanded[: end + 1] + expanded[start:] + b"\xff"
+def _replay(steps: bytes, positions: bytes) -> list[bytes]:
+    """The genome after each TD of a path, at final resolution, rebuilt
+    from the path's steps and positions alone.
+
+    The word segments of a genome are its runs between somatic junctions,
+    counted from 0, and a segment holds each interval at most once.  TD
+    ``k`` with word step ``(a, b)`` (TD 1: ``(1, 0)``) and positions
+    ``(e, s)`` starts in segment ``a - 1`` at the copy ``g1`` of interval
+    ``s + 1``, ends in segment ``b`` at the copy ``g2`` of interval ``e``,
+    and duplicates ``G[g1 : g2 + 1]``.  The segments' first indices follow
+    the word step: segments ``0..b`` stay, and segment ``a - 1`` from
+    ``g1`` on and the segments after it move behind the copy.
+    """
+    genome, starts, genomes = _IDENTITY[: len(positions) + 1], [0], []
+    for k in range(0, len(positions), 2):
+        a, b = steps[k - 2 : k] if k else (1, 0)
+        e, s = positions[k : k + 2]
+        g1, g2 = genome.index(s + 1, starts[a - 1]), genome.index(e, starts[b])
+        genome = genome[: g2 + 1] + genome[g1:]
+        starts = starts[: b + 1] + [x + g2 + 1 - g1 for x in (g1, *starts[a:])]
+        genomes.append(genome)
+    return genomes
 
 
-def _record(key: bytes, steps: _Pairs, positions: bytes) -> TdEvolutionRecord:
-    genomes = _record_key(key)[:-1].split(b"\xff")
+def _record(steps: bytes, positions: bytes) -> TdEvolutionRecord:
+    genomes = _replay(steps, positions)
     width = len(positions) + 1
     conns = tuple(Connection(f, t, "reversed" if t < f else "forward") for f, t in _pairs(positions))
     graphs = tuple(
@@ -440,15 +399,15 @@ def _record(key: bytes, steps: _Pairs, positions: bytes) -> TdEvolutionRecord:
     return TdEvolutionRecord(
         genomes=tuple(map(tuple, genomes)),
         graphs=graphs,
-        word_evolution=WordEvolution(steps=steps),
+        word_evolution=WordEvolution(steps=_pairs(steps)),
     )
 
 
 def enumerate_process(n: int) -> Iterator[TdEvolutionRecord]:
     """Enumerate every choice path of ``n`` TDs and yield its record."""
     _check_depth("simulating", n, DEFAULT_MAX_N)
-    for key, _word, steps, _graph, positions in _walk(n, ()):
-        yield _record(key, steps, positions)
+    for _genome, _word, steps, _graph, positions in _walk(n, ()):
+        yield _record(steps, positions)
 
 
 @dataclass
@@ -463,7 +422,7 @@ class TableRow:
     paths: int = 0  # raw choice paths; equals evolutions when records never collide
 
 
-_Held = tuple[set, set, dict]  # words, graph keys, packed cuts by record-key prefix
+_Held = tuple[set, set, dict]  # words, graph keys, packed layouts by derivation steps
 
 
 def _check_budget(sets: _Held, entry_bytes: int, max_mem_bytes: int | None) -> None:
@@ -479,12 +438,15 @@ def _check_budget(sets: _Held, entry_bytes: int, max_mem_bytes: int | None) -> N
 
 
 def _take(sets: _Held, columns: tuple, max_mem_bytes: int | None) -> int:
-    """Add words and graph keys to their sets, and each prefix's packed
-    cuts to the record keys, unioned with any held.  Under a budget,
-    return the bytes of new entries, prefixes and packed growth; entries
-    go in one at a time (a set would presize its table), so neither a
-    table nor the verdict depends on the batching or the worker count."""
-    *flat, keys = sets
+    """Add words and graph keys to their sets, and append each
+    derivation's packed layouts to those held for it.  A derivation's
+    layouts arrive across many families, so they are joined, not unioned,
+    and :func:`_table_row` counts the distinct ones once at the end.
+    Under a budget, return the bytes of new entries, derivation keys and
+    packed growth; entries go in one at a time (a set would presize its
+    table), so neither a table nor the verdict depends on the batching or
+    the worker count."""
+    *flat, layouts = sets
     added = 0
     for held, column in zip(flat, columns):
         if max_mem_bytes is None:
@@ -493,15 +455,14 @@ def _take(sets: _Held, columns: tuple, max_mem_bytes: int | None) -> int:
             new = set(column).difference(held)
             held.update(iter(new))
             added += sum(map(sys.getsizeof, new))
-    for head, packed in columns[2].items():
-        old = keys.get(head)
+    for steps, packed in columns[2].items():
+        old = layouts.get(steps)
         if old is None:
-            added += sys.getsizeof(head)
+            added += sys.getsizeof(steps)
         else:
-            cuts = {p[i : i + 2] for p in (old, packed) for i in range(0, len(p), 2)}
-            packed = b"".join(sorted(cuts))
+            packed = old + packed
             added -= sys.getsizeof(old)
-        keys[head] = packed
+        layouts[steps] = packed
         added += sys.getsizeof(packed)
     return 0 if max_mem_bytes is None else added
 
@@ -513,9 +474,9 @@ def _collect(
     deadline: Deadline,
 ) -> tuple[_Held, int, int]:
     """The sets of words and graph keys below ``prefix``, the dict from
-    each short record key's prefix to its leaves' cuts (see
-    :func:`_children`), their entries' bytes and the path count.  Each
-    family of siblings packs its cuts by prefix and enters through one
+    each derivation's steps to its leaves' positions, packed in one byte
+    string, their entries' bytes and the path count.  Each family of
+    siblings packs its positions by derivation and enters through one
     :func:`_take`; under a budget, each flat byte string's
     ``sys.getsizeof`` is counted when it enters or grows.  The deadline
     and the budget are checked whenever the path count crosses a multiple
@@ -525,13 +486,11 @@ def _collect(
     deadline.check()
     for family in _families(n, prefix):
         paths += len(family)
-        keys, words, _steps, graphs, _positions = zip(*family)
-        pairs = set(keys)  # one set of all pairs dedups faster than one per prefix
-        cuts = defaultdict(list)
-        # choice order keeps each prefix's cuts nearly sorted: walk it unless a pair repeats
-        for head, cut in keys if len(pairs) == len(keys) else pairs:
-            cuts[head].append(cut)
-        packed = {head: b"".join(sorted(group)) for head, group in cuts.items()}
+        layouts = defaultdict(list)
+        for _genome, _word, steps, _graph, positions in family:
+            layouts[steps].append(positions)
+        packed = {steps: b"".join(group) for steps, group in layouts.items()}
+        _genomes, words, _steps, graphs, _positions = zip(*family)
         entry_bytes += _take(sets, (words, graphs, packed), max_mem_bytes)
         if paths % _CHECK_EVERY < len(family):  # the family passed a multiple
             deadline.check()
@@ -541,15 +500,19 @@ def _collect(
 
 
 def _table_row(n: int, sets: _Held, paths: int) -> TableRow:
-    """The row of :func:`_collect`'s sets; a record key splits into its
-    prefix and cut one to one, so the evolutions are the cuts held.  A
-    copy-number profile is the first ``2n + 1`` bytes of its graph key.
-    The profile set's table is a fresh block, so the record keys are
-    counted and cleared, and the graph keys moved to a list and their
-    set's table freed, before the profiles are counted from that list."""
-    words, graphs, keys = sets
-    evolutions = sum(map(len, keys.values())) // 2
-    keys.clear()
+    """The row of :func:`_collect`'s sets.  A path's steps and positions
+    fix its record (:func:`_replay`), so the evolutions are the distinct
+    ``2n``-byte layouts held under each derivation.  A copy-number
+    profile is the first ``2n + 1`` bytes of its graph key.  The profile
+    set's table is a fresh block, so the layouts are counted and cleared,
+    and the graph keys moved to a list and their set's table freed,
+    before the profiles are counted from that list."""
+    words, graphs, layouts = sets
+    evolutions = sum(
+        len({packed[i : i + 2 * n] for i in range(0, len(packed), 2 * n)})
+        for packed in layouts.values()
+    )
+    layouts.clear()
     held = list(graphs)
     graphs.clear()
     cnvs = len({graph[: 2 * n + 1] for graph in held})
@@ -565,9 +528,9 @@ def tabulate(
 ) -> TableRow:
     """Count distinct words, copy-number profiles, graphs and evolutions.
 
-    The dedup holds sets of words and graph keys and the record keys'
-    cuts by prefix; the profiles are counted off the graph keys at the end,
-    by :func:`_table_row`.  One worker sweeps in this process, and so does
+    The dedup holds sets of words and graph keys and each derivation's
+    layouts; the profiles and the distinct layouts are counted at the
+    end, by :func:`_table_row`.  One worker sweeps in this process, and so does
     any worker count while other threads run, since forking a process
     that runs threads may deadlock the child.  More partition the sweep
     by the first TD choice after the forced one, on a pool of one

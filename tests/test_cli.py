@@ -233,9 +233,9 @@ def test_table_memory_budget(capsys, monkeypatch):
     assert code == 2
 
 
-@pytest.mark.parametrize("limit,code", [("42000", 2), ("50000", 0), ("150000", 0)])
+@pytest.mark.parametrize("limit,code", [("30000", 2), ("50000", 0), ("150000", 0)])
 def test_table_memory_budget_is_measured(capsys, monkeypatch, limit, code):
-    # the n=3 dedup measures about 46,000 bytes
+    # the n=3 dedup measures 31,210 bytes
     monkeypatch.setenv("TD_MAX_MEM", limit)
     got, _, err = run(capsys, "table", "-n", "3")
     assert got == code
@@ -245,9 +245,9 @@ def test_table_memory_budget_is_measured(capsys, monkeypatch, limit, code):
 @pytest.mark.parametrize("workers", ["1", "2", "3", "11"])
 def test_table_memory_budget_is_the_same_on_any_workers(capsys, monkeypatch, workers):
     """One byte under what one worker holds at n = 3 fails on every worker
-    count, and so does 42,000 bytes.  The bytes named are those held at the
-    first failing check, which falls at another point on one worker (45,724)
-    than on several (42,915), so only the verdict is compared there."""
+    count, and so does 30,000 bytes.  The bytes named are those held at the
+    first failing check, which falls at another point on one worker (31,210)
+    than on several (30,730), so only the verdict is compared there."""
     monkeypatch.setenv("TD_MAX_MEM", "1")
     _, _, err = run(capsys, "table", "-n", "3")
     held = int(re.search(r"hold (\d+) bytes", err).group(1))
@@ -258,10 +258,10 @@ def test_table_memory_budget_is_the_same_on_any_workers(capsys, monkeypatch, wor
         f"budget exceeded: dedup sets hold {held} bytes, "
         f"over the memory budget of {held - 1} bytes\n"
     )
-    monkeypatch.setenv("TD_MAX_MEM", "42000")
+    monkeypatch.setenv("TD_MAX_MEM", "30000")
     code, out, err = run(capsys, "table", "-n", "3", "--workers", workers)
     assert (code, out) == (2, "")
-    assert err.endswith(" bytes, over the memory budget of 42000 bytes\n")
+    assert err.endswith(" bytes, over the memory budget of 30000 bytes\n")
 
 
 def test_table_memory_budget_of_zero_is_exit_1(capsys, monkeypatch):

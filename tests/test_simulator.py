@@ -3,6 +3,7 @@
 import ast
 import gc
 import hashlib
+import json
 import os
 import random
 import re
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,13 +22,13 @@ import tdspace.simulator
 from tdspace import (
     BudgetExceededError,
     Connection,
-    DerivationCollisionError,
     GenomeState,
     TdChoice,
     TdGraph,
     ValidationError,
     WordEvolution,
     apply_td,
+    closed_form,
     enumerate_choices,
     enumerate_process,
     initial_state,
@@ -34,13 +36,15 @@ from tdspace import (
     total_evolutions_via_words,
     word_of,
 )
+from tdspace.beta import _hook_count
 from tdspace.errors import Deadline
-from tdspace.cli import main
 from tdspace.simulator import (
-    DEEP_MAX_N, _ROOT, _choices, _children, _collect, _genome, _record_key, _split, _table_row,
+    DEEP_MAX_N, _ROOT, _choices, _children, _collect, _families, _replay, _split, _table_row,
     _take, _walk,
 )
-from tdspace.structure import A_SIDE, B_SIDE, BreakpointId
+from tdspace.structure import (
+    A_SIDE, B_SIDE, ROOT_A, ROOT_B, BreakpointId, build_2d_tree, hasse_diagram,
+)
 from tdspace.words import FIRST_WORD, td_step
 
 TABLE = {
@@ -189,16 +193,17 @@ def test_memory_budget():
 
 
 def test_memory_budget_is_measured_in_every_worker_count():
-    # the n=3 dedup holds about 46,000 bytes
+    # the n=3 dedup holds 31,210 bytes
     for workers in (1, 3):
         with pytest.raises(BudgetExceededError):
-            tabulate(3, workers=workers, max_mem_bytes=42_000)
-        assert tabulate(3, workers=workers, max_mem_bytes=50_000) == tabulate(3)
+            tabulate(3, workers=workers, max_mem_bytes=30_000)
+        assert tabulate(3, workers=workers, max_mem_bytes=35_000) == tabulate(3)
 
 
 def test_the_n4_dedup_fits_in_ten_million_bytes():
-    """The packed record keys hold the n = 4 dedup to about 7.2 MB; with a
-    set of short record keys it measured 24.3 MB."""
+    """The layouts packed by derivation hold the n = 4 dedup to about
+    5.3 MB; the packed record keys they replaced measured 7.2 MB, and a
+    set of short record keys 24.3 MB."""
     assert tabulate(4, max_mem_bytes=10**7) == tabulate(4)
 
 
@@ -232,8 +237,8 @@ def test_memory_budget_does_not_depend_on_the_worker_count(workers):
 
 def test_memory_budget_agrees_with_tracemalloc():
     """The bytes the budget compares at n = 3 are within 5% of the sets'
-    live size under tracemalloc: the set entries, the record keys'
-    prefixes and packed cuts, and the tables.  A deep size of tuple
+    live size under tracemalloc: the set entries, the derivation keys and
+    their packed layouts, and the tables.  A deep size of tuple
     entries, which counted the objects they share once per entry, read
     2.1 times it.  A first sweep fills the class-step table, which is not
     in the sets."""
@@ -252,7 +257,7 @@ def test_memory_budget_agrees_with_tracemalloc():
     held = int(re.search(r"hold (\d+) bytes", str(exceeded.value)).group(1))
     words, _cnvs, graphs, evolutions = TABLE[3]
     assert tuple(map(len, sets[:2])) == (words, graphs)
-    assert sum(map(len, sets[2].values())) == 2 * evolutions
+    assert sum(map(len, sets[2].values())) == 6 * evolutions
     assert abs(held - live) <= 0.05 * live, (held, live)
 
 
@@ -276,34 +281,33 @@ def repeating(families):
     ],
     ids=["a family repeats a leaf", "a family comes twice"],
 )
-def test_the_packed_record_keys_dedup_a_repeated_path(monkeypatch, families, extra):
+def test_the_packed_layouts_dedup_a_repeated_path(monkeypatch, families, extra):
     """A leaf that comes again, in its own family or in a second copy of
-    it, counts once in ``evolutions`` and again in ``paths``, and the
-    dedup holds no more bytes than without it."""
+    it, counts once in ``evolutions`` and again in ``paths``.  Its layout
+    is held again until the row is counted, 6 more bytes at n = 3."""
     budget = smallest_passing_budget(3)
-    paths = 627 + sum(extra(family) for family in tdspace.simulator._families(3, ()))
+    repeats = sum(extra(family) for family in _families(3, ()))
     monkeypatch.setattr(tdspace.simulator, "_families", repeating(families))
-    row = tabulate(3, max_mem_bytes=budget)
-    assert (row_tuple(row), row.paths) == (TABLE[3], paths)
-    assert row_tuple(tabulate(3)) == TABLE[3]
-    with pytest.raises(BudgetExceededError, match=f"hold {budget} bytes"):
-        tabulate(3, max_mem_bytes=budget - 1)
+    row = tabulate(3)
+    assert (row_tuple(row), row.paths) == (TABLE[3], 627 + repeats)
+    assert smallest_passing_budget(3) == budget + 6 * repeats
 
 
-def test_merging_a_prefix_that_is_held_unions_its_cuts():
-    """The merge of a partition's record keys unions the cuts of a prefix
-    both hold, and counts the growth of its packed string."""
-    sets = set(), set(), {b"P\xff": b"\x01\x02\x03\x04"}
-    added = _take(sets, ((), (), {b"P\xff": b"\x03\x04\x05\x06", b"Q\xff": b"\x00\x01"}), 10**9)
-    assert sets[2] == {b"P\xff": b"\x01\x02\x03\x04\x05\x06", b"Q\xff": b"\x00\x01"}
-    assert added == 2 + sys.getsizeof(b"Q\xff") + sys.getsizeof(b"\x00\x01")
+def test_merging_a_derivation_that_is_held_joins_its_layouts():
+    """The merge of a partition's layouts appends those of a derivation
+    both hold, and counts the growth of its packed string; the row counts
+    a layout held twice once."""
+    sets = set(), set(), {b"P": b"\x01\x02\x03\x04"}
+    added = _take(sets, ((), (), {b"P": b"\x03\x04\x05\x06", b"Q": b"\x00\x01"}), 10**9)
+    assert sets[2] == {b"P": b"\x01\x02\x03\x04\x03\x04\x05\x06", b"Q": b"\x00\x01"}
+    assert added == 4 + sys.getsizeof(b"Q") + sys.getsizeof(b"\x00\x01")
     assert _table_row(1, sets, 4).evolutions == 4
 
 
-def test_partitions_that_share_a_prefix_merge_to_the_one_worker_keys():
+def test_partitions_that_share_a_derivation_merge_to_the_one_worker_layouts():
     """At n = 2 every partition is one second TD, so partitions of one
-    class share a prefix, and merging their record keys unions the cuts
-    into the dict that one worker builds."""
+    word step share a derivation, and merging their layouts in order
+    joins them into the dict that one worker builds."""
     whole, _bytes, _paths = _collect(2, (), None, Deadline(None))
     parts = [
         _collect(2, (choice,), None, Deadline(None))[0]
@@ -363,6 +367,7 @@ def test_record_keys_are_pinned():
     assert len(keys) == 627
     digest = hashlib.sha256(b"".join(k + b"\n" for k in keys)).hexdigest()
     assert digest == N3_KEY_DIGEST
+    assert replay_pins(3)[:4] == (627, 627, 627, N3_KEY_DIGEST)
 
 
 # A dict-based TD step, independent of the simulator's renumbering one:
@@ -682,32 +687,32 @@ def reference_leaves(n, prefix=()):
 
 
 def as_pairs(flat):
-    """Flat bytes ``end, start, end, start, ...`` as ``(end, start)`` pairs."""
+    """Flat bytes ``x, y, x, y, ...`` as ``(x, y)`` pairs."""
     return tuple(zip(flat[::2], flat[1::2]))
 
 
-def full_key(key):
-    """The record key a leaf's short key stands for.  The short key is the
-    record key up to its last genome, then that genome's cut ``start, end``
-    in the genome before it, which the last genome repeats from ``start``
-    to ``end``; after one TD the genome before it is the reference
-    ``0, 1, 2``."""
-    parent, start, end = key[:-2], key[-2], key[-1]
-    genomes = parent.split(b"\xff")[:-1] or [bytes(range(3))]
-    last = genomes[-1][: end + 1] + genomes[-1][start:]
-    return parent + last + b"\xff"
+def as_flat(pairs):
+    """``(x, y)`` pairs as flat bytes ``x, y, x, y, ...``."""
+    return bytes(i for pair in pairs for i in pair)
+
+
+def record_key(steps, positions):
+    """A path's :meth:`TdEvolutionRecord.canonical_key`, rebuilt from its
+    steps and positions by :func:`_replay`."""
+    return b"".join(genome + b"\xff" for genome in _replay(steps, positions))
 
 
 def as_old_leaf(leaf):
     """A leaf of the walk in the tuple form the reference and the pinned
-    digest use: the full record key, word and copy numbers as tuples of
-    ints, the graph key as ``(copy numbers, sorted (end, start)
-    positions)`` and the positions as ``(end, start)`` pairs in TD order."""
-    key, word, steps, graph, positions = leaf
+    digest use: the record key, word and copy numbers as tuples of ints,
+    the steps as ``(a, b)`` pairs, the graph key as ``(copy numbers,
+    sorted (end, start) positions)`` and the positions as ``(end, start)``
+    pairs in TD order."""
+    _genome, word, steps, graph, positions = leaf
     cnv = graph[: len(positions) + 1]
     return (
-        full_key(key), tuple(word), steps, (tuple(cnv), as_pairs(graph[len(cnv) :])),
-        as_pairs(positions),
+        record_key(steps, positions), tuple(word), as_pairs(steps),
+        (tuple(cnv), as_pairs(graph[len(cnv) :])), as_pairs(positions),
     )
 
 
@@ -720,6 +725,9 @@ def test_leaf_step_matches_apply_td(n):
     leaves = old_leaves(n)
     assert len(leaves) == (1, 11, 627)[n - 1]
     assert leaves == reference_leaves(n)
+    # the walk's own genome is the replay's last
+    for genome, _word, steps, _graph, positions in _walk(n, ()):
+        assert genome == _replay(steps, positions)[-1]
 
 
 def reference_prefix(choose, length):
@@ -752,12 +760,9 @@ def test_deep_leaves_match_the_reference_at_the_largest_copy_numbers():
     cnvs = [cnv for _key, _word, _steps, (cnv, _conns), _positions in leaves]
     assert {len(cnv) for cnv in cnvs} == {11}
     assert max(map(max, cnvs)) == 2**5
-    # the cuts index the genome before the leaf, 2^4 copies of 11 intervals at most
-    cuts = [max(key[-2:]) for key, *_ in _walk(5, prefix)]
-    assert max(cuts) < (2 * DEEP_MAX_N + 1) * 2 ** (DEEP_MAX_N - 1)
 
 
-def reference_split(key, genome, positions, r1, r2, reverse):
+def reference_split(genome, positions, r1, r2, reverse):
     """The class step in arithmetic, with ``(end, start)`` position pairs:
     the referee of the table-driven :func:`_split`."""
     ids = bytearray(range(2 * len(positions) + 1))
@@ -765,7 +770,7 @@ def reference_split(key, genome, positions, r1, r2, reverse):
     for r in sorted({r1, r2}, reverse=True):
         host, piece = bytes((r,)), bytes(range(fresh, fresh + 2 + (r1 == r2)))
         ids[r : r + 1] = piece
-        key, genome = key.replace(host, piece), genome.replace(host, piece)
+        genome = genome.replace(host, piece)
         fresh += len(piece)
     table = bytes.maketrans(ids, bytes(range(len(ids))))
     if r1 != r2:
@@ -773,10 +778,7 @@ def reference_split(key, genome, positions, r1, r2, reverse):
     else:
         new = (r1, r1 + 1) if reverse else (r1 + 1, r1)
     moved = (*((e + (e >= r1) + (e >= r2), s + (s >= r1) + (s >= r2)) for e, s in positions), new)
-    return (
-        key.translate(table), genome.translate(table), moved,
-        bytes(i for pair in sorted(moved) for i in pair),
-    )
+    return genome.translate(table), moved, as_flat(sorted(moved))
 
 
 def walk_parents(n, prefix=()):
@@ -789,7 +791,7 @@ def walk_parents(n, prefix=()):
         out.append(node)
         depth = len(node[-1]) // 2
         if depth < n - 1:
-            for child in _children(node, fixed[depth : depth + 1] or _choices(_genome(node[0]))):
+            for child in _children(node, fixed[depth : depth + 1] or _choices(node[0])):
                 visit(child)
 
     visit(_ROOT)
@@ -798,14 +800,12 @@ def walk_parents(n, prefix=()):
 
 def assert_splits_match_the_reference(parents):
     splits = 0
-    for key, _word, _steps, _graph, positions in parents:
-        genome = _genome(key)
+    for genome, _word, _steps, _graph, positions in parents:
         pairs = as_pairs(positions)
         classes = {(genome[g1], genome[g2], flag is False) for g1, g2, flag in _choices(genome)}
         for cls in sorted(classes):
-            child_key, child_genome, moved, graph = reference_split(key, genome, pairs, *cls)
-            flat = bytes(i for pair in moved for i in pair)
-            assert _split(key, genome, positions, *cls) == (child_key, child_genome, flat, graph)
+            child_genome, moved, graph = reference_split(genome, pairs, *cls)
+            assert _split(genome, positions, *cls) == (child_genome, as_flat(moved), graph)
             splits += 1
     return splits
 
@@ -858,63 +858,14 @@ def test_byte_bounds_hold_up_to_the_depth_cap():
     # copy number is at most 2^n: the leaf's byte-weighted prefix sums
     # never carry from one interval into the next.
     assert 2**DEEP_MAX_N < 256
-    # Interval indices stay below 2n + 1 and fresh ids below 2n + 4, so no
-    # byte of a record key reaches the 0xff separator.
+    # Interval indices stay below 2n + 1 and fresh ids below 2n + 4, and
+    # the record key's 0xff separator lies past them.
     assert 2 * DEEP_MAX_N + 4 < 0xFF
-    # A leaf's cut indexes the genome before it, renumbered to 2n + 1
-    # intervals of at most 2^(n - 1) copies each, so each index fits a byte.
-    assert (2 * DEEP_MAX_N + 1) * 2 ** (DEEP_MAX_N - 1) < 0xFF
 
 
 #: sha256 of the sorted record keys of every n=4 path, each followed by a
-#: newline; the walk's short keys decode to the records' ``canonical_key()``s
+#: newline; each path's steps and positions replay to its ``canonical_key()``
 N4_KEY_DIGEST = "409748c579552838179bb406e895310ac04070ccdd9b98349e0f3e42460b2510"
-
-
-def test_record_keys_are_pinned_at_n4():
-    short = [key for key, *_ in _walk(4, ())]
-    keys = list(map(full_key, short))
-    assert keys == list(map(_record_key, short))
-    assert len(set(short)) == len(set(keys)) == len(keys) == 154869
-    digest = hashlib.sha256(b"".join(k + b"\n" for k in sorted(keys))).hexdigest()
-    assert digest == N4_KEY_DIGEST
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_leaf_keys_decode_to_the_record_keys(n):
-    """Each short key stands for its record's ``canonical_key()``, and
-    distinct short keys for distinct record keys, one to one."""
-    short = [key for key, *_ in _walk(n, ())]
-    keys = list(map(full_key, short))
-    assert keys == [rec.canonical_key() for rec in enumerate_process(n)]
-    assert len(set(short)) == len(set(keys)) == len(set(zip(short, keys)))
-
-
-def test_a_class_step_whose_pieces_are_not_consecutive_fails_the_seam_check(monkeypatch):
-    """A host copy read as first, last, middle piece holds the seam of the
-    class that puts the end breakpoint first, so a cut would no longer name
-    its record: the walk raises, and the CLI exits 3."""
-    class_step = tdspace.simulator._class_step
-
-    def shuffled(*class_key):
-        pieces, *tables = class_step(*class_key)
-        return (tuple((host, piece[:1] + piece[2:] + piece[1:2]) for host, piece in pieces), *tables)
-
-    monkeypatch.setattr(tdspace.simulator, "_class_step", shuffled)
-    with pytest.raises(DerivationCollisionError, match=r"seam \d+\|\d+ of TD 2 already joins"):
-        tabulate(2)
-    assert main(["table", "-n", "2"]) == 3
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_copy_numbers_counted_off_the_graph_keys_match_a_collected_set(n):
-    """The profiles counted off the graph keys are as many as those counted
-    off each leaf's genome."""
-    genomes = (full_key(key)[:-1].rsplit(b"\xff", 1)[-1] for key, *_ in _walk(n, ()))
-    direct = len({tuple(map(genome.count, range(2 * n + 1))) for genome in genomes})
-    for workers, budget in ((1, None), (2, None), (1, 10**9), (2, 10**9)):
-        assert tabulate(n, workers=workers, max_mem_bytes=budget).cnvs == direct
-
 
 #: sha256 of ``repr(as_old_leaf(leaf))`` of every n=4 leaf of the walk, in
 #: walk order, each followed by a newline: the order, keys, words, steps,
@@ -922,38 +873,151 @@ def test_copy_numbers_counted_off_the_graph_keys_match_a_collected_set(n):
 N4_LEAF_DIGEST = "cba37b336e6ddbb61947869f156a1da0d2e25e132704d32e6eb9a1b5a6ff389b"
 
 
-def test_leaf_stream_is_pinned_at_n4():
-    digest = hashlib.sha256()
-    leaves = 0
-    for leaf in _walk(4, ()):
-        digest.update(repr(as_old_leaf(leaf)).encode() + b"\n")
-        leaves += 1
-    assert leaves == 154869
-    assert digest.hexdigest() == N4_LEAF_DIGEST
+def replay_pins(n):
+    """One pass over every leaf of ``n`` TDs: the paths, the distinct
+    ``(steps, positions)`` pairs, the distinct record keys they replay to,
+    the sha256 of the sorted record keys, and that of the leaf stream in
+    the form of :func:`as_old_leaf`.  At n = 4 the pass takes about 4 s,
+    so CI checks it against :data:`N4_KEY_DIGEST` and
+    :data:`N4_LEAF_DIGEST`, and :func:`test_record_keys_are_pinned` at
+    n = 3."""
+    leaf_digest, keys, pairs = hashlib.sha256(), [], set()
+    for leaf in _walk(n, ()):
+        old = as_old_leaf(leaf)
+        leaf_digest.update(repr(old).encode() + b"\n")
+        keys.append(old[0])
+        pairs.add((leaf[2], leaf[4]))
+    key_digest = hashlib.sha256(b"".join(k + b"\n" for k in sorted(keys))).hexdigest()
+    return len(keys), len(pairs), len(set(keys)), key_digest, leaf_digest.hexdigest()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_leaf_keys_decode_to_the_record_keys(n):
+    """Each leaf's key, its steps and positions, replays to its record's
+    ``canonical_key()``, and distinct leaf keys to distinct record keys,
+    one to one."""
+    pairs = [(steps, positions) for _genome, _word, steps, _graph, positions in _walk(n, ())]
+    keys = [rec.canonical_key() for rec in enumerate_process(n)]
+    assert keys == [record_key(*pair) for pair in pairs]
+    assert len(set(pairs)) == len(set(keys)) == len(set(zip(pairs, keys))) == len(keys)
+
+
+def test_the_replay_shares_no_code_with_the_walk():
+    """The replay rebuilds the records by the backward rule, so it calls
+    none of the walk's steps."""
+    with open(tdspace.simulator.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    (replay,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_replay"]
+    calls = [n.func for n in ast.walk(replay) if isinstance(n, ast.Call)]
+    called = {f.id for f in calls if isinstance(f, ast.Name)}
+    assert called and not called & {"_children", "_split", "_class_step"}
+
+
+def test_a_class_step_whose_pieces_are_not_consecutive_fails_the_table_and_the_reference(
+    monkeypatch,
+):
+    """A host copy read as first, last, middle piece joins pieces that the
+    reference never joins: the leaves' graph keys leave the reference's,
+    and the n = 2 row counts 10 profiles and 10 graphs, not 7 and 8."""
+    class_step = tdspace.simulator._class_step
+
+    def shuffled(*class_key):
+        pieces, *tables = class_step(*class_key)
+        return (tuple((host, piece[:1] + piece[2:] + piece[1:2]) for host, piece in pieces), *tables)
+
+    reference = [bytes(cnv) + as_flat(conns) for *_, (cnv, conns), _ in reference_leaves(2)]
+    assert [leaf[3] for leaf in _walk(2, ())] == reference
+    monkeypatch.setattr(tdspace.simulator, "_class_step", shuffled)
+    assert [leaf[3] for leaf in _walk(2, ())] != reference
+    assert row_tuple(tabulate(2)) == (3, 10, 10, 11) != TABLE[2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_copy_numbers_counted_off_the_graph_keys_match_a_collected_set(n):
+    """The profiles counted off the graph keys are as many as those counted
+    off each leaf's genome."""
+    genomes = (genome for genome, *_ in _walk(n, ()))
+    direct = len({tuple(map(genome.count, range(2 * n + 1))) for genome in genomes})
+    for workers, budget in ((1, None), (2, None), (1, 10**9), (2, 10**9)):
+        assert tabulate(n, workers=workers, max_mem_bytes=budget).cnvs == direct
 
 
 def test_memory_budget_measures_what_the_old_leaves_measured():
     """The sets hold the reference leaves' words and graph keys as flat
-    byte strings, and the record keys as each prefix's packed cuts, which
-    join back to as many short keys as the old tuples, and the budget
-    counts each entry's, prefix's and packed string's ``sys.getsizeof``
-    once."""
+    byte strings, and the dict each derivation's steps with its leaves'
+    positions, each held once, and the budget counts each entry's, key's
+    and packed string's ``sys.getsizeof`` once."""
     sets, entry_bytes, paths = _collect(3, (), 10**9, Deadline(None))
     flat = [
-        (bytes(word), bytes(cnv) + bytes(i for pair in conns for i in pair), key)
-        for key, word, _steps, (cnv, conns), _positions in reference_leaves(3)
+        (bytes(word), bytes(cnv) + as_flat(conns), as_flat(steps), as_flat(positions))
+        for _key, word, steps, (cnv, conns), positions in reference_leaves(3)
     ]
     assert paths == len(flat) == 627
-    words, graphs, keys = map(set, zip(*flat))
+    words, graphs, _steps, _positions = map(set, zip(*flat))
     assert sets[:2] == (words, graphs)
-    short = [
-        head + cuts[i : i + 2] for head, cuts in sets[2].items() for i in range(0, len(cuts), 2)
-    ]
-    assert set(map(full_key, short)) == keys
-    assert (len(sets[0]), len(sets[1]), len(short)) == (len(words), len(graphs), len(keys))
-    assert (len(words), len(graphs), len(keys)) == (22, 288, 627)
+    layouts = defaultdict(set)
+    for *_, steps, positions in flat:
+        layouts[steps].add(positions)
+    held = {
+        steps: [packed[i : i + 6] for i in range(0, len(packed), 6)]
+        for steps, packed in sets[2].items()
+    }
+    assert {steps: set(group) for steps, group in held.items()} == layouts
+    assert sum(map(len, held.values())) == 627
+    assert (len(words), len(graphs), len(layouts)) == (22, 288, 22)
     sizes = sum(map(sys.getsizeof, [*sets[0], *sets[1], *sets[2], *sets[2].values()]))
     assert entry_bytes == sizes
+
+
+def layout_order(positions, end=B_SIDE, start=A_SIDE):
+    """A path's breakpoints in reference order: ``0a``, then TD ``k``'s
+    ``end`` node at its end position and its ``start`` node at its start
+    position, sorted by position, then ``0b``."""
+    placed = {}
+    for k, (e, s) in enumerate(as_pairs(positions), 1):
+        placed[e], placed[s] = BreakpointId(k, end), BreakpointId(k, start)
+    return [ROOT_A, *(placed[j] for j in sorted(placed)), ROOT_B]
+
+
+def forward_mismatches(n, **sides):
+    """Every path of ``n`` TDs whose layout (:func:`layout_order`) is not a
+    linear extension of its own derivation's order diagram, as the
+    derivation's ``{"steps": ...}`` literal and the layout."""
+    diagrams = {}
+    for _genome, _word, steps, _graph, positions in _walk(n, ()):
+        if steps not in diagrams:
+            ev = WordEvolution(steps=as_pairs(steps))
+            diagrams[steps] = hasse_diagram(build_2d_tree(ev)).edges
+        order = layout_order(positions, **sides)
+        index = {v: i for i, v in enumerate(order)}
+        if any(index[u] > index[v] for u, v in diagrams[steps]):
+            yield json.dumps({"steps": as_pairs(steps)}), " ".join(map(str, order))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_layout_is_a_linear_extension_of_its_derivation(n):
+    """Each path's breakpoints, in the order of their final positions, are
+    a linear extension of the order diagram of the path's own derivation;
+    with the sides of each TD swapped, no path's are."""
+    assert list(forward_mismatches(n)) == []
+    swapped = list(forward_mismatches(n, end=A_SIDE, start=B_SIDE))
+    assert len(swapped) == closed_form(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_each_derivation_holds_its_hook_count_of_layouts(n):
+    """The distinct layouts held under each derivation are as many as its
+    order diagram's linear extensions, counted by ``_hook_count``, and
+    they sum to the closed form."""
+    (_words, _graphs, layouts), _bytes, _paths = _collect(n, (), None, Deadline(None))
+    width = 2 * n
+    assert len(layouts) == (1, 3, 22, 377)[n - 1]
+    total = 0
+    for steps, packed in layouts.items():
+        count = len({packed[i : i + width] for i in range(0, len(packed), width)})
+        assert count == _hook_count(WordEvolution(steps=as_pairs(steps))), as_pairs(steps)
+        total += count
+    assert total == closed_form(n)
 
 
 class RecordingExecutor:
